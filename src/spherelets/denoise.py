@@ -14,6 +14,12 @@ Neighborhoods are the k nearest points (self included) of the running
 estimate at the start of each pass; blur-then-fit methods fit on the
 blurred images of those original neighbors, which keeps neighborhoods
 stable within a pass.
+
+A pass fits all n neighborhoods at once: ``spca.fit_spheres`` on the
+(n, k, D) stack for the sphere methods, ``spca.stacked_pca`` for the
+tangent-plane methods. The fallback is per row: a point whose local
+sphere is degenerate, or which projects onto its sphere's center, is
+projected onto the top-d plane of the same fit instead, and counted.
 """
 
 from __future__ import annotations
@@ -22,14 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DimensionError,
-    InsufficientDataError,
-    ParameterError,
-    SingularProjectionError,
-)
+from .exceptions import DimensionError, ParameterError
 from .numeric import knn_indices
-from .spca import _fit_plane_width, fit_sphere, project_plane, project_sphere
+from .spca import fit_spheres, project_planes, project_spheres, stacked_pca
 
 METHODS = ("gbms", "ltp", "mbms", "smbms", "lsp")
 _SPHERE_METHODS = ("smbms", "lsp")
@@ -85,7 +86,7 @@ def denoise(
 ) -> np.ndarray | tuple[np.ndarray, int]:
     """Run ``cfg.iters`` denoising passes and return the cleaned points.
 
-    A per-point sphere fit that degenerates (or whose projection is
+    A point whose local sphere fit degenerates (or whose projection is
     singular) falls back to the local tangent plane; with
     ``return_info=True`` the count of such fallbacks is returned as well.
     """
@@ -108,26 +109,17 @@ def denoise(
 
 
 def _pass(X: np.ndarray, cfg: DenoiseConfig) -> tuple[np.ndarray, int]:
-    n, D = X.shape
     nbr = knn_indices(X, cfg.k, exclude_self=False)
     if cfg.method == "gbms":
         return _blur(X, nbr, cfg.sigma), 0
 
     Y = _blur(X, nbr, cfg.sigma) if cfg.method in ("mbms", "smbms") else X
-    plane_dim = min(cfg.d, D)
-    out = np.empty_like(X)
-    fallbacks = 0
-    for i in range(n):
-        hood = Y[nbr[i]]
-        if cfg.method in ("ltp", "mbms"):
-            out[i] = project_plane(Y[i], _fit_plane_width(hood, plane_dim))
-            continue
-        try:
-            s, _ = fit_sphere(hood, cfg.d)
-            if s.degenerate:
-                raise SingularProjectionError("local sphere fit degenerated")
-            out[i] = project_sphere(Y[i], s)
-        except (SingularProjectionError, InsufficientDataError):
-            fallbacks += 1
-            out[i] = project_plane(Y[i], _fit_plane_width(hood, plane_dim))
-    return out, fallbacks
+    hoods, P = Y[nbr], Y[:, None, :]
+    if cfg.method in ("ltp", "mbms"):
+        mu, axes = stacked_pca(hoods)
+        return project_planes(P, mu, axes[:, :, : cfg.d])[:, 0], 0
+    fits = fit_spheres(hoods, cfg.d)
+    out, ok = project_spheres(P, fits)
+    bad = ~ok
+    out[bad] = project_planes(P[bad], fits.mu[bad], fits.frame[bad][:, :, : cfg.d])
+    return out[:, 0], int(np.count_nonzero(bad))

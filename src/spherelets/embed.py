@@ -4,6 +4,10 @@ Pipeline: per-point local sphere fits turn the k-NN graph into a sparse
 matrix of intrinsic (great-circle) distances; a fixed-bandwidth kernel
 exp(-D_ij / sigma^2) converts distances to symmetrized affinities; and a
 Student-t embedding minimizes KL(P || Q) by momentum gradient descent.
+The n local fits are one stacked ``spca.fit_spheres`` call over the
+(n, k, D) neighborhoods. The fallback is per row: a row whose fit
+degenerates, or whose point or a neighbor projects onto the sphere's
+center, keeps its Euclidean distances.
 A ``euclidean`` distance mode runs the identical pipeline on straight-
 line distances over the same k-NN graph for apples-to-apples baselines.
 
@@ -23,14 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DimensionError,
-    DivergenceError,
-    ParameterError,
-    SingularProjectionError,
-)
+from .exceptions import DimensionError, DivergenceError, ParameterError
 from .numeric import knn_indices, pairwise_sq_dists
-from .spca import fit_sphere, project_sphere, sphere_distance
+from .spca import fit_spheres, project_spheres, sphere_arcs
 
 DISTANCE_MODES = ("spherical", "euclidean")
 
@@ -80,10 +79,10 @@ def spherical_knn_distances(
     For each point, a d-sphere is fitted to its k-neighborhood (self
     included); the point and its neighbors are projected onto that
     sphere and their arc distances recorded. Rows whose local fit
-    degenerates fall back to Euclidean distances (counted when
-    ``return_info`` is set). The matrix is symmetrized entrywise by the
-    minimum over the two directed estimates; non-neighbor entries are
-    ``np.inf``.
+    degenerates or whose projection is singular fall back to Euclidean
+    distances (counted when ``return_info`` is set). The matrix is
+    symmetrized entrywise by the minimum over the two directed estimates;
+    non-neighbor entries are ``np.inf``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, D = X.shape
@@ -95,31 +94,27 @@ def spherical_knn_distances(
         raise DimensionError(f"a {d}-sphere needs ambient dimension >= {d + 1}, got {D}")
 
     nbr = knn_indices(X, k, exclude_self=False)
-    dist = np.full((n, n), np.inf)
-    fallbacks = 0
-    for i in range(n):
-        idx = nbr[i]
-        hood = X[idx]
-        row = None
-        try:
-            s, _ = fit_sphere(hood, d)
-            if not s.degenerate:
-                p_self = project_sphere(X[i], s)
-                p_hood = project_sphere(hood, s)
-                row = np.array(
-                    [sphere_distance(p_self, p_hood[j], s) for j in range(k)]
-                )
-        except SingularProjectionError:
-            row = None
-        if row is None:
-            fallbacks += 1
-            row = np.linalg.norm(hood - X[i], axis=1)
-        dist[i, idx] = row
-    np.fill_diagonal(dist, np.inf)
-    dist = np.minimum(dist, dist.T)
+    hoods = X[nbr]
+    fits = fit_spheres(hoods, d)
+    proj, ok = project_spheres(np.concatenate([X[:, None, :], hoods], axis=1), fits)
+    rows = np.linalg.norm(hoods - X[:, None, :], axis=2)
+    c = fits.center[ok][:, None, :]
+    rows[ok] = sphere_arcs(proj[ok, :1] - c, proj[ok, 1:] - c, fits.radius[ok][:, None])
+    fallbacks = n - int(np.count_nonzero(ok))
+    dist = _support_matrix(nbr, rows)
     if return_info:
         return dist, fallbacks
     return dist
+
+
+def _support_matrix(nbr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Dense matrix with rows[i, j] at (i, nbr[i, j]), inf elsewhere and on
+    the diagonal, symmetrized by the entrywise minimum."""
+    n = nbr.shape[0]
+    dist = np.full((n, n), np.inf)
+    dist[np.arange(n)[:, None], nbr] = rows
+    np.fill_diagonal(dist, np.inf)
+    return np.minimum(dist, dist.T)
 
 
 def euclidean_knn_distances(X: np.ndarray, k: int) -> np.ndarray:
@@ -129,11 +124,7 @@ def euclidean_knn_distances(X: np.ndarray, k: int) -> np.ndarray:
     if k > n:
         raise ParameterError(f"k={k} exceeds sample size {n}")
     nbr = knn_indices(X, k, exclude_self=False)
-    dist = np.full((n, n), np.inf)
-    for i in range(n):
-        dist[i, nbr[i]] = np.linalg.norm(X[nbr[i]] - X[i], axis=1)
-    np.fill_diagonal(dist, np.inf)
-    return np.minimum(dist, dist.T)
+    return _support_matrix(nbr, np.linalg.norm(X[nbr] - X[:, None, :], axis=2))
 
 
 def knn_distances(X: np.ndarray, d: int, k: int, mode: str = "spherical") -> np.ndarray:

@@ -13,16 +13,16 @@ import numpy as np
 
 from .exceptions import DimensionError, ParameterError
 
-# Exhaustive kNN below this size; a kd-tree pays off only for large n.
-KDTREE_THRESHOLD = 10_000
+# knn_indices holds about this many distances at a time (8 MiB of float64)
+KNN_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
 class SymEigResult:
     """Eigenpairs of a symmetric matrix, sorted by decreasing eigenvalue.
 
-    ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``; columns are
-    orthonormal and sign-fixed (largest-magnitude entry positive).
+    ``eigenvectors[..., :, i]`` belongs to ``eigenvalues[..., i]``; columns
+    are orthonormal and sign-fixed (largest-magnitude entry positive).
     """
 
     eigenvalues: np.ndarray
@@ -38,35 +38,35 @@ class NeighborList:
 
 
 def sym_eig(S: np.ndarray, rtol: float = 1e-10) -> SymEigResult:
-    """Full eigendecomposition of a symmetric real matrix.
+    """Full eigendecomposition of a symmetric real matrix, or of a stack
+    of them.
 
     Parameters
     ----------
-    S : (n, n) array
-        Symmetric within `rtol` relative Frobenius tolerance.
+    S : (..., n, n) array
+        Each matrix symmetric within `rtol` relative Frobenius tolerance.
 
     Returns
     -------
     SymEigResult with eigenvalues in decreasing order. Each eigenvector is
     scaled so its largest-magnitude entry is positive, which makes
-    downstream fits reproducible across runs and platforms.
+    downstream fits reproducible across runs and platforms. A stack gives
+    stacked eigenpairs, each matrix treated on its own.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {S.shape}")
-    asym = np.linalg.norm(S - S.T)
-    if asym > rtol * (1.0 + np.linalg.norm(S)):
-        raise DimensionError(f"matrix is not symmetric (|S-S^T|={asym:.3e})")
+    St = np.swapaxes(S, -1, -2)
+    asym = np.linalg.norm(S - St, axis=(-2, -1))
+    bad = asym > rtol * (1.0 + np.linalg.norm(S, axis=(-2, -1)))
+    if np.any(bad):
+        raise DimensionError(f"matrix is not symmetric (|S-S^T|={np.max(asym[bad]):.3e})")
     # eigh works on the symmetrized matrix so tiny asymmetries cannot leak in
-    w, Q = np.linalg.eigh(0.5 * (S + S.T))
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    Q = Q[:, order]
-    for j in range(Q.shape[1]):
-        i = int(np.argmax(np.abs(Q[:, j])))
-        if Q[i, j] < 0:
-            Q[:, j] = -Q[:, j]
-    return SymEigResult(eigenvalues=w, eigenvectors=Q)
+    w, Q = np.linalg.eigh(0.5 * (S + St))
+    w, Q = w[..., ::-1], Q[..., ::-1]  # eigh sorts ascending
+    top = np.argmax(np.abs(Q), axis=-2)[..., None, :]
+    Q = np.where(np.take_along_axis(Q, top, axis=-2) < 0, -Q, Q)
+    return SymEigResult(eigenvalues=w.copy(), eigenvectors=Q)
 
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -107,20 +107,6 @@ def knn(
     if not 1 <= k <= limit:
         raise ParameterError(f"k={k} out of range [1, {limit}]")
 
-    if n > KDTREE_THRESHOLD:
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(X)
-        m = k + 1 if exclude_self else k
-        dist, idx = tree.query(query, k=m)
-        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
-        if exclude_self:
-            zero = np.nonzero(dist <= 0.0)[0]
-            drop = zero[0] if zero.size else m - 1
-            keep = np.delete(np.arange(m), drop)
-            dist, idx = dist[keep], idx[keep]
-        return NeighborList(indices=idx.astype(int), distances=dist)
-
     # direct differences: the norm expansion would leave cancellation
     # residue on the self distance and break exact self-exclusion
     dist = np.linalg.norm(X - query[None, :], axis=1)
@@ -134,17 +120,41 @@ def knn(
 
 
 def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
-    """Neighbor indices for every row of X at once; shape (n, k)."""
+    """Neighbor indices for every row of X at once; shape (n, k).
+
+    Row i lists the k rows nearest to X[i] by increasing distance, ties
+    broken by lower row index: the first k columns of a stable argsort of
+    the row's distances. With ``exclude_self=True`` row i never lists i.
+
+    Rows are processed in blocks of about ``KNN_BLOCK`` distances, so
+    memory beyond the (n, k) result is one block, not n x n. Each block
+    selects with argpartition; a row whose k-th distance is tied with an
+    unselected entry takes a stable argsort instead.
+    """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     limit = n - 1 if exclude_self else n
     if not 1 <= k <= limit:
         raise ParameterError(f"k={k} out of range [1, {limit}]")
-    dist = np.sqrt(pairwise_sq_dists(X, X))
-    if exclude_self:
-        np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")
-    return order[:, :k]
+    out = np.empty((n, k), dtype=np.intp)
+    step = max(1, KNN_BLOCK // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        dist = np.sqrt(pairwise_sq_dists(X[rows], X))
+        if exclude_self:
+            dist[rows - lo, rows] = np.inf
+        sel = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        sel.sort(axis=1)  # so the stable sort below breaks ties by index
+        sel_d = np.take_along_axis(dist, sel, axis=1)
+        kth = sel_d.max(axis=1)
+        order = np.argsort(sel_d, axis=1, kind="stable")
+        out[rows] = np.take_along_axis(sel, order, axis=1)
+        # the selection is unique unless more than k entries reach the
+        # k-th distance (or NaN spoils the comparison)
+        tied = np.count_nonzero(dist <= kth[:, None], axis=1) != k
+        for r in np.nonzero(tied)[0]:
+            out[lo + r] = np.argsort(dist[r], kind="stable")[:k]
+    return out
 
 
 def seeded_gaussian(n: int, D: int, sigma: float, seed: int) -> np.ndarray:

@@ -13,6 +13,10 @@ The algebraic loss being minimized is
 over the reduced coordinates, whose minimizer has the closed form
 f_hat = -H^{-1} xi with H the centered scatter and xi the correlation of
 squared norms with centered positions. The center is c = -f_hat / 2.
+
+``fit_spheres`` computes this closed form for a whole (m, k, D) stack of
+point sets at once, judging each row on its own; ``fit_sphere`` is its
+stack of one.
 """
 
 from __future__ import annotations
@@ -83,6 +87,33 @@ class SphereFitDiagnostics:
     geometric_mse: float
 
 
+@dataclass(frozen=True)
+class SphereFits:
+    """Stacked sphere fits, row i fitted to the i-th point set of a stack.
+
+    Fields are those of ``fit_sphere`` with a leading row axis: ``mu``
+    (m, D) and ``frame`` (m, D, d+1) give each reduction hyperplane,
+    whose top-w columns also span the best w-dimensional affine subspace
+    for w <= d+1. A degenerate row has center ``mu`` and radius inf.
+    """
+
+    mu: np.ndarray
+    frame: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
+    degenerate: np.ndarray
+    h_condition: np.ndarray
+
+
+def stacked_pca(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means (m, D) and scatter eigenvectors (m, D, D) of a stack of point
+    sets H (m, k, D): columns by decreasing eigenvalue, sign rule of
+    ``sym_eig``. ``axes[i][:, :w]`` frames set i's best w-dim subspace."""
+    mu = H.mean(axis=1)
+    Hc = H - mu[:, None, :]
+    return mu, sym_eig(np.swapaxes(Hc, 1, 2) @ Hc).eigenvectors
+
+
 def _fit_plane_width(X: np.ndarray, width: int) -> Hyperplane:
     """Best affine subspace of the given frame width (PCA)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -91,10 +122,8 @@ def _fit_plane_width(X: np.ndarray, width: int) -> Hyperplane:
         raise DimensionError(f"frame width {width} exceeds ambient dimension {D}")
     if n < width:
         raise InsufficientDataError(f"need at least {width} points, got {n}")
-    mu = X.mean(axis=0)
-    Xc = X - mu
-    eig = sym_eig(Xc.T @ Xc)
-    return Hyperplane(mu=mu, frame=eig.eigenvectors[:, :width].copy())
+    mu, axes = stacked_pca(X[None])
+    return Hyperplane(mu=mu[0], frame=axes[0, :, :width].copy())
 
 
 def fit_hyperplane(X: np.ndarray, d: int) -> Hyperplane:
@@ -113,8 +142,18 @@ def project_plane(x: np.ndarray, p: Hyperplane) -> np.ndarray:
         raise DimensionError(
             f"point dimension {x.shape[-1]} != plane dimension {p.ambient_dim}"
         )
-    diff = x - p.mu
-    return p.mu + (diff @ p.frame) @ p.frame.T
+    return _plane_images(x, p.mu, p.frame)
+
+
+def project_planes(P: np.ndarray, mu: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Stacked ``project_plane``: the points P[i] (shape (m, q, D)) onto
+    the affine subspace mu[i] + span(frame[i])."""
+    return _plane_images(P, mu[:, None, :], frame)
+
+
+def _plane_images(x: np.ndarray, mu: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """mu + VV'(x - mu), broadcasting over leading axes of a stack."""
+    return mu + ((x - mu) @ frame) @ np.swapaxes(frame, -1, -2)
 
 
 def reduce_to_plane(X: np.ndarray, plane: Hyperplane) -> np.ndarray:
@@ -147,16 +186,72 @@ def optimal_offset(Y: np.ndarray, f: np.ndarray) -> float:
     return -float(np.mean(np.sum(Y * Y, axis=1) + Y @ f))
 
 
-def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFitDiagnostics]:
-    """Best-fit d-sphere through the rows of X.
+def fit_spheres(H: np.ndarray, d: int) -> SphereFits:
+    """Best-fit d-sphere through each point set of a stack H (m, k, D).
 
-    The data is first reduced to the top-(d+1) PCA subspace. The linear
-    system for the center is solved in the (d+1)-dimensional reduced
-    coordinates z_i = V'(x_i - x_bar), where the scatter is generically
-    invertible, and the center is mapped back as c = x_bar + V c_z. This
-    keeps the center inside the affine subspace of the frame, which the
-    ambient-coordinate pseudo-inverse form only guarantees for centered
-    data.
+    Each row is reduced to the top-(d+1) PCA subspace of its set, and the
+    linear system for the center is solved in the reduced coordinates
+    z_i = V'(x_i - x_bar), where the scatter is generically invertible;
+    the center maps back as c = x_bar + V c_z. This keeps the center
+    inside the affine subspace of the frame, which the ambient-coordinate
+    pseudo-inverse form only guarantees for centered data.
+
+    A row is degenerate (hyperplane fallback) when its reduced scatter is
+    numerically singular (condition number above ``H_CONDITION_LIMIT``
+    or a failed solve) or its radius exceeds ``RADIUS_DIAMETER_RATIO``
+    times the data diameter. Each row is judged on its own; one
+    degenerate row never affects another.
+
+    Raises
+    ------
+    InsufficientDataError if k < d + 2, the count of free parameters
+    (center coordinates plus radius) inside the reduced subspace.
+    """
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 3:
+        raise DimensionError(f"expected a (m, k, D) stack, got shape {H.shape}")
+    m, k, D = H.shape
+    if k < d + 2:
+        raise InsufficientDataError(f"need at least {d + 2} points for a {d}-sphere, got {k}")
+    if d < 0:
+        raise ParameterError(f"d must be >= 0, got {d}")
+    if d + 1 > D:
+        raise DimensionError(f"frame width {d + 1} exceeds ambient dimension {D}")
+    mu, axes = stacked_pca(H)
+    V = axes[:, :, : d + 1]
+    Hc = H - mu[:, None, :]
+
+    Z = Hc @ V                              # reduced coordinates, (m, k, d+1)
+    Zc = Z - Z.mean(axis=1, keepdims=True)
+    Zct = np.swapaxes(Zc, 1, 2)
+    l = np.sum(Z * Z, axis=2)
+    Hs = Zct @ Zc
+    xi = Zct @ (l - l.mean(axis=1, keepdims=True))[:, :, None]
+
+    h_cond = np.linalg.cond(Hs)
+    diameter = 2.0 * np.max(np.linalg.norm(Hc, axis=2), axis=1)
+    ok = np.isfinite(h_cond) & (h_cond <= H_CONDITION_LIMIT)
+    Hs[~ok] = np.eye(d + 1)  # rows judged singular solve a dummy system
+    try:
+        f_z = -np.linalg.solve(Hs, xi)
+    except np.linalg.LinAlgError:
+        f_z = np.zeros_like(xi)
+        for i in range(m):
+            try:
+                f_z[i] = -np.linalg.solve(Hs[i : i + 1], xi[i : i + 1])[0]
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    c_z = -0.5 * f_z
+    center = mu + (V @ c_z)[:, :, 0]
+    radius = np.mean(np.linalg.norm(Z - np.swapaxes(c_z, 1, 2), axis=2), axis=1)
+    ok &= np.isfinite(radius) & (radius <= RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
+    return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
+                      radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond)
+
+
+def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFitDiagnostics]:
+    """Best-fit d-sphere through the rows of X: ``fit_spheres`` on a
+    stack of one.
 
     Returns
     -------
@@ -167,58 +262,45 @@ def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFitDiagnostics]:
 
     Raises
     ------
-    InsufficientDataError if n < d + 2, the count of free parameters
-    (center coordinates plus radius) inside the reduced subspace.
+    InsufficientDataError if n < d + 2.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    if n < d + 2:
-        raise InsufficientDataError(f"need at least {d + 2} points for a {d}-sphere, got {n}")
-    plane = fit_hyperplane(X, d)
-    V, mu = plane.frame, plane.mu
-
-    Z = (X - mu) @ V                       # reduced coordinates, (n, d+1)
-    Zc = Z - Z.mean(axis=0)
-    l = np.sum(Z * Z, axis=1)
-    H = Zc.T @ Zc
-    xi = Zc.T @ (l - l.mean())
-
-    h_cond = float(np.linalg.cond(H))
-    diameter = 2.0 * float(np.max(np.linalg.norm(X - X.mean(axis=0), axis=1)))
-    degenerate = not np.isfinite(h_cond) or h_cond > H_CONDITION_LIMIT
-    center = mu
-    radius = math.inf
-    if not degenerate:
-        try:
-            f_z = -np.linalg.solve(H, xi)
-        except np.linalg.LinAlgError:
-            degenerate = True
-        else:
-            c_z = -0.5 * f_z
-            center = mu + V @ c_z
-            radius = float(np.mean(np.linalg.norm(Z - c_z, axis=1)))
-            if not np.isfinite(radius) or radius > RADIUS_DIAMETER_RATIO * max(diameter, 1e-300):
-                degenerate = True
-                center, radius = mu, math.inf
-
-    s = Spherelet(frame=V, center=center, radius=radius, plane=plane, degenerate=degenerate)
+    fits = fit_spheres(X[None], d)
+    V, mu = fits.frame[0].copy(), fits.mu[0]
+    degenerate = bool(fits.degenerate[0])
+    s = Spherelet(frame=V, center=fits.center[0], radius=float(fits.radius[0]),
+                  plane=Hyperplane(mu=mu, frame=V), degenerate=degenerate)
     if degenerate:
         loss = math.inf
     else:
-        loss = sphere_fit_loss(Z, -2.0 * ((center - mu) @ V))
+        loss = sphere_fit_loss((X - mu) @ V, -2.0 * ((s.center - mu) @ V))
     mse = float(np.mean(sphere_residual_sq(X, s)))
-    return s, SphereFitDiagnostics(h_condition=h_cond, algebraic_loss=loss, geometric_mse=mse)
+    return s, SphereFitDiagnostics(
+        h_condition=float(fits.h_condition[0]), algebraic_loss=loss, geometric_mse=mse
+    )
+
+
+def _sphere_images(
+    x: np.ndarray, center: np.ndarray, radius: float | np.ndarray, frame: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form projections c + (r / |VV'(x-c)|) VV'(x-c) of the rows
+    of x onto a sphere, broadcasting over leading axes of a stack, and a
+    mask that is False where a row projects onto the center and its image
+    is undefined."""
+    W = ((x - center) @ frame) @ np.swapaxes(frame, -1, -2)
+    norms = np.linalg.norm(W, axis=-1)
+    regular = ~(norms < 1e-12 * radius)
+    scale = np.divide(radius, norms, out=np.full_like(norms, np.nan), where=regular)
+    return center + scale[..., None] * W, regular
 
 
 def _project_sphere_rows(X: np.ndarray, s: Spherelet) -> np.ndarray:
     """Row-wise sphere projection; raises if any row hits the center."""
-    diff = X - s.center
-    W = (diff @ s.frame) @ s.frame.T
-    norms = np.linalg.norm(W, axis=1)
-    if np.any(norms < 1e-12 * s.radius):
-        bad = int(np.argmin(norms))
+    images, regular = _sphere_images(X, s.center, s.radius, s.frame)
+    if not regular.all():
+        bad = int(np.argmin(regular))
         raise SingularProjectionError(f"row {bad} projects onto the sphere center")
-    return s.center + (s.radius / norms)[:, None] * W
+    return images
 
 
 def project_sphere(x: np.ndarray, s: Spherelet) -> np.ndarray:
@@ -257,6 +339,32 @@ def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
     return (in_norm - s.radius) ** 2 + perp_sq
 
 
+def project_spheres(P: np.ndarray, fits: SphereFits) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``project_sphere``: the points P[i] (shape (m, q, D)) onto
+    sphere i of ``fits``.
+
+    Returns (projections, ok). ``ok[i]`` is False when fit i is degenerate
+    or one of its points projects onto the center (where
+    ``project_sphere`` raises); such rows of the projections are NaN and
+    left to the caller's fallback.
+    """
+    ok = ~fits.degenerate
+    out = np.full(P.shape, np.nan)
+    images, regular = _sphere_images(P[ok], fits.center[ok][:, None, :],
+                                     fits.radius[ok][:, None], fits.frame[ok])
+    regular = regular.all(axis=1)
+    ok[ok] = regular
+    out[ok] = images[regular]
+    return out, ok
+
+
+def sphere_arcs(U: np.ndarray, W: np.ndarray, radius: float | np.ndarray) -> np.ndarray:
+    """Great-circle distances r * arccos(u'w / r^2) between sphere points
+    given relative to the center (last axis), clamped against round-off."""
+    cosang = np.sum(U * W, axis=-1) / (radius * radius)
+    return radius * np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
 def sphere_distance(x: np.ndarray, y: np.ndarray, s: Spherelet) -> float:
     """Intrinsic (great-circle) distance between two points of the sphere:
     r * arccos((x-c)'(y-c) / r^2), clamped against round-off.
@@ -267,5 +375,4 @@ def sphere_distance(x: np.ndarray, y: np.ndarray, s: Spherelet) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if s.degenerate:
         return float(np.linalg.norm(x - y))
-    cosang = float((x - s.center) @ (y - s.center)) / (s.radius * s.radius)
-    return s.radius * math.acos(min(1.0, max(-1.0, cosang)))
+    return float(sphere_arcs(x - s.center, y - s.center, s.radius))

@@ -3,9 +3,9 @@ import pytest
 
 from spherelets.datasets import distance_to_curve, noisy_spiral, sphere_sample
 from spherelets.denoise import DenoiseConfig, blur_step, denoise
-from spherelets.exceptions import ParameterError
+from spherelets.exceptions import ParameterError, SingularProjectionError
 from spherelets.numeric import knn_indices
-from spherelets.spca import fit_sphere
+from spherelets.spca import fit_hyperplane, fit_sphere, project_plane, project_sphere
 
 
 def test_blur_step_uniform_limit_is_grand_mean():
@@ -173,3 +173,48 @@ def test_denoise_sphere_method_needs_room_for_frame():
     X = np.random.default_rng(10).normal(size=(30, 2))
     with pytest.raises(DimensionError):
         denoise(X, DenoiseConfig(method="smbms", k=10, sigma=1.0, d=2))
+
+
+def _mixed_cloud():
+    """Spiral points, a ring around its own center point (singular
+    projection) and a collinear segment (condition-number fallback)."""
+    theta = 2 * np.pi * np.arange(8) / 8
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    hub = np.vstack([ring, [[0.0, 0.0]]]) + [100.0, 0.0]
+    line = np.column_stack([np.linspace(0, 1, 9), np.linspace(0, 2, 9)]) + [0.0, 100.0]
+    return np.vstack([noisy_spiral(120, 0.1, seed=3).points, hub, line])
+
+
+def _looped_pass(X, cfg):
+    """One pass as a per-point loop over fit_sphere / project_sphere."""
+    nbr = knn_indices(X, cfg.k)
+    Y = blur_step(X, cfg.k, cfg.sigma) if cfg.method in ("mbms", "smbms") else X
+    out, fallbacks = np.empty_like(X), 0
+    for i in range(len(X)):
+        hood = Y[nbr[i]]
+        if cfg.method in ("smbms", "lsp"):
+            s, _ = fit_sphere(hood, cfg.d)
+            if not s.degenerate:
+                try:
+                    out[i] = project_sphere(Y[i], s)
+                    continue
+                except SingularProjectionError:
+                    pass
+            fallbacks += 1
+        out[i] = project_plane(Y[i], fit_hyperplane(hood, cfg.d - 1))
+    return out, fallbacks
+
+
+@pytest.mark.parametrize("method,seed_fallbacks", [("ltp", 0), ("mbms", 0), ("smbms", 20), ("lsp", 20)])
+def test_stacked_pass_matches_looped_fits(method, seed_fallbacks):
+    # 20 = (9 collinear points + the ring center) per pass, two passes
+    X = _mixed_cloud()
+    cfg = DenoiseConfig(method=method, k=9, sigma=1.0, iters=2, d=1)
+    out, fallbacks = denoise(X, cfg, return_info=True)
+    expect, total = X, 0
+    for _ in range(cfg.iters):
+        expect, fb = _looped_pass(expect, cfg)
+        total += fb
+    assert fallbacks == total == seed_fallbacks
+    scale = np.abs(expect).max()
+    assert np.max(np.abs(out - expect)) <= 1e-12 * scale

@@ -14,7 +14,9 @@ from spherelets.embed import (
     knn_distances,
     spherical_knn_distances,
 )
-from spherelets.exceptions import ParameterError
+from spherelets.exceptions import ParameterError, SingularProjectionError
+from spherelets.numeric import knn_indices
+from spherelets.spca import fit_sphere, project_sphere, sphere_distance
 
 
 # -- spherical distances ------------------------------------------------------
@@ -277,3 +279,58 @@ def test_embed_rejects_non_finite_affinities():
     P = np.array([[0.0, np.inf], [np.inf, 0.0]])
     with pytest.raises(ParameterError):
         embed(P, EmbedConfig(iters=5))
+
+
+def _mixed_cloud():
+    """Noisy circle points, a ring around its own center point (singular
+    projection for every hood holding it) and a collinear segment."""
+    theta = 2 * np.pi * np.arange(8) / 8
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    hub = np.vstack([ring, [[0.0, 0.0]]]) + [100.0, 0.0]
+    line = np.column_stack([np.linspace(0, 1, 9), np.linspace(0, 2, 9)]) + [0.0, 100.0]
+    rng = np.random.default_rng(4)
+    circle = sphere_sample(120, 1, 2, 0.0, 3.0, seed=5) + rng.normal(0, 0.05, (120, 2))
+    return np.vstack([circle, hub, line])
+
+
+def _looped_spherical_distances(X, d, k):
+    """Per-point loop over fit_sphere / project_sphere / sphere_distance."""
+    n = len(X)
+    nbr = knn_indices(X, k)
+    dist, fallbacks = np.full((n, n), np.inf), 0
+    for i in range(n):
+        hood = X[nbr[i]]
+        s, _ = fit_sphere(hood, d)
+        try:
+            if s.degenerate:
+                raise SingularProjectionError("degenerate")
+            p_self, p_hood = project_sphere(X[i], s), project_sphere(hood, s)
+            row = [sphere_distance(p_self, p, s) for p in p_hood]
+        except SingularProjectionError:
+            fallbacks += 1
+            row = np.linalg.norm(hood - X[i], axis=1)
+        dist[i, nbr[i]] = row
+    np.fill_diagonal(dist, np.inf)
+    return np.minimum(dist, dist.T), fallbacks
+
+
+def test_spherical_distances_match_looped_fits():
+    # 18 = 9 collinear points + the ring center + the 8 ring points whose
+    # neighborhoods hold the center
+    X = _mixed_cloud()
+    D, fallbacks = spherical_knn_distances(X, 1, 9, return_info=True)
+    expect, looped_fallbacks = _looped_spherical_distances(X, 1, 9)
+    assert fallbacks == looped_fallbacks == 18
+    fin = np.isfinite(expect)
+    assert np.array_equal(np.isfinite(D), fin)
+    assert np.max(np.abs(D[fin] - expect[fin]) / expect[fin]) <= 1e-10
+
+
+def test_euclidean_distances_match_rowwise_loop():
+    X = _mixed_cloud()
+    nbr = knn_indices(X, 7)
+    expect = np.full((len(X), len(X)), np.inf)
+    for i in range(len(X)):
+        expect[i, nbr[i]] = np.linalg.norm(X[nbr[i]] - X[i], axis=1)
+    np.fill_diagonal(expect, np.inf)
+    assert np.array_equal(euclidean_knn_distances(X, 7), np.minimum(expect, expect.T))

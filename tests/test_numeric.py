@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherelets.exceptions import DimensionError, ParameterError
-from spherelets.numeric import knn, pairwise_sq_dists, seeded_gaussian, sym_eig
+from spherelets.numeric import (
+    knn,
+    knn_indices,
+    pairwise_sq_dists,
+    seeded_gaussian,
+    sym_eig,
+)
 
 
 def test_sym_eig_identity():
@@ -136,21 +144,95 @@ def test_seeded_gaussian_negative_sigma():
         seeded_gaussian(5, 2, -1.0, 0)
 
 
-def test_knn_kdtree_path_matches_exhaustive(monkeypatch):
+def test_knn_large_n_ties_match_exhaustive():
+    # n > 10 000 on an integer grid: exact ties at the k-th distance must
+    # still go to the lower row index, and exclude_self must drop the query
+    X = np.array([(i // 100, i % 100) for i in range(10_000)] + [(100, 0)], dtype=float)
+    q = np.array([49.5, 49.5])
+    dist = np.sqrt(((X - q) ** 2).sum(axis=1))
+    dist_self = np.sqrt(((X - X[17]) ** 2).sum(axis=1))
+    dist_self[17] = np.inf
+    exhaustive = np.argsort(dist, kind="stable")[:6]
+    exhaustive_self = np.argsort(dist_self, kind="stable")[:4]
+    via_scan = knn(X, q, 6)
+    via_scan_self = knn(X, X[17], 4, exclude_self=True)
+    assert np.array_equal(exhaustive, via_scan.indices)
+    assert np.allclose(dist[exhaustive], via_scan.distances)
+    assert np.array_equal(exhaustive_self, via_scan_self.indices)
+    assert 17 not in via_scan_self.indices
+    assert via_scan.indices.tolist() == [4949, 4950, 5049, 5050, 4849, 4850]
+    assert via_scan_self.indices.tolist() == [16, 18, 117, 116]
+
+
+def test_knn_duplicates_drop_lowest_zero_row():
+    X = np.zeros((10_001, 2))
+    X[1::2] = 1.0
+    res = knn(X, X[0], 4, exclude_self=True)
+    assert res.indices.tolist() == [2, 4, 6, 8]
+    assert np.array_equal(res.distances, np.zeros(4))
+
+
+def _knn_oracle(X, k, exclude_self):
+    dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    if exclude_self:
+        np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_knn_indices_matches_stable_argsort(data):
+    # small integer coordinates: many exact ties and duplicate rows, all
+    # distances exact, so the oracle's order is the contract's order
     import spherelets.numeric as num
 
-    rng = np.random.default_rng(21)
-    X = rng.normal(size=(300, 3))
-    q = rng.normal(size=3)
-    exhaustive = num.knn(X, q, 6)
-    exhaustive_self = num.knn(X, X[17], 5, exclude_self=True)
-    monkeypatch.setattr(num, "KDTREE_THRESHOLD", 100)
-    via_tree = num.knn(X, q, 6)
-    via_tree_self = num.knn(X, X[17], 5, exclude_self=True)
-    assert np.array_equal(exhaustive.indices, via_tree.indices)
-    assert np.allclose(exhaustive.distances, via_tree.distances)
-    assert np.array_equal(exhaustive_self.indices, via_tree_self.indices)
-    assert 17 not in via_tree_self.indices
+    n = data.draw(st.integers(1, 40), label="n")
+    D = data.draw(st.integers(1, 3), label="D")
+    X = np.array(
+        data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=D, max_size=D),
+                           min_size=n, max_size=n), label="X"),
+        dtype=float,
+    )
+    exclude_self = n > 1 and data.draw(st.booleans(), label="exclude_self")
+    k = data.draw(st.integers(1, n - 1 if exclude_self else n), label="k")
+    block = data.draw(st.integers(1, 3 * n), label="block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(num, "KNN_BLOCK", block)
+        got = num.knn_indices(X, k, exclude_self=exclude_self)
+    assert got.shape == (n, k)
+    assert np.array_equal(got, _knn_oracle(X, k, exclude_self))
+
+
+def test_knn_indices_matches_dense_stable_sort():
+    # real-valued data over several blocks: identical to sorting the full
+    # n x n distance matrix, the algorithm the blocked scan replaced
+    from spherelets.datasets import noisy_spiral
+
+    X = noisy_spiral(2000, 0.2, seed=0).points
+    dense = np.sqrt(pairwise_sq_dists(X, X))
+    for exclude_self in (False, True):
+        D = dense.copy()
+        if exclude_self:
+            np.fill_diagonal(D, np.inf)
+        expect = np.argsort(D, axis=1, kind="stable")[:, :36]
+        assert np.array_equal(knn_indices(X, 36, exclude_self=exclude_self), expect)
+
+
+def test_knn_indices_k_equals_n_and_single_point(monkeypatch):
+    import spherelets.numeric as num
+
+    monkeypatch.setattr(num, "KNN_BLOCK", 7)
+    assert num.knn_indices(np.array([[2.0, 5.0]]), 1).tolist() == [[0]]
+    X = np.array([[0.0], [1.0], [-1.0], [1.0], [0.0]])
+    assert np.array_equal(num.knn_indices(X, 5), _knn_oracle(X, 5, False))
+    assert np.array_equal(num.knn_indices(X, 4, exclude_self=True), _knn_oracle(X, 4, True))
+    with pytest.raises(ParameterError):
+        num.knn_indices(np.zeros((1, 2)), 1, exclude_self=True)
+
+
+def test_knn_indices_nan_rows_fall_back_to_stable_order():
+    X = np.array([[0.0], [np.nan], [1.0], [2.0]])
+    assert np.array_equal(knn_indices(X, 3), _knn_oracle(X, 3, False))
 
 
 def test_knn_self_distance_exactly_zero():

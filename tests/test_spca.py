@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
 
+from spherelets import spca
 from spherelets.datasets import sphere_sample
 from spherelets.exceptions import (
     DimensionError,
     InsufficientDataError,
+    ParameterError,
     SingularProjectionError,
 )
 from spherelets.numeric import principal_angles, sym_eig
 from spherelets.spca import (
     fit_hyperplane,
     fit_sphere,
+    fit_spheres,
     optimal_offset,
     project_plane,
+    project_planes,
     project_sphere,
+    project_spheres,
     reduce_to_plane,
     sphere_distance,
     sphere_fit_loss,
+    stacked_pca,
 )
 
 
@@ -331,3 +337,141 @@ def test_reduced_solve_matches_ambient_pseudoinverse_on_centered_data():
     xi = Yc.T @ (l - l.mean())
     c_ambient = 0.5 * (np.linalg.pinv(H) @ xi)
     assert np.allclose(s.center, c_ambient, atol=1e-9)
+
+
+# -- stacked fits -------------------------------------------------------------
+
+
+def _rel_close(a, b, rtol=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+
+def _fits_match_looped(H, d):
+    """Stacked fits agree with fit_sphere row by row; returns the stack."""
+    fits = fit_spheres(H, d)
+    for i, hood in enumerate(H):
+        s, diag = fit_sphere(hood, d)
+        assert bool(fits.degenerate[i]) == s.degenerate
+        assert _rel_close(fits.frame[i], s.frame)
+        assert _rel_close(fits.mu[i], s.plane.mu)
+        assert _rel_close(fits.center[i], s.center)
+        if s.degenerate:
+            assert fits.radius[i] == np.inf
+        else:
+            assert _rel_close(fits.radius[i], s.radius)
+        assert fits.h_condition[i] == diag.h_condition or _rel_close(
+            fits.h_condition[i], diag.h_condition
+        )
+    return fits
+
+
+def _circle(n, c, r, phase=0.0):
+    theta = phase + 2 * np.pi * np.arange(n) / n
+    return np.asarray(c) + r * np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def test_fit_spheres_exact_spheres_match_looped():
+    H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [3.0, -1.0], 2.5, 0.3),
+                  _circle(12, [-7.0, 4.0], 0.1, 1.1)])
+    fits = _fits_match_looped(H, 1)
+    assert not fits.degenerate.any()
+    assert np.allclose(fits.center, [[0, 0], [3, -1], [-7, 4]], atol=1e-10)
+    assert np.allclose(fits.radius, [1.0, 2.5, 0.1], atol=1e-10)
+    S = np.stack([sphere_sample(30, 2, 4, c, r, seed=s)
+                  for s, (c, r) in enumerate([(0.0, 1.0), (2.0, 3.0), (-1.0, 0.5)])])
+    fits = _fits_match_looped(S, 2)
+    assert not fits.degenerate.any()
+    assert np.allclose(fits.radius, [1.0, 3.0, 0.5], atol=1e-8)
+
+
+def test_fit_spheres_collinear_row_falls_back_alone():
+    t = np.linspace(0, 1, 12)
+    line = np.column_stack([t, 2 * t])
+    H = np.stack([_circle(12, [0.0, 0.0], 1.0), line, _circle(12, [5.0, 5.0], 2.0)])
+    fits = _fits_match_looped(H, 1)
+    assert fits.degenerate.tolist() == [False, True, False]
+    assert not fits.h_condition[1] <= spca.H_CONDITION_LIMIT
+    assert np.array_equal(fits.center[1], fits.mu[1])
+
+
+def test_fit_spheres_near_flat_row_hits_radius_limit(monkeypatch):
+    # a clean arc trips the condition limit before the radius limit; a
+    # lower radius limit exercises that branch on a well-conditioned arc
+    monkeypatch.setattr(spca, "RADIUS_DIAMETER_RATIO", 1e3)
+    x = np.linspace(-1, 1, 12)
+    flat = np.column_stack([x, 1e-5 * x**2])
+    H = np.stack([_circle(12, [0.0, 0.0], 1.0), flat])
+    fits = _fits_match_looped(H, 1)
+    assert fits.degenerate.tolist() == [False, True]
+    assert fits.h_condition[1] <= spca.H_CONDITION_LIMIT
+
+
+def test_fit_spheres_failed_solve_marks_only_its_row(monkeypatch):
+    H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [0.0, 0.0], 7.0),
+                  _circle(12, [2.0, 0.0], 1.5)])
+    clean = fit_spheres(H, 1)
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        # the radius-7 circle has by far the largest reduced scatter
+        if np.any(a[..., 0, 0] > 100.0):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    fits = fit_spheres(H, 1)
+    assert fits.degenerate.tolist() == [False, True, False]
+    assert fits.radius[1] == np.inf
+    for i in (0, 2):
+        assert np.array_equal(fits.center[i], clean.center[i])
+        assert fits.radius[i] == clean.radius[i]
+
+
+def test_project_spheres_masks_point_at_center():
+    H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [5.0, 5.0], 2.0)])
+    fits = fit_spheres(H, 1)
+    P = np.array([[[0.0, 0.0], [2.0, 0.0]], [[9.0, 5.0], [5.0, 3.0]]])
+    P[0, 0] = fits.center[0]
+    out, ok = project_spheres(P, fits)
+    assert ok.tolist() == [False, True]
+    s0, _ = fit_sphere(H[0], 1)
+    with pytest.raises(SingularProjectionError):
+        project_sphere(P[0], s0)
+    s1, _ = fit_sphere(H[1], 1)
+    assert _rel_close(out[1], project_sphere(P[1], s1))
+    assert np.allclose(out[1], [[7.0, 5.0], [5.0, 3.0]], atol=1e-10)
+
+
+def test_project_spheres_degenerate_row_not_ok():
+    t = np.linspace(0, 1, 12)
+    H = np.stack([np.column_stack([t, 2 * t]), _circle(12, [0.0, 0.0], 1.0)])
+    out, ok = project_spheres(np.array([[[0.5, 0.5]], [[3.0, 0.0]]]), fit_spheres(H, 1))
+    assert ok.tolist() == [False, True]
+    assert np.all(np.isnan(out[0]))
+    assert np.allclose(out[1], [[1.0, 0.0]], atol=1e-10)
+
+
+def test_stacked_pca_matches_hyperplane_fit():
+    rng = np.random.default_rng(12)
+    H = rng.normal(size=(5, 9, 3)) * np.array([3.0, 1.0, 0.2])
+    mu, axes = stacked_pca(H)
+    for i in range(5):
+        plane = fit_hyperplane(H[i], 1)
+        assert np.array_equal(mu[i], plane.mu)
+        assert np.array_equal(axes[i, :, :2], plane.frame)
+        P = rng.normal(size=(1, 4, 3))
+        expect = project_plane(P[0], plane)
+        got = project_planes(P, mu[i : i + 1], axes[i : i + 1, :, :2])[0]
+        assert np.allclose(got, expect, atol=1e-12)
+
+
+def test_fit_spheres_validation():
+    with pytest.raises(InsufficientDataError):
+        fit_spheres(np.zeros((4, 2, 3)), 1)
+    with pytest.raises(DimensionError):
+        fit_spheres(np.zeros((4, 5, 2)), 2)
+    with pytest.raises(DimensionError):
+        fit_spheres(np.zeros((5, 2)), 1)
+    with pytest.raises(ParameterError):
+        fit_spheres(np.zeros((4, 5, 2)), -1)
