@@ -18,7 +18,7 @@ import numpy as np
 from . import model as model_mod
 from .datasets import euler_spiral, noisy_spiral, sphere_sample
 from .exceptions import ParameterError
-from .spca import _fit_plane_width, fit_sphere, project_plane
+from .spca import _fit_plane_width, fit_sphere
 
 BENCH_METHODS = ("spca", "pca")
 
@@ -166,9 +166,7 @@ def rate_study(
                         continue
                     mse = diag.geometric_mse
                 else:
-                    plane = _fit_plane_width(pts, 1)
-                    resid = pts - project_plane(pts, plane)
-                    mse = float(np.mean(np.sum(resid * resid, axis=1)))
+                    mse = float(np.mean(_fit_plane_width(pts, 1).residual_sq(pts)))
                 mses.append(mse)
                 records.append(RateRecord(method=method, alpha=alpha, segment=j, mse=mse))
             if mses:

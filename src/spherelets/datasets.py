@@ -178,7 +178,9 @@ def train_test_split(n: int, test_fraction: float = 0.2, seed: int = 0):
 
 def load_csv(path: str) -> np.ndarray:
     """Numeric CSV reader: comma separated, '.' decimal, optional single
-    header row (auto-detected), '#'-prefixed comment lines skipped."""
+    header row (auto-detected), '#'-prefixed comment lines skipped.
+    Raises ParseError naming the row and column of a cell that is not a
+    finite number (``nan`` and ``inf`` included)."""
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -200,6 +202,11 @@ def load_csv(path: str) -> np.ndarray:
                     f"{path}: row {lineno}, column {bad + 1}: not a number: {cells[bad]!r}"
                 ) from None
             first_data_line = False
+            if not all(map(math.isfinite, values)):
+                bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+                raise ParseError(
+                    f"{path}: row {lineno}, column {bad + 1}: not a finite number: {cells[bad]!r}"
+                )
             if width is None:
                 width = len(values)
             elif len(values) != width:

@@ -26,7 +26,12 @@ class DegenerateSplitError(SphereletsError, ValueError):
 
 
 class SingularProjectionError(SphereletsError, ArithmeticError):
-    """The point projects onto the sphere center; nearest point undefined."""
+    """The point projects onto the sphere center; nearest point undefined.
+    ``row`` is that point's index in the projected array, when known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class DivergenceError(SphereletsError, ArithmeticError):

@@ -1,10 +1,10 @@
 """Piecewise-spherical manifold models.
 
-A fitted model is a PC1-sign partition tree plus one fitted piece per
-leaf: a spherelet under the ``spca`` fitter (with hyperplane fallback on
-degeneracy) or a d-dimensional hyperplane under ``pca``. Projection
-routes a point to its leaf and applies that leaf's closest-point map, so
-held-out data can be projected without refitting.
+A fitted model is a PC1-sign partition tree whose leaves keep the piece
+fitted to their cell: a spherelet under the ``spca`` fitter (with
+hyperplane fallback on degeneracy) or a d-dimensional hyperplane under
+``pca``. Projection routes a batch through the tree and maps each leaf's
+rows onto its piece, so held-out data can be projected without refitting.
 
 Models serialize to versioned JSON with explicit arrays; floats are
 written with shortest round-trip precision so save/load is exact.
@@ -13,15 +13,16 @@ written with shortest round-trip precision so save/load is exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import (
     DimensionError,
-    InsufficientDataError,
     ParameterError,
     ParseError,
+    SingularProjectionError,
     VersionError,
 )
 from .partition import (
@@ -31,30 +32,25 @@ from .partition import (
     SplitRule,
     build_tree,
     iter_leaves,
-    route,
+    leaf_rows,
 )
-from .spca import (
-    Hyperplane,
-    Spherelet,
-    _fit_plane_width,
-    fit_sphere,
-    project_plane,
-    project_sphere,
-)
+from .spca import Hyperplane, Piece, Spherelet
 
 FORMAT_VERSION = 1
-
-Piece = Spherelet | Hyperplane
 
 
 @dataclass
 class SphereletModel:
     tree: PartitionNode
-    leaves: dict[int, Piece]
     d: int
     D: int
     fitter: str
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def leaves(self) -> dict[int, Piece]:
+        """The piece of every leaf, by cell id."""
+        return {leaf.cell_id: leaf.piece for leaf in iter_leaves(self.tree)}
 
     @property
     def n_pieces(self) -> int:
@@ -62,17 +58,31 @@ class SphereletModel:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Project a single D-vector onto the estimated manifold."""
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.D:
-            raise DimensionError(f"point dimension {x.shape[0]} != model dimension {self.D}")
-        piece = self.leaves[route(x, self.tree)]
-        if isinstance(piece, Spherelet):
-            return project_sphere(x, piece)
-        return project_plane(x, piece)
+        return self.project_many(np.asarray(x, dtype=float).ravel())[0]
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
+        return self._route_project(X)[0]
+
+    def _route_project(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Projections of the rows of X, one ``project`` call per leaf, and
+        the rows each leaf received."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.vstack([self.project(row) for row in X])
+        if X.shape[1] != self.D:
+            raise DimensionError(f"point dimension {X.shape[1]} != model dimension {self.D}")
+        P = np.empty_like(X)
+        cells = {}
+        for leaf, rows in leaf_rows(X, self.tree):
+            try:
+                # a stack of 1 x D rows: BLAS then takes each row's product
+                # alone, so its image does not depend on the batch it is in
+                P[rows] = leaf.piece.project(X[rows][:, None, :])[:, 0]
+            except SingularProjectionError as exc:
+                row = int(rows[exc.row])
+                raise SingularProjectionError(
+                    f"row {row} projects onto the sphere center of cell {leaf.cell_id}", row=row
+                ) from None
+            cells[leaf.cell_id] = rows
+        return P, cells
 
     def mse(self, X: np.ndarray) -> tuple[float, dict[int, float]]:
         """Overall and per-cell mean squared projection residual.
@@ -83,13 +93,9 @@ class SphereletModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
             raise ParameterError("cannot compute MSE of an empty dataset")
-        cells = np.array([route(row, self.tree) for row in X])
-        sq = np.array(
-            [float(np.sum((row - self.project(row)) ** 2)) for row in X]
-        )
-        per_cell = {
-            int(c): float(np.mean(sq[cells == c])) for c in np.unique(cells)
-        }
+        P, cells = self._route_project(X)
+        sq = np.sum((X - P) ** 2, axis=1)
+        per_cell = {cid: float(np.mean(sq[rows])) for cid, rows in sorted(cells.items())}
         return float(np.mean(sq)), per_cell
 
     def save(self, path: str) -> None:
@@ -104,29 +110,16 @@ def fit(
     fitter: str = "spca",
     provenance: dict | None = None,
 ) -> SphereletModel:
-    """Fit a piecewise model: grow the partition tree, then fit one piece
-    per leaf. ``n_min`` defaults to max(10, d+3)."""
+    """Fit a piecewise model: grow the partition tree, which fits one piece
+    per cell. ``n_min`` defaults to max(10, d+3)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if n_min is None:
         n_min = max(10, d + 3)
     tree = build_tree(X, d, eps, n_min, fitter)
-    leaves: dict[int, Piece] = {}
-    for leaf in iter_leaves(tree):
-        cell = X[leaf.member_indices]
-        if fitter == "spca":
-            try:
-                piece, _ = fit_sphere(cell, d)
-                if piece.degenerate:
-                    piece = piece.plane
-            except (InsufficientDataError, DimensionError):
-                piece = _fit_plane_width(cell, min(d, X.shape[1]))
-        else:
-            piece = _fit_plane_width(cell, min(d, X.shape[1]))
-        leaves[leaf.cell_id] = piece
     prov = dict(provenance or {})
     prov.setdefault("eps", eps)
     prov.setdefault("n_min", n_min)
-    return SphereletModel(tree=tree, leaves=leaves, d=d, D=X.shape[1], fitter=fitter, provenance=prov)
+    return SphereletModel(tree=tree, d=d, D=X.shape[1], fitter=fitter, provenance=prov)
 
 
 # -- serialization ----------------------------------------------------------
@@ -143,22 +136,14 @@ def _tree_to_obj(node: PartitionNode):
 
 
 def _piece_to_obj(cell_id: int, piece: Piece):
-    if isinstance(piece, Spherelet):
-        return {
-            "id": cell_id,
-            "kind": "sphere",
-            "mu": piece.plane.mu.tolist(),
-            "frame": piece.frame.tolist(),
-            "center": piece.center.tolist(),
-            "radius": piece.radius,
-        }
+    sphere = isinstance(piece, Spherelet)
     return {
         "id": cell_id,
-        "kind": "plane",
+        "kind": "sphere" if sphere else "plane",
         "mu": piece.mu.tolist(),
         "frame": piece.frame.tolist(),
-        "center": None,
-        "radius": None,
+        "center": piece.center.tolist() if sphere else None,
+        "radius": piece.radius if sphere else None,
     }
 
 
@@ -177,50 +162,68 @@ def save(model: SphereletModel, path: str) -> None:
         fh.write("\n")
 
 
-def _obj_to_tree(obj, where: str) -> PartitionNode:
+def _vector(value, D: int, name: str) -> np.ndarray:
+    v = np.asarray(value, dtype=float)
+    if v.shape != (D,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name}: expected {D} finite numbers, got {value!r}")
+    return v
+
+
+def _obj_to_tree(obj, where: str, pieces: dict[int, Piece], D: int) -> PartitionNode:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
-    if "leaf" in obj:
-        return Leaf(
-            cell_id=int(obj["leaf"]),
-            member_indices=np.asarray(obj.get("members", []), dtype=int),
-        )
     try:
+        if "leaf" in obj:
+            cid = int(obj["leaf"])
+            return Leaf(
+                cell_id=cid,
+                member_indices=np.asarray(obj.get("members", []), dtype=int),
+                piece=pieces.get(cid),
+            )
         rule = SplitRule(
-            mu=np.asarray(obj["split"]["mu"], dtype=float),
-            direction=np.asarray(obj["split"]["direction"], dtype=float),
+            mu=_vector(obj["split"]["mu"], D, "split.mu"),
+            direction=_vector(obj["split"]["direction"], D, "split.direction"),
         )
-        return Internal(
-            rule=rule,
-            left=_obj_to_tree(obj["left"], where + ".left"),
-            right=_obj_to_tree(obj["right"], where + ".right"),
-        )
+        left, right = obj["left"], obj["right"]
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    return Internal(
+        rule=rule,
+        left=_obj_to_tree(left, where + ".left", pieces, D),
+        right=_obj_to_tree(right, where + ".right", pieces, D),
+    )
 
 
-def _obj_to_piece(obj, where: str) -> tuple[int, Piece]:
+def _obj_to_piece(obj, where: str, d: int, D: int) -> tuple[int, Piece]:
     try:
-        cid = int(obj["id"])
-        kind = obj["kind"]
-        mu = np.asarray(obj["mu"], dtype=float)
-        frame = np.asarray(obj["frame"], dtype=float)
-        if kind == "plane":
+        cid, kind = int(obj["id"]), obj["kind"]
+        where = f"{where} (leaf {cid})"
+        if kind not in ("plane", "sphere"):
+            raise ValueError(f"unknown piece kind {kind!r}")
+        sphere = kind == "sphere"
+        mu, frame = _vector(obj["mu"], D, "mu"), np.asarray(obj["frame"], dtype=float)
+        if (frame.ndim != 2 or frame.shape[0] != D or (sphere and frame.shape[1] != d + 1)
+                or not np.all(np.isfinite(frame))):
+            want = f"{D} x {d + 1}" if sphere else f"{D}-row"
+            raise ValueError(f"frame must be a finite {want} matrix, got shape {frame.shape}")
+        if not sphere:
             return cid, Hyperplane(mu=mu, frame=frame)
-        if kind == "sphere":
-            return cid, Spherelet(
-                frame=frame,
-                center=np.asarray(obj["center"], dtype=float),
-                radius=float(obj["radius"]),
-                plane=Hyperplane(mu=mu, frame=frame),
-            )
+        radius = float(obj["radius"])
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"sphere radius {radius!r} is not finite and positive")
+        return cid, Spherelet(frame=frame, center=_vector(obj["center"], D, "center"),
+                              radius=radius, mu=mu)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}: unknown piece kind {kind!r}")
 
 
 def load(path: str) -> SphereletModel:
-    """Load a model file; raises ParseError / VersionError on bad input."""
+    """Load a model file; raises ParseError / VersionError on bad input,
+    including a piece or split whose shapes do not fit d and D, a
+    non-finite array, a sphere radius that is not finite and positive, and
+    leaf ids that do not pair each tree leaf with exactly one piece."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -234,18 +237,20 @@ def load(path: str) -> SphereletModel:
     for key in ("d", "D", "fitter", "tree", "leaves"):
         if key not in obj:
             raise ParseError(f"{path}: missing field {key!r}")
-    tree = _obj_to_tree(obj["tree"], "tree")
-    leaves = dict(
-        _obj_to_piece(o, f"leaves[{i}]") for i, o in enumerate(obj["leaves"])
-    )
-    leaf_ids = {leaf.cell_id for leaf in iter_leaves(tree)}
-    if leaf_ids != set(leaves):
-        raise ParseError(f"{path}: tree leaves {sorted(leaf_ids)} do not match pieces {sorted(leaves)}")
+    try:
+        d, D = int(obj["d"]), int(obj["D"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    parsed = [_obj_to_piece(o, f"leaves[{i}]", d, D) for i, o in enumerate(obj["leaves"])]
+    tree = _obj_to_tree(obj["tree"], "tree", dict(parsed), D)
+    leaf_ids = sorted(leaf.cell_id for leaf in iter_leaves(tree))
+    piece_ids = sorted(cid for cid, _ in parsed)
+    if leaf_ids != piece_ids:  # also catches an id used twice on either side
+        raise ParseError(f"{path}: tree leaves {leaf_ids} do not match pieces {piece_ids}")
     return SphereletModel(
         tree=tree,
-        leaves=leaves,
-        d=int(obj["d"]),
-        D=int(obj["D"]),
+        d=d,
+        D=D,
         fitter=str(obj["fitter"]),
         provenance=obj.get("provenance", {}),
     )

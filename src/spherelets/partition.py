@@ -6,27 +6,21 @@ direction is strictly positive, right otherwise. Because the rule is a
 sign test, it extends from the training rows to a total partition of
 R^D, so unseen points can be routed through the same tree.
 
-A cell is split while its fit MSE exceeds ``eps`` and it retains more
-than ``n_min`` members; a split that would leave either side below
-``n_min`` is rejected and the cell becomes a leaf.
+Each cell is fitted once (``spca.fit_piece``) and split while that
+piece's MSE exceeds ``eps`` and it retains more than ``n_min`` members;
+a split leaving either side below ``n_min`` is rejected. Leaves keep pieces.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateSplitError,
-    DimensionError,
-    InsufficientDataError,
-    ParameterError,
-)
+from .exceptions import DegenerateSplitError, ParameterError
 from .numeric import sym_eig
-from .spca import _fit_plane_width, fit_sphere, project_plane
-
-FITTERS = ("spca", "pca")
+from .spca import Piece, fit_piece
 
 
 @dataclass(frozen=True)
@@ -35,9 +29,6 @@ class SplitRule:
 
     mu: np.ndarray
     direction: np.ndarray
-
-    def goes_left(self, x: np.ndarray) -> bool:
-        return float((np.asarray(x, dtype=float) - self.mu) @ self.direction) > 0.0
 
 
 @dataclass(frozen=True)
@@ -51,6 +42,7 @@ class Internal:
 class Leaf:
     cell_id: int
     member_indices: np.ndarray
+    piece: Piece | None = None
 
 
 PartitionNode = Internal | Leaf
@@ -81,19 +73,6 @@ def split_cell(X_cell: np.ndarray) -> tuple[SplitRule, np.ndarray, np.ndarray]:
     return SplitRule(mu=mu, direction=v1), left, right
 
 
-def _cell_mse(X_cell: np.ndarray, d: int, fitter: str) -> float:
-    """MSE of the cell under its own fitted piece (sphere or d-plane)."""
-    if fitter == "spca":
-        try:
-            _, diag = fit_sphere(X_cell, d)
-            return diag.geometric_mse
-        except (InsufficientDataError, DimensionError, np.linalg.LinAlgError):
-            pass  # fall through to the planar fit
-    plane = _fit_plane_width(X_cell, min(d, X_cell.shape[1]))
-    resid = X_cell - project_plane(X_cell, plane)
-    return float(np.mean(np.sum(resid * resid, axis=1)))
-
-
 def build_tree(
     X: np.ndarray,
     d: int,
@@ -104,8 +83,6 @@ def build_tree(
     """Grow the PC1-sign tree until every cell meets the MSE target or
     runs out of points; leaves are numbered in depth-first order."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if fitter not in FITTERS:
-        raise ParameterError(f"fitter must be one of {FITTERS}, got {fitter!r}")
     if eps <= 0:
         raise ParameterError(f"eps must be > 0, got {eps}")
     if n_min < d + 3:
@@ -113,38 +90,56 @@ def build_tree(
     if X.shape[0] < n_min:
         raise ParameterError(f"n={X.shape[0]} is below n_min={n_min}")
 
-    counter = [0]
-
-    def make_leaf(indices: np.ndarray) -> Leaf:
-        leaf = Leaf(cell_id=counter[0], member_indices=indices.copy())
-        counter[0] += 1
-        return leaf
+    cell_ids = itertools.count()
 
     def grow(indices: np.ndarray) -> PartitionNode:
         cell = X[indices]
-        if indices.size <= n_min or _cell_mse(cell, d, fitter) <= eps:
-            return make_leaf(indices)
-        try:
-            rule, left_loc, right_loc = split_cell(cell)
-        except DegenerateSplitError:
-            return make_leaf(indices)
-        if left_loc.size < n_min or right_loc.size < n_min:
-            return make_leaf(indices)
-        return Internal(
-            rule=rule,
-            left=grow(indices[left_loc]),
-            right=grow(indices[right_loc]),
-        )
+        piece = fit_piece(cell, d, fitter)
+        if indices.size > n_min and float(np.mean(piece.residual_sq(cell))) > eps:
+            try:
+                rule, left_loc, right_loc = split_cell(cell)
+                if left_loc.size >= n_min and right_loc.size >= n_min:
+                    return Internal(rule=rule, left=grow(indices[left_loc]),
+                                    right=grow(indices[right_loc]))
+            except DegenerateSplitError:
+                pass  # the cell stays a leaf
+        return Leaf(cell_id=next(cell_ids), member_indices=indices.copy(), piece=piece)
 
     return grow(np.arange(X.shape[0]))
 
 
 def route(x: np.ndarray, tree: PartitionNode) -> int:
-    """Cell id of the leaf that x falls into."""
+    """Cell id of the leaf that x falls into (the one-point reference walk)."""
     node = tree
     while isinstance(node, Internal):
-        node = node.left if node.rule.goes_left(x) else node.right
+        score = float((x - node.rule.mu) @ node.rule.direction)
+        node = node.left if score > 0.0 else node.right
     return node.cell_id
+
+
+def leaf_rows(X: np.ndarray, tree: PartitionNode):
+    """(leaf, increasing row indices) for each leaf that receives rows of X,
+    partitioning the indices recursively by the sign test of ``split_cell``."""
+    stack = [(tree, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if isinstance(node, Leaf):
+            yield node, rows
+            continue
+        left = (X[rows] - node.rule.mu) @ node.rule.direction > 0.0
+        stack.append((node.right, rows[~left]))
+        stack.append((node.left, rows[left]))
+
+
+def route_many(X: np.ndarray, tree: PartitionNode) -> np.ndarray:
+    """Cell id of the leaf each row of X falls into, as ``route`` gives it."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    cells = np.empty(X.shape[0], dtype=int)
+    for leaf, rows in leaf_rows(X, tree):
+        cells[rows] = leaf.cell_id
+    return cells
 
 
 def iter_leaves(tree: PartitionNode):

@@ -16,7 +16,7 @@ squared norms with centered positions. The center is c = -f_hat / 2.
 
 ``fit_spheres`` computes this closed form for a whole (m, k, D) stack of
 point sets at once, judging each row on its own; ``fit_sphere`` is its
-stack of one.
+stack of one. ``fit_piece`` holds the model's sphere-or-plane policy.
 """
 
 from __future__ import annotations
@@ -51,24 +51,27 @@ class Hyperplane:
     def ambient_dim(self) -> int:
         return self.mu.shape[0]
 
-    @property
-    def subspace_dim(self) -> int:
-        return self.frame.shape[1]
+    def project(self, X: np.ndarray) -> np.ndarray:
+        return project_plane(X, self)
+
+    def residual_sq(self, X: np.ndarray) -> np.ndarray:
+        """Squared distance of each row of X to the subspace."""
+        return np.sum((X - project_plane(X, self)) ** 2, axis=-1)
 
 
 @dataclass(frozen=True)
 class Spherelet:
-    """A d-sphere in R^D: frame V (D x (d+1)), center c, radius r.
+    """A d-sphere in R^D: frame V (D x (d+1)), center c, radius r, data mean mu.
 
     ``degenerate`` marks the infinite-radius limit where the sphere
     collapses to a hyperplane; projection then delegates to ``plane``,
-    the reduction hyperplane the fit was computed in.
+    the reduction hyperplane mu + span(V) the fit was computed in.
     """
 
     frame: np.ndarray
     center: np.ndarray
     radius: float
-    plane: Hyperplane
+    mu: np.ndarray
     degenerate: bool = False
 
     @property
@@ -76,8 +79,17 @@ class Spherelet:
         return self.frame.shape[0]
 
     @property
-    def sphere_dim(self) -> int:
-        return self.frame.shape[1] - 1
+    def plane(self) -> Hyperplane:
+        return Hyperplane(mu=self.mu, frame=self.frame)
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        return project_sphere(X, self)
+
+    def residual_sq(self, X: np.ndarray) -> np.ndarray:
+        return sphere_residual_sq(X, self)
+
+
+Piece = Spherelet | Hyperplane
 
 
 @dataclass(frozen=True)
@@ -124,6 +136,22 @@ def _fit_plane_width(X: np.ndarray, width: int) -> Hyperplane:
         raise InsufficientDataError(f"need at least {width} points, got {n}")
     mu, axes = stacked_pca(X[None])
     return Hyperplane(mu=mu[0], frame=axes[0, :, :width].copy())
+
+
+def fit_piece(X: np.ndarray, d: int, fitter: str) -> Piece:
+    """The model piece of one cell: under ``spca`` the d-sphere, or its
+    (d+1)-wide reduction plane when degenerate; the min(d, D)-wide PCA
+    plane under ``pca`` or when the cell cannot carry a d-sphere."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if fitter == "spca":
+        try:
+            sphere, _ = fit_sphere(X, d)
+            return sphere.plane if sphere.degenerate else sphere
+        except (InsufficientDataError, DimensionError):
+            pass  # fall through to the plane
+    elif fitter != "pca":
+        raise ParameterError(f"fitter must be 'spca' or 'pca', got {fitter!r}")
+    return _fit_plane_width(X, min(d, X.shape[1]))
 
 
 def fit_hyperplane(X: np.ndarray, d: int) -> Hyperplane:
@@ -269,7 +297,7 @@ def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFitDiagnostics]:
     V, mu = fits.frame[0].copy(), fits.mu[0]
     degenerate = bool(fits.degenerate[0])
     s = Spherelet(frame=V, center=fits.center[0], radius=float(fits.radius[0]),
-                  plane=Hyperplane(mu=mu, frame=V), degenerate=degenerate)
+                  mu=mu, degenerate=degenerate)
     if degenerate:
         loss = math.inf
     else:
@@ -294,21 +322,12 @@ def _sphere_images(
     return center + scale[..., None] * W, regular
 
 
-def _project_sphere_rows(X: np.ndarray, s: Spherelet) -> np.ndarray:
-    """Row-wise sphere projection; raises if any row hits the center."""
-    images, regular = _sphere_images(X, s.center, s.radius, s.frame)
-    if not regular.all():
-        bad = int(np.argmin(regular))
-        raise SingularProjectionError(f"row {bad} projects onto the sphere center")
-    return images
-
-
 def project_sphere(x: np.ndarray, s: Spherelet) -> np.ndarray:
     """Closest point on the sphere: c + (r / |VV'(x-c)|) VV'(x-c).
 
     Delegates to the reduction hyperplane when the spherelet is
-    degenerate. Raises SingularProjectionError when x projects onto the
-    center, where every sphere point is equally close.
+    degenerate. Raises SingularProjectionError naming the first point
+    that projects onto the center, where every sphere point is equally close.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != s.ambient_dim:
@@ -317,9 +336,11 @@ def project_sphere(x: np.ndarray, s: Spherelet) -> np.ndarray:
         )
     if s.degenerate:
         return project_plane(x, s.plane)
-    if x.ndim == 1:
-        return _project_sphere_rows(x[None, :], s)[0]
-    return _project_sphere_rows(x, s)
+    images, regular = _sphere_images(x, s.center, s.radius, s.frame)
+    if not np.all(regular):
+        bad = int(np.argmin(regular))
+        raise SingularProjectionError(f"row {bad} projects onto the sphere center", row=bad)
+    return images
 
 
 def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
@@ -327,8 +348,7 @@ def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
     (|VV'(x-c)| - r)^2 + |(I-VV')(x-c)|^2; defined even at the center."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if s.degenerate:
-        resid = X - project_plane(X, s.plane)
-        return np.sum(resid * resid, axis=1)
+        return s.plane.residual_sq(X)
     diff = X - s.center
     in_norm = np.linalg.norm(diff @ s.frame, axis=1)
     if s.frame.shape[1] == s.frame.shape[0]:

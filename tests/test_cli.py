@@ -131,6 +131,15 @@ def test_exit_data_on_malformed_csv(tmp_path):
                "--out", str(tmp_path / "m.json")) == EXIT_DATA
 
 
+def test_exit_data_on_non_finite_csv(tmp_path, capsys):
+    # a NaN used to reach the SVD and exit 4 ("SVD did not converge")
+    bad = tmp_path / "nan.csv"
+    bad.write_text("".join(f"{np.cos(t)},{np.sin(t)}\n" for t in np.linspace(0, 3, 40)) + "nan,0\n")
+    assert run("fit", "--input", str(bad), "--d", "1", "--eps", "1e-4",
+               "--out", str(tmp_path / "m.json")) == EXIT_DATA
+    assert "row 41, column 1: not a finite number" in capsys.readouterr().err
+
+
 def test_exit_numeric_on_singular_projection(tmp_path):
     model = {
         "version": 1, "d": 1, "D": 2, "fitter": "spca",
@@ -145,3 +154,37 @@ def test_exit_numeric_on_singular_projection(tmp_path):
     data.write_text("0,0\n")  # projects onto the sphere center
     assert run("project", "--model", str(mpath), "--input", str(data),
                "--out", str(tmp_path / "p.csv")) == EXIT_NUMERIC
+
+
+def _two_sphere_model(radius=1.0):
+    # x > 0 goes to the circle around (3, 0), the rest to the one around (-3, 0)
+    def sphere(cid, cx):
+        return {"id": cid, "kind": "sphere", "mu": [cx, 0.0], "frame": [[1.0, 0.0], [0.0, 1.0]],
+                "center": [cx, 0.0], "radius": radius}
+    return {
+        "version": 1, "d": 1, "D": 2, "fitter": "spca",
+        "tree": {"split": {"mu": [0.0, 0.0], "direction": [1.0, 0.0]},
+                 "left": {"leaf": 0, "members": []}, "right": {"leaf": 1, "members": []}},
+        "leaves": [sphere(0, 3.0), sphere(1, -3.0)],
+    }
+
+
+def test_singular_projection_names_row_of_input(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(_two_sphere_model()))
+    data = tmp_path / "batch.csv"
+    data.write_text("4,0\n3,2\n5,1\n2,0.5\n3.5,-1\n-3,0\n-1,0\n")  # row 5: a center
+    assert run("project", "--model", str(mpath), "--input", str(data),
+               "--out", str(tmp_path / "p.csv")) == EXIT_NUMERIC
+    assert "row 5 projects onto the sphere center" in capsys.readouterr().err
+
+
+def test_exit_data_on_negative_radius_model(tmp_path, capsys):
+    # such a model used to load and project points by reflection, exit 0
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(_two_sphere_model(radius=-1.0)))
+    data = tmp_path / "x.csv"
+    data.write_text("4,0\n")
+    assert run("project", "--model", str(mpath), "--input", str(data),
+               "--out", str(tmp_path / "p.csv")) == EXIT_DATA
+    assert "(leaf 0): sphere radius -1.0 is not finite and positive" in capsys.readouterr().err

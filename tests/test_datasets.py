@@ -183,6 +183,14 @@ def test_csv_non_numeric_cell_error(tmp_path):
         load_csv(str(path))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+def test_csv_non_finite_cell_error(tmp_path, cell):
+    path = tmp_path / "f.csv"
+    path.write_text(f"x,y\n1,2\n3,{cell}\n")
+    with pytest.raises(ParseError, match=f"row 3, column 2: not a finite number: '{cell}'"):
+        load_csv(str(path))
+
+
 def test_iris_fixture():
     X, labels = load_iris()
     assert X.shape == (150, 4)

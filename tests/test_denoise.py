@@ -127,9 +127,8 @@ def test_smbms_beats_mbms_on_spiral():
 
 
 def test_smbms_beats_gbms_away_from_curve_ends():
-    # near the sparse outer endpoint the k=36 neighborhood spans farther
-    # than the gap between spiral strands, so the local sphere is fit to a
-    # two-strand point set; restrict the comparison to interior points
+    # interior points only; test_criterion_6b checks the whole curve,
+    # curve ends included
     sample = noisy_spiral(500, 0.2, seed=0)
     t = sample.params
     interior = (t > np.pi + 1.0) & (t < 4 * np.pi - 1.0)

@@ -1,12 +1,16 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spherelets.datasets import euler_spiral, sphere_sample
-from spherelets.exceptions import ParameterError, ParseError, VersionError
+from spherelets import partition, spca
+from spherelets.datasets import enneper, euler_spiral, sphere_sample
+from spherelets.exceptions import ParameterError, ParseError, SingularProjectionError, VersionError
 from spherelets.model import fit, load, save
-from spherelets.partition import route
+from spherelets.partition import iter_leaves, route
 from spherelets.spca import Spherelet, project_plane, project_sphere
 
 
@@ -179,3 +183,155 @@ def test_serialized_numbers_survive_exactly(tmp_path):
     assert np.array_equal(a.frame, b.frame)
     assert np.array_equal(a.center, b.center)
     assert a.radius == b.radius
+
+
+@functools.cache
+def _property_models():
+    spiral = euler_spiral(600, 2.0, seed=11).points
+    surface = enneper(600, 1.0, seed=12)
+    return [fit(spiral, 1, 1e-7, fitter="spca"), fit(spiral, 1, 1e-7, fitter="pca"),
+            fit(surface, 2, 1e-5, fitter="spca")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_project_many_rows_equal_project_property(data):
+    model = data.draw(st.sampled_from(_property_models()), label="model")
+    n = data.draw(st.integers(1, 25), label="n")
+    rows = st.lists(st.floats(-3, 3, allow_subnormal=False), min_size=model.D, max_size=model.D)
+    X = np.array(data.draw(st.lists(rows, min_size=n, max_size=n), label="X"))
+    try:
+        P = model.project_many(X)
+    except SingularProjectionError as exc:
+        with pytest.raises(SingularProjectionError):
+            model.project(X[exc.row])
+        return
+    assert P.shape == X.shape
+    pieces = model.leaves
+    for i, x in enumerate(X):
+        scale = max(1.0, float(np.max(np.abs(x))))
+        assert np.max(np.abs(P[i] - model.project(x))) <= 1e-12 * scale
+        # the one-point reference: scalar route, then that leaf's piece
+        assert np.max(np.abs(P[i] - pieces[route(x, model.tree)].project(x))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("fitter", ["spca", "pca"])
+def test_fit_calls_fit_piece_once_per_node(monkeypatch, fitter):
+    calls = {"fit_piece": 0, "fit_sphere": 0}
+    fit_piece, fit_sphere = partition.fit_piece, spca.fit_sphere
+
+    def counting_fit_piece(X, d, f):
+        calls["fit_piece"] += 1
+        return fit_piece(X, d, f)
+
+    def counting_fit_sphere(X, d):
+        calls["fit_sphere"] += 1
+        return fit_sphere(X, d)
+
+    monkeypatch.setattr(partition, "fit_piece", counting_fit_piece)
+    monkeypatch.setattr(spca, "fit_sphere", counting_fit_sphere)
+    X = euler_spiral(1500, 2.0, seed=13).points
+    model = fit(X, 1, 1e-8, fitter=fitter)
+    nodes = []
+    stack = [model.tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, partition.Internal):
+            stack += [node.right, node.left]
+    assert model.n_pieces > 5
+    assert calls["fit_piece"] == len(nodes)
+    assert calls["fit_sphere"] == (len(nodes) if fitter == "spca" else 0)
+    # every leaf keeps the piece of its own cell, fitted on its members
+    for leaf in iter_leaves(model.tree):
+        cell = X[leaf.member_indices]
+        expect = spca.fit_piece(cell, 1, fitter)
+        assert np.array_equal(leaf.piece.frame, expect.frame)
+        assert np.array_equal(leaf.piece.mu, expect.mu)
+
+
+def _two_sphere_model():
+    # x > 0 goes left to the circle around (3, 0), the rest to the one
+    # around (-3, 0)
+    def sphere(cid, cx):
+        return {"id": cid, "kind": "sphere", "mu": [cx, 0.0], "frame": [[1.0, 0.0], [0.0, 1.0]],
+                "center": [cx, 0.0], "radius": 1.0}
+    return {
+        "version": 1, "d": 1, "D": 2, "fitter": "spca",
+        "tree": {"split": {"mu": [0.0, 0.0], "direction": [1.0, 0.0]},
+                 "left": {"leaf": 0, "members": []}, "right": {"leaf": 1, "members": []}},
+        "leaves": [sphere(0, 3.0), sphere(1, -3.0)],
+    }
+
+
+def test_singular_projection_names_row_of_batch(tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(_two_sphere_model()))
+    model = load(str(path))
+    X = np.array([[4.0, 0.0], [3.0, 2.0], [5.0, 1.0], [2.0, 0.5], [3.5, -1.0],
+                  [-3.0, 0.0], [-1.0, 0.0]])
+    assert model.project_many(np.delete(X, 5, axis=0)).shape == (6, 2)
+    with pytest.raises(SingularProjectionError, match=r"^row 5 projects onto the sphere center") as exc:
+        model.project_many(X)
+    assert exc.value.row == 5
+
+
+def _hand_model(**piece):
+    obj = {
+        "version": 1, "d": 1, "D": 2, "fitter": "spca",
+        "tree": {"leaf": 7, "members": []},
+        "leaves": [{"id": 7, "kind": "sphere", "mu": [0.0, 0.0], "frame": [[1.0, 0.0], [0.0, 1.0]],
+                    "center": [0.0, 0.0], "radius": 1.0}],
+    }
+    obj["leaves"][0].update(piece)
+    return obj
+
+
+@pytest.mark.parametrize("piece,message", [
+    ({"radius": -1.0}, "radius -1.0 is not finite and positive"),
+    ({"radius": 0.0}, "radius 0.0 is not finite and positive"),
+    ({"radius": float("inf")}, "radius inf is not finite and positive"),
+    ({"mu": [0.0, 0.0, 0.0]}, "mu: expected 2 finite numbers"),
+    ({"center": [0.0]}, "center: expected 2 finite numbers"),
+    ({"center": [float("nan"), 0.0]}, "center: expected 2 finite numbers"),
+    ({"frame": [[1.0, 0.0]]}, "frame must be a finite 2 x 2 matrix"),
+    ({"frame": [[1.0], [0.0]]}, "frame must be a finite 2 x 2 matrix"),
+    ({"kind": "plane", "frame": [[1.0, 0.0, 0.0]]}, "frame must be a finite 2-row matrix"),
+    ({"kind": "cone"}, "unknown piece kind 'cone'"),
+])
+def test_load_rejects_bad_piece(tmp_path, piece, message):
+    # a negative radius used to load, and projected points by reflection
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_hand_model(**piece)))
+    with pytest.raises(ParseError, match=r"leaves\[0\] \(leaf 7\).*" + message.replace("[", r"\[")):
+        load(str(path))
+
+
+@pytest.mark.parametrize("where", ["tree", "leaves"])
+def test_load_rejects_duplicate_leaf_ids(tmp_path, where):
+    # two tree leaves sharing id 0 used to load, and the right half of the
+    # plane was projected onto the left leaf's circle
+    obj = _two_sphere_model()
+    if where == "tree":
+        obj["tree"]["right"]["leaf"] = 0
+        obj["leaves"] = obj["leaves"][:1]
+    else:
+        obj["leaves"].append(dict(obj["leaves"][1]))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match="do not match pieces"):
+        load(str(path))
+
+
+def test_load_rejects_bad_split(tmp_path):
+    obj = _two_sphere_model()
+    obj["tree"]["split"]["direction"] = [1.0, 0.0, 0.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=r"^tree: split\.direction: expected 2 finite numbers"):
+        load(str(path))
+
+
+def test_leaves_derived_from_tree():
+    model, _ = _circle_model()
+    assert model.leaves == {leaf.cell_id: leaf.piece for leaf in iter_leaves(model.tree)}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherelets.datasets import euler_spiral, sphere_sample
 from spherelets.exceptions import DegenerateSplitError, ParameterError
@@ -7,9 +9,11 @@ from spherelets.numeric import sym_eig
 from spherelets.partition import (
     Internal,
     Leaf,
+    SplitRule,
     build_tree,
     iter_leaves,
     route,
+    route_many,
     split_cell,
     tree_depth,
 )
@@ -120,14 +124,12 @@ def test_route_matches_independent_replay():
 
 def test_leaf_guard_mse_or_small():
     # every leaf meets the MSE target or was blocked from splitting
-    from spherelets.partition import _cell_mse
-
     X = euler_spiral(2000, 2.0, seed=6).points
     eps, n_min = 1e-8, 10
     tree = build_tree(X, 1, eps, n_min, "spca")
     for leaf in _leaf_list(tree):
         cell = X[leaf.member_indices]
-        mse = _cell_mse(cell, 1, "spca")
+        mse = float(np.mean(leaf.piece.residual_sq(cell)))
         assert mse <= eps or len(leaf.member_indices) <= 2 * n_min
 
 
@@ -137,3 +139,74 @@ def test_build_tree_pca_fitter_splits():
     tree_p = build_tree(X, 1, 1e-8, 10, "pca")
     # line pieces need more cells than sphere pieces at equal target
     assert len(_leaf_list(tree_p)) > len(_leaf_list(tree_s))
+
+
+def _int_vector(data, D, lo, hi, label):
+    return np.array(data.draw(st.lists(st.integers(lo, hi), min_size=D, max_size=D), label=label),
+                    dtype=float)
+
+
+def _draw_tree(data, D, depth, ids):
+    """A random tree with small-integer split means and directions, so every
+    score is computed exactly and points on a split hyperplane score 0."""
+    if depth == 0 or data.draw(st.booleans(), label="leaf"):
+        return Leaf(cell_id=ids.pop(), member_indices=np.zeros(0, dtype=int))
+    mu = _int_vector(data, D, -3, 3, "mu")
+    direction = _int_vector(data, D, -2, 2, "direction")
+    if not direction.any():
+        direction[data.draw(st.integers(0, D - 1), label="axis")] = 1.0
+    return Internal(rule=SplitRule(mu=mu, direction=direction),
+                    left=_draw_tree(data, D, depth - 1, ids),
+                    right=_draw_tree(data, D, depth - 1, ids))
+
+
+def _split_means(node):
+    if isinstance(node, Leaf):
+        return []
+    return [node.rule.mu] + _split_means(node.left) + _split_means(node.right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_route_many_equals_route_property(data):
+    # integer points on integer hyperplanes: many rows score exactly 0, and
+    # the split means themselves are always included
+    D = data.draw(st.integers(1, 3), label="D")
+    ids = data.draw(st.permutations(range(32)), label="ids")
+    tree = _draw_tree(data, D, data.draw(st.integers(0, 4), label="depth"), list(ids))
+    n = data.draw(st.integers(0, 30), label="n")
+    X = np.array([_int_vector(data, D, -4, 4, "x") for _ in range(n)]).reshape(n, D)
+    X = np.vstack([X] + [mu[None, :] for mu in _split_means(tree)])
+    got = route_many(X, tree)
+    assert got.tolist() == [route(x, tree) for x in X]
+    assert got.dtype.kind == "i" and got.shape == (X.shape[0],)
+
+
+def test_route_many_point_on_hyperplane_goes_right():
+    rule = SplitRule(mu=np.array([1.0, 2.0]), direction=np.array([0.6, 0.8]))
+    tree = Internal(rule=rule, left=Leaf(0, np.zeros(0, dtype=int)), right=Leaf(1, np.zeros(0, dtype=int)))
+    X = np.array([[1.0, 2.0], [2.0, 2.0], [0.0, 2.0]])  # at the mean: score exactly 0
+    assert route_many(X, tree).tolist() == [1, 0, 1]
+    assert [route(x, tree) for x in X] == [1, 0, 1]
+    assert route_many(np.zeros((0, 2)), tree).tolist() == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_training_rows_route_to_their_leaf_property(data):
+    D = data.draw(st.integers(2, 3), label="D")
+    n = data.draw(st.integers(13, 90), label="n")
+    rows = st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=D, max_size=D)
+    X = np.array(data.draw(st.lists(rows, min_size=n, max_size=n), label="X"))
+    fitter = data.draw(st.sampled_from(["spca", "pca"]), label="fitter")
+    tree = build_tree(X, 1, data.draw(st.sampled_from([1e-6, 1e-2, 1.0])), 10, fitter)
+    cells = route_many(X, tree)
+    for leaf in _leaf_list(tree):
+        assert np.all(cells[leaf.member_indices] == leaf.cell_id)
+
+
+def test_route_many_matches_route_on_fitted_tree():
+    X = euler_spiral(800, 2.0, seed=5).points
+    tree = build_tree(X, 1, 1e-8, 10, "spca")
+    pts = np.vstack([X, np.random.default_rng(9).uniform(-0.2, 1.2, size=(1000, 2))])
+    assert route_many(pts, tree).tolist() == [route(x, tree) for x in pts]
