@@ -159,10 +159,12 @@ def _cmd_fit(args, argv) -> int:
 def _cmd_project(args, argv) -> int:
     fitted = model_mod.load(args.model)
     X = load_csv(args.input)
-    Y = fitted.project_many(X)
+    if args.report_mse:
+        Y, overall, per_cell = fitted.project_mse(X)
+    else:
+        Y = fitted.project_many(X)
     save_csv(Y, args.out, comments=_provenance(args, argv))
     if args.report_mse:
-        overall, per_cell = fitted.mse(X)
         print(f"overall_mse={overall:.17g}")
         for cid in sorted(per_cell):
             print(f"cell {cid}: mse={per_cell[cid]:.17g}")

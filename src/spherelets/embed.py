@@ -14,6 +14,14 @@ line distances over the same k-NN graph for apples-to-apples baselines.
 Absent entries of the sparse distance matrix are represented as
 ``np.inf``; they receive zero affinity.
 
+The optimizer never builds an n x n array. ``embed`` turns P once into
+its support ``(rows, cols, vals)``, the off-diagonal nonzeros, and
+exaggeration scales ``vals``. The KL gradient splits into an attraction
+over that support, O(nk), and an exact repulsion over all pairs, which
+one pass computes together with the normalization Z in row blocks of
+about ``REPULSION_BLOCK`` pairs; the objective takes Z from the same
+pass. Memory beyond the O(nk) support is one block (512 KiB).
+
 The optimizer records KL every ``kl_every`` iterations. If a checkpoint
 shows an increase it reverts to the best iterate seen, halves the step,
 and clears momentum, so the recorded KL sequence never increases and the
@@ -28,10 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, DivergenceError, ParameterError
-from .numeric import knn_indices, pairwise_sq_dists
+from .numeric import knn_indices
 from .spca import fit_spheres, project_spheres, sphere_arcs
 
 DISTANCE_MODES = ("spherical", "euclidean")
+
+# the repulsion pass holds about this many pairs at a time (512 KiB of float64)
+REPULSION_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -202,31 +213,90 @@ def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
     return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
 
 
-def _student_q(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Student-t pair kernel W and its global normalization Q.
+def _support(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The off-diagonal nonzeros of a dense P as ``(rows, cols, vals)``; a
+    triple passes through unchanged."""
+    if isinstance(P, tuple):
+        return P
+    P = np.asarray(P, dtype=float)
+    rows, cols = np.nonzero(P)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    return rows, cols, P[rows, cols]
+
+
+def _support_kernel(rows: np.ndarray, cols: np.ndarray, Y: np.ndarray):
+    """Differences y_i - y_j and Student-t kernel w_ij over the support."""
+    diff = Y[rows] - Y[cols]
+    return diff, 1.0 / (1.0 + np.einsum("ij,ij->i", diff, diff))
+
+
+def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Z = sum_{i != j} w_ij and the rows sum_j w_ij^2 (y_i - y_j).
+
+    One exact pass over blocks of about ``REPULSION_BLOCK`` pairs, so no
+    n x n array is ever held. Each block's 1 + |y_i - y_j|^2 is one product
+    [y_i, |y_i|^2 + 1, 1] . [-2 y_j, 1, |y_j|^2] (clamped below at 1), and
+    its weighted sums sum_j w_ij^2 [y_j, 1] are another.
+    """
+    n, m = Y.shape
+    sq = np.einsum("ij,ij->i", Y, Y)[:, None]
+    ones = np.ones((n, 1))
+    left = np.hstack([Y, sq + 1.0, ones])
+    right = np.hstack([-2.0 * Y, ones, sq]).T
+    Y1 = np.hstack([Y, ones])
+    rep = np.empty_like(Y)
+    Z = 0.0
+    step = max(1, REPULSION_BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        W = left[lo:hi] @ right
+        np.maximum(W, 1.0, out=W)
+        np.reciprocal(W, out=W)
+        W[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        Z += W.sum()
+        W *= W
+        S = W @ Y1
+        rep[lo:hi] = S[:, m:] * Y[lo:hi] - S[:, :m]
+    return Z, rep
+
+
+def kl_objective(P, Y: np.ndarray) -> float:
+    """KL(P || Q(Y)) of an embedding under the Student-t kernel:
+    sum over the support of p log(p Z / w). P is dense or a
+    ``(rows, cols, vals)`` support; a zero q under positive p yields inf.
 
     Overflow is deliberately silenced: a diverged iterate produces
     non-finite values that the optimizer's safeguard detects and undoes.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        W = 1.0 / (1.0 + pairwise_sq_dists(Y, Y))
-        np.fill_diagonal(W, 0.0)
-        return W, W / np.sum(W)
-
-
-def kl_objective(P: np.ndarray, Y: np.ndarray) -> float:
-    """KL(P || Q(Y)) of an embedding under the Student-t kernel."""
-    _, Q = _student_q(np.atleast_2d(Y))
-    return kl_divergence(P, Q)
-
-
-def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Analytic gradient 4 sum_j (p_ij - q_ij) w_ij (y_i - y_j)."""
+    rows, cols, vals = _support(P)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    W, Q = _student_q(Y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        PQ = (P - Q) * W
-        return 4.0 * (PQ.sum(axis=1)[:, None] * Y - PQ @ Y)
+    keep = vals > 0.0
+    rows, cols, p = rows[keep], cols[keep], vals[keep]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Z, _ = _repulsion(Y)
+        q = _support_kernel(rows, cols, Y)[1] / Z
+        if np.any(q == 0.0):
+            return math.inf
+        return float(np.sum(p * np.log(p / q)))
+
+
+def kl_gradient(P, Y: np.ndarray) -> np.ndarray:
+    """Analytic gradient 4 sum_j (p_ij - q_ij) w_ij (y_i - y_j), as the
+    attraction 4 sum_j p_ij w_ij (y_i - y_j) over the support of P minus
+    the repulsion (4 / Z) sum_j w_ij^2 (y_i - y_j) over all pairs. P is
+    dense or a ``(rows, cols, vals)`` support."""
+    rows, cols, vals = _support(P)
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n = Y.shape[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diff, w = _support_kernel(rows, cols, Y)
+        pw = vals * w
+        attract = np.column_stack(
+            [np.bincount(rows, pw * diff[:, c], minlength=n) for c in range(Y.shape[1])]
+        )
+        Z, rep = _repulsion(Y)
+        return 4.0 * (attract - rep / Z)
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -249,8 +319,10 @@ def embed(
     total = float(P.sum())
     if total <= 0:
         raise ParameterError("affinity matrix is identically zero")
-    P = P / total
     n = P.shape[0]
+    rows, cols, vals = _support(P)
+    vals = vals / total
+    support, exaggerated = (rows, cols, vals), (rows, cols, vals * cfg.exaggeration)
 
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, 1e-4, size=(n, cfg.m))
@@ -258,11 +330,11 @@ def embed(
     lr = cfg.learning_rate
 
     best_Y = Y.copy()
-    best_kl = kl_objective(P, Y)
+    best_kl = kl_objective(support, Y)
     log: list[tuple[int, float]] = [(0, best_kl)]
 
     for it in range(1, cfg.iters + 1):
-        P_eff = P * cfg.exaggeration if it <= cfg.exaggeration_iters else P
+        P_eff = exaggerated if it <= cfg.exaggeration_iters else support
         mom = cfg.momentum_early if it < cfg.momentum_switch else cfg.momentum_late
 
         grad = kl_gradient(P_eff, Y)
@@ -280,7 +352,7 @@ def embed(
         Y = Y + velocity
 
         if it % cfg.kl_every == 0 or it == cfg.iters:
-            kl = kl_objective(P, Y)
+            kl = kl_objective(support, Y)
             if np.isfinite(kl) and kl < best_kl:
                 best_kl = kl
                 best_Y = Y.copy()

@@ -38,6 +38,9 @@ from .spca import Hyperplane, Piece, Spherelet
 
 FORMAT_VERSION = 1
 
+# load() rejects a piece frame F with Frobenius |F'F - I| above this
+FRAME_TOL = 1e-9
+
 
 @dataclass
 class SphereletModel:
@@ -90,13 +93,17 @@ class SphereletModel:
         Works identically for training and held-out data; cells that
         receive no rows are omitted from the per-cell map.
         """
+        return self.project_mse(X)[1:]
+
+    def project_mse(self, X: np.ndarray) -> tuple[np.ndarray, float, dict[int, float]]:
+        """``project_many(X)`` and ``mse(X)`` from one route-and-project pass."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
             raise ParameterError("cannot compute MSE of an empty dataset")
         P, cells = self._route_project(X)
         sq = np.sum((X - P) ** 2, axis=1)
         per_cell = {cid: float(np.mean(sq[rows])) for cid, rows in sorted(cells.items())}
-        return float(np.mean(sq)), per_cell
+        return P, float(np.mean(sq)), per_cell
 
     def save(self, path: str) -> None:
         save(self, path)
@@ -208,6 +215,9 @@ def _obj_to_piece(obj, where: str, d: int, D: int) -> tuple[int, Piece]:
                 or not np.all(np.isfinite(frame))):
             want = f"{D} x {d + 1}" if sphere else f"{D}-row"
             raise ValueError(f"frame must be a finite {want} matrix, got shape {frame.shape}")
+        ortho = np.linalg.norm(frame.T @ frame - np.eye(frame.shape[1]))
+        if ortho > FRAME_TOL:
+            raise ValueError(f"frame columns are not orthonormal: |F'F - I| = {ortho:.3g}")
         if not sphere:
             return cid, Hyperplane(mu=mu, frame=frame)
         radius = float(obj["radius"])
@@ -222,7 +232,8 @@ def _obj_to_piece(obj, where: str, d: int, D: int) -> tuple[int, Piece]:
 def load(path: str) -> SphereletModel:
     """Load a model file; raises ParseError / VersionError on bad input,
     including a piece or split whose shapes do not fit d and D, a
-    non-finite array, a sphere radius that is not finite and positive, and
+    non-finite array, a frame whose columns are not orthonormal within
+    ``FRAME_TOL``, a sphere radius that is not finite and positive, and
     leaf ids that do not pair each tree leaf with exactly one piece."""
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -188,3 +188,33 @@ def test_exit_data_on_negative_radius_model(tmp_path, capsys):
     assert run("project", "--model", str(mpath), "--input", str(data),
                "--out", str(tmp_path / "p.csv")) == EXIT_DATA
     assert "(leaf 0): sphere radius -1.0 is not finite and positive" in capsys.readouterr().err
+
+
+def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):
+    from collections import Counter
+
+    from spherelets import spca
+    from spherelets.model import load
+
+    data, model, out = tmp_path / "e.csv", tmp_path / "m.json", tmp_path / "p.csv"
+    assert run("generate", "--dataset", "euler", "--n", "600", "--seed", "2",
+               "--out", str(data)) == EXIT_OK
+    assert run("fit", "--input", str(data), "--d", "1", "--eps", "1e-7",
+               "--out", str(model)) == EXIT_OK
+    fitted, X = load(str(model)), load_csv(str(data))
+    expect_proj, (overall, per_cell) = fitted.project_many(X), fitted.mse(X)
+    capsys.readouterr()
+    calls = Counter()
+    for cls in (spca.Spherelet, spca.Hyperplane):
+        def counting(self, Z, _project=cls.project):
+            calls[id(self)] += 1
+            return _project(self, Z)
+        monkeypatch.setattr(cls, "project", counting)
+    assert run("project", "--model", str(model), "--input", str(data),
+               "--out", str(out), "--report-mse") == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    assert len(per_cell) > 3
+    assert sorted(calls.values()) == [1] * len(per_cell)
+    assert printed == [f"overall_mse={overall:.17g}"] + [
+        f"cell {cid}: mse={per_cell[cid]:.17g}" for cid in sorted(per_cell)]
+    assert np.array_equal(load_csv(str(out)), expect_proj)

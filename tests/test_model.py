@@ -298,6 +298,9 @@ def _hand_model(**piece):
     ({"frame": [[1.0], [0.0]]}, "frame must be a finite 2 x 2 matrix"),
     ({"kind": "plane", "frame": [[1.0, 0.0, 0.0]]}, "frame must be a finite 2-row matrix"),
     ({"kind": "cone"}, "unknown piece kind 'cone'"),
+    ({"frame": [[1.0, 0.0], [0.0, 1.0 + 1e-8]]}, "frame columns are not orthonormal"),
+    ({"kind": "plane", "frame": [[0.6], [0.8 + 1e-6]]}, "frame columns are not orthonormal"),
+    ({"kind": "plane", "frame": [[1.0, 1.0], [0.0, 1.0]]}, "frame columns are not orthonormal"),
 ])
 def test_load_rejects_bad_piece(tmp_path, piece, message):
     # a negative radius used to load, and projected points by reflection
@@ -335,3 +338,36 @@ def test_load_rejects_bad_split(tmp_path):
 def test_leaves_derived_from_tree():
     model, _ = _circle_model()
     assert model.leaves == {leaf.cell_id: leaf.piece for leaf in iter_leaves(model.tree)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_save_load_round_trip_exact_property(data, tmp_path_factory):
+    # re-saving a loaded model writes the same bytes, and the clone
+    # projects every probe bit for bit as the fitted model does
+    kind = data.draw(st.sampled_from(["spiral", "enneper", "cloud"]), label="kind")
+    seed = data.draw(st.integers(0, 10_000), label="seed")
+    n = data.draw(st.integers(40, 300), label="n")
+    if kind == "spiral":
+        X, d = euler_spiral(n, 2.0, seed=seed).points, 1
+    elif kind == "enneper":
+        X, d = enneper(n, 1.0, seed=seed), 2
+    else:
+        X, d = np.random.default_rng(seed).normal(size=(n, 3)), 1
+    fitter = data.draw(st.sampled_from(["spca", "pca"]), label="fitter")
+    eps = data.draw(st.sampled_from([1e-2, 1e-4, 1e-7]), label="eps")
+    model = fit(X, d, eps, fitter=fitter)
+    folder = tmp_path_factory.mktemp("round_trip")
+    first, second = folder / "a.json", folder / "b.json"
+    save(model, str(first))
+    clone = load(str(first))
+    save(clone, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    probes = np.vstack([X, np.random.default_rng(seed + 1).uniform(-3, 3, size=(50, X.shape[1]))])
+    try:
+        expect = model.project_many(probes)
+    except SingularProjectionError:
+        with pytest.raises(SingularProjectionError):
+            clone.project_many(probes)
+        return
+    assert np.array_equal(clone.project_many(probes), expect)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherelets import spca
 from spherelets.datasets import sphere_sample
@@ -475,3 +477,55 @@ def test_fit_spheres_validation():
         fit_spheres(np.zeros((5, 2)), 1)
     with pytest.raises(ParameterError):
         fit_spheres(np.zeros((4, 5, 2)), -1)
+
+
+# -- properties ----------------------------------------------------------------
+
+
+def _random_frame(rng, D, k):
+    Q, R = np.linalg.qr(rng.normal(size=(D, k)))
+    return Q * np.sign(np.diag(R))
+
+
+@st.composite
+def _spheres(draw):
+    """A d-sphere in R^D: dimensions, frame, center, radius and a seed."""
+    d = draw(st.integers(1, 3), label="d")
+    D = draw(st.integers(d + 1, d + 3), label="D")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    center = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=D, max_size=D), label="center"))
+    radius = draw(st.floats(1e-3, 1e3), label="radius")
+    return d, _random_frame(rng, D, d + 1), center, radius, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(sphere=_spheres(), extra=st.integers(0, 30))
+def test_fit_sphere_exact_recovery_property(sphere, extra):
+    # the 2(d+1) axis points of the sphere's frame keep the fit well posed;
+    # the extra points are uniform on the sphere
+    d, V, c, r, rng = sphere
+    u = rng.normal(size=(extra, d + 1))
+    u = np.vstack([np.eye(d + 1), -np.eye(d + 1), u / np.linalg.norm(u, axis=1, keepdims=True)])
+    s, _ = fit_sphere(c + r * (u @ V.T), d)
+    scale = r + np.max(np.abs(c))
+    assert not s.degenerate
+    assert abs(s.radius - r) <= 1e-9 * scale
+    assert np.max(np.abs(s.center - c)) <= 1e-9 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(sphere=_spheres(), kind=st.sampled_from(["sphere", "plane"]), n=st.integers(1, 20),
+       spread=st.floats(1e-2, 1e2))
+def test_projection_idempotent_property(sphere, kind, n, spread):
+    d, V, c, r, rng = sphere
+    if kind == "sphere":
+        piece = spca.Spherelet(frame=V, center=c, radius=r, mu=c)
+    else:
+        piece = spca.Hyperplane(mu=c, frame=V[:, :d])
+    X = c + spread * rng.normal(size=(n, c.size))
+    try:
+        P = piece.project(X)
+    except SingularProjectionError:
+        return
+    scale = max(1.0, float(np.max(np.abs(X))), float(np.max(np.abs(c))) + r)
+    assert np.max(np.abs(piece.project(P) - P)) <= 1e-12 * scale
