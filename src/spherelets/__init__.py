@@ -20,7 +20,6 @@ from .embed import (
     stsne,
 )
 from .exceptions import (
-    DegenerateSplitError,
     DimensionError,
     DivergenceError,
     InsufficientDataError,
@@ -32,7 +31,7 @@ from .exceptions import (
 )
 from .model import SphereletModel, fit, load, save
 from .numeric import knn, seeded_gaussian, sym_eig
-from .partition import build_tree, route, split_cell
+from .partition import build_tree, route
 from .spca import (
     Hyperplane,
     Spherelet,
@@ -72,7 +71,6 @@ __all__ = [
     "seeded_gaussian",
     "sphere_distance",
     "spherical_knn_distances",
-    "split_cell",
     "stsne",
     "sym_eig",
     "__version__",

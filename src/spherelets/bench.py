@@ -18,7 +18,7 @@ import numpy as np
 from . import model as model_mod
 from .datasets import euler_spiral, noisy_spiral, sphere_sample
 from .exceptions import ParameterError
-from .spca import _fit_plane_width, fit_sphere
+from .spca import fit_pieces, fit_sphere
 
 BENCH_METHODS = ("spca", "pca")
 
@@ -166,7 +166,8 @@ def rate_study(
                         continue
                     mse = diag.geometric_mse
                 else:
-                    mse = float(np.mean(_fit_plane_width(pts, 1).residual_sq(pts)))
+                    line = fit_pieces(pts, [0], 1, "pca")[0][0]
+                    mse = float(np.mean(line.residual_sq(pts)))
                 mses.append(mse)
                 records.append(RateRecord(method=method, alpha=alpha, segment=j, mse=mse))
             if mses:

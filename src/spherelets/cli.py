@@ -29,7 +29,6 @@ from .denoise import METHODS as DENOISE_METHODS
 from .denoise import DenoiseConfig, denoise
 from .embed import EmbedConfig, affinities, embed, knn_distances
 from .exceptions import (
-    DegenerateSplitError,
     DimensionError,
     DivergenceError,
     InsufficientDataError,
@@ -259,8 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, DimensionError, InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SingularProjectionError, DivergenceError, DegenerateSplitError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (SingularProjectionError, DivergenceError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

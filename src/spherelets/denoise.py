@@ -25,10 +25,9 @@ fitted to that strand's points. The support never shrinks below d + 3
 members, the least a local model needs; a point with fewer neighbors
 within reach is fitted to its d + 3 nearest.
 
-A pass fits the neighborhoods in one stacked call per support size:
-``spca.fit_spheres`` on the (rows, size, D) stack for the sphere
-methods, ``spca.stacked_pca`` for the tangent-plane methods. When every
-row keeps all k neighbors that is one call on the whole (n, k, D) stack.
+A pass fits all n supports in one ragged call, their rows concatenated
+and cut at each support's start offset: ``spca.fit_spheres`` for the
+sphere methods, ``spca.stacked_pca`` for the tangent-plane methods.
 The fallback is per row: a point whose local sphere is degenerate, or
 which projects onto its sphere's center, is projected onto the top-d
 plane of the same fit instead, and counted.
@@ -145,21 +144,12 @@ def _pass(X: np.ndarray, cfg: DenoiseConfig) -> tuple[np.ndarray, int]:
     # rows are ordered by distance, so each support is a leading block
     reach = (SUPPORT_SIGMAS * cfg.sigma) ** 2
     sizes = np.maximum(np.count_nonzero(d2 <= reach, axis=1), cfg.d + 3)
-    out, fallbacks = np.empty_like(X), 0
-    for m in np.unique(sizes):
-        rows = sizes == m
-        out[rows], fb = _fit_project(Y[nbr[rows, :m]], Y[rows, None, :], cfg)
-        fallbacks += fb
-    return out, fallbacks
-
-
-def _fit_project(hoods: np.ndarray, P: np.ndarray, cfg: DenoiseConfig) -> tuple[np.ndarray, int]:
-    """Project the points P (m, 1, D) onto the local models fitted to the
-    neighborhoods (m, size, D); returns the images and the fallback count."""
+    support = Y[nbr[np.arange(cfg.k) < sizes[:, None]]]
+    starts, P = np.cumsum(sizes) - sizes, Y[:, None, :]
     if cfg.method in ("ltp", "mbms"):
-        mu, axes = stacked_pca(hoods)
+        mu, axes = stacked_pca(support, starts)
         return project_planes(P, mu, axes[:, :, : cfg.d])[:, 0], 0
-    fits = fit_spheres(hoods, cfg.d)
+    fits = fit_spheres(support, starts, cfg.d)
     out, ok = project_spheres(P, fits)
     bad = ~ok
     out[bad] = project_planes(P[bad], fits.mu[bad], fits.frame[bad][:, :, : cfg.d])

@@ -4,10 +4,10 @@ Pipeline: per-point local sphere fits turn the k-NN graph into a sparse
 matrix of intrinsic (great-circle) distances; a fixed-bandwidth kernel
 exp(-D_ij / sigma^2) converts distances to symmetrized affinities; and a
 Student-t embedding minimizes KL(P || Q) by momentum gradient descent.
-The n local fits are one stacked ``spca.fit_spheres`` call over the
-(n, k, D) neighborhoods. The fallback is per row: a row whose fit
-degenerates, or whose point or a neighbor projects onto the sphere's
-center, keeps its Euclidean distances.
+The n local fits are one ``spca.fit_spheres`` call over the n·k
+neighborhood rows, cut every k rows. The fallback is per row: a row
+whose fit degenerates, or whose point or a neighbor projects onto the
+sphere's center, keeps its Euclidean distances.
 A ``euclidean`` distance mode runs the identical pipeline on straight-
 line distances over the same k-NN graph for apples-to-apples baselines.
 
@@ -106,7 +106,7 @@ def spherical_knn_distances(
 
     nbr = knn_indices(X, k, exclude_self=False)
     hoods = X[nbr]
-    fits = fit_spheres(hoods, d)
+    fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
     proj, ok = project_spheres(np.concatenate([X[:, None, :], hoods], axis=1), fits)
     rows = np.linalg.norm(hoods - X[:, None, :], axis=2)
     c = fits.center[ok][:, None, :]

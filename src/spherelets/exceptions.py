@@ -21,10 +21,6 @@ class InsufficientDataError(SphereletsError, ValueError):
     """Too few samples to determine the requested fit."""
 
 
-class DegenerateSplitError(SphereletsError, ValueError):
-    """A cell cannot be split (zero scatter or an empty side)."""
-
-
 class SingularProjectionError(SphereletsError, ArithmeticError):
     """The point projects onto the sphere center; nearest point undefined.
     ``row`` is that point's index in the projected array, when known."""

@@ -6,9 +6,13 @@ direction is strictly positive, right otherwise. Because the rule is a
 sign test, it extends from the training rows to a total partition of
 R^D, so unseen points can be routed through the same tree.
 
-Each cell is fitted once (``spca.fit_piece``) and split while that
-piece's MSE exceeds ``eps`` and it retains more than ``n_min`` members;
-a split leaving either side below ``n_min`` is rejected. Leaves keep pieces.
+The tree grows a level at a time: one ragged ``spca.fit_pieces`` call
+fits every cell of a level. A cell is split while its piece's MSE
+exceeds ``eps`` and it retains more than ``n_min`` members, at the
+piece's mean along the fit's own first principal axis, by the same sign
+test that routes points; a split leaving either side below ``n_min`` is
+rejected. Leaves keep pieces and are numbered depth-first once the
+tree's shape is known.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateSplitError, ParameterError
-from .numeric import sym_eig
-from .spca import Piece, fit_piece
+from .exceptions import ParameterError
+from .spca import Piece, fit_pieces
 
 
 @dataclass(frozen=True)
@@ -48,31 +51,6 @@ class Leaf:
 PartitionNode = Internal | Leaf
 
 
-def split_cell(X_cell: np.ndarray) -> tuple[SplitRule, np.ndarray, np.ndarray]:
-    """Split rows by the sign of the first principal-component score.
-
-    Rows with strictly positive score go left; scores <= 0 (including
-    points exactly at the mean) go right. Raises DegenerateSplitError on
-    zero scatter or when one side would be empty.
-    """
-    X_cell = np.atleast_2d(np.asarray(X_cell, dtype=float))
-    n = X_cell.shape[0]
-    if n < 2:
-        raise DegenerateSplitError(f"cannot split a cell of {n} point(s)")
-    mu = X_cell.mean(axis=0)
-    Xc = X_cell - mu
-    scatter = Xc.T @ Xc
-    if not np.any(np.abs(scatter) > 0.0):
-        raise DegenerateSplitError("zero scatter: all points identical")
-    v1 = sym_eig(scatter).eigenvectors[:, 0]
-    scores = Xc @ v1
-    left = np.nonzero(scores > 0.0)[0]
-    right = np.nonzero(scores <= 0.0)[0]
-    if left.size == 0 or right.size == 0:
-        raise DegenerateSplitError("split leaves one side empty")
-    return SplitRule(mu=mu, direction=v1), left, right
-
-
 def build_tree(
     X: np.ndarray,
     d: int,
@@ -80,8 +58,8 @@ def build_tree(
     n_min: int,
     fitter: str = "spca",
 ) -> PartitionNode:
-    """Grow the PC1-sign tree until every cell meets the MSE target or
-    runs out of points; leaves are numbered in depth-first order."""
+    """Grow the PC1-sign tree level by level until every cell meets the MSE
+    target or runs out of points; leaves are numbered in depth-first order."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if eps <= 0:
         raise ParameterError(f"eps must be > 0, got {eps}")
@@ -90,22 +68,35 @@ def build_tree(
     if X.shape[0] < n_min:
         raise ParameterError(f"n={X.shape[0]} is below n_min={n_min}")
 
+    # levels[t][i] is (rule, j) for a split cell whose children are cells
+    # j and j + 1 of level t + 1, or (member indices, piece) for a leaf
+    levels, cells = [], [np.arange(X.shape[0])]
+    while cells:
+        sizes = np.array([rows.size for rows in cells])
+        pieces, axes = fit_pieces(X[np.concatenate(cells)], np.cumsum(sizes) - sizes, d, fitter)
+        level, children = [], []
+        for rows, piece, axis in zip(cells, pieces, axes):
+            cell = X[rows]
+            if rows.size > n_min and float(np.mean(piece.residual_sq(cell))) > eps:
+                rule = SplitRule(mu=piece.mu, direction=axis)
+                left = (cell - rule.mu) @ rule.direction > 0.0
+                if n_min <= np.count_nonzero(left) <= rows.size - n_min:
+                    level.append((rule, len(children)))
+                    children += [rows[left], rows[~left]]
+                    continue
+            level.append((rows, piece))
+        levels.append(level)
+        cells = children
+
     cell_ids = itertools.count()
 
-    def grow(indices: np.ndarray) -> PartitionNode:
-        cell = X[indices]
-        piece = fit_piece(cell, d, fitter)
-        if indices.size > n_min and float(np.mean(piece.residual_sq(cell))) > eps:
-            try:
-                rule, left_loc, right_loc = split_cell(cell)
-                if left_loc.size >= n_min and right_loc.size >= n_min:
-                    return Internal(rule=rule, left=grow(indices[left_loc]),
-                                    right=grow(indices[right_loc]))
-            except DegenerateSplitError:
-                pass  # the cell stays a leaf
-        return Leaf(cell_id=next(cell_ids), member_indices=indices.copy(), piece=piece)
+    def node(t: int, i: int) -> PartitionNode:
+        a, b = levels[t][i]
+        if isinstance(a, SplitRule):
+            return Internal(rule=a, left=node(t + 1, b), right=node(t + 1, b + 1))
+        return Leaf(cell_id=next(cell_ids), member_indices=a, piece=b)
 
-    return grow(np.arange(X.shape[0]))
+    return node(0, 0)
 
 
 def route(x: np.ndarray, tree: PartitionNode) -> int:
@@ -119,7 +110,7 @@ def route(x: np.ndarray, tree: PartitionNode) -> int:
 
 def leaf_rows(X: np.ndarray, tree: PartitionNode):
     """(leaf, increasing row indices) for each leaf that receives rows of X,
-    partitioning the indices recursively by the sign test of ``split_cell``."""
+    partitioning the indices recursively by the sign test of each split."""
     stack = [(tree, np.arange(X.shape[0]))]
     while stack:
         node, rows = stack.pop()

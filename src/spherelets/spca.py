@@ -14,9 +14,11 @@ over the reduced coordinates, whose minimizer has the closed form
 f_hat = -H^{-1} xi with H the centered scatter and xi the correlation of
 squared norms with centered positions. The center is c = -f_hat / 2.
 
-``fit_spheres`` computes this closed form for a whole (m, k, D) stack of
-point sets at once, judging each row on its own; ``fit_sphere`` is its
-stack of one. ``fit_piece`` holds the model's sphere-or-plane policy.
+``fit_spheres`` and ``stacked_pca`` fit many point sets at once, each on
+its own: rows (N, D) cut at segment starts, every per-set sum a segment
+reduction (``np.add.reduceat``), the small eigenproblems and solves
+stacked. ``fit_sphere`` is the one-set case, and ``fit_pieces`` holds
+the model's sphere-or-plane policy.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class SphereFitDiagnostics:
 
 @dataclass(frozen=True)
 class SphereFits:
-    """Stacked sphere fits, row i fitted to the i-th point set of a stack.
+    """Sphere fits of m point sets, row i fitted to the i-th set.
 
     Fields are those of ``fit_sphere`` with a leading row axis: ``mu``
     (m, D) and ``frame`` (m, D, d+1) give each reduction hyperplane,
@@ -117,41 +119,57 @@ class SphereFits:
     h_condition: np.ndarray
 
 
-def stacked_pca(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means (m, D) and scatter eigenvectors (m, D, D) of a stack of point
-    sets H (m, k, D): columns by decreasing eigenvalue, sign rule of
-    ``sym_eig``. ``axes[i][:, :w]`` frames set i's best w-dim subspace."""
-    mu = H.mean(axis=1)
-    Hc = H - mu[:, None, :]
-    return mu, sym_eig(np.swapaxes(Hc, 1, 2) @ Hc).eigenvectors
+def _segments(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows X (N, D), validated segment starts, and segment sizes."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionError(f"expected (N, D) rows, got shape {X.shape}")
+    starts = np.asarray(starts)
+    if (starts.ndim != 1 or starts.size == 0 or not np.issubdtype(starts.dtype, np.integer)
+            or starts[0] != 0 or np.any(starts[1:] < starts[:-1]) or starts[-1] > X.shape[0]):
+        raise ParameterError("segment starts must be integers that begin at 0, never "
+                             f"decrease and stay within the {X.shape[0]} rows")
+    return X, starts, np.diff(starts, append=X.shape[0])
 
 
-def _fit_plane_width(X: np.ndarray, width: int) -> Hyperplane:
-    """Best affine subspace of the given frame width (PCA)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, D = X.shape
-    if width > D:
-        raise DimensionError(f"frame width {width} exceeds ambient dimension {D}")
-    if n < width:
-        raise InsufficientDataError(f"need at least {width} points, got {n}")
-    mu, axes = stacked_pca(X[None])
-    return Hyperplane(mu=mu[0], frame=axes[0, :, :width].copy())
+def _outer_sums(A: np.ndarray, B: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-segment sums of the outer products a_r b_r' (m, p, q), taken one
+    column of B at a time so that memory stays O(N p)."""
+    return np.stack([np.add.reduceat(A * b[:, None], starts) for b in B.T], axis=-1)
 
 
-def fit_piece(X: np.ndarray, d: int, fitter: str) -> Piece:
-    """The model piece of one cell: under ``spca`` the d-sphere, or its
-    (d+1)-wide reduction plane when degenerate; the min(d, D)-wide PCA
-    plane under ``pca`` or when the cell cannot carry a d-sphere."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if fitter == "spca":
-        try:
-            sphere, _ = fit_sphere(X, d)
-            return sphere.plane if sphere.degenerate else sphere
-        except (InsufficientDataError, DimensionError):
-            pass  # fall through to the plane
-    elif fitter != "pca":
+def stacked_pca(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Means (m, D) and scatter eigenvectors (m, D, D) of the m point sets
+    whose rows X (N, D) are cut at ``starts``: columns by decreasing
+    eigenvalue, sign rule of ``sym_eig``. ``axes[i][:, :w]`` frames set
+    i's best w-dim subspace. Raises InsufficientDataError for an empty set."""
+    X, starts, sizes = _segments(X, starts)
+    if np.any(sizes == 0):
+        raise InsufficientDataError("a point set has no rows")
+    mu = np.add.reduceat(X, starts) / sizes[:, None]
+    Xc = X - np.repeat(mu, sizes, axis=0)
+    return mu, sym_eig(_outer_sums(Xc, Xc, starts)).eigenvectors
+
+
+def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> tuple[list[Piece], np.ndarray]:
+    """The model piece of each point set (rows X cut at ``starts``) and its
+    first principal axis (m, D). Under ``spca`` a piece is the set's
+    d-sphere, or its (d+1)-wide reduction plane when degenerate; under
+    ``pca``, or for a set that cannot carry a d-sphere, it is the
+    min(d, D)-wide PCA plane."""
+    if fitter not in ("spca", "pca"):
         raise ParameterError(f"fitter must be 'spca' or 'pca', got {fitter!r}")
-    return _fit_plane_width(X, min(d, X.shape[1]))
+    X, starts, sizes = _segments(X, starts)
+    mu, axes = stacked_pca(X, starts)
+    pieces = [Hyperplane(mu=m, frame=V[:, : min(d, X.shape[1])].copy()) for m, V in zip(mu, axes)]
+    sphere = (sizes >= d + 2) & (fitter == "spca" and d < X.shape[1])
+    if sphere.any():
+        fits = fit_spheres(X[np.repeat(sphere, sizes)], np.cumsum(sizes[sphere]) - sizes[sphere], d)
+        for i, V, c, r, deg in zip(np.flatnonzero(sphere), fits.frame, fits.center, fits.radius,
+                                   fits.degenerate):
+            s = Spherelet(frame=V.copy(), center=c, radius=float(r), mu=mu[i], degenerate=bool(deg))
+            pieces[i] = s.plane if deg else s
+    return pieces, axes[:, :, 0].copy()  # a copy: split rules must not pin the D x D axes
 
 
 def fit_hyperplane(X: np.ndarray, d: int) -> Hyperplane:
@@ -160,7 +178,14 @@ def fit_hyperplane(X: np.ndarray, d: int) -> Hyperplane:
     """
     if d < 0:
         raise ParameterError(f"d must be >= 0, got {d}")
-    return _fit_plane_width(X, d + 1)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n, D = X.shape
+    if d + 1 > D:
+        raise DimensionError(f"frame width {d + 1} exceeds ambient dimension {D}")
+    if n < d + 1:
+        raise InsufficientDataError(f"need at least {d + 1} points, got {n}")
+    mu, axes = stacked_pca(X, [0])
+    return Hyperplane(mu=mu[0], frame=axes[0, :, : d + 1].copy())
 
 
 def project_plane(x: np.ndarray, p: Hyperplane) -> np.ndarray:
@@ -214,72 +239,70 @@ def optimal_offset(Y: np.ndarray, f: np.ndarray) -> float:
     return -float(np.mean(np.sum(Y * Y, axis=1) + Y @ f))
 
 
-def fit_spheres(H: np.ndarray, d: int) -> SphereFits:
-    """Best-fit d-sphere through each point set of a stack H (m, k, D).
+def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
+    """Best-fit d-sphere through each point set, the rows X (N, D) cut at
+    ``starts``; sets of a fixed size k have ``starts = arange(0, m*k, k)``.
 
-    Each row is reduced to the top-(d+1) PCA subspace of its set, and the
-    linear system for the center is solved in the reduced coordinates
+    Each set is reduced to its top-(d+1) PCA subspace, and the linear
+    system for the center is solved in the reduced coordinates
     z_i = V'(x_i - x_bar), where the scatter is generically invertible;
     the center maps back as c = x_bar + V c_z. This keeps the center
     inside the affine subspace of the frame, which the ambient-coordinate
     pseudo-inverse form only guarantees for centered data.
 
-    A row is degenerate (hyperplane fallback) when its reduced scatter is
+    A set is degenerate (hyperplane fallback) when its reduced scatter is
     numerically singular (condition number above ``H_CONDITION_LIMIT``
     or a failed solve) or its radius exceeds ``RADIUS_DIAMETER_RATIO``
-    times the data diameter. Each row is judged on its own; one
-    degenerate row never affects another.
+    times the data diameter. Each set is judged on its own; one
+    degenerate set never affects another.
 
     Raises
     ------
-    InsufficientDataError if k < d + 2, the count of free parameters
-    (center coordinates plus radius) inside the reduced subspace.
+    InsufficientDataError if a set has fewer than d + 2 rows, the count of
+    free parameters (center coordinates plus radius) in the reduced subspace.
     """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 3:
-        raise DimensionError(f"expected a (m, k, D) stack, got shape {H.shape}")
-    m, k, D = H.shape
-    if k < d + 2:
-        raise InsufficientDataError(f"need at least {d + 2} points for a {d}-sphere, got {k}")
+    X, starts, sizes = _segments(X, starts)
     if d < 0:
         raise ParameterError(f"d must be >= 0, got {d}")
-    if d + 1 > D:
-        raise DimensionError(f"frame width {d + 1} exceeds ambient dimension {D}")
-    mu, axes = stacked_pca(H)
+    if np.any(sizes < d + 2):
+        raise InsufficientDataError(f"need at least {d + 2} points for a {d}-sphere, got {sizes.min()}")
+    if d + 1 > X.shape[1]:
+        raise DimensionError(f"frame width {d + 1} exceeds ambient dimension {X.shape[1]}")
+    mu, axes = stacked_pca(X, starts)
     V = axes[:, :, : d + 1]
-    Hc = H - mu[:, None, :]
+    Xc = X - np.repeat(mu, sizes, axis=0)
 
-    Z = Hc @ V                              # reduced coordinates, (m, k, d+1)
-    Zc = Z - Z.mean(axis=1, keepdims=True)
-    Zct = np.swapaxes(Zc, 1, 2)
-    l = np.sum(Z * Z, axis=2)
-    Hs = Zct @ Zc
-    xi = Zct @ (l - l.mean(axis=1, keepdims=True))[:, :, None]
+    Z = (Xc[:, None, :] @ np.repeat(V, sizes, axis=0))[:, 0]  # reduced coordinates
+    Zc = Z - np.repeat(np.add.reduceat(Z, starts) / sizes[:, None], sizes, axis=0)
+    l = np.sum(Z * Z, axis=1)
+    lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
+    Hs = _outer_sums(Zc, Zc, starts)
+    xi = _outer_sums(Zc, lc[:, None], starts)
 
     h_cond = np.linalg.cond(Hs)
-    diameter = 2.0 * np.max(np.linalg.norm(Hc, axis=2), axis=1)
+    diameter = 2.0 * np.maximum.reduceat(np.linalg.norm(Xc, axis=1), starts)
     ok = np.isfinite(h_cond) & (h_cond <= H_CONDITION_LIMIT)
-    Hs[~ok] = np.eye(d + 1)  # rows judged singular solve a dummy system
+    Hs[~ok] = np.eye(d + 1)  # sets judged singular solve a dummy system
     try:
         f_z = -np.linalg.solve(Hs, xi)
     except np.linalg.LinAlgError:
         f_z = np.zeros_like(xi)
-        for i in range(m):
+        for i in range(starts.size):
             try:
                 f_z[i] = -np.linalg.solve(Hs[i : i + 1], xi[i : i + 1])[0]
             except np.linalg.LinAlgError:
                 ok[i] = False
-    c_z = -0.5 * f_z
-    center = mu + (V @ c_z)[:, :, 0]
-    radius = np.mean(np.linalg.norm(Z - np.swapaxes(c_z, 1, 2), axis=2), axis=1)
+    c_z = -0.5 * f_z[:, :, 0]
+    center = mu + (V @ c_z[:, :, None])[:, :, 0]
+    radius = np.add.reduceat(np.linalg.norm(Z - np.repeat(c_z, sizes, axis=0), axis=1),
+                             starts) / sizes
     ok &= np.isfinite(radius) & (radius <= RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
     return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
                       radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond)
 
 
 def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFitDiagnostics]:
-    """Best-fit d-sphere through the rows of X: ``fit_spheres`` on a
-    stack of one.
+    """Best-fit d-sphere through the rows of X: ``fit_spheres`` on one set.
 
     Returns
     -------
@@ -293,7 +316,7 @@ def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFitDiagnostics]:
     InsufficientDataError if n < d + 2.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    fits = fit_spheres(X[None], d)
+    fits = fit_spheres(X, [0], d)
     V, mu = fits.frame[0].copy(), fits.mu[0]
     degenerate = bool(fits.degenerate[0])
     s = Spherelet(frame=V, center=fits.center[0], radius=float(fits.radius[0]),

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from spherelets.denoise import SUPPORT_SIGMAS, DenoiseConfig, blur_step, denoise
 from spherelets.exceptions import ParameterError, SingularProjectionError
 from spherelets.numeric import knn_indices
 from spherelets.spca import fit_hyperplane, fit_sphere, project_plane, project_sphere
+
+denoise_mod = importlib.import_module("spherelets.denoise")
 
 
 def test_blur_step_uniform_limit_is_grand_mean():
@@ -227,6 +231,24 @@ def test_stacked_pass_matches_looped_fits(method, seed_fallbacks):
     assert fallbacks == total == seed_fallbacks
     scale = np.abs(expect).max()
     assert np.max(np.abs(out - expect)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("method,kernel", [("ltp", "stacked_pca"), ("smbms", "fit_spheres")])
+def test_pass_fits_every_support_in_one_call(monkeypatch, method, kernel):
+    X = _mixed_cloud()
+    cfg = DenoiseConfig(method=method, k=9, sigma=1.0, iters=2, d=1)
+    d2 = np.sum((X[knn_indices(X, cfg.k)] - X[:, None, :]) ** 2, axis=2)
+    sizes = np.maximum(np.count_nonzero(d2 <= (SUPPORT_SIGMAS * cfg.sigma) ** 2, axis=1), cfg.d + 3)
+    assert np.unique(sizes).size > 1  # guard: the supports differ in size
+    calls, real = [], getattr(denoise_mod, kernel)
+
+    def counting(rows, starts, *args):
+        calls.append(len(starts))
+        return real(rows, starts, *args)
+
+    monkeypatch.setattr(denoise_mod, kernel, counting)
+    denoise(X, cfg)
+    assert calls == [len(X)] * cfg.iters
 
 
 def test_local_fits_use_only_neighbors_within_support():

@@ -331,6 +331,19 @@ def test_spherical_distances_match_looped_fits():
     assert np.max(np.abs(D[fin] - expect[fin]) / expect[fin]) <= 1e-10
 
 
+def test_spherical_distances_fit_every_hood_in_one_call(monkeypatch):
+    X = _mixed_cloud()
+    calls, real = [], embed_mod.fit_spheres
+
+    def counting(rows, starts, d):
+        calls.append((rows.shape, np.asarray(starts).tolist()))
+        return real(rows, starts, d)
+
+    monkeypatch.setattr(embed_mod, "fit_spheres", counting)
+    spherical_knn_distances(X, 1, 9)
+    assert calls == [((len(X) * 9, 2), list(range(0, len(X) * 9, 9)))]
+
+
 def test_euclidean_distances_match_rowwise_loop():
     X = _mixed_cloud()
     nbr = knn_indices(X, 7)

@@ -216,36 +216,31 @@ def test_project_many_rows_equal_project_property(data):
 
 
 @pytest.mark.parametrize("fitter", ["spca", "pca"])
-def test_fit_calls_fit_piece_once_per_node(monkeypatch, fitter):
-    calls = {"fit_piece": 0, "fit_sphere": 0}
-    fit_piece, fit_sphere = partition.fit_piece, spca.fit_sphere
+def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
+    calls = {"fit_pieces": 0, "fit_spheres": 0}
+    fit_pieces, fit_spheres = partition.fit_pieces, spca.fit_spheres
 
-    def counting_fit_piece(X, d, f):
-        calls["fit_piece"] += 1
-        return fit_piece(X, d, f)
+    def counting_fit_pieces(X, starts, d, f):
+        calls["fit_pieces"] += 1
+        return fit_pieces(X, starts, d, f)
 
-    def counting_fit_sphere(X, d):
-        calls["fit_sphere"] += 1
-        return fit_sphere(X, d)
+    def counting_fit_spheres(X, starts, d):
+        calls["fit_spheres"] += 1
+        return fit_spheres(X, starts, d)
 
-    monkeypatch.setattr(partition, "fit_piece", counting_fit_piece)
-    monkeypatch.setattr(spca, "fit_sphere", counting_fit_sphere)
+    monkeypatch.setattr(partition, "fit_pieces", counting_fit_pieces)
+    monkeypatch.setattr(spca, "fit_spheres", counting_fit_spheres)
     X = euler_spiral(1500, 2.0, seed=13).points
     model = fit(X, 1, 1e-8, fitter=fitter)
-    nodes = []
-    stack = [model.tree]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if isinstance(node, partition.Internal):
-            stack += [node.right, node.left]
+    depth = partition.tree_depth(model.tree)
     assert model.n_pieces > 5
-    assert calls["fit_piece"] == len(nodes)
-    assert calls["fit_sphere"] == (len(nodes) if fitter == "spca" else 0)
+    assert depth > 3
+    assert calls["fit_pieces"] == depth
+    assert calls["fit_spheres"] == (depth if fitter == "spca" else 0)
     # every leaf keeps the piece of its own cell, fitted on its members
     for leaf in iter_leaves(model.tree):
         cell = X[leaf.member_indices]
-        expect = spca.fit_piece(cell, 1, fitter)
+        expect = spca.fit_pieces(cell, [0], 1, fitter)[0][0]
         assert np.array_equal(leaf.piece.frame, expect.frame)
         assert np.array_equal(leaf.piece.mu, expect.mu)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherelets.datasets import euler_spiral, sphere_sample
-from spherelets.exceptions import DegenerateSplitError, ParameterError
+from spherelets.exceptions import ParameterError
 from spherelets.numeric import sym_eig
 from spherelets.partition import (
     Internal,
@@ -14,39 +14,53 @@ from spherelets.partition import (
     iter_leaves,
     route,
     route_many,
-    split_cell,
     tree_depth,
 )
 
 
+def _root_split(X, n_min=3):
+    """The root rule of a tree forced to split (eps below any MSE) and the
+    member sets of its two children."""
+    tree = build_tree(X, 0, 1e-300, n_min, "pca")
+    assert isinstance(tree, Internal)
+    return tree.rule, _members(tree.left), _members(tree.right)
+
+
+def _members(node):
+    return sorted(np.concatenate([l.member_indices for l in iter_leaves(node)]).tolist())
+
+
 def test_split_cell_1d_signs():
-    X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-    rule, left, right = split_cell(X)
-    assert sorted(X[left].ravel().tolist()) == [1.0, 2.0]
-    assert sorted(X[right].ravel().tolist()) == [-2.0, -1.0]
+    """A cell splits by the sign of the first principal-component score."""
+    X = np.array([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]])
+    rule, left, right = _root_split(X)
+    assert sorted(X[left].ravel().tolist()) == [1.0, 1.5, 2.0]
+    assert sorted(X[right].ravel().tolist()) == [-2.0, -1.5, -1.0]
 
 
 def test_split_cell_point_at_mean_goes_right():
-    X = np.array([[-1.0], [0.0], [1.0]])  # mean exactly 0
-    rule, left, right = split_cell(X)
-    assert 1 in right.tolist()  # the PC1 = 0 point
-    assert left.tolist() == [2]
+    X = np.array([[-1.0], [0.0], [1.0], [-3.0], [3.0], [-2.0], [2.0]])  # mean exactly 0
+    rule, left, right = _root_split(X)
+    assert 1 in right  # the PC1 = 0 point
+    assert left == [2, 4, 6]
 
 
 def test_split_cell_direction_matches_eig_oracle():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(200, 2)) * np.array([4.0, 0.5])
-    rule, _, _ = split_cell(X)
+    rule, _, _ = _root_split(X)
     Xc = X - X.mean(axis=0)
     v1 = sym_eig(Xc.T @ Xc).eigenvectors[:, 0]
-    assert np.allclose(rule.direction, v1, atol=1e-10)
+    assert np.allclose(rule.direction, v1, rtol=0.0, atol=1e-12)
+    assert np.allclose(rule.mu, X.mean(axis=0), rtol=0.0, atol=1e-12)
 
 
 def test_split_cell_degenerate():
-    with pytest.raises(DegenerateSplitError):
-        split_cell(np.ones((5, 2)))
-    with pytest.raises(DegenerateSplitError):
-        split_cell(np.ones((1, 2)))
+    """Identical points have MSE 0, so they stay one leaf at any eps."""
+    for fitter in ("spca", "pca"):
+        tree = build_tree(np.ones((5, 2)), 0, 1e-300, 3, fitter)
+        assert isinstance(tree, Leaf)
+        assert tree.member_indices.tolist() == list(range(5))
 
 
 def test_build_tree_circle_single_leaf():

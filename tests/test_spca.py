@@ -13,7 +13,10 @@ from spherelets.exceptions import (
 )
 from spherelets.numeric import principal_angles, sym_eig
 from spherelets.spca import (
+    Hyperplane,
+    Spherelet,
     fit_hyperplane,
+    fit_pieces,
     fit_sphere,
     fit_spheres,
     optimal_offset,
@@ -349,9 +352,15 @@ def _rel_close(a, b, rtol=1e-12):
     return np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
 
 
+def _ragged(sets):
+    """Rows and segment starts of a sequence of point sets."""
+    sizes = np.array([len(S) for S in sets])
+    return np.concatenate(sets), np.cumsum(sizes) - sizes
+
+
 def _fits_match_looped(H, d):
     """Stacked fits agree with fit_sphere row by row; returns the stack."""
-    fits = fit_spheres(H, d)
+    fits = fit_spheres(*_ragged(H), d)
     for i, hood in enumerate(H):
         s, diag = fit_sphere(hood, d)
         assert bool(fits.degenerate[i]) == s.degenerate
@@ -412,7 +421,7 @@ def test_fit_spheres_near_flat_row_hits_radius_limit(monkeypatch):
 def test_fit_spheres_failed_solve_marks_only_its_row(monkeypatch):
     H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [0.0, 0.0], 7.0),
                   _circle(12, [2.0, 0.0], 1.5)])
-    clean = fit_spheres(H, 1)
+    clean = fit_spheres(*_ragged(H), 1)
     real_solve = np.linalg.solve
 
     def solve(a, b):
@@ -422,7 +431,7 @@ def test_fit_spheres_failed_solve_marks_only_its_row(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    fits = fit_spheres(H, 1)
+    fits = fit_spheres(*_ragged(H), 1)
     assert fits.degenerate.tolist() == [False, True, False]
     assert fits.radius[1] == np.inf
     for i in (0, 2):
@@ -432,7 +441,7 @@ def test_fit_spheres_failed_solve_marks_only_its_row(monkeypatch):
 
 def test_project_spheres_masks_point_at_center():
     H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [5.0, 5.0], 2.0)])
-    fits = fit_spheres(H, 1)
+    fits = fit_spheres(*_ragged(H), 1)
     P = np.array([[[0.0, 0.0], [2.0, 0.0]], [[9.0, 5.0], [5.0, 3.0]]])
     P[0, 0] = fits.center[0]
     out, ok = project_spheres(P, fits)
@@ -448,7 +457,7 @@ def test_project_spheres_masks_point_at_center():
 def test_project_spheres_degenerate_row_not_ok():
     t = np.linspace(0, 1, 12)
     H = np.stack([np.column_stack([t, 2 * t]), _circle(12, [0.0, 0.0], 1.0)])
-    out, ok = project_spheres(np.array([[[0.5, 0.5]], [[3.0, 0.0]]]), fit_spheres(H, 1))
+    out, ok = project_spheres(np.array([[[0.5, 0.5]], [[3.0, 0.0]]]), fit_spheres(*_ragged(H), 1))
     assert ok.tolist() == [False, True]
     assert np.all(np.isnan(out[0]))
     assert np.allclose(out[1], [[1.0, 0.0]], atol=1e-10)
@@ -457,7 +466,7 @@ def test_project_spheres_degenerate_row_not_ok():
 def test_stacked_pca_matches_hyperplane_fit():
     rng = np.random.default_rng(12)
     H = rng.normal(size=(5, 9, 3)) * np.array([3.0, 1.0, 0.2])
-    mu, axes = stacked_pca(H)
+    mu, axes = stacked_pca(*_ragged(H))
     for i in range(5):
         plane = fit_hyperplane(H[i], 1)
         assert np.array_equal(mu[i], plane.mu)
@@ -470,13 +479,103 @@ def test_stacked_pca_matches_hyperplane_fit():
 
 def test_fit_spheres_validation():
     with pytest.raises(InsufficientDataError):
-        fit_spheres(np.zeros((4, 2, 3)), 1)
+        fit_spheres(np.zeros((8, 3)), [0, 2, 4, 6], 1)
     with pytest.raises(DimensionError):
-        fit_spheres(np.zeros((4, 5, 2)), 2)
+        fit_spheres(np.zeros((20, 2)), [0, 5, 10, 15], 2)
     with pytest.raises(DimensionError):
-        fit_spheres(np.zeros((5, 2)), 1)
+        fit_spheres(np.zeros((4, 5, 2)), [0], 1)
     with pytest.raises(ParameterError):
-        fit_spheres(np.zeros((4, 5, 2)), -1)
+        fit_spheres(np.zeros((20, 2)), [0, 5, 10, 15], -1)
+
+
+def test_segments_shorter_than_a_sphere_raise():
+    X = np.random.default_rng(13).normal(size=(12, 3))
+    with pytest.raises(InsufficientDataError):
+        fit_spheres(X, [0, 4, 6], 1)  # the middle set has 2 < d + 2 rows
+    with pytest.raises(InsufficientDataError):
+        fit_spheres(X, [0, 4, 4], 1)  # an empty middle set
+    with pytest.raises(InsufficientDataError):
+        fit_spheres(X, [0, 6, 12], 1)  # an empty last set
+    with pytest.raises(InsufficientDataError):
+        fit_spheres(X[:0], [0], 1)
+
+
+def test_empty_segment_fails_pca():
+    X = np.random.default_rng(14).normal(size=(6, 2))
+    with pytest.raises(InsufficientDataError):
+        stacked_pca(X, [0, 3, 3])
+    with pytest.raises(InsufficientDataError):
+        stacked_pca(X, [0, 6])
+    mu, axes = stacked_pca(X, [0, 1, 5])  # one-row sets are fine
+    assert np.array_equal(mu[0], X[0])
+
+
+@pytest.mark.parametrize("starts", [[1, 4], [0, 5, 3], np.array([0, 5, 3], dtype=np.uint64),
+                                    [0, 13], [], [[0, 4]], [0.0, 4.0]])
+def test_segment_starts_must_begin_at_zero_and_increase(starts):
+    X = np.random.default_rng(15).normal(size=(12, 3))
+    with pytest.raises(ParameterError):
+        fit_spheres(X, starts, 1)
+    with pytest.raises(ParameterError):
+        stacked_pca(X, starts)
+    with pytest.raises(ParameterError):
+        fit_pieces(X, starts, 1, "spca")
+
+
+def test_fit_pieces_policy_per_set():
+    t = np.linspace(0, 1, 12)
+    circle, line = _circle(12, [0.0, 0.0], 1.0), np.column_stack([t, 2 * t])
+    short = np.array([[0.0, 1.0], [1.0, 1.0]])
+    pieces, axes = fit_pieces(*_ragged([circle, short, line]), 1, "spca")
+    assert isinstance(pieces[0], Spherelet) and not pieces[0].degenerate
+    # too short for a circle: the 1-wide PCA plane; collinear: the 2-wide
+    # reduction plane of the degenerate circle
+    assert isinstance(pieces[1], Hyperplane) and pieces[1].frame.shape == (2, 1)
+    assert isinstance(pieces[2], Hyperplane) and pieces[2].frame.shape == (2, 2)
+    assert np.allclose(np.abs(axes[1]), [1.0, 0.0]) and np.allclose(axes[2], [1, 2] / np.sqrt(5))
+    for i, S in enumerate([circle, short, line]):
+        alone, axis = fit_pieces(S, [0], 1, "spca")
+        assert np.array_equal(alone[0].frame, pieces[i].frame)
+        assert np.array_equal(axis[0], axes[i])
+    planes, _ = fit_pieces(*_ragged([circle, line]), 1, "pca")
+    assert all(isinstance(p, Hyperplane) and p.frame.shape == (2, 1) for p in planes)
+    with pytest.raises(ParameterError):
+        fit_pieces(circle, [0], 1, "svd")
+
+
+@st.composite
+def _ragged_sets(draw):
+    """Point sets of random sizes >= d + 2, optionally with a set of
+    exactly d + 2 rows and a collinear (degenerate) set between them."""
+    d = draw(st.integers(1, 3), label="d")
+    D = draw(st.integers(d + 1, d + 3), label="D")
+    sizes = draw(st.lists(st.integers(d + 2, d + 15), min_size=1, max_size=6), label="sizes")
+    if draw(st.booleans(), label="exact"):
+        sizes.insert(draw(st.integers(0, len(sizes)), label="at"), d + 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    sets = [rng.uniform(-10, 10, D) + rng.uniform(1e-2, 1e2) * rng.normal(size=(k, D))
+            for k in sizes]
+    collinear = len(sets) // 2 if draw(st.booleans(), label="collinear") else None
+    if collinear is not None:
+        t = rng.normal(size=d + 2 + draw(st.integers(0, 10), label="extra"))
+        sets.insert(collinear, rng.normal(size=D) + t[:, None] * rng.normal(size=D))
+    return d, sets, collinear
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_ragged_sets())
+def test_ragged_rows_equal_single_set_calls_property(case):
+    d, sets, collinear = case
+    fits = fit_spheres(*_ragged(sets), d)
+    mu, axes = stacked_pca(*_ragged(sets))
+    if collinear is not None:
+        assert fits.degenerate[collinear]
+    for i, S in enumerate(sets):
+        one = fit_spheres(S, [0], d)
+        for field in ("mu", "frame", "center", "radius", "degenerate", "h_condition"):
+            assert np.array_equal(getattr(fits, field)[i], getattr(one, field)[0], equal_nan=True)
+        mu1, axes1 = stacked_pca(S, [0])
+        assert np.array_equal(mu[i], mu1[0]) and np.array_equal(axes[i], axes1[0])
 
 
 # -- properties ----------------------------------------------------------------
