@@ -19,6 +19,8 @@ from .numeric import seeded_gaussian
 
 SPIRAL_T_RANGE = (math.pi, 4.0 * math.pi)
 EULER_S_MAX = 2.0
+# save_csv formats at most this many rows at once, which bounds its memory
+CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -240,8 +242,10 @@ def save_csv(
             fh.write(f"# {line}\n")
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in X:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        row = ",".join(["%.17g"] * X.shape[1]) + "\n"
+        for lo in range(0, X.shape[0], CSV_CHUNK_ROWS):  # one %-format per chunk
+            chunk = X[lo : lo + CSV_CHUNK_ROWS]
+            fh.write(row * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def load_iris():

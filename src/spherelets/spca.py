@@ -160,16 +160,27 @@ def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> tuple[list[Piece],
     if fitter not in ("spca", "pca"):
         raise ParameterError(f"fitter must be 'spca' or 'pca', got {fitter!r}")
     X, starts, sizes = _segments(X, starts)
-    mu, axes = stacked_pca(X, starts)
-    pieces = [Hyperplane(mu=m, frame=V[:, : min(d, X.shape[1])].copy()) for m, V in zip(mu, axes)]
     sphere = (sizes >= d + 2) & (fitter == "spca" and d < X.shape[1])
+    pieces: list[Piece] = [None] * sizes.size
+    first = np.empty((sizes.size, X.shape[1]))  # not a view: split rules must not pin the D x D axes
+    if not sphere.all():  # each set is fitted only by the kernel its piece needs
+        mu, axes = stacked_pca(*_subsets(X, sizes, ~sphere))
+        first[~sphere] = axes[:, :, 0]
+        for i, m, V in zip(np.flatnonzero(~sphere), mu, axes):
+            pieces[i] = Hyperplane(mu=m, frame=V[:, : min(d, X.shape[1])].copy())
     if sphere.any():
-        fits = fit_spheres(X[np.repeat(sphere, sizes)], np.cumsum(sizes[sphere]) - sizes[sphere], d)
-        for i, V, c, r, deg in zip(np.flatnonzero(sphere), fits.frame, fits.center, fits.radius,
-                                   fits.degenerate):
-            s = Spherelet(frame=V.copy(), center=c, radius=float(r), mu=mu[i], degenerate=bool(deg))
+        fits = fit_spheres(*_subsets(X, sizes, sphere), d)
+        first[sphere] = fits.frame[:, :, 0]
+        for i, V, m, c, r, deg in zip(np.flatnonzero(sphere), fits.frame, fits.mu, fits.center,
+                                      fits.radius, fits.degenerate):
+            s = Spherelet(frame=V.copy(), center=c, radius=float(r), mu=m, degenerate=bool(deg))
             pieces[i] = s.plane if deg else s
-    return pieces, axes[:, :, 0].copy()  # a copy: split rules must not pin the D x D axes
+    return pieces, first
+
+
+def _subsets(X: np.ndarray, sizes: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and segment starts of the kept sets."""
+    return X[np.repeat(keep, sizes)], np.cumsum(sizes[keep]) - sizes[keep]
 
 
 def fit_hyperplane(X: np.ndarray, d: int) -> Hyperplane:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spherelets.datasets import (
@@ -145,6 +147,30 @@ def test_csv_round_trip_exact(tmp_path):
     save_csv(X, str(path))
     Y = load_csv(str(path))
     assert np.array_equal(X, Y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_save_csv_bytes_match_per_value_format(data):
+    # the chunked %-format writes exactly the bytes of formatting each
+    # value on its own: -0.0, inf, nan, subnormals and extremes included
+    import tempfile
+
+    import spherelets.datasets as ds
+
+    D = data.draw(st.integers(1, 4), label="D")
+    rows = data.draw(st.lists(st.lists(st.floats(width=64), min_size=D, max_size=D),
+                              max_size=12), label="rows")
+    extremes = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, np.inf, -np.inf, np.nan]
+    X = np.vstack([np.array(rows, dtype=float).reshape(-1, D), np.resize(extremes, (7, D))])
+    chunk = data.draw(st.integers(1, 5), label="chunk")
+    expect = "# a\nx\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in X)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds, "CSV_CHUNK_ROWS", chunk)
+        path = f"{tmp}/x.csv"
+        ds.save_csv(X, path, header=["x"], comments=["a"])
+        with open(path, "rb") as fh:
+            assert fh.read() == expect.encode()
 
 
 def test_csv_header_detected(tmp_path):

@@ -244,3 +244,94 @@ def test_knn_self_distance_exactly_zero():
         res = knn(X, X[i], 3, exclude_self=True)
         assert i not in res.indices
         assert np.all(res.distances > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_knn_indices_clustered_matches_oracle(data):
+    # real-valued clusters far apart, with duplicate rows; small leaves
+    # and blocks so that the leaf boxes prune. Coordinates on a 2^-10 grid
+    # keep every distance exact, so the oracle's order is the contract's
+    import spherelets.numeric as num
+
+    D = data.draw(st.integers(1, 3), label="D")
+    centers = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=D, max_size=D),
+                                 min_size=1, max_size=4), label="centers")
+    offsets = data.draw(st.lists(st.lists(st.floats(-4, 4), min_size=D, max_size=D),
+                                 min_size=1, max_size=40), label="offsets")
+    owner = data.draw(st.lists(st.integers(0, len(centers) - 1), min_size=len(offsets),
+                               max_size=len(offsets)), label="owner")
+    X = 1000.0 * np.array(centers, dtype=float)[owner] + np.round(np.array(offsets) * 1024) / 1024
+    dup = data.draw(st.lists(st.integers(0, len(X) - 1), max_size=10), label="dup")
+    X = np.vstack([X, X[dup]])
+    n = len(X)
+    exclude_self = n > 1 and data.draw(st.booleans(), label="exclude_self")
+    k = data.draw(st.integers(1, n - 1 if exclude_self else n), label="k")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(num, "KNN_LEAF", data.draw(st.integers(1, 16), label="leaf"))
+        mp.setattr(num, "KNN_BLOCK", data.draw(st.integers(1, 3 * n), label="block"))
+        got = num.knn_indices(X, k, exclude_self=exclude_self)
+    assert np.array_equal(got, _knn_oracle(X, k, exclude_self))
+
+
+def _full_scan(X, k, exclude_self):
+    # the blocked full scan the leaf boxes replaced: every distance, as
+    # pairwise_sq_dists computes it, then a stable sort of each row
+    n, out = len(X), []
+    step = max(1, (1 << 20) // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        dist = np.sqrt(pairwise_sq_dists(X[rows], X))
+        if exclude_self:
+            dist[rows - lo, rows] = np.inf
+        out.append(np.argsort(dist, axis=1, kind="stable")[:, :k])
+    return np.vstack(out)
+
+
+def test_knn_indices_large_offset_matches_full_scan():
+    # around 1e6 the norm expansion rounds squared distances by ~2.4e-4,
+    # as much as the spacing of these points: the computed order differs
+    # from the exact one, and only the rounding slack of the leaf bound
+    # keeps the full scan's. On a 2^-6 grid in 2-D every product is exact
+    # and each sum has two terms, so every evaluation order (BLAS block
+    # shape, FMA or not) computes the same distances
+    from spherelets.datasets import noisy_spiral
+
+    X = 1e6 + np.round(noisy_spiral(3000, 0.05, seed=4).points * 64 / 20) / 64
+    for exclude_self in (False, True):
+        expect = _full_scan(X, 20, exclude_self)
+        assert np.array_equal(knn_indices(X, 20, exclude_self=exclude_self), expect)
+    exact = np.sqrt(((X[:300, None] - X[None]) ** 2).sum(axis=2))
+    np.fill_diagonal(exact, np.inf)
+    assert not np.array_equal(np.argsort(exact, axis=1, kind="stable")[:, :20], expect[:300])
+
+
+def test_knn_indices_evaluates_few_distances(monkeypatch):
+    # on the 4000-point spiral the leaf boxes leave most of the n^2
+    # distances unevaluated, and no call holds more than KNN_BLOCK of them
+    import spherelets.numeric as num
+    from spherelets.datasets import noisy_spiral
+
+    X = noisy_spiral(4000, 0.2, seed=0).points
+    sizes, plain = [], num.pairwise_sq_dists
+
+    def counting(A, B):
+        out = plain(A, B)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(num, "pairwise_sq_dists", counting)
+    num.knn_indices(X, 36)
+    assert sum(sizes) < 0.25 * len(X) ** 2
+    assert max(sizes) <= num.KNN_BLOCK
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_knn_indices_extreme_scales_match_full_scan(scale):
+    # squares that underflow (the slack's `tiny` term) or overflow (no
+    # pruning at all) leave the full scan's answer in place
+    X = np.random.default_rng(23).normal(size=(700, 2)) * scale
+    for exclude_self in (False, True):
+        assert np.array_equal(knn_indices(X, 5, exclude_self=exclude_self),
+                              _full_scan(X, 5, exclude_self))
