@@ -40,9 +40,12 @@ for mode in ("spherical", "euclidean"):
     print(f"{mode:9s}: KL {log[0][1]:.3f} -> {log[-1][1]:.3f}, "
           f"1-NN label agreement {agree / len(Y):.3f}")
 
-dP = np.max(np.abs(P["spherical"] - P["euclidean"]))
+# both modes share one k-NN graph, so their affinities have one support
+sph, euc = P["spherical"], P["euclidean"]
+assert np.array_equal(sph.rows, euc.rows) and np.array_equal(sph.cols, euc.cols)
+dP = np.max(np.abs(sph.vals - euc.vals))
 print(f"spherical vs euclidean affinities: max |dP| = {dP:.3e} "
-      f"({dP / np.max(P['euclidean']):.1%} of max P)")
+      f"({dP / np.max(euc.vals):.1%} of max P)")
 
 try:
     import matplotlib

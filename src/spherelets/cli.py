@@ -27,7 +27,7 @@ from .datasets import (
 )
 from .denoise import METHODS as DENOISE_METHODS
 from .denoise import DenoiseConfig, denoise
-from .embed import EmbedConfig, affinities, embed, knn_distances
+from .embed import EmbedConfig, stsne
 from .exceptions import (
     DimensionError,
     DivergenceError,
@@ -184,9 +184,7 @@ def _cmd_embed(args, argv) -> int:
     X = load_csv(args.input)
     cfg = EmbedConfig(m=args.m, k=args.k, sigma=args.sigma, iters=args.iters,
                       learning_rate=args.lr, distance_mode=args.mode, seed=args.seed)
-    Dmat = knn_distances(X, args.d, args.k, args.mode)
-    P = affinities(Dmat, args.sigma)
-    Y, log = embed(P, cfg, return_log=True)
+    Y, log = stsne(X, args.d, cfg, return_log=True)
     comments = _provenance(args, argv)
     save_csv(Y, args.out, comments=comments)
     save_csv(np.array(log, dtype=float), args.log, header=["iteration", "kl"], comments=comments)

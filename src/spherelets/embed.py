@@ -1,7 +1,7 @@
 """Low-dimensional embedding from local spherical distances.
 
-Pipeline: per-point local sphere fits turn the k-NN graph into a sparse
-matrix of intrinsic (great-circle) distances; a fixed-bandwidth kernel
+Pipeline: per-point local sphere fits turn the k-NN graph into sparse
+symmetric intrinsic (great-circle) distances; a fixed-bandwidth kernel
 exp(-D_ij / sigma^2) converts distances to symmetrized affinities; and a
 Student-t embedding minimizes KL(P || Q) by momentum gradient descent.
 The n local fits are one ``spca.fit_spheres`` call over the n·k
@@ -11,16 +11,12 @@ sphere's center, keeps its Euclidean distances.
 A ``euclidean`` distance mode runs the identical pipeline on straight-
 line distances over the same k-NN graph for apples-to-apples baselines.
 
-Absent entries of the sparse distance matrix are represented as
-``np.inf``; they receive zero affinity.
-
-The optimizer never builds an n x n array. ``embed`` turns P once into
-its support ``(rows, cols, vals)``, the off-diagonal nonzeros, and
-exaggeration scales ``vals``. The KL gradient splits into an attraction
-over that support, O(nk), and an exact repulsion over all pairs, which
-one pass computes together with the normalization Z in row blocks of
-about ``REPULSION_BLOCK`` pairs; the objective takes Z from the same
-pass. Memory beyond the O(nk) support is one block (512 KiB).
+Distances and affinities are ``Pairs``: their support's rows, cols and
+vals, about 2k per row. The KL gradient splits into an attraction over
+that support, O(nk), and an exact repulsion over all pairs, which one
+pass computes together with the normalization Z in row blocks of about
+``REPULSION_BLOCK`` pairs; the objective takes Z from the same pass.
+Memory beyond the O(nk) support is one block (512 KiB).
 
 The optimizer records KL every ``kl_every`` iterations. If a checkpoint
 shows an increase it reverts to the best iterate seen, halves the step,
@@ -31,7 +27,7 @@ returned embedding is the iterate with the lowest recorded KL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,21 +75,48 @@ class EmbedConfig:
 # -- distances ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Pairs:
+    """A sparse n x n matrix: ``vals[t]`` at ``(rows[t], cols[t])``, sorted
+    by (row, col). Absent pairs are no neighbors and zero affinities."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
+
+
+def _knn_pairs(nbr: np.ndarray, dist: np.ndarray) -> Pairs:
+    """dist[i, j] at (i, nbr[i, j]) and at (nbr[i, j], i), the minimum where
+    the two meet; diagonal entries are dropped."""
+    n, k = nbr.shape
+    rows, cols = np.repeat(np.arange(n), k), nbr.ravel()
+    off = rows != cols
+    key = np.concatenate([rows[off] * n + cols[off], cols[off] * n + rows[off]])
+    order = np.argsort(key)
+    key, vals = key[order], np.tile(dist.ravel()[off], 2)[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    return Pairs(n, key[first] // n, key[first] % n, np.minimum.reduceat(vals, first))
+
+
 def spherical_knn_distances(
     X: np.ndarray,
     d: int,
     k: int,
     return_info: bool = False,
-) -> np.ndarray | tuple[np.ndarray, int]:
-    """Sparse symmetric matrix of local great-circle distances.
+) -> Pairs | tuple[Pairs, int]:
+    """Sparse symmetric pairs of local great-circle distances.
 
     For each point, a d-sphere is fitted to its k-neighborhood (self
     included); the point and its neighbors are projected onto that
     sphere and their arc distances recorded. Rows whose local fit
     degenerates or whose projection is singular fall back to Euclidean
-    distances (counted when ``return_info`` is set). The matrix is
-    symmetrized entrywise by the minimum over the two directed estimates;
-    non-neighbor entries are ``np.inf``.
+    distances (counted when ``return_info`` is set). A pair holds the
+    minimum over its two directed estimates; the diagonal is dropped.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, D = X.shape
@@ -112,33 +135,23 @@ def spherical_knn_distances(
     c = fits.center[ok][:, None, :]
     rows[ok] = sphere_arcs(proj[ok, :1] - c, proj[ok, 1:] - c, fits.radius[ok][:, None])
     fallbacks = n - int(np.count_nonzero(ok))
-    dist = _support_matrix(nbr, rows)
+    dist = _knn_pairs(nbr, rows)
     if return_info:
         return dist, fallbacks
     return dist
 
 
-def _support_matrix(nbr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Dense matrix with rows[i, j] at (i, nbr[i, j]), inf elsewhere and on
-    the diagonal, symmetrized by the entrywise minimum."""
-    n = nbr.shape[0]
-    dist = np.full((n, n), np.inf)
-    dist[np.arange(n)[:, None], nbr] = rows
-    np.fill_diagonal(dist, np.inf)
-    return np.minimum(dist, dist.T)
-
-
-def euclidean_knn_distances(X: np.ndarray, k: int) -> np.ndarray:
-    """Euclidean counterpart over the same k-NN support, inf elsewhere."""
+def euclidean_knn_distances(X: np.ndarray, k: int) -> Pairs:
+    """Euclidean counterpart over the same k-NN support."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     if k > n:
         raise ParameterError(f"k={k} exceeds sample size {n}")
     nbr = knn_indices(X, k, exclude_self=False)
-    return _support_matrix(nbr, np.linalg.norm(X[nbr] - X[:, None, :], axis=2))
+    return _knn_pairs(nbr, np.linalg.norm(X[nbr] - X[:, None, :], axis=2))
 
 
-def knn_distances(X: np.ndarray, d: int, k: int, mode: str = "spherical") -> np.ndarray:
+def knn_distances(X: np.ndarray, d: int, k: int, mode: str = "spherical") -> Pairs:
     if mode == "spherical":
         return spherical_knn_distances(X, d, k)
     if mode == "euclidean":
@@ -149,50 +162,50 @@ def knn_distances(X: np.ndarray, d: int, k: int, mode: str = "spherical") -> np.
 # -- affinities ---------------------------------------------------------------
 
 
-def conditional_affinities(Dmat: np.ndarray, sigma: float) -> np.ndarray:
+def conditional_affinities(Dmat: Pairs, sigma: float) -> Pairs:
     """Row-conditional affinities p_{j|i} = exp(-D_ij / sigma^2), normalized
-    so each row sums to 1 over its support.
-
-    Entries of ``Dmat`` equal to inf are outside the support and get zero
-    affinity. Raises ParameterError when some row has empty support.
+    so each row sums to 1 over its support, the pairs of ``Dmat`` (none on
+    the diagonal). Raises ParameterError when some row has empty support.
     """
     if sigma <= 0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
-    Dmat = np.asarray(Dmat, dtype=float)
-    n = Dmat.shape[0]
-    if Dmat.ndim != 2 or Dmat.shape[1] != n:
-        raise DimensionError(f"distance matrix must be square, got {Dmat.shape}")
-    support = np.isfinite(Dmat)
-    np.fill_diagonal(support, False)
-    empty = ~support.any(axis=1)
+    empty = np.bincount(Dmat.rows, minlength=Dmat.n) == 0
     if empty.any():
-        raise ParameterError(
-            f"row {int(np.nonzero(empty)[0][0])} has no neighbors; increase k"
-        )
-    K = np.zeros((n, n))
-    K[support] = np.exp(-Dmat[support] / (sigma * sigma))
-    return K / np.sum(K, axis=1, keepdims=True)
+        raise ParameterError(f"row {int(np.argmax(empty))} has no neighbors; increase k")
+    K = np.exp(-Dmat.vals / (sigma * sigma))
+    return replace(Dmat, vals=K / np.bincount(Dmat.rows, K, minlength=Dmat.n)[Dmat.rows])
 
 
-def affinities(Dmat: np.ndarray, sigma: float) -> np.ndarray:
-    """Symmetrized affinities P_ij = (p_{j|i} + p_{i|j}) / 2."""
+def affinities(Dmat: Pairs, sigma: float) -> Pairs:
+    """Symmetrized affinities P_ij = (p_{j|i} + p_{i|j}) / 2 over the
+    symmetric support of ``Dmat``; both sums add the same two terms."""
     cond = conditional_affinities(Dmat, sigma)
-    return 0.5 * (cond + cond.T)
+    return replace(cond, vals=0.5 * (cond.vals + cond.vals[np.lexsort((cond.rows, cond.cols))]))
 
 
-def check_affinity_matrix(P: np.ndarray) -> np.ndarray:
+def _pairs(P) -> Pairs:
+    """P as pairs: a dense array gives its nonzeros, the diagonal too."""
+    if isinstance(P, Pairs):
+        return P
     P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    if P.ndim != 2 or P.shape[1] != n:
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionError(f"affinity matrix must be square, got {P.shape}")
-    if not np.all(np.isfinite(P)):
-        raise ParameterError("affinities must be finite")
-    if not np.array_equal(P, P.T):
-        raise ParameterError("affinity matrix must be exactly symmetric")
-    if np.any(np.diag(P) != 0.0):
+    rows, cols = np.nonzero(P)
+    return Pairs(P.shape[0], rows, cols, P[rows, cols])
+
+
+def check_affinity_matrix(P: Pairs | np.ndarray) -> Pairs:
+    """P (pairs or a dense square array) as validated pairs; sorted by
+    (col, row), the transposes equal P only if it is sorted and symmetric."""
+    P = _pairs(P)
+    if not np.all((P.vals >= 0.0) & (P.vals < np.inf)):
+        raise ParameterError("affinities must be finite and nonnegative")
+    if np.any(P.rows == P.cols):
         raise ParameterError("affinity matrix must have a zero diagonal")
-    if np.any(P < 0.0):
-        raise ParameterError("affinities must be nonnegative")
+    mirror = np.lexsort((P.rows, P.cols))
+    if not (np.array_equal(P.rows[mirror], P.cols) and np.array_equal(P.cols[mirror], P.rows)
+            and np.array_equal(P.vals[mirror], P.vals)):
+        raise ParameterError("affinity matrix must be exactly symmetric")
     return P
 
 
@@ -211,18 +224,6 @@ def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
     if np.any(Q[mask] == 0.0):
         return math.inf
     return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
-
-
-def _support(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The off-diagonal nonzeros of a dense P as ``(rows, cols, vals)``; a
-    triple passes through unchanged."""
-    if isinstance(P, tuple):
-        return P
-    P = np.asarray(P, dtype=float)
-    rows, cols = np.nonzero(P)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    return rows, cols, P[rows, cols]
 
 
 def _support_kernel(rows: np.ndarray, cols: np.ndarray, Y: np.ndarray):
@@ -263,16 +264,16 @@ def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
 
 def kl_objective(P, Y: np.ndarray) -> float:
     """KL(P || Q(Y)) of an embedding under the Student-t kernel:
-    sum over the support of p log(p Z / w). P is dense or a
-    ``(rows, cols, vals)`` support; a zero q under positive p yields inf.
+    sum over the support of p log(p Z / w). P is ``Pairs`` or a dense
+    array; a zero q under positive p yields inf.
 
     Overflow is deliberately silenced: a diverged iterate produces
     non-finite values that the optimizer's safeguard detects and undoes.
     """
-    rows, cols, vals = _support(P)
+    P = _pairs(P)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    keep = vals > 0.0
-    rows, cols, p = rows[keep], cols[keep], vals[keep]
+    keep = (P.vals > 0.0) & (P.rows != P.cols)
+    rows, cols, p = P.rows[keep], P.cols[keep], P.vals[keep]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         Z, _ = _repulsion(Y)
         q = _support_kernel(rows, cols, Y)[1] / Z
@@ -285,15 +286,15 @@ def kl_gradient(P, Y: np.ndarray) -> np.ndarray:
     """Analytic gradient 4 sum_j (p_ij - q_ij) w_ij (y_i - y_j), as the
     attraction 4 sum_j p_ij w_ij (y_i - y_j) over the support of P minus
     the repulsion (4 / Z) sum_j w_ij^2 (y_i - y_j) over all pairs. P is
-    dense or a ``(rows, cols, vals)`` support."""
-    rows, cols, vals = _support(P)
+    ``Pairs`` or a dense array."""
+    P = _pairs(P)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = Y.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        diff, w = _support_kernel(rows, cols, Y)
-        pw = vals * w
+        diff, w = _support_kernel(P.rows, P.cols, Y)
+        pw = P.vals * w
         attract = np.column_stack(
-            [np.bincount(rows, pw * diff[:, c], minlength=n) for c in range(Y.shape[1])]
+            [np.bincount(P.rows, pw * diff[:, c], minlength=n) for c in range(Y.shape[1])]
         )
         Z, rep = _repulsion(Y)
         return 4.0 * (attract - rep / Z)
@@ -303,7 +304,7 @@ def kl_gradient(P, Y: np.ndarray) -> np.ndarray:
 
 
 def embed(
-    P: np.ndarray,
+    P: Pairs | np.ndarray,
     cfg: EmbedConfig,
     return_log: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, list[tuple[int, float]]]:
@@ -316,16 +317,14 @@ def embed(
     ``return_log`` is set).
     """
     P = check_affinity_matrix(P)
-    total = float(P.sum())
+    total = float(P.vals.sum())
     if total <= 0:
         raise ParameterError("affinity matrix is identically zero")
-    n = P.shape[0]
-    rows, cols, vals = _support(P)
-    vals = vals / total
-    support, exaggerated = (rows, cols, vals), (rows, cols, vals * cfg.exaggeration)
+    support = replace(P, vals=P.vals / total)
+    exaggerated = replace(P, vals=support.vals * cfg.exaggeration)
 
     rng = np.random.default_rng(cfg.seed)
-    Y = rng.normal(0.0, 1e-4, size=(n, cfg.m))
+    Y = rng.normal(0.0, 1e-4, size=(P.n, cfg.m))
     velocity = np.zeros_like(Y)
     lr = cfg.learning_rate
 

@@ -143,7 +143,7 @@ def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray
     scan's wherever BLAS gives a distance the same value in every block
     shape (not guaranteed where rounding decides the order). Leaves whose
     box holds every row, and input that is not all finite, are scanned
-    against every row.
+    against every row; finite input is scaled exactly by a power of two.
 
     Rows are processed in blocks of about ``KNN_BLOCK`` distances, so
     memory beyond the (n, k) result is one block, not n x n. Each block
@@ -155,10 +155,13 @@ def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray
     limit = n - 1 if exclude_self else n
     if not 1 <= k <= limit:
         raise ParameterError(f"k={k} out of range [1, {limit}]")
+    prune = bool(X.size and np.isfinite(X).all())
+    if prune:  # scaling by a power of two is exact: the same order, no overflow
+        X = np.ldexp(X, -np.frexp(np.max(np.abs(X)))[1])
     # The slack. With M the largest row norm, every intermediate of
     # pairwise_sq_dists is at most 4 M^2 and collects at most D + 2
     # roundings, so a computed squared distance is within 8 (D + 2) eps M^2
-    # of the exact one (plus `tiny` for underflow), and as
+    # of the exact one (underflow errs far less: M >= 1/2 once scaled), and as
     # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), a computed distance is within
     # delta = sqrt(8 (D + 2) eps) M of the exact one. If row i's k-th
     # distance within its leaf computes to b, its exact k-th distance over
@@ -167,10 +170,8 @@ def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray
     # some axis, so its computed distance exceeds b + 2 delta: it can be
     # neither selected nor tied. A fourth delta covers the rounding of the
     # box edges (about eps M).
-    with np.errstate(over="ignore"):
-        m2 = np.max(np.sum(X * X, axis=1), initial=0.0)
-        delta = np.sqrt(8.0 * (X.shape[1] + 2) * np.finfo(float).eps * m2 + np.finfo(float).tiny)
-        prune = bool(X.size and np.isfinite(X).all() and np.isfinite(4.0 * m2))
+    m2 = np.max(np.sum(X * X, axis=1), initial=0.0)
+    delta = np.sqrt(8.0 * (X.shape[1] + 2) * np.finfo(float).eps * m2)
     out = np.empty((n, k), dtype=np.intp)
     everyone, scan = np.arange(n), []
     for leaf in _kd_leaves(X, k + exclude_self) if prune else [everyone]:

@@ -3,10 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spherelets.datasets import sphere_sample
+from spherelets.datasets import enneper, sphere_sample
 from spherelets.embed import (
+    DISTANCE_MODES,
     EmbedConfig,
+    Pairs,
     affinities,
     conditional_affinities,
     embed,
@@ -18,10 +22,30 @@ from spherelets.embed import (
     spherical_knn_distances,
 )
 from spherelets.exceptions import ParameterError, SingularProjectionError
-from spherelets.numeric import knn_indices
-from spherelets.spca import fit_sphere, project_sphere, sphere_distance
+from spherelets.numeric import knn_indices, seeded_gaussian
+from spherelets.spca import (
+    fit_sphere,
+    fit_spheres,
+    project_sphere,
+    project_spheres,
+    sphere_arcs,
+    sphere_distance,
+)
 
 embed_mod = importlib.import_module("spherelets.embed")
+
+
+def _dense(S, absent):
+    """The n x n array of pairs S, with `absent` off their support."""
+    A = np.full((S.n, S.n), absent)
+    A[S.rows, S.cols] = S.vals
+    return A
+
+
+def _pairs_of(D):
+    """The finite entries of a dense distance matrix as pairs."""
+    rows, cols = np.nonzero(np.isfinite(D))
+    return Pairs(len(D), rows, cols, D[rows, cols])
 
 
 # -- spherical distances ------------------------------------------------------
@@ -30,7 +54,7 @@ embed_mod = importlib.import_module("spherelets.embed")
 def test_spherical_distances_on_unit_circle_match_arcs():
     theta = np.linspace(0, 2 * np.pi, 60, endpoint=False)
     X = np.column_stack([np.cos(theta), np.sin(theta)])
-    D = spherical_knn_distances(X, 1, 8)
+    D = _dense(spherical_knn_distances(X, 1, 8), np.inf)
     for i in range(60):
         for j in np.nonzero(np.isfinite(D[i]))[0]:
             dt = abs(theta[i] - theta[j])
@@ -41,7 +65,8 @@ def test_spherical_distances_on_unit_circle_match_arcs():
 def test_spherical_distances_collinear_fallback():
     t = np.linspace(0, 1, 30)
     X = np.column_stack([t, 2 * t])
-    D, fallbacks = spherical_knn_distances(X, 1, 6, return_info=True)
+    S, fallbacks = spherical_knn_distances(X, 1, 6, return_info=True)
+    D = _dense(S, np.inf)
     assert fallbacks == 30
     for i in range(30):
         for j in np.nonzero(np.isfinite(D[i]))[0]:
@@ -51,18 +76,18 @@ def test_spherical_distances_collinear_fallback():
 def test_spherical_distances_arc_dominates_chord():
     rng = np.random.default_rng(0)
     X = sphere_sample(80, 1, 3, 0.0, 2.0, seed=1) + rng.normal(0, 0.02, (80, 3))
-    D = spherical_knn_distances(X, 1, 10)
+    D = _dense(spherical_knn_distances(X, 1, 10), np.inf)
     # arcs measured between projected points can never undershoot the
     # projected chord; compare against the original chord with the
     # projection displacement as slack
-    E = euclidean_knn_distances(X, 10)
+    E = _dense(euclidean_knn_distances(X, 10), np.inf)
     both = np.isfinite(D) & np.isfinite(E)
     assert np.all(D[both] >= E[both] - 0.1)
 
 
 def test_spherical_distances_symmetric_support():
     X = sphere_sample(40, 1, 2, 0.0, 1.0, seed=2)
-    D = spherical_knn_distances(X, 1, 6)
+    D = _dense(spherical_knn_distances(X, 1, 6), np.inf)
     assert np.array_equal(np.isfinite(D), np.isfinite(D.T))
     fin = np.isfinite(D)
     assert np.allclose(D[fin], D.T[fin])
@@ -83,7 +108,7 @@ def test_spherical_distances_validation():
 
 def test_affinities_two_points():
     D = np.array([[np.inf, 3.0], [3.0, np.inf]])
-    P = affinities(D, 2.0)
+    P = _dense(affinities(_pairs_of(D), 2.0), 0.0)
     assert np.isclose(P[0, 1], 1.0)
     assert np.isclose(P[1, 0], 1.0)
     assert P[0, 0] == P[1, 1] == 0.0
@@ -92,7 +117,7 @@ def test_affinities_two_points():
 def test_affinities_symmetric_zero_diagonal():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(25, 3))
-    P = affinities(euclidean_knn_distances(X, 6), 1.5)
+    P = _dense(affinities(euclidean_knn_distances(X, 6), 1.5), 0.0)
     assert np.array_equal(P, P.T)
     assert np.all(np.diag(P) == 0.0)
     assert np.all(P >= 0.0)
@@ -101,7 +126,7 @@ def test_affinities_symmetric_zero_diagonal():
 def test_conditional_rows_sum_to_one():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 3))
-    cond = conditional_affinities(euclidean_knn_distances(X, 5), 0.7)
+    cond = _dense(conditional_affinities(euclidean_knn_distances(X, 5), 0.7), 0.0)
     assert np.allclose(cond.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -112,14 +137,14 @@ def test_affinities_hand_softmax_chain():
     for i, g in enumerate(gaps):
         D[i, i + 1] = D[i + 1, i] = g
     sigma = 1.3
-    cond = conditional_affinities(D, sigma)
+    cond = _dense(conditional_affinities(_pairs_of(D), sigma), 0.0)
     # direct softmax oracle
     for i in range(5):
         sup = [j for j in range(5) if np.isfinite(D[i, j]) and j != i]
         w = np.exp(-np.array([D[i, j] for j in sup]) / sigma**2)
         for j, wj in zip(sup, w / w.sum()):
             assert np.isclose(cond[i, j], wj, atol=1e-14)
-    P = affinities(D, sigma)
+    P = _dense(affinities(_pairs_of(D), sigma), 0.0)
     assert np.allclose(P, 0.5 * (cond + cond.T))
 
 
@@ -127,7 +152,7 @@ def test_affinities_empty_support_error():
     D = np.full((3, 3), np.inf)
     D[0, 1] = D[1, 0] = 1.0
     with pytest.raises(ParameterError):
-        affinities(D, 1.0)
+        affinities(_pairs_of(D), 1.0)
 
 
 # -- KL divergence ------------------------------------------------------------
@@ -250,6 +275,21 @@ def test_embed_rejects_bad_affinities():
         embed(np.array([[1.0, 0.5], [0.5, 0.0]]), EmbedConfig(iters=5))
 
 
+@pytest.mark.parametrize("rows, cols, vals", [
+    ([0, 1], [1, 0], [1.0, 0.5]),  # values differ from the transpose's
+    ([0, 1], [1, 2], [1.0, 1.0]),  # transposes absent
+    ([0, 0, 1], [0, 1, 0], [1.0, 0.5, 0.5]),  # diagonal entry
+    ([1, 0], [0, 1], [0.5, 0.5]),  # not sorted
+    ([0, 0, 1], [1, 1, 0], [0.5, 0.5, 1.0]),  # repeated pair, one transpose
+    ([0, 1], [1, 0], [-1.0, -1.0]),
+    ([0, 1], [1, 0], [np.nan, np.nan]),
+])
+def test_embed_rejects_bad_pairs(rows, cols, vals):
+    P = Pairs(3, np.array(rows), np.array(cols), np.array(vals))
+    with pytest.raises(ParameterError):
+        embed(P, EmbedConfig(iters=5))
+
+
 def test_embed_recovers_from_huge_learning_rate():
     # an exploding step makes the next gradient non-finite; the optimizer
     # reverts to the best iterate and halves the step instead of dying
@@ -323,7 +363,8 @@ def test_spherical_distances_match_looped_fits():
     # 18 = 9 collinear points + the ring center + the 8 ring points whose
     # neighborhoods hold the center
     X = _mixed_cloud()
-    D, fallbacks = spherical_knn_distances(X, 1, 9, return_info=True)
+    S, fallbacks = spherical_knn_distances(X, 1, 9, return_info=True)
+    D = _dense(S, np.inf)
     expect, looped_fallbacks = _looped_spherical_distances(X, 1, 9)
     assert fallbacks == looped_fallbacks == 18
     fin = np.isfinite(expect)
@@ -351,7 +392,82 @@ def test_euclidean_distances_match_rowwise_loop():
     for i in range(len(X)):
         expect[i, nbr[i]] = np.linalg.norm(X[nbr[i]] - X[i], axis=1)
     np.fill_diagonal(expect, np.inf)
-    assert np.array_equal(euclidean_knn_distances(X, 7), np.minimum(expect, expect.T))
+    assert np.array_equal(_dense(euclidean_knn_distances(X, 7), np.inf),
+                          np.minimum(expect, expect.T))
+
+
+def _dense_distances(X, d, k, mode):
+    """The dense n x n distances the pairs replaced: row i's directed k-NN
+    distances, inf elsewhere and on the diagonal, symmetrized by the
+    entrywise minimum."""
+    n, D = X.shape
+    nbr = knn_indices(X, k)
+    hoods = X[nbr]
+    rows = np.linalg.norm(hoods - X[:, None, :], axis=2)
+    if mode == "spherical":
+        fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
+        proj, ok = project_spheres(np.concatenate([X[:, None, :], hoods], axis=1), fits)
+        c = fits.center[ok][:, None, :]
+        rows[ok] = sphere_arcs(proj[ok, :1] - c, proj[ok, 1:] - c, fits.radius[ok][:, None])
+    dist = np.full((n, n), np.inf)
+    dist[np.arange(n)[:, None], nbr] = rows
+    np.fill_diagonal(dist, np.inf)
+    return np.minimum(dist, dist.T)
+
+
+def _dense_affinities(D, sigma):
+    """The dense affinities the pairs replaced: exp(-D / sigma^2) over the
+    finite off-diagonal entries, row-normalized, averaged with its
+    transpose."""
+    support = np.isfinite(D)
+    np.fill_diagonal(support, False)
+    K = np.zeros(D.shape)
+    K[support] = np.exp(-D[support] / (sigma * sigma))
+    cond = K / np.sum(K, axis=1, keepdims=True)
+    return 0.5 * (cond + cond.T)
+
+
+def _sorted_pairs(S):
+    return bool(np.all(np.diff(S.rows * S.n + S.cols) > 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_pipeline_matches_dense_formulas(data):
+    # repeated rows: with more copies of a point than k, a copy's k-NN list
+    # holds only lower-indexed copies, not the row itself
+    pts = data.draw(st.lists(st.lists(st.floats(-3, 3), min_size=3, max_size=3),
+                             min_size=6, max_size=30), label="points")
+    copies = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=15), label="copies")
+    X = np.array(pts + [pts[i] for i in copies])
+    d = data.draw(st.integers(1, 2), label="d")
+    k = data.draw(st.integers(d + 3, min(len(X), 12)), label="k")
+    sigma = data.draw(st.floats(0.3, 3.0), label="sigma")
+    for mode in DISTANCE_MODES:
+        S = knn_distances(X, d, k, mode)
+        D = _dense_distances(X, d, k, mode)
+        assert _sorted_pairs(S)
+        assert np.array_equal(_dense(S, np.inf), D, equal_nan=True)
+        A = affinities(S, sigma)
+        P, expect = _dense(A, 0.0), _dense_affinities(D, sigma)
+        assert _sorted_pairs(A)
+        assert np.array_equal(P, P.T)
+        assert np.all(np.abs(P - expect) <= 1e-12 * expect)
+
+
+def test_distances_and_affinities_memory_stays_below_a_dense_matrix():
+    n = 3000
+    X = enneper(n, seed=0) + seeded_gaussian(n, 3, 0.01, 1)
+    for mode in DISTANCE_MODES:
+        tracemalloc.start()
+        try:
+            P = affinities(knn_distances(X, 2, 20, mode), 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P.n == n
+        # one n x n float64 array would be 72 MB
+        assert peak < n * n * 8 / 4, (mode, peak)
 
 
 # -- support-restricted optimizer kernel -------------------------------------
@@ -369,7 +485,7 @@ def _dense_oracle(P, Y):
 
 def _knn_affinities(n, seed):
     rng = np.random.default_rng(seed)
-    P = affinities(euclidean_knn_distances(rng.normal(size=(n, 3)), 7), 1.0)
+    P = _dense(affinities(euclidean_knn_distances(rng.normal(size=(n, 3)), 7), 1.0), 0.0)
     return P / P.sum()
 
 
@@ -389,7 +505,7 @@ def test_kl_kernel_matches_dense_oracle(monkeypatch, block):
         for scale in (1e-4, 1.0, 10.0):
             Y = rng.normal(0.0, scale, size=(n, 2))
             grad, kl = _dense_oracle(P, Y)
-            support = embed_mod._support(P)
+            support = embed_mod._pairs(P)
             for form in (P, support):
                 assert _rel(kl_gradient(form, Y), grad) <= 1e-12
                 assert abs(kl_objective(form, Y) - kl) <= 1e-12 * kl
@@ -453,7 +569,7 @@ def test_kl_gradient_memory_stays_below_one_dense_matrix():
     Y = rng.normal(size=(n, 2))
     tracemalloc.start()
     try:
-        grad = kl_gradient((rows, cols, vals), Y)
+        grad = kl_gradient(Pairs(n, rows, cols, vals), Y)
         kl_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

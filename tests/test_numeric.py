@@ -326,12 +326,11 @@ def test_knn_indices_evaluates_few_distances(monkeypatch):
     assert max(sizes) <= num.KNN_BLOCK
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e-170, 1e160])
+@pytest.mark.parametrize("scale", [1e-170, 1e160, 2.0**-565, 2.0**532])
 def test_knn_indices_extreme_scales_match_full_scan(scale):
-    # squares that underflow (the slack's `tiny` term) or overflow (no
-    # pruning at all) leave the full scan's answer in place
-    X = np.random.default_rng(23).normal(size=(700, 2)) * scale
+    # squares that would underflow to ties or overflow to NaN at this
+    # scale: the points keep the neighbors they have at unit scale
+    X = np.random.default_rng(23).normal(size=(700, 2))
     for exclude_self in (False, True):
-        assert np.array_equal(knn_indices(X, 5, exclude_self=exclude_self),
+        assert np.array_equal(knn_indices(X * scale, 5, exclude_self=exclude_self),
                               _full_scan(X, 5, exclude_self))

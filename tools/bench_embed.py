@@ -1,0 +1,67 @@
+"""Time the embedding's distances and affinities and measure their memory.
+
+    python3 tools/bench_embed.py [--reps 5]
+
+Pins BLAS to one thread before NumPy loads, then for each size prints
+the median and quartiles of the wall time of one
+``knn_distances`` + ``affinities`` call pair (``time.perf_counter``,
+after one warm-up call), the peak memory ``tracemalloc`` traces in a
+separate, untimed call, and the bytes of the resulting affinity pairs.
+The inputs are n Enneper points plus N(0, 0.01^2) noise, seed 0, at
+n = 1000 (the benchmark's ``embed-enneper`` size), 6000 and 20 000,
+with the ``embed-enneper`` parameters: spherical distances, d = 2,
+k = 20, sigma = 0.3.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from spherelets import datasets, numeric  # noqa: E402
+from spherelets.embed import Pairs, affinities, knn_distances  # noqa: E402
+
+SIZES = (1000, 6000, 20_000)
+D, K, SIGMA = 2, 20, 0.3
+
+
+def pipeline(X) -> Pairs:
+    return affinities(knn_distances(X, D, K, "spherical"), SIGMA)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--reps", type=int, default=5, help="timed calls per size")
+    args = ap.parse_args()
+    for n in SIZES:
+        X = datasets.enneper(n, seed=0) + numeric.seeded_gaussian(n, 3, 0.01, 1)
+        pipeline(X)  # warm-up
+        ms = []
+        for _ in range(args.reps):
+            t0 = time.perf_counter()
+            pipeline(X)
+            ms.append(1e3 * (time.perf_counter() - t0))
+        q1, med, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else (ms[0],) * 3
+        tracemalloc.start()
+        try:
+            P = pipeline(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"n={n:6d}  median {med:8.1f} ms [{q1:.1f}, {q3:.1f}]  "
+              f"peak {peak / 1e6:6.1f} MB  pairs {P.rows.size:8d} ({P.nbytes / 1e6:.1f} MB)")
+
+
+if __name__ == "__main__":
+    main()
