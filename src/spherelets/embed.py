@@ -12,9 +12,13 @@ A ``euclidean`` distance mode runs the identical pipeline on straight-
 line distances over the same k-NN graph for apples-to-apples baselines.
 
 Distances and affinities are ``Pairs``: their support's rows, cols and
-vals, about 2k per row. The KL gradient splits into an attraction over
-that support, O(nk), and an exact repulsion over all pairs, which one
-pass computes together with the normalization Z in row blocks of about
+vals, about 2k per row. The distances are scale-free: the fits and
+lengths are computed on X scaled exactly by a power of two to unit
+scale, then scaled back. The KL gradient splits into an attraction over that support,
+O(nk), and an exact repulsion over all pairs. As the gradient is
+antisymmetric pair by pair, both evaluate each unordered pair once and
+give its term to both of its rows. One pass computes the repulsion
+together with the normalization Z in row blocks of about
 ``REPULSION_BLOCK`` pairs; the objective takes Z from the same pass.
 Memory beyond the O(nk) support is one block (512 KiB).
 
@@ -32,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DimensionError, DivergenceError, ParameterError
-from .numeric import knn_indices
+from .numeric import knn_indices, unit_scale
 from .spca import fit_spheres, project_spheres, sphere_arcs
 
 DISTANCE_MODES = ("spherical", "euclidean")
@@ -117,6 +121,8 @@ def spherical_knn_distances(
     degenerates or whose projection is singular fall back to Euclidean
     distances (counted when ``return_info`` is set). A pair holds the
     minimum over its two directed estimates; the diagonal is dropped.
+    Scaling finite X by any factor scales the distances by it, up to
+    rounding: nothing overflows or underflows.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, D = X.shape
@@ -127,6 +133,7 @@ def spherical_knn_distances(
     if d + 1 > D:
         raise DimensionError(f"a {d}-sphere needs ambient dimension >= {d + 1}, got {D}")
 
+    X, e = unit_scale(X)  # fit and measure at unit scale, then scale back
     nbr = knn_indices(X, k, exclude_self=False)
     hoods = X[nbr]
     fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
@@ -135,20 +142,21 @@ def spherical_knn_distances(
     c = fits.center[ok][:, None, :]
     rows[ok] = sphere_arcs(proj[ok, :1] - c, proj[ok, 1:] - c, fits.radius[ok][:, None])
     fallbacks = n - int(np.count_nonzero(ok))
-    dist = _knn_pairs(nbr, rows)
+    dist = _knn_pairs(nbr, np.ldexp(rows, e))
     if return_info:
         return dist, fallbacks
     return dist
 
 
 def euclidean_knn_distances(X: np.ndarray, k: int) -> Pairs:
-    """Euclidean counterpart over the same k-NN support."""
+    """Euclidean counterpart over the same k-NN support, as scale-free."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     if k > n:
         raise ParameterError(f"k={k} exceeds sample size {n}")
+    X, e = unit_scale(X)
     nbr = knn_indices(X, k, exclude_self=False)
-    return _knn_pairs(nbr, np.linalg.norm(X[nbr] - X[:, None, :], axis=2))
+    return _knn_pairs(nbr, np.ldexp(np.linalg.norm(X[nbr] - X[:, None, :], axis=2), e))
 
 
 def knn_distances(X: np.ndarray, d: int, k: int, mode: str = "spherical") -> Pairs:
@@ -227,39 +235,48 @@ def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
 
 
 def _support_kernel(rows: np.ndarray, cols: np.ndarray, Y: np.ndarray):
-    """Differences y_i - y_j and Student-t kernel w_ij over the support."""
-    diff = Y[rows] - Y[cols]
-    return diff, 1.0 / (1.0 + np.einsum("ij,ij->i", diff, diff))
+    """Differences y_i - y_j, one row per embedding axis, and the Student-t
+    kernel w_ij over the pairs (rows, cols)."""
+    Yt = np.ascontiguousarray(Y.T)
+    diff = Yt.take(rows, axis=1) - Yt.take(cols, axis=1)
+    return diff, 1.0 / (1.0 + np.einsum("ij,ij->j", diff, diff))
 
 
 def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
     """Z = sum_{i != j} w_ij and the rows sum_j w_ij^2 (y_i - y_j).
 
-    One exact pass over blocks of about ``REPULSION_BLOCK`` pairs, so no
-    n x n array is ever held. Each block's 1 + |y_i - y_j|^2 is one product
-    [y_i, |y_i|^2 + 1, 1] . [-2 y_j, 1, |y_j|^2] (clamped below at 1), and
-    its weighted sums sum_j w_ij^2 [y_j, 1] are another.
+    One exact pass that evaluates each unordered pair once, so no n x n
+    array is ever held. Row block [lo, hi) meets only the columns [lo, n),
+    about ``REPULSION_BLOCK`` pairs. Each block's 1 + |y_i - y_j|^2 is one
+    product [y_i, |y_i|^2 + 1, 1] . [-2 y_j, 1, |y_j|^2] (clamped below at
+    1). The square [lo, hi)^2 holds both directions of its pairs and is
+    summed from the row side only; the columns beyond it count twice in Z,
+    and their weighted sums sum w_ij^2 [y, 1] go to both ends of the pair.
     """
     n, m = Y.shape
     sq = np.einsum("ij,ij->i", Y, Y)[:, None]
     ones = np.ones((n, 1))
     left = np.hstack([Y, sq + 1.0, ones])
-    right = np.hstack([-2.0 * Y, ones, sq]).T
+    right = np.vstack([-2.0 * Y.T, ones.T, sq.T])
     Y1 = np.hstack([Y, ones])
-    rep = np.empty_like(Y)
+    S = np.zeros((n, m + 1))
+    # every block reuses one buffer; a fresh one would fault in its pages
+    buf = np.empty(max(REPULSION_BLOCK, n))
     Z = 0.0
-    step = max(1, REPULSION_BLOCK // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        W = left[lo:hi] @ right
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, REPULSION_BLOCK // (n - lo)))
+        b = hi - lo
+        W = np.matmul(left[lo:hi], right[:, lo:], out=buf[: b * (n - lo)].reshape(b, n - lo))
         np.maximum(W, 1.0, out=W)
         np.reciprocal(W, out=W)
-        W[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        Z += W.sum()
+        np.fill_diagonal(W, 0.0)
+        Z += 2.0 * W.sum() - W[:, :b].sum()
         W *= W
-        S = W @ Y1
-        rep[lo:hi] = S[:, m:] * Y[lo:hi] - S[:, :m]
-    return Z, rep
+        S[lo:hi] += W @ Y1[lo:]
+        S[hi:] += W[:, b:].T @ Y1[lo:hi]
+        lo = hi
+    return Z, S[:, m:] * Y - S[:, :m]
 
 
 def kl_objective(P, Y: np.ndarray) -> float:
@@ -286,15 +303,19 @@ def kl_gradient(P, Y: np.ndarray) -> np.ndarray:
     """Analytic gradient 4 sum_j (p_ij - q_ij) w_ij (y_i - y_j), as the
     attraction 4 sum_j p_ij w_ij (y_i - y_j) over the support of P minus
     the repulsion (4 / Z) sum_j w_ij^2 (y_i - y_j) over all pairs. P is
-    ``Pairs`` or a dense array."""
+    ``Pairs`` or a dense array and must be symmetric, as ``embed`` checks
+    exactly: only its upper triangle is read, and each of its terms is
+    added to row i and subtracted from row j."""
     P = _pairs(P)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = Y.shape[0]
+    upper = P.rows < P.cols
+    rows, cols = P.rows[upper], P.cols[upper]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        diff, w = _support_kernel(P.rows, P.cols, Y)
-        pw = P.vals * w
+        diff, w = _support_kernel(rows, cols, Y)
+        terms = P.vals[upper] * w * diff
         attract = np.column_stack(
-            [np.bincount(P.rows, pw * diff[:, c], minlength=n) for c in range(Y.shape[1])]
+            [np.bincount(rows, t, minlength=n) - np.bincount(cols, t, minlength=n) for t in terms]
         )
         Z, rep = _repulsion(Y)
         return 4.0 * (attract - rep / Z)

@@ -1,5 +1,6 @@
-"""Shared numeric kernels: symmetric eigendecomposition, k-nearest
-neighbors, pairwise distances, seeded Gaussian noise.
+"""Shared numeric kernels: symmetric eigendecomposition, exact scaling to
+unit scale, k-nearest neighbors, pairwise distances, seeded Gaussian
+noise.
 
 Everything here is a pure function of its arguments; results never alias
 their inputs, so values can be shared freely across threads.
@@ -127,6 +128,21 @@ def knn(
     return NeighborList(indices=sel.astype(int), distances=dist[sel])
 
 
+def unit_scale(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """X scaled by 2^-e, e the ``np.frexp`` exponent of max |x|, and e.
+
+    The scaling is exact, and the largest |x| of the copy lies in
+    [1/2, 1), where squares neither overflow nor underflow; a length
+    computed on it scales back exactly by ``np.ldexp(length, e)``. X
+    itself and e = 0 when X is empty or not all finite.
+    """
+    X = np.asarray(X, dtype=float)
+    if not (X.size and np.isfinite(X).all()):
+        return X, 0
+    e = int(np.frexp(np.max(np.abs(X)))[1])
+    return np.ldexp(X, -e), e
+
+
 def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
     """Neighbor indices for every row of X at once; shape (n, k).
 
@@ -155,9 +171,8 @@ def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray
     limit = n - 1 if exclude_self else n
     if not 1 <= k <= limit:
         raise ParameterError(f"k={k} out of range [1, {limit}]")
+    X, _ = unit_scale(X)  # exact: the same order, no overflow
     prune = bool(X.size and np.isfinite(X).all())
-    if prune:  # scaling by a power of two is exact: the same order, no overflow
-        X = np.ldexp(X, -np.frexp(np.max(np.abs(X)))[1])
     # The slack. With M the largest row norm, every intermediate of
     # pairwise_sq_dists is at most 4 M^2 and collects at most D + 2
     # roundings, so a computed squared distance is within 8 (D + 2) eps M^2

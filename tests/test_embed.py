@@ -1,9 +1,11 @@
 import importlib
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherelets.datasets import enneper, sphere_sample
@@ -399,8 +401,12 @@ def test_euclidean_distances_match_rowwise_loop():
 def _dense_distances(X, d, k, mode):
     """The dense n x n distances the pairs replaced: row i's directed k-NN
     distances, inf elsewhere and on the diagonal, symmetrized by the
-    entrywise minimum."""
+    entrywise minimum. Measured on X scaled exactly by 2^-e, e the
+    exponent of max |x|, and scaled back, so that subnormal input keeps
+    its nonzero distances."""
     n, D = X.shape
+    e = np.frexp(np.max(np.abs(X)))[1]
+    X = np.ldexp(X, -e)
     nbr = knn_indices(X, k)
     hoods = X[nbr]
     rows = np.linalg.norm(hoods - X[:, None, :], axis=2)
@@ -412,7 +418,7 @@ def _dense_distances(X, d, k, mode):
     dist = np.full((n, n), np.inf)
     dist[np.arange(n)[:, None], nbr] = rows
     np.fill_diagonal(dist, np.inf)
-    return np.minimum(dist, dist.T)
+    return np.ldexp(np.minimum(dist, dist.T), e)
 
 
 def _dense_affinities(D, sigma):
@@ -453,6 +459,24 @@ def test_sparse_pipeline_matches_dense_formulas(data):
         assert _sorted_pairs(A)
         assert np.array_equal(P, P.T)
         assert np.all(np.abs(P - expect) <= 1e-12 * expect)
+
+
+@pytest.mark.parametrize("mode", DISTANCE_MODES)
+def test_distances_are_scale_free(mode):
+    X = enneper(300, seed=0)
+    unit = knn_distances(X, 2, 20, mode)
+    exact = knn_distances(np.ldexp(X, -40), 2, 20, mode)
+    assert np.array_equal(exact.rows, unit.rows) and np.array_equal(exact.cols, unit.cols)
+    assert np.array_equal(exact.vals, np.ldexp(unit.vals, -40))
+    # squares that would overflow or underflow at these scales
+    for scale in (1e160, 1e-170):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            S = knn_distances(X * scale, 2, 20, mode)
+        assert np.array_equal(S.rows, unit.rows) and np.array_equal(S.cols, unit.cols)
+        assert np.all(np.isfinite(S.vals) & (S.vals > 0.0))
+        expect = scale * unit.vals
+        assert np.all(np.abs(S.vals - expect) <= 1e-9 * expect)
 
 
 def test_distances_and_affinities_memory_stays_below_a_dense_matrix():
@@ -509,6 +533,45 @@ def test_kl_kernel_matches_dense_oracle(monkeypatch, block):
             for form in (P, support):
                 assert _rel(kl_gradient(form, Y), grad) <= 1e-12
                 assert abs(kl_objective(form, Y) - kl) <= 1e-12 * kl
+
+
+def _dense_repulsion(Y):
+    """Z and the rows sum_j w_ij^2 (y_i - y_j) from every ordered pair's
+    difference."""
+    diff = Y[:, None, :] - Y[None, :, :]
+    W = 1.0 / (1.0 + np.sum(diff * diff, axis=2))
+    np.fill_diagonal(W, 0.0)
+    return W.sum(), np.einsum("ij,ijc->ic", W * W, diff)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 300), m=st.integers(1, 3),
+       block=st.one_of(st.just(1), st.integers(2, 300 * 300), st.none()),
+       log_scale=st.floats(-4.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=7, m=2, block=20, log_scale=0.0, seed=0)  # blocks of 2, 4 and 1 rows; the last may take 20
+def test_repulsion_matches_dense_formula(n, m, block, log_scale, seed):
+    # block None: one block holds every pair
+    Y = np.random.default_rng(seed).normal(0.0, 10.0**log_scale, size=(n, m))
+    with mock.patch.object(embed_mod, "REPULSION_BLOCK", n * n + 1 if block is None else block):
+        Z, rep = embed_mod._repulsion(Y)
+    Z_dense, rep_dense = _dense_repulsion(Y)
+    assert abs(Z - Z_dense) <= 1e-12 * Z_dense
+    assert _rel(rep, rep_dense) <= 1e-12
+
+
+def test_kl_gradient_reads_a_symmetric_p_once_per_pair():
+    rng = np.random.default_rng(18)
+    n = 40
+    P = _random_pair_dist(rng, n) * (rng.random((n, n)) < 0.3)
+    P = np.maximum(P, P.T)
+    Y = rng.normal(size=(n, 2))
+    # the lower triangle rebuilt from the upper one, in pair order upper first
+    rows, cols = np.nonzero(np.triu(P, 1))
+    mirrored = Pairs(n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                     np.tile(P[rows, cols], 2))
+    expect = _dense_oracle(P, Y)[0]
+    for form in (P, embed_mod._pairs(P), mirrored):
+        assert _rel(kl_gradient(form, Y), expect) <= 1e-12
 
 
 def test_kl_objective_infinite_when_support_q_vanishes():

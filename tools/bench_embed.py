@@ -1,4 +1,5 @@
-"""Time the embedding's distances and affinities and measure their memory.
+"""Time the embedding's distances, affinities and KL gradient, and
+measure the memory of the first two.
 
     python3 tools/bench_embed.py [--reps 5]
 
@@ -7,6 +8,9 @@ the median and quartiles of the wall time of one
 ``knn_distances`` + ``affinities`` call pair (``time.perf_counter``,
 after one warm-up call), the peak memory ``tracemalloc`` traces in a
 separate, untimed call, and the bytes of the resulting affinity pairs.
+A second line gives the median and quartiles of one ``kl_gradient``
+call on those affinities, normalized to sum 1 as ``embed`` does, at a
+fixed N(0, 1) embedding Y (m = 2, seed 2), timed the same way.
 The inputs are n Enneper points plus N(0, 0.01^2) noise, seed 0, at
 n = 1000 (the benchmark's ``embed-enneper`` size), 6000 and 20 000,
 with the ``embed-enneper`` parameters: spherical distances, d = 2,
@@ -30,7 +34,7 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from spherelets import datasets, numeric  # noqa: E402
-from spherelets.embed import Pairs, affinities, knn_distances  # noqa: E402
+from spherelets.embed import Pairs, affinities, kl_gradient, knn_distances  # noqa: E402
 
 SIZES = (1000, 6000, 20_000)
 D, K, SIGMA = 2, 20, 0.3
@@ -40,19 +44,26 @@ def pipeline(X) -> Pairs:
     return affinities(knn_distances(X, D, K, "spherical"), SIGMA)
 
 
+def timed_ms(call, reps: int) -> tuple[float, float, float]:
+    """Median, first and third quartile of `reps` timed calls, in ms,
+    after one warm-up call."""
+    call()
+    ms = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        call()
+        ms.append(1e3 * (time.perf_counter() - t0))
+    q1, med, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else (ms[0],) * 3
+    return med, q1, q3
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=5, help="timed calls per size")
     args = ap.parse_args()
     for n in SIZES:
         X = datasets.enneper(n, seed=0) + numeric.seeded_gaussian(n, 3, 0.01, 1)
-        pipeline(X)  # warm-up
-        ms = []
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            pipeline(X)
-            ms.append(1e3 * (time.perf_counter() - t0))
-        q1, med, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else (ms[0],) * 3
+        med, q1, q3 = timed_ms(lambda: pipeline(X), args.reps)
         tracemalloc.start()
         try:
             P = pipeline(X)
@@ -61,6 +72,10 @@ def main() -> None:
             tracemalloc.stop()
         print(f"n={n:6d}  median {med:8.1f} ms [{q1:.1f}, {q3:.1f}]  "
               f"peak {peak / 1e6:6.1f} MB  pairs {P.rows.size:8d} ({P.nbytes / 1e6:.1f} MB)")
+        P = Pairs(n, P.rows, P.cols, P.vals / P.vals.sum())
+        Y = numeric.seeded_gaussian(n, 2, 1.0, 2)
+        med, q1, q3 = timed_ms(lambda: kl_gradient(P, Y), args.reps)
+        print(f"          kl_gradient {med:8.1f} ms [{q1:.1f}, {q3:.1f}]")
 
 
 if __name__ == "__main__":
