@@ -21,6 +21,8 @@ SPIRAL_T_RANGE = (math.pi, 4.0 * math.pi)
 EULER_S_MAX = 2.0
 # save_csv formats at most this many rows at once, which bounds its memory
 CSV_CHUNK_ROWS = 4096
+# np.loadtxt skips these around a number, float() rejects them
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -182,40 +184,62 @@ def load_csv(path: str) -> np.ndarray:
     """Numeric CSV reader: comma separated, '.' decimal, optional single
     header row (auto-detected), '#'-prefixed comment lines skipped.
     Raises ParseError naming the row and column of a cell that is not a
-    finite number (``nan`` and ``inf`` included)."""
+    finite number (``nan`` and ``inf`` included).
+
+    The body is parsed by one ``np.loadtxt`` call, which rounds as
+    ``float`` does. Its result is kept only when it is as wide as the first
+    line and finite; otherwise ``_parse_lines`` parses the rows one cell at
+    a time with ``float``, which also accepts ``1_000`` and non-ASCII
+    digits, and names the offending cell."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    lines = [s for line in text.split("\n") if (s := line.strip()) and not s.startswith("#")]
+    if lines and not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        cells = lines[0].split(",")
+        body = lines if all(map(_is_float, cells)) else lines[1:]
+        try:  # an empty body would make loadtxt warn
+            X = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body else None
+        except ValueError:
+            X = None
+        if X is not None and X.shape[1] == len(cells) and np.isfinite(X).all():
+            return X
+    return _parse_lines(path, text)
+
+
+def _parse_lines(path: str, text: str) -> np.ndarray:
+    """``load_csv`` of the file contents `text`, one cell at a time."""
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        first_data_line = True
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+    first_data_line = True
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            if first_data_line:
+                first_data_line = False  # header row
+                width = len(cells)
                 continue
-            cells = line.split(",")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                if first_data_line:
-                    first_data_line = False  # header row
-                    width = len(cells)
-                    continue
-                bad = next(i for i, c in enumerate(cells) if not _is_float(c))
-                raise ParseError(
-                    f"{path}: row {lineno}, column {bad + 1}: not a number: {cells[bad]!r}"
-                ) from None
-            first_data_line = False
-            if not all(map(math.isfinite, values)):
-                bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
-                raise ParseError(
-                    f"{path}: row {lineno}, column {bad + 1}: not a finite number: {cells[bad]!r}"
-                )
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(
-                    f"{path}: row {lineno} has {len(values)} fields, expected {width}"
-                )
-            rows.append(values)
+            bad = next(i for i, c in enumerate(cells) if not _is_float(c))
+            raise ParseError(
+                f"{path}: row {lineno}, column {bad + 1}: not a number: {cells[bad]!r}"
+            ) from None
+        first_data_line = False
+        if not all(map(math.isfinite, values)):
+            bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+            raise ParseError(
+                f"{path}: row {lineno}, column {bad + 1}: not a finite number: {cells[bad]!r}"
+            )
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError(
+                f"{path}: row {lineno} has {len(values)} fields, expected {width}"
+            )
+        rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

@@ -78,7 +78,7 @@ class DenoiseConfig:
 def _hoods(X: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The neighborhoods X[nbr] (n, k, D) and their squared distances to
     their points (n, k)."""
-    hoods = X[nbr]
+    hoods = X.take(nbr, axis=0)
     return hoods, np.sum((hoods - X[:, None, :]) ** 2, axis=2)
 
 
@@ -144,7 +144,7 @@ def _pass(X: np.ndarray, cfg: DenoiseConfig) -> tuple[np.ndarray, int]:
     # rows are ordered by distance, so each support is a leading block
     reach = (SUPPORT_SIGMAS * cfg.sigma) ** 2
     sizes = np.maximum(np.count_nonzero(d2 <= reach, axis=1), cfg.d + 3)
-    support = Y[nbr[np.arange(cfg.k) < sizes[:, None]]]
+    support = Y.take(nbr[np.arange(cfg.k) < sizes[:, None]], axis=0)
     starts, P = np.cumsum(sizes) - sizes, Y[:, None, :]
     if cfg.method in ("ltp", "mbms"):
         mu, axes = stacked_pca(support, starts)

@@ -135,7 +135,7 @@ def spherical_knn_distances(
 
     X, e = unit_scale(X)  # fit and measure at unit scale, then scale back
     nbr = knn_indices(X, k, exclude_self=False)
-    hoods = X[nbr]
+    hoods = X.take(nbr, axis=0)
     fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
     proj, ok = project_spheres(np.concatenate([X[:, None, :], hoods], axis=1), fits)
     rows = np.linalg.norm(hoods - X[:, None, :], axis=2)
@@ -156,7 +156,7 @@ def euclidean_knn_distances(X: np.ndarray, k: int) -> Pairs:
         raise ParameterError(f"k={k} exceeds sample size {n}")
     X, e = unit_scale(X)
     nbr = knn_indices(X, k, exclude_self=False)
-    return _knn_pairs(nbr, np.ldexp(np.linalg.norm(X[nbr] - X[:, None, :], axis=2), e))
+    return _knn_pairs(nbr, np.ldexp(np.linalg.norm(X.take(nbr, axis=0) - X[:, None, :], axis=2), e))
 
 
 def knn_distances(X: np.ndarray, d: int, k: int, mode: str = "spherical") -> Pairs:

@@ -4,10 +4,13 @@ A fitted model is a PC1-sign partition tree whose leaves keep the piece
 fitted to their cell: a spherelet under the ``spca`` fitter (with
 hyperplane fallback on degeneracy) or a d-dimensional hyperplane under
 ``pca``. Projection routes a batch through the tree and maps each leaf's
-rows onto its piece, so held-out data can be projected without refitting.
+rows onto its piece, so held-out data can be projected without refitting;
+the rows of all pieces of one kind and frame width take one stacked kernel
+call.
 
-Models serialize to versioned JSON with explicit arrays; floats are
-written with shortest round-trip precision so save/load is exact.
+Models serialize to versioned JSON with explicit arrays, on one line by
+the C encoder of ``json.dumps``; floats are written with shortest
+round-trip precision so save/load is exact.
 """
 
 from __future__ import annotations
@@ -34,12 +37,15 @@ from .partition import (
     iter_leaves,
     leaf_rows,
 )
-from .spca import Hyperplane, Piece, Spherelet
+from .spca import Hyperplane, Piece, Spherelet, _plane_images, _sphere_images
 
 FORMAT_VERSION = 1
 
 # load() rejects a piece frame F with Frobenius |F'F - I| above this
 FRAME_TOL = 1e-9
+# _route_project gathers each row's D x w frame: at most this many frame
+# and row elements at once (8 MiB)
+PROJECT_BLOCK = 1 << 20
 
 
 @dataclass
@@ -67,25 +73,48 @@ class SphereletModel:
         return self._route_project(X)[0]
 
     def _route_project(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Projections of the rows of X, one ``project`` call per leaf, and
-        the rows each leaf received."""
+        """Projections of the rows of X and the rows each leaf received.
+
+        Each row is projected onto its leaf's piece as a 1 x D stack, so
+        its image does not depend on the batch it is in. A row that
+        projects onto a sphere center raises SingularProjectionError
+        naming the first such row of the first leaf ``leaf_rows`` yields."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.D:
             raise DimensionError(f"point dimension {X.shape[1]} != model dimension {self.D}")
-        P = np.empty_like(X)
-        cells = {}
-        for leaf, rows in leaf_rows(X, self.tree):
-            try:
-                # a stack of 1 x D rows: BLAS then takes each row's product
-                # alone, so its image does not depend on the batch it is in
-                P[rows] = leaf.piece.project(X[rows][:, None, :])[:, 0]
-            except SingularProjectionError as exc:
-                row = int(rows[exc.row])
-                raise SingularProjectionError(
-                    f"row {row} projects onto the sphere center of cell {leaf.cell_id}", row=row
-                ) from None
-            cells[leaf.cell_id] = rows
-        return P, cells
+        routed = list(leaf_rows(X, self.tree))
+        leaf_of = np.empty(X.shape[0], dtype=np.intp)  # index into `routed`
+        groups: dict[tuple[bool, int], list[int]] = {}
+        for i, (leaf, rows) in enumerate(routed):
+            leaf_of[rows] = i
+            groups.setdefault((leaf.piece.degenerate, leaf.piece.frame.shape[1]), []).append(i)
+        P, singular = np.empty_like(X), np.zeros(X.shape[0], dtype=bool)
+        for (plane, width), members in groups.items():
+            pieces = [routed[i][0].piece for i in members]
+            frames = np.stack([p.frame for p in pieces])
+            anchor = np.stack([p.mu if plane else p.center for p in pieces])
+            radius = None if plane else np.array([p.radius for p in pieces])
+            slot = np.full(len(routed), -1)
+            slot[members] = np.arange(len(members))
+            slot = slot[leaf_of]
+            rows = np.flatnonzero(slot >= 0)
+            step = max(1, PROJECT_BLOCK // (self.D * (width + 1)))
+            for lo in range(0, rows.size, step):
+                sub = rows[lo : lo + step]
+                k = slot[sub]
+                x, a = X.take(sub, axis=0)[:, None, :], anchor.take(k, axis=0)[:, None, :]
+                F = frames.take(k, axis=0)
+                if plane:
+                    P[sub] = _plane_images(x, a, F)[:, 0]
+                else:
+                    images, regular = _sphere_images(x, a, radius.take(k)[:, None], F)
+                    P[sub], singular[sub] = images[:, 0], ~regular[:, 0]
+        if singular.any():
+            bad = np.flatnonzero(singular)
+            row = int(bad[np.argmin(leaf_of[bad])])
+            raise SingularProjectionError(f"row {row} projects onto the sphere center of cell "
+                                          f"{routed[leaf_of[row]][0].cell_id}", row=row)
+        return P, {leaf.cell_id: rows for leaf, rows in routed}
 
     def mse(self, X: np.ndarray) -> tuple[float, dict[int, float]]:
         """Overall and per-cell mean squared projection residual.
@@ -165,8 +194,7 @@ def save(model: SphereletModel, path: str) -> None:
         "leaves": [_piece_to_obj(cid, p) for cid, p in sorted(model.leaves.items())],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")  # json.dump would run the pure-Python encoder
 
 
 def _vector(value, D: int, name: str) -> np.ndarray:
@@ -215,7 +243,7 @@ def _obj_to_piece(obj, where: str, d: int, D: int) -> tuple[int, Piece]:
                 or not np.all(np.isfinite(frame))):
             want = f"{D} x {d + 1}" if sphere else f"{D}-row"
             raise ValueError(f"frame must be a finite {want} matrix, got shape {frame.shape}")
-        ortho = np.linalg.norm(frame.T @ frame - np.eye(frame.shape[1]))
+        ortho = _frame_errors(frame[None])[0]
         if ortho > FRAME_TOL:
             raise ValueError(f"frame columns are not orthonormal: |F'F - I| = {ortho:.3g}")
         if not sphere:
@@ -227,6 +255,45 @@ def _obj_to_piece(obj, where: str, d: int, D: int) -> tuple[int, Piece]:
                               radius=radius, mu=mu)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
+
+
+def _frame_errors(F: np.ndarray) -> np.ndarray:
+    """Frobenius |F'F - I| of each frame of a stack (m, D, w)."""
+    return np.linalg.norm(np.swapaxes(F, 1, 2) @ F - np.eye(F.shape[2]), axis=(1, 2))
+
+
+def _obj_to_pieces(objs, d: int, D: int) -> list[tuple[int, Piece]] | None:
+    """The (id, piece) of each piece object when every one passes the
+    checks of ``_obj_to_piece``, made together for all pieces of one kind
+    and frame width; None when one fails, for ``_obj_to_piece`` to name."""
+    try:
+        ids = [int(o["id"]) for o in objs]
+        groups: dict[tuple[str, int], list[int]] = {}
+        for i, o in enumerate(objs):
+            groups.setdefault((o["kind"], len(o["frame"][0])), []).append(i)
+        parsed = [None] * len(objs)
+        for (kind, width), members in groups.items():
+            group, m = [objs[i] for i in members], len(members)
+            mu = np.array([o["mu"] for o in group], dtype=float)
+            F = np.array([o["frame"] for o in group], dtype=float)
+            if (kind not in ("plane", "sphere") or (kind == "sphere" and width != d + 1)
+                    or mu.shape != (m, D) or F.shape != (m, D, width)
+                    or not (np.isfinite(mu).all() and np.isfinite(F).all())
+                    or not np.all(_frame_errors(F) <= FRAME_TOL)):
+                return None
+            if kind == "sphere":
+                radius = [float(o["radius"]) for o in group]
+                center = np.array([o["center"] for o in group], dtype=float)
+                if (center.shape != (m, D) or not np.isfinite(center).all()
+                        or not all(math.isfinite(r) and r > 0.0 for r in radius)):
+                    return None
+            for j, i in enumerate(members):
+                parsed[i] = ids[i], (Hyperplane(mu=mu[j], frame=F[j]) if kind == "plane" else
+                                     Spherelet(frame=F[j], center=center[j], radius=radius[j],
+                                               mu=mu[j]))
+        return parsed
+    except (IndexError, KeyError, TypeError, ValueError):
+        return None
 
 
 def load(path: str) -> SphereletModel:
@@ -252,7 +319,9 @@ def load(path: str) -> SphereletModel:
         d, D = int(obj["d"]), int(obj["D"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    parsed = [_obj_to_piece(o, f"leaves[{i}]", d, D) for i, o in enumerate(obj["leaves"])]
+    parsed = _obj_to_pieces(obj["leaves"], d, D)
+    if parsed is None:
+        parsed = [_obj_to_piece(o, f"leaves[{i}]", d, D) for i, o in enumerate(obj["leaves"])]
     tree = _obj_to_tree(obj["tree"], "tree", dict(parsed), D)
     leaf_ids = sorted(leaf.cell_id for leaf in iter_leaves(tree))
     piece_ids = sorted(cid for cid, _ in parsed)

@@ -211,7 +211,7 @@ def _kd_leaves(X: np.ndarray, min_rows: int) -> list[np.ndarray]:
         if cell.size <= KNN_LEAF or half < min_rows:
             leaves.append(np.sort(cell))
             continue
-        P = X[cell]
+        P = X.take(cell, axis=0)
         part = np.argpartition(P[:, np.argmax(np.ptp(P, axis=0))], half)
         cells += [cell[part[:half]], cell[part[half:]]]
     return leaves
@@ -224,7 +224,7 @@ def _box_rows(X: np.ndarray, leaf: np.ndarray, k: int, exclude_self: bool,
     leaf plus `slack`."""
     r = np.concatenate([np.partition(dist, k - 1, axis=1)[:, k - 1]
                         for _, dist in _distance_blocks(X, leaf, leaf, exclude_self)])
-    P, r = X[leaf], r[:, None] + slack
+    P, r = X.take(leaf, axis=0), r[:, None] + slack
     inside = (X >= (P - r).min(axis=0)) & (X <= (P + r).max(axis=0))
     return np.flatnonzero(inside.all(axis=1))
 
@@ -251,11 +251,11 @@ def _distance_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray, exclude_
     """Distances from X[rows] to X[cols] (sorted, holding each of `rows`)
     in blocks of about ``KNN_BLOCK``: yields (row indices, block); with
     `exclude_self` a row's distance to itself is inf."""
-    Xc = X[cols]
+    Xc = X.take(cols, axis=0)
     step = max(1, KNN_BLOCK // cols.size)
     for lo in range(0, rows.size, step):
         sub = rows[lo : lo + step]
-        dist = np.sqrt(pairwise_sq_dists(X[sub], Xc))
+        dist = np.sqrt(pairwise_sq_dists(X.take(sub, axis=0), Xc))
         if exclude_self:
             dist[np.arange(sub.size), np.searchsorted(cols, sub)] = np.inf
         yield sub, dist

@@ -73,10 +73,11 @@ def build_tree(
     levels, cells = [], [np.arange(X.shape[0])]
     while cells:
         sizes = np.array([rows.size for rows in cells])
-        pieces, axes = fit_pieces(X[np.concatenate(cells)], np.cumsum(sizes) - sizes, d, fitter)
+        starts = np.cumsum(sizes) - sizes
+        pieces, axes = fit_pieces(X.take(np.concatenate(cells), axis=0), starts, d, fitter)
         level, children = [], []
         for rows, piece, axis in zip(cells, pieces, axes):
-            cell = X[rows]
+            cell = X.take(rows, axis=0)
             if rows.size > n_min and float(np.mean(piece.residual_sq(cell))) > eps:
                 rule = SplitRule(mu=piece.mu, direction=axis)
                 left = (cell - rule.mu) @ rule.direction > 0.0
@@ -119,7 +120,7 @@ def leaf_rows(X: np.ndarray, tree: PartitionNode):
         if isinstance(node, Leaf):
             yield node, rows
             continue
-        left = (X[rows] - node.rule.mu) @ node.rule.direction > 0.0
+        left = (X.take(rows, axis=0) - node.rule.mu) @ node.rule.direction > 0.0
         stack.append((node.right, rows[~left]))
         stack.append((node.left, rows[left]))
 

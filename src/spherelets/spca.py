@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,10 +45,14 @@ RADIUS_DIAMETER_RATIO = 1e6
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Affine subspace mu + span(frame); frame columns are orthonormal."""
+    """Affine subspace mu + span(frame); frame columns are orthonormal.
+
+    It is the infinite-radius limit of a sphere, so, like a degenerate
+    ``Spherelet``, it reads as ``degenerate``."""
 
     mu: np.ndarray
     frame: np.ndarray
+    degenerate: ClassVar[bool] = True
 
     @property
     def ambient_dim(self) -> int:

@@ -191,9 +191,11 @@ def test_exit_data_on_negative_radius_model(tmp_path, capsys):
 
 
 def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):
+    # one routing pass, and one stacked kernel call per piece kind and frame
+    # width, give both the projections and the printed MSEs
     from collections import Counter
 
-    from spherelets import spca
+    from spherelets import model as model_mod
     from spherelets.model import load
 
     data, model, out = tmp_path / "e.csv", tmp_path / "m.json", tmp_path / "p.csv"
@@ -203,18 +205,20 @@ def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):
                "--out", str(model)) == EXIT_OK
     fitted, X = load(str(model)), load_csv(str(data))
     expect_proj, (overall, per_cell) = fitted.project_many(X), fitted.mse(X)
+    kinds = {(p.degenerate, p.frame.shape[1]) for p in fitted.leaves.values()}
     capsys.readouterr()
     calls = Counter()
-    for cls in (spca.Spherelet, spca.Hyperplane):
-        def counting(self, Z, _project=cls.project):
-            calls[id(self)] += 1
-            return _project(self, Z)
-        monkeypatch.setattr(cls, "project", counting)
+    for name in ("leaf_rows", "_sphere_images", "_plane_images"):
+        def counting(*args, _name=name, _fn=getattr(model_mod, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(model_mod, name, counting)
     assert run("project", "--model", str(model), "--input", str(data),
                "--out", str(out), "--report-mse") == EXIT_OK
     printed = capsys.readouterr().out.splitlines()
     assert len(per_cell) > 3
-    assert sorted(calls.values()) == [1] * len(per_cell)
+    assert calls["leaf_rows"] == 1
+    assert calls["_sphere_images"] + calls["_plane_images"] == len(kinds)
     assert printed == [f"overall_mse={overall:.17g}"] + [
         f"cell {cid}: mse={per_cell[cid]:.17g}" for cid in sorted(per_cell)]
     assert np.array_equal(load_csv(str(out)), expect_proj)

@@ -1,3 +1,6 @@
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from spherelets.datasets import (
     CurveSample,
     _euler_curve,
     _euler_fixed,
+    _parse_lines,
     curve_grid,
     distance_to_curve,
     enneper,
@@ -215,6 +219,89 @@ def test_csv_non_finite_cell_error(tmp_path, cell):
     path.write_text(f"x,y\n1,2\n3,{cell}\n")
     with pytest.raises(ParseError, match=f"row 3, column 2: not a finite number: '{cell}'"):
         load_csv(str(path))
+
+
+_FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_CELL = st.tuples(
+    st.sampled_from(["", " ", "  ", "\t"]),
+    st.one_of(
+        _FINITE.map(lambda v: "%.17g" % v),
+        _FINITE.map(repr),
+        st.integers(-10**6, 10**6).map(str),
+        st.integers(1000, 10**9).map(lambda i: f"{i:_}"),              # float() only
+        st.integers(0, 10**6).map(lambda i: str(i).translate(_FULL_WIDTH)),  # float() only
+    ),
+    st.sampled_from(["", " ", "\t"]),
+).map("".join)
+# a defect breaks one data row after the first, leaves no data row, or puts
+# a header wider than the rows; np.loadtxt would skip the separator \x1c
+# around a number, float() does not
+_DEFECTS = {"ragged": None, "word": "oops", "nan": "nan", "inf": "-Infinity", "huge": "1e400",
+            "separator": "4\x1c", "empty body": None, "wide header": None}
+
+
+def _outcome(path: str, load) -> tuple[str, object]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may escape
+        try:
+            return "rows", load(path)
+        except ParseError as exc:
+            return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_csv_matches_checked_loop(data):
+    # the one-call loadtxt parse gives the per-cell float() loop's array bit
+    # for bit, or raises its ParseError text
+    defect = data.draw(st.sampled_from([None, *_DEFECTS]), label="defect")
+    inner = defect == "separator"  # strip() drops a separator at either end of a line
+    width = data.draw(st.integers(1 + inner, 4), label="width")
+    rows = data.draw(st.lists(st.lists(_CELL, min_size=width, max_size=width),
+                              min_size=2, max_size=8), label="rows")
+    header = data.draw(st.booleans(), label="header")
+    if defect == "empty body":
+        rows = []
+    elif defect not in (None, "wide header"):
+        r = data.draw(st.integers(1, len(rows) - 1))
+        c = data.draw(st.integers(0, width - 1 - inner))
+        if defect == "ragged":
+            rows[r] = rows[r] + ["1"] if width == 1 or data.draw(st.booleans()) else rows[r][1:]
+        else:
+            rows[r][c] = _DEFECTS[defect]
+    names = [f"c{j}" for j in range(width + (defect == "wide header"))]
+    lines = [",".join(names)] if header or defect in ("empty body", "wide header") else []
+    for row in rows:
+        lines += data.draw(st.lists(st.sampled_from(["", "   ", "# note", " #x,y"]), max_size=2))
+        lines.append(",".join(row))
+    lines.insert(0, "# provenance")
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    text = newline.join(lines) + data.draw(st.sampled_from(["", newline]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/x.csv"
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        got = _outcome(path, load_csv)
+        expect = _outcome(path, lambda p: _parse_lines(p, text.replace("\r\n", "\n")))
+    assert got[0] == expect[0] == ("rows" if defect is None else "error")
+    if defect is None:
+        assert got[1].shape == (len(rows), width) and got[1].dtype == np.float64
+        assert got[1].tobytes() == expect[1].tobytes()
+    else:
+        assert got[1] == expect[1]
+
+
+def test_load_csv_float_only_cells_and_empty_body(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_text("x,y\n1_000, ２\n-0,2.5\n", encoding="utf-8")
+    X = load_csv(str(path))
+    assert X.tobytes() == np.array([[1000.0, 2.0], [-0.0, 2.5]]).tobytes()
+    path.write_text("# only a header\nx,y\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="no data rows"):
+            load_csv(str(path))
 
 
 def test_iris_fixture():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherelets import model as model_mod
 from spherelets import partition, spca
 from spherelets.datasets import enneper, euler_spiral, sphere_sample
 from spherelets.exceptions import ParameterError, ParseError, SingularProjectionError, VersionError
@@ -366,3 +367,112 @@ def test_save_load_round_trip_exact_property(data, tmp_path_factory):
             clone.project_many(probes)
         return
     assert np.array_equal(clone.project_many(probes), expect)
+
+
+def _per_leaf_projection(model, X):
+    # the reference: each leaf's rows projected by its own piece, one 1 x D
+    # stack at a time
+    P = np.empty_like(X)
+    for leaf, rows in partition.leaf_rows(X, model.tree):
+        P[rows] = leaf.piece.project(X[rows][:, None, :])[:, 0]
+    return P
+
+
+def _mixed_model():
+    # one leaf of each projection kind in R^3: a sphere, a degenerate sphere
+    # (projected as its plane), and planes of widths 1 and 2
+    rng = np.random.default_rng(21)
+    frame = [np.linalg.qr(rng.normal(size=(3, w)))[0] for w in (2, 2, 1, 2)]
+    mu = rng.normal(size=(4, 3))
+    pieces = [Spherelet(frame=frame[0], center=mu[0] + 0.1, radius=0.7, mu=mu[0]),
+              Spherelet(frame=frame[1], center=mu[1], radius=np.inf, mu=mu[1], degenerate=True),
+              spca.Hyperplane(mu=mu[2], frame=frame[2]), spca.Hyperplane(mu=mu[3], frame=frame[3])]
+    leaves = [partition.Leaf(cell_id=i, member_indices=np.arange(0), piece=p)
+              for i, p in enumerate(pieces)]
+
+    def split(direction, left, right):
+        rule = partition.SplitRule(mu=np.zeros(3), direction=np.array(direction, dtype=float))
+        return partition.Internal(rule=rule, left=left, right=right)
+
+    tree = split([1, 0, 0], split([0, 1, 0], leaves[0], leaves[1]),
+                 split([0, 0, 1], leaves[2], leaves[3]))
+    return model_mod.SphereletModel(tree=tree, d=1, D=3, fitter="spca")
+
+
+@pytest.mark.parametrize("block", [model_mod.PROJECT_BLOCK, 1, 40])
+def test_project_many_matches_each_leaf_projected_alone(monkeypatch, block):
+    # the stacked kernels reproduce the per-leaf projections bit for bit,
+    # whatever the row blocks
+    monkeypatch.setattr(model_mod, "PROJECT_BLOCK", block)
+    rng = np.random.default_rng(22)
+    models = [*_property_models(), _mixed_model()]
+    kinds = {(p.degenerate, p.frame.shape[1]) for p in models[-1].leaves.values()}
+    assert len(kinds) == 3
+    for model in models:
+        X = rng.uniform(-2, 2, size=(500, model.D))
+        assert np.array_equal(model.project_many(X), _per_leaf_projection(model, X))
+
+
+def test_singular_projection_names_first_row_in_routing_order(tmp_path):
+    # rows 1 and 4 hit the center of leaf 1, row 3 that of leaf 0, which
+    # routing visits first
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(_two_sphere_model()))
+    model = load(str(path))
+    X = np.array([[4.0, 0.0], [-3.0, 0.0], [-4.0, 1.0], [3.0, 0.0], [-3.0, 0.0]])
+    with pytest.raises(SingularProjectionError, match=r"^row 3 .* cell 0$") as exc:
+        model.project_many(X)
+    assert exc.value.row == 3
+    with pytest.raises(SingularProjectionError, match=r"^row 1 .* cell 1$"):
+        model.project_many(np.delete(X, 3, axis=0))
+
+
+def test_save_load_save_writes_identical_bytes(tmp_path):
+    model = fit(enneper(800, 1.0, seed=23), 2, 1e-5)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save(model, str(first))
+    save(load(str(first)), str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_text().count("\n") == 1
+
+
+def test_model_in_indent_one_layout_loads_and_projects_identically(tmp_path):
+    # files written before the one-line layout hold the same JSON value
+    # spread over one line per number
+    model = fit(euler_spiral(700, 2.0, seed=24).points, 1, 1e-7)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    save(model, str(new))
+    with open(old, "w", encoding="utf-8") as fh:
+        json.dump(json.loads(new.read_text()), fh, indent=1)
+        fh.write("\n")
+    clone = load(str(old))
+    probes = np.random.default_rng(25).uniform(-0.3, 1.3, size=(300, 2))
+    assert np.array_equal(clone.project_many(probes), model.project_many(probes))
+    save(clone, str(old))
+    assert old.read_bytes() == new.read_bytes()
+
+
+def test_load_checks_valid_pieces_together(tmp_path, monkeypatch):
+    # a valid file never reaches the one-piece check; an invalid one is
+    # named by its first bad piece
+    obj = _two_sphere_model()
+    obj["tree"]["right"] = {"split": {"mu": [0.0, 0.0], "direction": [0.0, 1.0]},
+                            "left": {"leaf": 1, "members": []}, "right": {"leaf": 2, "members": []}}
+    obj["leaves"][1]["kind"] = "plane"
+    obj["leaves"].append({"id": 2, "kind": "plane", "mu": [0.0, 0.0], "frame": [[0.6], [0.8]]})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+
+    def refuse(*args):
+        raise AssertionError("one-piece check on a valid file")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(model_mod, "_obj_to_piece", refuse)
+        model = load(str(path))
+    assert [type(p).__name__ for _, p in sorted(model.leaves.items())] == [
+        "Spherelet", "Hyperplane", "Hyperplane"]
+    obj["leaves"][2]["frame"] = [[0.6], [0.9]]
+    obj["leaves"][1]["mu"] = [0.0, float("nan")]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=r"^leaves\[1\] \(leaf 1\): mu: expected 2 finite"):
+        load(str(path))

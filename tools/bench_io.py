@@ -1,0 +1,81 @@
+"""Time the serving I/O and projection of ``fit -> project``.
+
+    python3 tools/bench_io.py [--reps 9]
+
+Pins BLAS to one thread before NumPy loads, writes 20 000 Enneper train
+and test points with ``datasets.save_csv`` to a temporary directory, fits
+the ``model-enneper`` benchmark model (d = 2, eps = 1e-5) on the train
+points, and prints the median and quartiles of the wall time
+(``time.perf_counter``, after one warm-up call) of each of:
+
+- ``load_csv``: ``datasets.load_csv`` of the test CSV;
+- ``save``: ``model.save`` of the fitted model;
+- ``load``: ``model.load`` of that file;
+- ``project_many``: ``SphereletModel.project_many`` of the test points;
+- ``save_csv``: ``datasets.save_csv`` of their projections;
+
+followed by the size of the model file in bytes.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from spherelets import datasets, model  # noqa: E402
+
+N = 20_000
+
+
+def timed(fn, reps: int) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile) of fn's wall time in ms."""
+    fn()  # warm-up
+    ms = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        ms.append(1e3 * (time.perf_counter() - t0))
+    return tuple(statistics.quantiles(ms, n=4)) if len(ms) > 1 else (ms[0],) * 3
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--reps", type=int, default=9, help="timed calls per step")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        train, test, path, out = (os.path.join(tmp, name) for name in
+                                  ("train.csv", "test.csv", "model.json", "proj.csv"))
+        datasets.save_csv(datasets.enneper(N, seed=0), train)
+        datasets.save_csv(datasets.enneper(N, seed=1), test)
+        fitted = model.fit(datasets.load_csv(train), 2, 1e-5)
+        T = datasets.load_csv(test)
+        fitted.save(path)
+        loaded = model.load(path)
+        P = loaded.project_many(T)
+        steps = {
+            "load_csv": lambda: datasets.load_csv(test),
+            "save": lambda: fitted.save(path),
+            "load": lambda: model.load(path),
+            "project_many": lambda: loaded.project_many(T),
+            "save_csv": lambda: datasets.save_csv(P, out),
+        }
+        print(f"n={N} pieces={fitted.n_pieces}")
+        for name, fn in steps.items():
+            q1, med, q3 = timed(fn, args.reps)
+            print(f"{name:12s} median {med:7.1f} ms [{q1:.1f}, {q3:.1f}]")
+        print(f"model file {os.path.getsize(path)} bytes")
+
+
+if __name__ == "__main__":
+    main()
