@@ -103,7 +103,7 @@ def bench_curve(
             t0 = time.perf_counter()
             fitted = model_mod.fit(train, d, eps, n_min, fitter=method)
             wall = time.perf_counter() - t0
-            train_mse, _ = fitted.mse(train)
+            train_mse, _ = fitted.train_mse(train)
             test_mse, _ = fitted.mse(test)
             records.append(
                 BenchRecord(

@@ -150,7 +150,7 @@ def _cmd_fit(args, argv) -> int:
         provenance={"command": "spherelets " + " ".join(argv)},
     )
     fitted.save(args.out)
-    train_mse, _ = fitted.mse(X)
+    train_mse, _ = fitted.train_mse(X)
     print(f"pieces={fitted.n_pieces} train_mse={train_mse:.6e} model={args.out}")
     return EXIT_OK
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, ParameterError
-from .numeric import knn_indices
+from .numeric import knn_indices, row_dots
 from .spca import fit_spheres, project_planes, project_spheres, stacked_pca
 
 METHODS = ("gbms", "ltp", "mbms", "smbms", "lsp")
@@ -79,7 +79,8 @@ def _hoods(X: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The neighborhoods X[nbr] (n, k, D) and their squared distances to
     their points (n, k)."""
     hoods = X.take(nbr, axis=0)
-    return hoods, np.sum((hoods - X[:, None, :]) ** 2, axis=2)
+    diff = hoods - X[:, None, :]
+    return hoods, row_dots(diff, diff)
 
 
 def _blur(hoods: np.ndarray, d2: np.ndarray, sigma: float) -> np.ndarray:

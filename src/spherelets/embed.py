@@ -19,8 +19,10 @@ O(nk), and an exact repulsion over all pairs. As the gradient is
 antisymmetric pair by pair, both evaluate each unordered pair once and
 give its term to both of its rows. One pass computes the repulsion
 together with the normalization Z in row blocks of about
-``REPULSION_BLOCK`` pairs; the objective takes Z from the same pass.
-Memory beyond the O(nk) support is one block (512 KiB).
+``REPULSION_BLOCK`` pairs; the objective sums Z alone over the same
+blocks in the same order. The gradient reads the upper triangle of P,
+which a ``Pairs`` selects once. Memory beyond the O(nk) support is one
+block (512 KiB).
 
 The optimizer records KL every ``kl_every`` iterations. If a checkpoint
 shows an increase it reverts to the best iterate seen, halves the step,
@@ -32,11 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import DimensionError, DivergenceError, ParameterError
-from .numeric import knn_indices, unit_scale
+from .numeric import knn_indices, row_dots, unit_scale
 from .spca import fit_spheres, project_spheres, sphere_arcs
 
 DISTANCE_MODES = ("spherical", "euclidean")
@@ -93,6 +96,13 @@ class Pairs:
     def nbytes(self) -> int:
         return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
 
+    @cached_property
+    def upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """rows, cols and vals of the pairs above the diagonal, selected on
+        first use and kept (the arrays of a ``Pairs`` are never changed)."""
+        keep = self.rows < self.cols
+        return self.rows[keep], self.cols[keep], self.vals[keep]
+
 
 def _knn_pairs(nbr: np.ndarray, dist: np.ndarray) -> Pairs:
     """dist[i, j] at (i, nbr[i, j]) and at (nbr[i, j], i), the minimum where
@@ -138,7 +148,8 @@ def spherical_knn_distances(
     hoods = X.take(nbr, axis=0)
     fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
     proj, ok = project_spheres(np.concatenate([X[:, None, :], hoods], axis=1), fits)
-    rows = np.linalg.norm(hoods - X[:, None, :], axis=2)
+    diff = hoods - X[:, None, :]
+    rows = np.sqrt(row_dots(diff, diff))
     c = fits.center[ok][:, None, :]
     rows[ok] = sphere_arcs(proj[ok, :1] - c, proj[ok, 1:] - c, fits.radius[ok][:, None])
     fallbacks = n - int(np.count_nonzero(ok))
@@ -156,7 +167,8 @@ def euclidean_knn_distances(X: np.ndarray, k: int) -> Pairs:
         raise ParameterError(f"k={k} exceeds sample size {n}")
     X, e = unit_scale(X)
     nbr = knn_indices(X, k, exclude_self=False)
-    return _knn_pairs(nbr, np.ldexp(np.linalg.norm(X.take(nbr, axis=0) - X[:, None, :], axis=2), e))
+    diff = X.take(nbr, axis=0) - X[:, None, :]
+    return _knn_pairs(nbr, np.ldexp(np.sqrt(row_dots(diff, diff)), e))
 
 
 def knn_distances(X: np.ndarray, d: int, k: int, mode: str = "spherical") -> Pairs:
@@ -242,40 +254,63 @@ def _support_kernel(rows: np.ndarray, cols: np.ndarray, Y: np.ndarray):
     return diff, 1.0 / (1.0 + np.einsum("ij,ij->j", diff, diff))
 
 
-def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Z = sum_{i != j} w_ij and the rows sum_j w_ij^2 (y_i - y_j).
-
-    One exact pass that evaluates each unordered pair once, so no n x n
-    array is ever held. Row block [lo, hi) meets only the columns [lo, n),
-    about ``REPULSION_BLOCK`` pairs. Each block's 1 + |y_i - y_j|^2 is one
-    product [y_i, |y_i|^2 + 1, 1] . [-2 y_j, 1, |y_j|^2] (clamped below at
-    1). The square [lo, hi)^2 holds both directions of its pairs and is
-    summed from the row side only; the columns beyond it count twice in Z,
-    and their weighted sums sum w_ij^2 [y, 1] go to both ends of the pair.
-    """
-    n, m = Y.shape
+def _kernel_blocks(Y: np.ndarray):
+    """The Student-t kernel w_ij of each unordered pair once, in row blocks:
+    yields (lo, hi, W) with W[r, c] = w_{lo + r, lo + c} for the rows
+    [lo, hi) and the columns [lo, n), about ``REPULSION_BLOCK`` pairs, the
+    diagonal zero. Each block's 1 + |y_i - y_j|^2 is one product
+    [y_i, |y_i|^2 + 1, 1] . [-2 y_j, 1, |y_j|^2] (clamped below at 1).
+    Every block is a view of one buffer, overwritten by the next block (a
+    fresh one would fault in its pages)."""
+    n = Y.shape[0]
     sq = np.einsum("ij,ij->i", Y, Y)[:, None]
     ones = np.ones((n, 1))
     left = np.hstack([Y, sq + 1.0, ones])
     right = np.vstack([-2.0 * Y.T, ones.T, sq.T])
-    Y1 = np.hstack([Y, ones])
-    S = np.zeros((n, m + 1))
-    # every block reuses one buffer; a fresh one would fault in its pages
     buf = np.empty(max(REPULSION_BLOCK, n))
-    Z = 0.0
     lo = 0
     while lo < n:
         hi = min(n, lo + max(1, REPULSION_BLOCK // (n - lo)))
-        b = hi - lo
-        W = np.matmul(left[lo:hi], right[:, lo:], out=buf[: b * (n - lo)].reshape(b, n - lo))
+        W = buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        np.matmul(left[lo:hi], right[:, lo:], out=W)
         np.maximum(W, 1.0, out=W)
         np.reciprocal(W, out=W)
         np.fill_diagonal(W, 0.0)
-        Z += 2.0 * W.sum() - W[:, :b].sum()
+        yield lo, hi, W
+        lo = hi
+
+
+def _block_z(W: np.ndarray) -> float:
+    """A block's share of Z: its square [lo, hi)^2 holds both directions
+    of its pairs, the columns beyond it one direction of theirs."""
+    return 2.0 * W.sum() - W[:, : W.shape[0]].sum()
+
+
+def _normalizer(Y: np.ndarray) -> float:
+    """Z = sum_{i != j} w_ij alone, summed as ``_repulsion`` sums it."""
+    Z = 0.0
+    for _, _, W in _kernel_blocks(Y):
+        Z += _block_z(W)
+    return Z
+
+
+def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Z = sum_{i != j} w_ij and the rows sum_j w_ij^2 (y_i - y_j).
+
+    One exact pass over ``_kernel_blocks``, so no n x n array is ever
+    held. A block's square [lo, hi)^2 is summed from the row side only;
+    for the columns beyond it the weighted sums sum w_ij^2 [y, 1] go to
+    both ends of the pair.
+    """
+    n, m = Y.shape
+    Y1 = np.hstack([Y, np.ones((n, 1))])
+    S = np.zeros((n, m + 1))
+    Z = 0.0
+    for lo, hi, W in _kernel_blocks(Y):
+        Z += _block_z(W)
         W *= W
         S[lo:hi] += W @ Y1[lo:]
-        S[hi:] += W[:, b:].T @ Y1[lo:hi]
-        lo = hi
+        S[hi:] += W[:, hi - lo :].T @ Y1[lo:hi]
     return Z, S[:, m:] * Y - S[:, :m]
 
 
@@ -292,8 +327,7 @@ def kl_objective(P, Y: np.ndarray) -> float:
     keep = (P.vals > 0.0) & (P.rows != P.cols)
     rows, cols, p = P.rows[keep], P.cols[keep], P.vals[keep]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Z, _ = _repulsion(Y)
-        q = _support_kernel(rows, cols, Y)[1] / Z
+        q = _support_kernel(rows, cols, Y)[1] / _normalizer(Y)
         if np.any(q == 0.0):
             return math.inf
         return float(np.sum(p * np.log(p / q)))
@@ -304,16 +338,14 @@ def kl_gradient(P, Y: np.ndarray) -> np.ndarray:
     attraction 4 sum_j p_ij w_ij (y_i - y_j) over the support of P minus
     the repulsion (4 / Z) sum_j w_ij^2 (y_i - y_j) over all pairs. P is
     ``Pairs`` or a dense array and must be symmetric, as ``embed`` checks
-    exactly: only its upper triangle is read, and each of its terms is
-    added to row i and subtracted from row j."""
-    P = _pairs(P)
+    exactly: only its upper triangle ``Pairs.upper`` is read, and each of
+    its terms is added to row i and subtracted from row j."""
+    rows, cols, vals = _pairs(P).upper
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = Y.shape[0]
-    upper = P.rows < P.cols
-    rows, cols = P.rows[upper], P.cols[upper]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diff, w = _support_kernel(rows, cols, Y)
-        terms = P.vals[upper] * w * diff
+        terms = vals * w * diff
         attract = np.column_stack(
             [np.bincount(rows, t, minlength=n) - np.bincount(cols, t, minlength=n) for t in terms]
         )

@@ -28,6 +28,7 @@ from .exceptions import (
     SingularProjectionError,
     VersionError,
 )
+from .numeric import row_dots
 from .partition import (
     Internal,
     Leaf,
@@ -72,17 +73,26 @@ class SphereletModel:
     def project_many(self, X: np.ndarray) -> np.ndarray:
         return self._route_project(X)[0]
 
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.D:
+            raise DimensionError(f"point dimension {X.shape[1]} != model dimension {self.D}")
+        return X
+
     def _route_project(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Projections of the rows of X and the rows each leaf received.
+        """Projections of the rows of X and the rows each leaf received."""
+        X = self._rows(X)
+        return self._project_routed(X, list(leaf_rows(X, self.tree)))
+
+    def _project_routed(self, X: np.ndarray,
+                        routed: list) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Projections of the rows of X, given the (leaf, rows) of each leaf
+        in ``leaf_rows`` order, and the rows each leaf received.
 
         Each row is projected onto its leaf's piece as a 1 x D stack, so
         its image does not depend on the batch it is in. A row that
         projects onto a sphere center raises SingularProjectionError
         naming the first such row of the first leaf ``leaf_rows`` yields."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.D:
-            raise DimensionError(f"point dimension {X.shape[1]} != model dimension {self.D}")
-        routed = list(leaf_rows(X, self.tree))
         leaf_of = np.empty(X.shape[0], dtype=np.intp)  # index into `routed`
         groups: dict[tuple[bool, int], list[int]] = {}
         for i, (leaf, rows) in enumerate(routed):
@@ -129,13 +139,32 @@ class SphereletModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
             raise ParameterError("cannot compute MSE of an empty dataset")
-        P, cells = self._route_project(X)
-        sq = np.sum((X - P) ** 2, axis=1)
-        per_cell = {cid: float(np.mean(sq[rows])) for cid, rows in sorted(cells.items())}
-        return P, float(np.mean(sq)), per_cell
+        return _with_mse(X, *self._route_project(X))
+
+    def train_mse(self, X: np.ndarray) -> tuple[float, dict[int, float]]:
+        """``mse(X)`` of the rows X the tree was grown on, without routing
+        them: each leaf's rows are its ``member_indices``, which the tree
+        split by the sign tests routing makes. Raises ParameterError when
+        the leaves' members do not number the rows of X."""
+        X = self._rows(X)
+        routed = [(leaf, leaf.member_indices) for leaf in iter_leaves(self.tree)]
+        members = np.concatenate([rows for _, rows in routed])
+        if not np.array_equal(np.sort(members), np.arange(X.shape[0])):
+            raise ParameterError(f"the leaves' members are not the {X.shape[0]} training rows")
+        return _with_mse(X, *self._project_routed(X, [r for r in routed if r[1].size]))[1:]
 
     def save(self, path: str) -> None:
         save(self, path)
+
+
+def _with_mse(X: np.ndarray, P: np.ndarray,
+              cells: dict[int, np.ndarray]) -> tuple[np.ndarray, float, dict[int, float]]:
+    """The projections P of the rows of X, their mean squared residual,
+    and its mean over the rows of each cell."""
+    R = X - P
+    sq = row_dots(R, R)
+    per_cell = {cid: float(np.mean(sq[rows])) for cid, rows in sorted(cells.items())}
+    return P, float(np.mean(sq)), per_cell
 
 
 def fit(
@@ -204,7 +233,10 @@ def _vector(value, D: int, name: str) -> np.ndarray:
     return v
 
 
-def _obj_to_tree(obj, where: str, pieces: dict[int, Piece], D: int) -> PartitionNode:
+def _obj_to_tree(obj, where: str, pieces: dict[int, Piece], D: int, rules=None) -> PartitionNode:
+    """The tree of a tree object. ``rules`` yields the split rules in
+    depth-first order when ``_split_rules`` has checked them all; without
+    it each split is checked here."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     try:
@@ -215,7 +247,7 @@ def _obj_to_tree(obj, where: str, pieces: dict[int, Piece], D: int) -> Partition
                 member_indices=np.asarray(obj.get("members", []), dtype=int),
                 piece=pieces.get(cid),
             )
-        rule = SplitRule(
+        rule = next(rules) if rules is not None else SplitRule(
             mu=_vector(obj["split"]["mu"], D, "split.mu"),
             direction=_vector(obj["split"]["direction"], D, "split.direction"),
         )
@@ -226,9 +258,32 @@ def _obj_to_tree(obj, where: str, pieces: dict[int, Piece], D: int) -> Partition
         raise ParseError(f"{where}: {exc}") from exc
     return Internal(
         rule=rule,
-        left=_obj_to_tree(left, where + ".left", pieces, D),
-        right=_obj_to_tree(right, where + ".right", pieces, D),
+        left=_obj_to_tree(left, where + ".left", pieces, D, rules),
+        right=_obj_to_tree(right, where + ".right", pieces, D, rules),
     )
+
+
+def _split_rules(obj, D: int) -> list[SplitRule] | None:
+    """The split rules of a tree object in depth-first order when every
+    split holds D finite numbers in both vectors, checked together for all
+    splits; None when one fails, for ``_obj_to_tree`` to name."""
+    try:
+        splits, stack = [], [obj]
+        while stack:
+            node = stack.pop()
+            if "leaf" not in node:
+                splits.append(node["split"])
+                stack += [node["right"], node["left"]]
+        if not splits:
+            return []
+        mu = np.array([s["mu"] for s in splits], dtype=float)
+        direction = np.array([s["direction"] for s in splits], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if not (mu.shape == direction.shape == (len(splits), D)
+            and np.isfinite(mu).all() and np.isfinite(direction).all()):
+        return None
+    return [SplitRule(mu=m, direction=v) for m, v in zip(mu, direction)]
 
 
 def _obj_to_piece(obj, where: str, d: int, D: int) -> tuple[int, Piece]:
@@ -322,7 +377,9 @@ def load(path: str) -> SphereletModel:
     parsed = _obj_to_pieces(obj["leaves"], d, D)
     if parsed is None:
         parsed = [_obj_to_piece(o, f"leaves[{i}]", d, D) for i, o in enumerate(obj["leaves"])]
-    tree = _obj_to_tree(obj["tree"], "tree", dict(parsed), D)
+    rules = _split_rules(obj["tree"], D)
+    tree = _obj_to_tree(obj["tree"], "tree", dict(parsed), D,
+                        None if rules is None else iter(rules))
     leaf_ids = sorted(leaf.cell_id for leaf in iter_leaves(tree))
     piece_ids = sorted(cid for cid, _ in parsed)
     if leaf_ids != piece_ids:  # also catches an id used twice on either side

@@ -1,6 +1,6 @@
-"""Shared numeric kernels: symmetric eigendecomposition, exact scaling to
-unit scale, k-nearest neighbors, pairwise distances, seeded Gaussian
-noise.
+"""Shared numeric kernels: symmetric eigendecomposition, row dot products
+and squared norms, exact scaling to unit scale, k-nearest neighbors,
+pairwise distances, seeded Gaussian noise.
 
 Everything here is a pure function of its arguments; results never alias
 their inputs, so values can be shared freely across threads.
@@ -24,6 +24,8 @@ from .exceptions import DimensionError, ParameterError
 KNN_BLOCK = 1 << 20
 # and cuts the rows into k-d leaves of at most this many rows
 KNN_LEAF = 128
+# row_dots adds rows narrower than this one column at a time
+NARROW_ROW = 8
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,14 @@ def sym_eig(S: np.ndarray, rtol: float = 1e-10) -> SymEigResult:
     if np.any(bad):
         raise DimensionError(f"matrix is not symmetric (|S-S^T|={np.max(asym[bad]):.3e})")
     # eigh works on the symmetrized matrix so tiny asymmetries cannot leak in
-    w, Q = np.linalg.eigh(0.5 * (S + St))
+    return eig_desc(0.5 * (S + St))
+
+
+def eig_desc(S: np.ndarray) -> SymEigResult:
+    """``sym_eig`` without its checks, for float matrices (..., n, n) that
+    are exactly symmetric by construction (as scatter sums are): eigh
+    reads their lower triangle, and 0.5 * (S + S') would give S back."""
+    w, Q = np.linalg.eigh(S)
     w, Q = w[..., ::-1], Q[..., ::-1]  # eigh sorts ascending
     top = np.argmax(np.abs(Q), axis=-2)[..., None, :]
     Q = np.where(np.take_along_axis(Q, top, axis=-2) < 0, -Q, Q)
@@ -84,12 +93,25 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    sq = row_dots(A, A)[:, None] + row_dots(B, B)[None, :] - 2.0 * (A @ B.T)
     return np.maximum(sq, 0.0)
+
+
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis of A and B (broadcast against each
+    other): the values of np.sum(A * B, axis=-1), bit for bit.
+
+    Rows narrower than ``NARROW_ROW`` are summed one column at a time,
+    a0 b0 + a1 b1 + ... in order, which are the sums NumPy's reduction
+    makes for them too, without its per-row cost; wider rows take that
+    reduction."""
+    D = A.shape[-1]
+    if not 0 < D < NARROW_ROW:
+        return np.sum(A * B, axis=-1)
+    s = A[..., 0] * B[..., 0]
+    for j in range(1, D):
+        s += A[..., j] * B[..., j]
+    return s
 
 
 def knn(
@@ -118,7 +140,8 @@ def knn(
 
     # direct differences: the norm expansion would leave cancellation
     # residue on the self distance and break exact self-exclusion
-    dist = np.linalg.norm(X - query[None, :], axis=1)
+    diff = X - query[None, :]
+    dist = np.sqrt(row_dots(diff, diff))
     order = np.argsort(dist, kind="stable")
     if exclude_self:
         zero = np.nonzero(dist[order] == 0.0)[0]
@@ -185,7 +208,7 @@ def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray
     # some axis, so its computed distance exceeds b + 2 delta: it can be
     # neither selected nor tied. A fourth delta covers the rounding of the
     # box edges (about eps M).
-    m2 = np.max(np.sum(X * X, axis=1), initial=0.0)
+    m2 = np.max(row_dots(X, X), initial=0.0)
     delta = np.sqrt(8.0 * (X.shape[1] + 2) * np.finfo(float).eps * m2)
     out = np.empty((n, k), dtype=np.intp)
     everyone, scan = np.arange(n), []

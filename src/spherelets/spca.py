@@ -17,8 +17,10 @@ squared norms with centered positions. The center is c = -f_hat / 2.
 ``fit_spheres`` and ``stacked_pca`` fit many point sets at once, each on
 its own: rows (N, D) cut at segment starts, every per-set sum a segment
 reduction (``np.add.reduceat``), the small eigenproblems and solves
-stacked. ``fit_sphere`` is the one-set case, and ``fit_pieces`` holds
-the model's sphere-or-plane policy.
+stacked. The rows are centred once for both, a scatter sums only its
+upper triangle, and row norms add one column at a time
+(``numeric.row_dots``). ``fit_sphere`` is the one-set case, and
+``fit_pieces`` holds the model's sphere-or-plane policy.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .exceptions import (
     ParameterError,
     SingularProjectionError,
 )
-from .numeric import sym_eig
+from .numeric import eig_desc, row_dots
 
 # Fall back to the hyperplane when the reduced scatter is this
 # ill-conditioned or the fitted radius dwarfs the data scale.
@@ -63,7 +65,8 @@ class Hyperplane:
 
     def residual_sq(self, X: np.ndarray) -> np.ndarray:
         """Squared distance of each row of X to the subspace."""
-        return np.sum((X - project_plane(X, self)) ** 2, axis=-1)
+        R = X - project_plane(X, self)
+        return row_dots(R, R)
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,25 @@ def _segments(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return X, starts, np.diff(starts, append=X.shape[0])
 
 
-def _outer_sums(A: np.ndarray, B: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment sums of the outer products a_r b_r' (m, p, q), taken one
-    column of B at a time so that memory stays O(N p)."""
-    return np.stack([np.add.reduceat(A * b[:, None], starts) for b in B.T], axis=-1)
+def _scatter_sums(A: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-segment sums of the outer products a_r a_r' (m, p, p). Column q
+    of the upper triangle is summed from the products of A's first q + 1
+    columns with column q, so that memory stays O(N p), and mirrored: the
+    products commute, so the lower triangle would sum to the same."""
+    p = A.shape[1]
+    out = np.empty((starts.size, p, p))
+    for q in range(p):
+        out[:, : q + 1, q] = np.add.reduceat(A[:, : q + 1] * A[:, q : q + 1], starts)
+        out[:, q, :q] = out[:, :q, q]
+    return out
+
+
+def _centred_pca(X: np.ndarray, starts: np.ndarray,
+                 sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``stacked_pca`` of validated non-empty segments, and the centred rows."""
+    mu = np.add.reduceat(X, starts) / sizes[:, None]
+    Xc = X - np.repeat(mu, sizes, axis=0)
+    return mu, Xc, eig_desc(_scatter_sums(Xc, starts)).eigenvectors
 
 
 def stacked_pca(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -151,9 +169,8 @@ def stacked_pca(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     X, starts, sizes = _segments(X, starts)
     if np.any(sizes == 0):
         raise InsufficientDataError("a point set has no rows")
-    mu = np.add.reduceat(X, starts) / sizes[:, None]
-    Xc = X - np.repeat(mu, sizes, axis=0)
-    return mu, sym_eig(_outer_sums(Xc, Xc, starts)).eigenvectors
+    mu, _, axes = _centred_pca(X, starts, sizes)
+    return mu, axes
 
 
 def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> tuple[list[Piece], np.ndarray]:
@@ -242,7 +259,7 @@ def sphere_fit_loss(Y: np.ndarray, f: np.ndarray, b: float | None = None) -> flo
     f = np.asarray(f, dtype=float).ravel()
     if f.shape[0] != Y.shape[1]:
         raise DimensionError(f"f has dimension {f.shape[0]}, points have {Y.shape[1]}")
-    t = np.sum(Y * Y, axis=1) + Y @ f
+    t = row_dots(Y, Y) + Y @ f
     if b is None:
         b = -float(np.mean(t))
     return float(np.sum((t + b) ** 2))
@@ -252,7 +269,7 @@ def optimal_offset(Y: np.ndarray, f: np.ndarray) -> float:
     """The b minimizing the algebraic loss at fixed f."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     f = np.asarray(f, dtype=float).ravel()
-    return -float(np.mean(np.sum(Y * Y, axis=1) + Y @ f))
+    return -float(np.mean(row_dots(Y, Y) + Y @ f))
 
 
 def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
@@ -284,19 +301,19 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
         raise InsufficientDataError(f"need at least {d + 2} points for a {d}-sphere, got {sizes.min()}")
     if d + 1 > X.shape[1]:
         raise DimensionError(f"frame width {d + 1} exceeds ambient dimension {X.shape[1]}")
-    mu, axes = stacked_pca(X, starts)
+    mu, Xc, axes = _centred_pca(X, starts, sizes)
     V = axes[:, :, : d + 1]
-    Xc = X - np.repeat(mu, sizes, axis=0)
 
     Z = (Xc[:, None, :] @ np.repeat(V, sizes, axis=0))[:, 0]  # reduced coordinates
     Zc = Z - np.repeat(np.add.reduceat(Z, starts) / sizes[:, None], sizes, axis=0)
-    l = np.sum(Z * Z, axis=1)
+    l = row_dots(Z, Z)
     lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
-    Hs = _outer_sums(Zc, Zc, starts)
-    xi = _outer_sums(Zc, lc[:, None], starts)
+    Hs = _scatter_sums(Zc, starts)
+    xi = np.add.reduceat(Zc * lc[:, None], starts)[:, :, None]
 
     h_cond = np.linalg.cond(Hs)
-    diameter = 2.0 * np.maximum.reduceat(np.linalg.norm(Xc, axis=1), starts)
+    # sqrt is monotone: the root of the largest square is the largest norm
+    diameter = 2.0 * np.sqrt(np.maximum.reduceat(row_dots(Xc, Xc), starts))
     ok = np.isfinite(h_cond) & (h_cond <= H_CONDITION_LIMIT)
     Hs[~ok] = np.eye(d + 1)  # sets judged singular solve a dummy system
     try:
@@ -310,8 +327,8 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
                 ok[i] = False
     c_z = -0.5 * f_z[:, :, 0]
     center = mu + (V @ c_z[:, :, None])[:, :, 0]
-    radius = np.add.reduceat(np.linalg.norm(Z - np.repeat(c_z, sizes, axis=0), axis=1),
-                             starts) / sizes
+    Zr = Z - np.repeat(c_z, sizes, axis=0)
+    radius = np.add.reduceat(np.sqrt(row_dots(Zr, Zr)), starts) / sizes
     ok &= np.isfinite(radius) & (radius <= RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
     return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
                       radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond)
@@ -355,7 +372,7 @@ def _sphere_images(
     mask that is False where a row projects onto the center and its image
     is undefined."""
     W = ((x - center) @ frame) @ np.swapaxes(frame, -1, -2)
-    norms = np.linalg.norm(W, axis=-1)
+    norms = np.sqrt(row_dots(W, W))
     regular = ~(norms < 1e-12 * radius)
     scale = np.divide(radius, norms, out=np.full_like(norms, np.nan), where=regular)
     return center + scale[..., None] * W, regular
@@ -389,11 +406,12 @@ def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
     if s.degenerate:
         return s.plane.residual_sq(X)
     diff = X - s.center
-    in_norm = np.linalg.norm(diff @ s.frame, axis=1)
+    inner = diff @ s.frame
+    in_norm = np.sqrt(row_dots(inner, inner))
     if s.frame.shape[1] == s.frame.shape[0]:
         perp_sq = 0.0  # full frame: no out-of-subspace component
     else:
-        total = np.sum(diff * diff, axis=1)
+        total = row_dots(diff, diff)
         perp_sq = np.maximum(total - in_norm**2, 0.0)
     return (in_norm - s.radius) ** 2 + perp_sq
 
@@ -420,7 +438,7 @@ def project_spheres(P: np.ndarray, fits: SphereFits) -> tuple[np.ndarray, np.nda
 def sphere_arcs(U: np.ndarray, W: np.ndarray, radius: float | np.ndarray) -> np.ndarray:
     """Great-circle distances r * arccos(u'w / r^2) between sphere points
     given relative to the center (last axis), clamped against round-off."""
-    cosang = np.sum(U * W, axis=-1) / (radius * radius)
+    cosang = row_dots(U, W) / (radius * radius)
     return radius * np.arccos(np.clip(cosang, -1.0, 1.0))
 
 

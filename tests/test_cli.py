@@ -222,3 +222,26 @@ def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):
     assert printed == [f"overall_mse={overall:.17g}"] + [
         f"cell {cid}: mse={per_cell[cid]:.17g}" for cid in sorted(per_cell)]
     assert np.array_equal(load_csv(str(out)), expect_proj)
+
+
+def test_fit_prints_the_routed_train_mse(tmp_path, monkeypatch, capsys):
+    # fit projects each leaf's members instead of routing the training rows
+    # again; the printed train_mse is the one routing gives
+    from spherelets import model as model_mod
+    from spherelets.model import load
+
+    data, model = tmp_path / "e.csv", tmp_path / "m.json"
+    assert run("generate", "--dataset", "enneper", "--n", "2000", "--seed", "3",
+               "--out", str(data)) == EXIT_OK
+    capsys.readouterr()
+    with monkeypatch.context() as mp:
+        def refuse(*args):
+            raise AssertionError("fit routed its training rows")
+        mp.setattr(model_mod, "leaf_rows", refuse)
+        assert run("fit", "--input", str(data), "--d", "2", "--eps", "1e-5",
+                   "--out", str(model)) == EXIT_OK
+    fitted = load(str(model))
+    train_mse, _ = fitted.mse(load_csv(str(data)))
+    assert capsys.readouterr().out == (
+        f"pieces={fitted.n_pieces} train_mse={train_mse:.6e} model={model}\n")
+    assert fitted.n_pieces > 3

@@ -275,3 +275,13 @@ def test_local_fits_use_only_neighbors_within_support():
     assert np.allclose(out[-1], expect, atol=1e-12)
     wide = project_plane(far[-1], fit_hyperplane(far[nbr[-1]], cfg.d - 1))
     assert not np.allclose(out[-1], wide, atol=1e-6)  # the floor is what decided
+
+
+def test_hood_distances_equal_the_row_sum_they_replaced():
+    # the squared distances add the columns in order, as np.sum over the
+    # 2-wide rows does: bit-equal on the 4000-point spiral
+    X = noisy_spiral(4000, 0.2, seed=0).points
+    nbr = knn_indices(X, 36)
+    hoods, d2 = denoise_mod._hoods(X, nbr)
+    assert np.array_equal(hoods, X[nbr])
+    assert np.array_equal(d2, np.sum((X[nbr] - X[:, None, :]) ** 2, axis=2))

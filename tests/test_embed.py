@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spherelets.datasets import enneper, sphere_sample
+from spherelets.datasets import enneper, noisy_spiral, sphere_sample
 from spherelets.embed import (
     DISTANCE_MODES,
     EmbedConfig,
@@ -24,7 +24,7 @@ from spherelets.embed import (
     spherical_knn_distances,
 )
 from spherelets.exceptions import ParameterError, SingularProjectionError
-from spherelets.numeric import knn_indices, seeded_gaussian
+from spherelets.numeric import knn_indices, seeded_gaussian, unit_scale
 from spherelets.spca import (
     fit_sphere,
     fit_spheres,
@@ -374,6 +374,34 @@ def test_spherical_distances_match_looped_fits():
     assert np.max(np.abs(D[fin] - expect[fin]) / expect[fin]) <= 1e-10
 
 
+def _reference_spherical_distances(X, d, k):
+    """spherical_knn_distances by its earlier row formulas: np.linalg.norm
+    rows and np.sum dot products."""
+    n, D = X.shape
+    X, e = unit_scale(X)
+    nbr = knn_indices(X, k)
+    hoods = X[nbr]
+    fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
+    c, r = fits.center[:, None, :], fits.radius[:, None]
+    P = np.concatenate([X[:, None, :], hoods], axis=1)
+    W = ((P - c) @ fits.frame) @ np.swapaxes(fits.frame, 1, 2)
+    norms = np.linalg.norm(W, axis=-1)
+    ok = ~fits.degenerate & (norms >= 1e-12 * r).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        U = c + (r / norms)[..., None] * W - c  # the projections, relative to the center
+    cosang = np.sum(U[:, :1] * U[:, 1:], axis=-1) / (r * r)
+    rows = np.linalg.norm(hoods - X[:, None, :], axis=2)
+    rows[ok] = (r * np.arccos(np.clip(cosang, -1.0, 1.0)))[ok]
+    return embed_mod._knn_pairs(nbr, np.ldexp(rows, e))
+
+
+def test_spherical_distances_equal_the_formulas_they_replaced():
+    X = noisy_spiral(4000, 0.2, seed=0).points
+    got, expect = spherical_knn_distances(X, 1, 20), _reference_spherical_distances(X, 1, 20)
+    for field in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(got, field), getattr(expect, field))
+
+
 def test_spherical_distances_fit_every_hood_in_one_call(monkeypatch):
     X = _mixed_cloud()
     calls, real = [], embed_mod.fit_spheres
@@ -554,9 +582,11 @@ def test_repulsion_matches_dense_formula(n, m, block, log_scale, seed):
     Y = np.random.default_rng(seed).normal(0.0, 10.0**log_scale, size=(n, m))
     with mock.patch.object(embed_mod, "REPULSION_BLOCK", n * n + 1 if block is None else block):
         Z, rep = embed_mod._repulsion(Y)
+        Z_alone = embed_mod._normalizer(Y)
     Z_dense, rep_dense = _dense_repulsion(Y)
     assert abs(Z - Z_dense) <= 1e-12 * Z_dense
     assert _rel(rep, rep_dense) <= 1e-12
+    assert Z_alone == Z  # the objective's Z-only pass sums the same blocks in the same order
 
 
 def test_kl_gradient_reads_a_symmetric_p_once_per_pair():
@@ -572,6 +602,33 @@ def test_kl_gradient_reads_a_symmetric_p_once_per_pair():
     expect = _dense_oracle(P, Y)[0]
     for form in (P, embed_mod._pairs(P), mirrored):
         assert _rel(kl_gradient(form, Y), expect) <= 1e-12
+
+
+def test_kl_objective_needs_only_the_z_pass(monkeypatch):
+    P = embed_mod._pairs(_knn_affinities(300, 16))
+    Y = np.random.default_rng(17).normal(size=(300, 2))
+    keep = P.vals > 0.0
+    q = embed_mod._support_kernel(P.rows[keep], P.cols[keep], Y)[1] / embed_mod._repulsion(Y)[0]
+    expect = float(np.sum(P.vals[keep] * np.log(P.vals[keep] / q)))
+
+    def refuse(Y):
+        raise AssertionError("the objective ran the repulsion rows")
+
+    monkeypatch.setattr(embed_mod, "_repulsion", refuse)
+    assert kl_objective(P, Y) == expect
+
+
+def test_kl_gradient_selects_the_upper_triangle_once_per_pairs():
+    dense = _knn_affinities(200, 18)
+    P = embed_mod._pairs(dense)
+    Y = np.random.default_rng(19).normal(size=(200, 2))
+    grad = kl_gradient(P, Y)
+    rows, cols, vals = upper = P.upper
+    assert P.upper is upper  # kept on the frozen pairs, not selected again
+    assert np.all(rows < cols) and 2 * rows.size == P.rows.size
+    assert np.array_equal(dense[rows, cols], vals)
+    assert np.array_equal(kl_gradient(P, Y), grad)
+    assert np.array_equal(kl_gradient(dense, Y), grad)  # a dense P selects its own
 
 
 def test_kl_objective_infinite_when_support_q_vanishes():

@@ -476,3 +476,63 @@ def test_load_checks_valid_pieces_together(tmp_path, monkeypatch):
     path.write_text(json.dumps(obj))
     with pytest.raises(ParseError, match=r"^leaves\[1\] \(leaf 1\): mu: expected 2 finite"):
         load(str(path))
+
+
+def test_train_mse_projects_leaf_members_as_routing_would():
+    X = enneper(3000, 1.0, seed=6)
+    model = fit(X, 2, 1e-5)
+    cells = partition.route_many(X, model.tree)
+    for leaf in iter_leaves(model.tree):  # the members are the rows routing gives
+        assert np.array_equal(leaf.member_indices, np.flatnonzero(cells == leaf.cell_id))
+    overall, per_cell = model.train_mse(X)
+    assert (overall, per_cell) == model.mse(X)
+    assert len(per_cell) == model.n_pieces > 3
+    with pytest.raises(ParameterError, match="training rows"):
+        model.train_mse(X[:-1])
+
+
+def test_load_checks_valid_splits_together(tmp_path, monkeypatch):
+    # a valid file never reaches the one-vector check; an invalid split is
+    # named as the split-by-split walk names it
+    def split(mu, direction, left, right):
+        return {"split": {"mu": mu, "direction": direction}, "left": left, "right": right}
+
+    def leaf(cid):
+        return {"leaf": cid, "members": []}
+
+    obj = _two_sphere_model()
+    obj["tree"] = split([0.0, 0.0], [1.0, 0.0], split([2.0, 0.0], [0.0, -1.0], leaf(0), leaf(1)),
+                        split([0.0, 0.0], [0.0, 1.0], leaf(2), leaf(3)))
+    obj["leaves"] += [{"id": c, "kind": "plane", "mu": [0.0, 0.0], "frame": [[0.6], [0.8]]}
+                      for c in (2, 3)]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+
+    def refuse(*args):
+        raise AssertionError("one-vector check on a valid file")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(model_mod, "_vector", refuse)
+        model = load(str(path))
+    root = model.tree
+    assert isinstance(root.left, partition.Internal) and isinstance(root.right, partition.Internal)
+    assert [(n.rule.mu.tolist(), n.rule.direction.tolist()) for n in (root, root.left, root.right)] == [
+        ([0.0, 0.0], [1.0, 0.0]), ([2.0, 0.0], [0.0, -1.0]), ([0.0, 0.0], [0.0, 1.0])]
+    assert [route(np.array(x), root) for x in ([1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0])] == [
+        0, 1, 2, 3]
+    for bad, message in [
+        ({"mu": [0.0, float("inf")], "direction": [0.0, 1.0]},
+         r"^tree\.right: split\.mu: expected 2 finite numbers"),
+        ({"mu": [0.0, 0.0], "direction": [0.0, 1.0, 0.0]},
+         r"^tree\.right: split\.direction: expected 2 finite numbers"),
+        ({"mu": "origin", "direction": [0.0, 1.0]}, r"^tree\.right: could not convert"),
+        ({"direction": [0.0, 1.0]}, r"^tree\.right: missing field 'mu'"),
+    ]:
+        obj["tree"]["right"]["split"] = bad
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=message):
+            load(str(path))
+    obj["tree"]["right"] = {"split": {"mu": [0.0, 0.0], "direction": [0.0, 1.0]}, "left": {"leaf": 1}}
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=r"^tree\.right: missing field 'right'"):
+        load(str(path))

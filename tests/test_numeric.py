@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from spherelets.exceptions import DimensionError, ParameterError
 from spherelets.numeric import (
+    eig_desc,
     knn,
     knn_indices,
     pairwise_sq_dists,
+    row_dots,
     seeded_gaussian,
     sym_eig,
 )
@@ -63,6 +65,34 @@ def test_sym_eig_rejects_asymmetric_and_nonsquare():
         sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(DimensionError):
         sym_eig(np.ones((2, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(D=st.integers(0, 16), lead=st.lists(st.integers(1, 5), max_size=2),
+       broadcast=st.booleans(), special=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_row_dots_equal_numpy_row_reductions_property(D, lead, broadcast, special, seed):
+    # narrow rows add one column at a time: the same sums as NumPy's row
+    # reduction, so every D gives its values bit for bit, NaN and inf too
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(*lead, D)) * 10.0 ** rng.integers(-200, 200, size=(*lead, D))
+    B = rng.normal(size=(*lead[:-1], 1, D) if broadcast and lead else (*lead, D))
+    if special and A.size:
+        A.flat[rng.integers(A.size)] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 5e-324])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(row_dots(A, B), np.sum(A * B, axis=-1), equal_nan=True)
+        assert np.array_equal(np.sqrt(row_dots(A, A)), np.linalg.norm(A, axis=-1), equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), stack=st.lists(st.integers(1, 4), max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_eig_desc_equals_sym_eig_on_symmetric_matrices(n, stack, seed):
+    A = np.random.default_rng(seed).normal(size=(*stack, n, n + 3))
+    S = A @ np.swapaxes(A, -1, -2)
+    S = np.triu(S) + np.swapaxes(np.triu(S, 1), -1, -2)  # exactly symmetric
+    got, expect = eig_desc(S), sym_eig(S)
+    assert np.array_equal(got.eigenvalues, expect.eigenvalues)
+    assert np.array_equal(got.eigenvectors, expect.eigenvectors)
 
 
 def test_knn_simple_1d():

@@ -578,6 +578,78 @@ def test_ragged_rows_equal_single_set_calls_property(case):
         assert np.array_equal(mu[i], mu1[0]) and np.array_equal(axes[i], axes1[0])
 
 
+# -- the kernels against the formulas they replaced -------------------------
+
+
+def _reference_outer_sums(A, B, starts):
+    """Per-segment sums of a_r b_r', both halves of a scatter summed."""
+    return np.stack([np.add.reduceat(A * b[:, None], starts) for b in B.T], axis=-1)
+
+
+def _reference_fit_spheres(X, starts, d):
+    """fit_spheres by its earlier formulas: np.linalg.norm / np.sum rows,
+    full outer sums, the checked sym_eig and a second centring."""
+    starts = np.asarray(starts)
+    sizes = np.diff(starts, append=X.shape[0])
+    mu = np.add.reduceat(X, starts) / sizes[:, None]
+    Xc = X - np.repeat(mu, sizes, axis=0)
+    V = sym_eig(_reference_outer_sums(Xc, Xc, starts)).eigenvectors[:, :, : d + 1]
+    Xc = X - np.repeat(mu, sizes, axis=0)
+    Z = (Xc[:, None, :] @ np.repeat(V, sizes, axis=0))[:, 0]
+    Zc = Z - np.repeat(np.add.reduceat(Z, starts) / sizes[:, None], sizes, axis=0)
+    l = np.sum(Z * Z, axis=1)
+    lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
+    Hs = _reference_outer_sums(Zc, Zc, starts)
+    xi = _reference_outer_sums(Zc, lc[:, None], starts)
+    h_cond = np.linalg.cond(Hs)
+    diameter = 2.0 * np.maximum.reduceat(np.linalg.norm(Xc, axis=1), starts)
+    ok = np.isfinite(h_cond) & (h_cond <= spca.H_CONDITION_LIMIT)
+    Hs[~ok] = np.eye(d + 1)
+    c_z = 0.5 * np.linalg.solve(Hs, xi)[:, :, 0]
+    center = mu + (V @ c_z[:, :, None])[:, :, 0]
+    radius = np.add.reduceat(np.linalg.norm(Z - np.repeat(c_z, sizes, axis=0), axis=1),
+                             starts) / sizes
+    ok &= np.isfinite(radius) & (radius <= spca.RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
+    return spca.SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
+                           radius=np.where(ok, radius, np.inf), degenerate=~ok, h_condition=h_cond)
+
+
+@st.composite
+def _wide_ragged_sets(draw):
+    """Point sets of random sizes >= d + 2 in R^D for D up to 16, at
+    scales from 1e-150 to 1e150, optionally with a collinear set."""
+    D = draw(st.integers(1, 16), label="D")
+    d = draw(st.integers(0, min(D - 1, 3)), label="d")
+    sizes = draw(st.lists(st.integers(d + 2, 40), min_size=1, max_size=6), label="sizes")
+    scale = 10.0 ** draw(st.integers(-150, 150), label="log_scale")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    sets = [scale * (rng.uniform(-10, 10, D) + rng.uniform(1e-2, 1e2) * rng.normal(size=(k, D)))
+            for k in sizes]
+    if draw(st.booleans(), label="collinear"):
+        t = rng.normal(size=d + 2 + draw(st.integers(0, 10), label="extra"))
+        sets.insert(len(sets) // 2, scale * (rng.normal(size=D) + t[:, None] * rng.normal(size=D)))
+    return d, sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_wide_ragged_sets())
+def test_fit_kernels_equal_the_formulas_they_replaced_property(case):
+    # rows narrower than numeric.NARROW_ROW add one column at a time, the
+    # sums NumPy's reduction makes for them; wider rows take that
+    # reduction, so every output is bit-equal at every D
+    d, sets = case
+    X, starts = _ragged(sets)
+    with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
+        fits, expect = fit_spheres(X, starts, d), _reference_fit_spheres(X, starts, d)
+    for field in ("mu", "frame", "center", "radius", "degenerate", "h_condition"):
+        assert np.array_equal(getattr(fits, field), getattr(expect, field), equal_nan=True), field
+    mu, axes = stacked_pca(X, starts)
+    assert np.array_equal(mu, expect.mu) and np.array_equal(axes[:, :, : d + 1], expect.frame)
+    scatter = spca._scatter_sums(X, starts)
+    assert np.array_equal(scatter, _reference_outer_sums(X, X, starts))
+    assert np.array_equal(scatter, np.swapaxes(scatter, 1, 2))
+
+
 # -- properties ----------------------------------------------------------------
 
 
