@@ -226,90 +226,38 @@ def save(model: SphereletModel, path: str) -> None:
         fh.write(json.dumps(obj) + "\n")  # json.dump would run the pure-Python encoder
 
 
-def _vector(value, D: int, name: str) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.shape != (D,) or not np.all(np.isfinite(v)):
-        raise ValueError(f"{name}: expected {D} finite numbers, got {value!r}")
-    return v
+# what a malformed value of a parsed model file raises when it is read
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
-def _obj_to_tree(obj, where: str, pieces: dict[int, Piece], D: int, rules=None) -> PartitionNode:
-    """The tree of a tree object. ``rules`` yields the split rules in
-    depth-first order when ``_split_rules`` has checked them all; without
-    it each split is checked here."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
+def _named(check, entries: list, name_of):
+    """``check(entries)``, one stacked check of a list of model-file
+    entries. When it fails, each entry is checked alone in list order and
+    ParseError names the first that fails, entry i as ``name_of(i)``, with
+    the reason."""
     try:
-        if "leaf" in obj:
-            cid = int(obj["leaf"])
-            return Leaf(
-                cell_id=cid,
-                member_indices=np.asarray(obj.get("members", []), dtype=int),
-                piece=pieces.get(cid),
-            )
-        rule = next(rules) if rules is not None else SplitRule(
-            mu=_vector(obj["split"]["mu"], D, "split.mu"),
-            direction=_vector(obj["split"]["direction"], D, "split.direction"),
-        )
-        left, right = obj["left"], obj["right"]
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    return Internal(
-        rule=rule,
-        left=_obj_to_tree(left, where + ".left", pieces, D, rules),
-        right=_obj_to_tree(right, where + ".right", pieces, D, rules),
-    )
+        return check(entries)
+    except _MALFORMED as exc:
+        failure = exc
+    for i, entry in enumerate(entries):
+        try:
+            check([entry])
+        except _MALFORMED as exc:
+            raise ParseError(f"{name_of(i)}: {_reason(exc)}") from exc
+    raise ParseError(_reason(failure)) from failure
 
 
-def _split_rules(obj, D: int) -> list[SplitRule] | None:
-    """The split rules of a tree object in depth-first order when every
-    split holds D finite numbers in both vectors, checked together for all
-    splits; None when one fails, for ``_obj_to_tree`` to name."""
-    try:
-        splits, stack = [], [obj]
-        while stack:
-            node = stack.pop()
-            if "leaf" not in node:
-                splits.append(node["split"])
-                stack += [node["right"], node["left"]]
-        if not splits:
-            return []
-        mu = np.array([s["mu"] for s in splits], dtype=float)
-        direction = np.array([s["direction"] for s in splits], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-    if not (mu.shape == direction.shape == (len(splits), D)
-            and np.isfinite(mu).all() and np.isfinite(direction).all()):
-        return None
-    return [SplitRule(mu=m, direction=v) for m, v in zip(mu, direction)]
+def _reason(exc: Exception) -> str:
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _obj_to_piece(obj, where: str, d: int, D: int) -> tuple[int, Piece]:
-    try:
-        cid, kind = int(obj["id"]), obj["kind"]
-        where = f"{where} (leaf {cid})"
-        if kind not in ("plane", "sphere"):
-            raise ValueError(f"unknown piece kind {kind!r}")
-        sphere = kind == "sphere"
-        mu, frame = _vector(obj["mu"], D, "mu"), np.asarray(obj["frame"], dtype=float)
-        if (frame.ndim != 2 or frame.shape[0] != D or (sphere and frame.shape[1] != d + 1)
-                or not np.all(np.isfinite(frame))):
-            want = f"{D} x {d + 1}" if sphere else f"{D}-row"
-            raise ValueError(f"frame must be a finite {want} matrix, got shape {frame.shape}")
-        ortho = _frame_errors(frame[None])[0]
-        if ortho > FRAME_TOL:
-            raise ValueError(f"frame columns are not orthonormal: |F'F - I| = {ortho:.3g}")
-        if not sphere:
-            return cid, Hyperplane(mu=mu, frame=frame)
-        radius = float(obj["radius"])
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError(f"sphere radius {radius!r} is not finite and positive")
-        return cid, Spherelet(frame=frame, center=_vector(obj["center"], D, "center"),
-                              radius=radius, mu=mu)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+def _finite(values: list, shape: tuple[int, int], name: str) -> np.ndarray:
+    """The vectors ``values`` stacked into a finite array of this shape;
+    the error shows the first vector, the one a one-entry check holds."""
+    a = np.array(values, dtype=float) if values else np.empty(shape)
+    if a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name}: expected {shape[1]} finite numbers, got {values[0]!r}")
+    return a
 
 
 def _frame_errors(F: np.ndarray) -> np.ndarray:
@@ -317,51 +265,101 @@ def _frame_errors(F: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.swapaxes(F, 1, 2) @ F - np.eye(F.shape[2]), axis=(1, 2))
 
 
-def _obj_to_pieces(objs, d: int, D: int) -> list[tuple[int, Piece]] | None:
-    """The (id, piece) of each piece object when every one passes the
-    checks of ``_obj_to_piece``, made together for all pieces of one kind
-    and frame width; None when one fails, for ``_obj_to_piece`` to name."""
+def _width(frame) -> int:
+    """The length of a frame's first row; 0 when it has none."""
     try:
-        ids = [int(o["id"]) for o in objs]
-        groups: dict[tuple[str, int], list[int]] = {}
-        for i, o in enumerate(objs):
-            groups.setdefault((o["kind"], len(o["frame"][0])), []).append(i)
-        parsed = [None] * len(objs)
-        for (kind, width), members in groups.items():
-            group, m = [objs[i] for i in members], len(members)
-            mu = np.array([o["mu"] for o in group], dtype=float)
-            F = np.array([o["frame"] for o in group], dtype=float)
-            if (kind not in ("plane", "sphere") or (kind == "sphere" and width != d + 1)
-                    or mu.shape != (m, D) or F.shape != (m, D, width)
-                    or not (np.isfinite(mu).all() and np.isfinite(F).all())
-                    or not np.all(_frame_errors(F) <= FRAME_TOL)):
-                return None
-            if kind == "sphere":
-                radius = [float(o["radius"]) for o in group]
-                center = np.array([o["center"] for o in group], dtype=float)
-                if (center.shape != (m, D) or not np.isfinite(center).all()
-                        or not all(math.isfinite(r) and r > 0.0 for r in radius)):
-                    return None
-            for j, i in enumerate(members):
-                parsed[i] = ids[i], (Hyperplane(mu=mu[j], frame=F[j]) if kind == "plane" else
-                                     Spherelet(frame=F[j], center=center[j], radius=radius[j],
-                                               mu=mu[j]))
-        return parsed
-    except (IndexError, KeyError, TypeError, ValueError):
-        return None
+        return len(frame[0])
+    except _MALFORMED:
+        return 0
+
+
+def _check_pieces(objs: list, d: int, D: int) -> list[tuple[int, Piece]]:
+    """The (id, piece) of each piece object, checked together for all
+    pieces of one kind and frame width."""
+    ids = [int(o["id"]) for o in objs]
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, o in enumerate(objs):
+        groups.setdefault((o["kind"], _width(o["frame"])), []).append(i)
+    parsed = [None] * len(objs)
+    for (kind, width), members in groups.items():
+        if kind not in ("plane", "sphere"):
+            raise ValueError(f"unknown piece kind {kind!r}")
+        sphere, group, m = kind == "sphere", [objs[i] for i in members], len(members)
+        mu = _finite([o["mu"] for o in group], (m, D), "mu")
+        F = np.array([o["frame"] for o in group], dtype=float)
+        if F.shape != (m, D, width) or (sphere and width != d + 1) or not np.isfinite(F).all():
+            want = f"{D} x {d + 1}" if sphere else f"{D}-row"
+            raise ValueError(f"frame must be a finite {want} matrix, got shape {F.shape[1:]}")
+        ortho = _frame_errors(F).max()
+        if ortho > FRAME_TOL:
+            raise ValueError(f"frame columns are not orthonormal: |F'F - I| = {ortho:.3g}")
+        if sphere:
+            radius = [float(o["radius"]) for o in group]
+            for r in radius:
+                if not (math.isfinite(r) and r > 0.0):
+                    raise ValueError(f"sphere radius {r!r} is not finite and positive")
+            center = _finite([o["center"] for o in group], (m, D), "center")
+        for j, i in enumerate(members):
+            parsed[i] = ids[i], (Spherelet(frame=F[j], center=center[j], radius=radius[j], mu=mu[j])
+                                 if sphere else Hyperplane(mu=mu[j], frame=F[j]))
+    return parsed
+
+
+def _piece_name(i: int, obj) -> str:
+    """``leaves[i] (leaf <id>)``, without the id when it is not an integer."""
+    try:
+        return f"leaves[{i}] (leaf {int(obj['id'])})"
+    except _MALFORMED:
+        return f"leaves[{i}]"
+
+
+def _tree_nodes(tree) -> tuple[list, list[str]]:
+    """The nodes of a tree object in depth-first order and the path of
+    each, e.g. ``tree.right.left``. A node is walked into only when it is
+    a split object; ``_check_nodes`` checks them all."""
+    nodes, paths, stack = [], [], [(tree, "tree")]
+    while stack:
+        node, path = stack.pop()
+        nodes.append(node)
+        paths.append(path)
+        if isinstance(node, dict) and "leaf" not in node:
+            stack += [(node[side], f"{path}.{side}") for side in ("right", "left") if side in node]
+    return nodes, paths
+
+
+def _check_nodes(nodes: list, D: int) -> tuple[list[SplitRule], list[tuple[int, np.ndarray]]]:
+    """The split rules and the (id, members) of the leaves among tree node
+    objects, each in the nodes' order; the splits are checked together."""
+    if not all(isinstance(o, dict) for o in nodes):
+        raise TypeError("expected an object")
+    splits = [o for o in nodes if "leaf" not in o]
+    mu = _finite([o["split"]["mu"] for o in splits], (len(splits), D), "split.mu")
+    direction = _finite([o["split"]["direction"] for o in splits], (len(splits), D),
+                        "split.direction")
+    for o in splits:
+        if "left" not in o or "right" not in o:
+            raise KeyError("left" if "left" not in o else "right")
+    leaves = [(int(o["leaf"]), np.asarray(o.get("members", []), dtype=int))
+              for o in nodes if "leaf" in o]
+    return [SplitRule(mu=m, direction=v) for m, v in zip(mu, direction)], leaves
 
 
 def load(path: str) -> SphereletModel:
     """Load a model file; raises ParseError / VersionError on bad input,
     including a piece or split whose shapes do not fit d and D, a
-    non-finite array, a frame whose columns are not orthonormal within
-    ``FRAME_TOL``, a sphere radius that is not finite and positive, and
-    leaf ids that do not pair each tree leaf with exactly one piece."""
+    non-finite number or one out of float range, a frame whose columns are
+    not orthonormal within ``FRAME_TOL``, a sphere radius that is not
+    finite and positive, leaf ids that do not pair each tree leaf with
+    exactly one piece, and nesting too deep to parse. A bad piece is named
+    as the first in file order, a bad tree node as the first in
+    depth-first order."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be an object")
     version = obj.get("version")
@@ -370,22 +368,31 @@ def load(path: str) -> SphereletModel:
     for key in ("d", "D", "fitter", "tree", "leaves"):
         if key not in obj:
             raise ParseError(f"{path}: missing field {key!r}")
+    if not isinstance(obj["leaves"], list):
+        raise ParseError(f"{path}: leaves must be a list")
     try:
         d, D = int(obj["d"]), int(obj["D"])
-    except (TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    parsed = _obj_to_pieces(obj["leaves"], d, D)
-    if parsed is None:
-        parsed = [_obj_to_piece(o, f"leaves[{i}]", d, D) for i, o in enumerate(obj["leaves"])]
-    rules = _split_rules(obj["tree"], D)
-    tree = _obj_to_tree(obj["tree"], "tree", dict(parsed), D,
-                        None if rules is None else iter(rules))
-    leaf_ids = sorted(leaf.cell_id for leaf in iter_leaves(tree))
+    objs = obj["leaves"]
+    parsed = _named(lambda entries: _check_pieces(entries, d, D), objs,
+                    lambda i: _piece_name(i, objs[i]))
+    nodes, paths = _tree_nodes(obj["tree"])
+    rules, leaves = _named(lambda entries: _check_nodes(entries, D), nodes, paths.__getitem__)
+    leaf_ids = sorted(cid for cid, _ in leaves)
     piece_ids = sorted(cid for cid, _ in parsed)
     if leaf_ids != piece_ids:  # also catches an id used twice on either side
         raise ParseError(f"{path}: tree leaves {leaf_ids} do not match pieces {piece_ids}")
+    pieces, built = dict(parsed), []
+    for node in reversed(nodes):  # children before parents, the right child first
+        if "leaf" in node:
+            cid, members = leaves.pop()
+            built.append(Leaf(cell_id=cid, member_indices=members, piece=pieces[cid]))
+        else:
+            left, right = built.pop(), built.pop()
+            built.append(Internal(rule=rules.pop(), left=left, right=right))
     return SphereletModel(
-        tree=tree,
+        tree=built.pop(),
         d=d,
         D=D,
         fitter=str(obj["fitter"]),

@@ -125,15 +125,6 @@ def leaf_rows(X: np.ndarray, tree: PartitionNode):
         stack.append((node.left, rows[left]))
 
 
-def route_many(X: np.ndarray, tree: PartitionNode) -> np.ndarray:
-    """Cell id of the leaf each row of X falls into, as ``route`` gives it."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    cells = np.empty(X.shape[0], dtype=int)
-    for leaf, rows in leaf_rows(X, tree):
-        cells[rows] = leaf.cell_id
-    return cells
-
-
 def iter_leaves(tree: PartitionNode):
     """Depth-first iteration over leaves."""
     stack = [tree]
@@ -144,9 +135,3 @@ def iter_leaves(tree: PartitionNode):
         else:
             stack.append(node.right)
             stack.append(node.left)
-
-
-def tree_depth(tree: PartitionNode) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return 1 + max(tree_depth(tree.left), tree_depth(tree.right))

@@ -5,6 +5,7 @@ import pytest
 
 from spherelets.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from spherelets.datasets import load_csv
+from spherelets.exceptions import ParseError
 
 
 def run(*argv):
@@ -188,6 +189,56 @@ def test_exit_data_on_negative_radius_model(tmp_path, capsys):
     assert run("project", "--model", str(mpath), "--input", str(data),
                "--out", str(tmp_path / "p.csv")) == EXIT_DATA
     assert "(leaf 0): sphere radius -1.0 is not finite and positive" in capsys.readouterr().err
+
+
+def _edited_model(edit):
+    obj = _two_sphere_model()
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _deeply_nested_model():
+    return ('{"version": 1, "d": 1, "D": 2, "fitter": "spca", "leaves": [], "tree": '
+            + '{"left": ' * 200_000 + '{"leaf": 0}' + "}" * 200_000 + "}")
+
+
+HUGE = 10**400  # written as 401 digits, out of float range
+
+
+@pytest.mark.parametrize("text,message", [
+    (lambda: _edited_model(lambda o: o["tree"]["split"].update(mu=[HUGE, 0.0])),
+     r"^tree: int too large to convert to float$"),
+    (lambda: _edited_model(lambda o: o["leaves"][1].update(mu=[0.0, HUGE])),
+     r"^leaves\[1\] \(leaf 1\): int too large to convert to float$"),
+    (lambda: _edited_model(lambda o: o["tree"]["right"].update(leaf=float("inf"))),
+     r"^tree\.right: cannot convert float infinity to integer$"),
+    (lambda: _edited_model(lambda o: o["leaves"][1].update(id=float("inf"))),
+     r"^leaves\[1\]: cannot convert float infinity to integer$"),
+    (lambda: _edited_model(lambda o: o["tree"]["left"].update(members=[0, HUGE])),
+     r"^tree\.left: .*too large"),
+    (lambda: _edited_model(lambda o: o.update(D=float("inf"))),
+     r"m\.json: cannot convert float infinity to integer$"),
+    # JSON parsing refuses so long an integer where Python limits int digits
+    (lambda: _edited_model(lambda o: o["tree"]["split"].update(mu=["@", 0.0])).replace(
+        '"@"', "1" * 5000), r"m\.json: Exceeds the limit|^tree: int too large"),
+    (lambda: _edited_model(lambda o: o.update(leaves=5)), r"m\.json: leaves must be a list$"),
+    (_deeply_nested_model, r"m\.json: maximum recursion depth exceeded"),
+], ids=["split-mu", "piece-mu", "leaf-id", "piece-id", "members", "dimension", "digits",
+        "leaves-not-list", "deep-nesting"])
+def test_exit_data_on_out_of_range_or_malformed_model(tmp_path, capsys, text, message):
+    # each used to escape load as OverflowError, ValueError, TypeError or
+    # RecursionError: exit 1 with a traceback
+    from spherelets.model import load
+
+    mpath, data = tmp_path / "m.json", tmp_path / "x.csv"
+    mpath.write_text(text())
+    data.write_text("4,0\n")
+    with pytest.raises(ParseError, match=message):
+        load(str(mpath))
+    assert run("project", "--model", str(mpath), "--input", str(data),
+               "--out", str(tmp_path / "p.csv")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):

@@ -216,6 +216,13 @@ def test_project_many_rows_equal_project_property(data):
         assert np.max(np.abs(P[i] - pieces[route(x, model.tree)].project(x))) <= 1e-12 * scale
 
 
+def _depth(node):
+    """Levels of a tree: 1 for a leaf."""
+    if isinstance(node, partition.Leaf):
+        return 1
+    return 1 + max(_depth(node.left), _depth(node.right))
+
+
 @pytest.mark.parametrize("fitter", ["spca", "pca"])
 def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
     calls = {"fit_pieces": 0, "fit_spheres": 0}
@@ -233,7 +240,7 @@ def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
     monkeypatch.setattr(spca, "fit_spheres", counting_fit_spheres)
     X = euler_spiral(1500, 2.0, seed=13).points
     model = fit(X, 1, 1e-8, fitter=fitter)
-    depth = partition.tree_depth(model.tree)
+    depth = _depth(model.tree)
     assert model.n_pieces > 5
     assert depth > 3
     assert calls["fit_pieces"] == depth
@@ -452,9 +459,9 @@ def test_model_in_indent_one_layout_loads_and_projects_identically(tmp_path):
     assert old.read_bytes() == new.read_bytes()
 
 
-def test_load_checks_valid_pieces_together(tmp_path, monkeypatch):
-    # a valid file never reaches the one-piece check; an invalid one is
-    # named by its first bad piece
+def test_load_checks_valid_pieces_together(tmp_path):
+    # the pieces of each kind and frame width are checked as one stack; an
+    # invalid file is named by its first bad piece in file order
     obj = _two_sphere_model()
     obj["tree"]["right"] = {"split": {"mu": [0.0, 0.0], "direction": [0.0, 1.0]},
                             "left": {"leaf": 1, "members": []}, "right": {"leaf": 2, "members": []}}
@@ -462,13 +469,7 @@ def test_load_checks_valid_pieces_together(tmp_path, monkeypatch):
     obj["leaves"].append({"id": 2, "kind": "plane", "mu": [0.0, 0.0], "frame": [[0.6], [0.8]]})
     path = tmp_path / "m.json"
     path.write_text(json.dumps(obj))
-
-    def refuse(*args):
-        raise AssertionError("one-piece check on a valid file")
-
-    with monkeypatch.context() as mp:
-        mp.setattr(model_mod, "_obj_to_piece", refuse)
-        model = load(str(path))
+    model = load(str(path))
     assert [type(p).__name__ for _, p in sorted(model.leaves.items())] == [
         "Spherelet", "Hyperplane", "Hyperplane"]
     obj["leaves"][2]["frame"] = [[0.6], [0.9]]
@@ -476,14 +477,24 @@ def test_load_checks_valid_pieces_together(tmp_path, monkeypatch):
     path.write_text(json.dumps(obj))
     with pytest.raises(ParseError, match=r"^leaves\[1\] \(leaf 1\): mu: expected 2 finite"):
         load(str(path))
+    # the sphere stack, which holds leaves[0], is checked before the plane
+    # stack of leaves[2], but leaves[2] comes first in the file
+    obj["leaves"][1]["mu"] = [0.0, 0.0]
+    obj["tree"]["right"]["right"] = {"split": {"mu": [0.0, 0.0], "direction": [1.0, 0.0]},
+                                     "left": {"leaf": 2, "members": []},
+                                     "right": {"leaf": 3, "members": []}}
+    obj["leaves"].append(dict(obj["leaves"][0], id=3, radius=-1.0))
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=r"^leaves\[2\] \(leaf 2\): frame columns are not orth"):
+        load(str(path))
 
 
 def test_train_mse_projects_leaf_members_as_routing_would():
     X = enneper(3000, 1.0, seed=6)
     model = fit(X, 2, 1e-5)
-    cells = partition.route_many(X, model.tree)
-    for leaf in iter_leaves(model.tree):  # the members are the rows routing gives
-        assert np.array_equal(leaf.member_indices, np.flatnonzero(cells == leaf.cell_id))
+    routed = [(leaf.cell_id, rows.tolist()) for leaf, rows in partition.leaf_rows(X, model.tree)]
+    # the members are the rows routing gives
+    assert routed == [(leaf.cell_id, leaf.member_indices.tolist()) for leaf in iter_leaves(model.tree)]
     overall, per_cell = model.train_mse(X)
     assert (overall, per_cell) == model.mse(X)
     assert len(per_cell) == model.n_pieces > 3
@@ -491,9 +502,9 @@ def test_train_mse_projects_leaf_members_as_routing_would():
         model.train_mse(X[:-1])
 
 
-def test_load_checks_valid_splits_together(tmp_path, monkeypatch):
-    # a valid file never reaches the one-vector check; an invalid split is
-    # named as the split-by-split walk names it
+def test_load_checks_valid_splits_together(tmp_path):
+    # all splits are checked as one stack; an invalid split is named by its
+    # path, the first bad one in depth-first order
     def split(mu, direction, left, right):
         return {"split": {"mu": mu, "direction": direction}, "left": left, "right": right}
 
@@ -507,13 +518,7 @@ def test_load_checks_valid_splits_together(tmp_path, monkeypatch):
                       for c in (2, 3)]
     path = tmp_path / "m.json"
     path.write_text(json.dumps(obj))
-
-    def refuse(*args):
-        raise AssertionError("one-vector check on a valid file")
-
-    with monkeypatch.context() as mp:
-        mp.setattr(model_mod, "_vector", refuse)
-        model = load(str(path))
+    model = load(str(path))
     root = model.tree
     assert isinstance(root.left, partition.Internal) and isinstance(root.right, partition.Internal)
     assert [(n.rule.mu.tolist(), n.rule.direction.tolist()) for n in (root, root.left, root.right)] == [
@@ -535,4 +540,15 @@ def test_load_checks_valid_splits_together(tmp_path, monkeypatch):
     obj["tree"]["right"] = {"split": {"mu": [0.0, 0.0], "direction": [0.0, 1.0]}, "left": {"leaf": 1}}
     path.write_text(json.dumps(obj))
     with pytest.raises(ParseError, match=r"^tree\.right: missing field 'right'"):
+        load(str(path))
+    obj["tree"]["right"]["right"] = [3]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=r"^tree\.right\.right: expected an object"):
+        load(str(path))
+    # tree.left.left comes before tree.right depth first, after it breadth first
+    obj["tree"]["right"] = split([0.0, 0.0], [0.0, 1.0, 0.0], leaf(2), leaf(3))
+    obj["tree"]["left"]["left"] = split([0.0, float("nan")], [1.0, 0.0], leaf(0), leaf(4))
+    obj["leaves"].append(dict(obj["leaves"][2], id=4))
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=r"^tree\.left\.left: split\.mu: expected 2 finite"):
         load(str(path))

@@ -12,9 +12,8 @@ from spherelets.partition import (
     SplitRule,
     build_tree,
     iter_leaves,
+    leaf_rows,
     route,
-    route_many,
-    tree_depth,
 )
 
 
@@ -28,6 +27,22 @@ def _root_split(X, n_min=3):
 
 def _members(node):
     return sorted(np.concatenate([l.member_indices for l in iter_leaves(node)]).tolist())
+
+
+def _depth(node):
+    """Levels of a tree: 1 for a leaf."""
+    return 1 if isinstance(node, Leaf) else 1 + max(_depth(node.left), _depth(node.right))
+
+
+def route_many(X, tree):
+    """Cell id of each row of X from one ``leaf_rows`` pass, which must
+    hand each leaf its rows in increasing order and every row exactly once."""
+    cells = np.full(X.shape[0], -1)
+    for leaf, rows in leaf_rows(X, tree):
+        assert rows.size and np.all(np.diff(rows) > 0) and np.all(cells[rows] == -1)
+        cells[rows] = leaf.cell_id
+    assert np.all(cells >= 0)
+    return cells
 
 
 def test_split_cell_1d_signs():
@@ -94,7 +109,7 @@ def test_leaves_partition_training_set():
     # depth-first numbering, every leaf at least n_min members
     assert [l.cell_id for l in leaves] == list(range(len(leaves)))
     assert min(len(l.member_indices) for l in leaves) >= 10
-    assert tree_depth(tree) <= 600
+    assert _depth(tree) <= 600
 
 
 def test_route_replays_training_membership():
@@ -183,17 +198,16 @@ def _split_means(node):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_route_many_equals_route_property(data):
-    # integer points on integer hyperplanes: many rows score exactly 0, and
-    # the split means themselves are always included
+    # leaf_rows splits the rows as the one-point route sends them; integer
+    # points on integer hyperplanes: many rows score exactly 0, and the
+    # split means themselves are always included
     D = data.draw(st.integers(1, 3), label="D")
     ids = data.draw(st.permutations(range(32)), label="ids")
     tree = _draw_tree(data, D, data.draw(st.integers(0, 4), label="depth"), list(ids))
     n = data.draw(st.integers(0, 30), label="n")
     X = np.array([_int_vector(data, D, -4, 4, "x") for _ in range(n)]).reshape(n, D)
     X = np.vstack([X] + [mu[None, :] for mu in _split_means(tree)])
-    got = route_many(X, tree)
-    assert got.tolist() == [route(x, tree) for x in X]
-    assert got.dtype.kind == "i" and got.shape == (X.shape[0],)
+    assert route_many(X, tree).tolist() == [route(x, tree) for x in X]
 
 
 def test_route_many_point_on_hyperplane_goes_right():
