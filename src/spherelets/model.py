@@ -3,10 +3,14 @@
 A fitted model is a PC1-sign partition tree whose leaves keep the piece
 fitted to their cell: a spherelet under the ``spca`` fitter (with
 hyperplane fallback on degeneracy) or a d-dimensional hyperplane under
-``pca``. Projection routes a batch through the tree and maps each leaf's
-rows onto its piece, so held-out data can be projected without refitting;
-the rows of all pieces of one kind and frame width take one stacked kernel
-call.
+``pca``. ``fit`` grows the tree a level at a time, each level one ragged
+fit whose per-row residuals give every cell's MSE. Projection routes a
+batch down the tree a level at a time and maps each leaf's rows onto its
+piece, so held-out data can be projected without refitting; the rows of
+all pieces of one kind and frame width take one stacked kernel call.
+Routing and projection treat each row on its own, so a row's leaf and
+image do not depend on the batch it is in: ``project(x)`` is row i of
+``project_many(X)`` bit for bit.
 
 Models serialize to versioned JSON with explicit arrays, on one line by
 the C encoder of ``json.dumps``; floats are written with shortest
@@ -36,6 +40,7 @@ from .partition import (
     SplitRule,
     build_tree,
     iter_leaves,
+    leaf_of,
     leaf_rows,
 )
 from .spca import Hyperplane, Piece, Spherelet, _plane_images, _sphere_images
@@ -67,8 +72,10 @@ class SphereletModel:
         return len(self.leaves)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Project a single D-vector onto the estimated manifold."""
-        return self.project_many(np.asarray(x, dtype=float).ravel())[0]
+        """Project a single D-vector onto the estimated manifold: routed by
+        its own path down the tree, then projected by the batch kernel."""
+        X = self._rows(np.asarray(x, dtype=float).ravel())
+        return self._project_routed(X, [(leaf_of(X[0], self.tree), np.zeros(1, dtype=np.intp))])[0][0]
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
         return self._route_project(X)[0]
@@ -287,9 +294,13 @@ def _check_pieces(objs: list, d: int, D: int) -> list[tuple[int, Piece]]:
         sphere, group, m = kind == "sphere", [objs[i] for i in members], len(members)
         mu = _finite([o["mu"] for o in group], (m, D), "mu")
         F = np.array([o["frame"] for o in group], dtype=float)
-        if F.shape != (m, D, width) or (sphere and width != d + 1) or not np.isfinite(F).all():
-            want = f"{D} x {d + 1}" if sphere else f"{D}-row"
-            raise ValueError(f"frame must be a finite {want} matrix, got shape {F.shape[1:]}")
+        # what fit writes: a sphere's frame, a degenerate sphere's reduction
+        # plane, or a PCA plane
+        widths = [d + 1] if sphere else sorted({min(d, D), min(d + 1, D)})
+        if F.shape != (m, D, width) or width not in widths or not np.isfinite(F).all():
+            want = (f"{D} x {d + 1} matrix" if sphere else
+                    f"{D}-row matrix, {' or '.join(map(str, widths))} columns wide")
+            raise ValueError(f"frame must be a finite {want}, got shape {F.shape[1:]}")
         ortho = _frame_errors(F).max()
         if ortho > FRAME_TOL:
             raise ValueError(f"frame columns are not orthonormal: |F'F - I| = {ortho:.3g}")

@@ -7,12 +7,19 @@ sign test, it extends from the training rows to a total partition of
 R^D, so unseen points can be routed through the same tree.
 
 The tree grows a level at a time: one ragged ``spca.fit_pieces`` call
-fits every cell of a level. A cell is split while its piece's MSE
-exceeds ``eps`` and it retains more than ``n_min`` members, at the
-piece's mean along the fit's own first principal axis, by the same sign
-test that routes points; a split leaving either side below ``n_min`` is
-rejected. Leaves keep pieces and are numbered depth-first once the
-tree's shape is known.
+fits every cell of a level and gives each row's squared residual to its
+cell's piece. A cell is split while its piece's MSE (one segment sum of
+those residuals) exceeds ``eps`` and it retains more than ``n_min``
+members, at the piece's mean along the fit's own first principal axis,
+by the same sign test that routes points; a split leaving either side
+below ``n_min`` is rejected. Leaves keep pieces and are numbered
+depth-first once the tree's shape is known.
+
+Routing moves a whole batch down the tree a level at a time, every row
+one step per level, over arrays of the split means, directions and
+children. Growth, batch routing and the one-point ``route`` all score a
+row by the same elementwise expression ``row_dots(x - mu, direction)``,
+so a row's leaf does not depend on the batch it is routed in.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterError
+from .numeric import row_dots
 from .spca import Piece, fit_pieces
 
 
@@ -68,61 +76,104 @@ def build_tree(
     if X.shape[0] < n_min:
         raise ParameterError(f"n={X.shape[0]} is below n_min={n_min}")
 
-    # levels[t][i] is (rule, j) for a split cell whose children are cells
-    # j and j + 1 of level t + 1, or (member indices, piece) for a leaf
+    # levels[t] holds the pieces, means and first axes of the cells of
+    # level t, the rows of its leaves, and for each cell the index j of its
+    # left child in level t + 1 (its right child is j + 1), or -1 for a leaf
     levels, cells = [], [np.arange(X.shape[0])]
     while cells:
         sizes = np.array([rows.size for rows in cells])
         starts = np.cumsum(sizes) - sizes
-        pieces, axes = fit_pieces(X.take(np.concatenate(cells), axis=0), starts, d, fitter)
-        level, children = [], []
-        for rows, piece, axis in zip(cells, pieces, axes):
-            cell = X.take(rows, axis=0)
-            if rows.size > n_min and float(np.mean(piece.residual_sq(cell))) > eps:
-                rule = SplitRule(mu=piece.mu, direction=axis)
-                left = (cell - rule.mu) @ rule.direction > 0.0
-                if n_min <= np.count_nonzero(left) <= rows.size - n_min:
-                    level.append((rule, len(children)))
-                    children += [rows[left], rows[~left]]
-                    continue
-            level.append((rows, piece))
-        levels.append(level)
+        rows = X.take(np.concatenate(cells), axis=0)
+        fits = fit_pieces(rows, starts, d, fitter)
+        mse = np.add.reduceat(fits.residual_sq, starts) / sizes
+        left = _goes_left(rows, np.repeat(fits.mu, sizes, axis=0), np.repeat(fits.axis, sizes, axis=0))
+        n_left = np.add.reduceat(left, starts, dtype=np.intp)
+        split = (sizes > n_min) & (mse > eps) & (n_min <= n_left) & (n_left <= sizes - n_min)
+        levels.append((cells, fits.pieces, fits.mu, fits.axis,
+                       np.where(split, 2 * np.cumsum(split) - 2, -1)))
+        children = []
+        for i in np.flatnonzero(split):
+            side = left[starts[i] : starts[i] + sizes[i]]
+            children += [cells[i][side], cells[i][~side]]
+            cells[i] = None  # only a leaf keeps its rows
         cells = children
 
     cell_ids = itertools.count()
 
     def node(t: int, i: int) -> PartitionNode:
-        a, b = levels[t][i]
-        if isinstance(a, SplitRule):
-            return Internal(rule=a, left=node(t + 1, b), right=node(t + 1, b + 1))
-        return Leaf(cell_id=next(cell_ids), member_indices=a, piece=b)
+        cells, pieces, mu, axis, child = levels[t]
+        if child[i] < 0:
+            return Leaf(cell_id=next(cell_ids), member_indices=cells[i], piece=pieces[i])
+        return Internal(rule=SplitRule(mu=mu[i], direction=axis[i]),
+                        left=node(t + 1, child[i]), right=node(t + 1, child[i] + 1))
 
     return node(0, 0)
 
 
+def _goes_left(X: np.ndarray, mu: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """The sign test of every row of X against its own split: a positive
+    centred score goes left. Elementwise, so a row's side does not depend
+    on the rows beside it."""
+    return row_dots(X - mu, direction) > 0.0
+
+
 def route(x: np.ndarray, tree: PartitionNode) -> int:
-    """Cell id of the leaf that x falls into (the one-point reference walk)."""
+    """Cell id of the leaf that x falls into."""
+    return leaf_of(x, tree).cell_id
+
+
+def leaf_of(x: np.ndarray, tree: PartitionNode) -> Leaf:
+    """The leaf that x falls into: the one-point walk, node by node down
+    x's own path."""
     node = tree
     while isinstance(node, Internal):
-        score = float((x - node.rule.mu) @ node.rule.direction)
-        node = node.left if score > 0.0 else node.right
-    return node.cell_id
+        node = node.left if _goes_left(x, node.rule.mu, node.rule.direction) else node.right
+    return node
+
+
+def _split_arrays(tree: PartitionNode) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Leaf], int]:
+    """The splits of a tree as arrays, in depth-first order: means (k, D),
+    directions (k, D) and children (2k,), split c's left child at 2c and
+    its right at 2c + 1; the leaves in depth-first order; and the root's
+    code. A code c >= 0 names split c, c < 0 names leaf ~c. One walk over
+    the nodes, without recursion."""
+    mu, direction, child, leaves = [], [], [], []
+    root = [0]
+    stack = [(tree, root, 0)]  # a node, and where its code goes
+    while stack:
+        node, slot, at = stack.pop()
+        if isinstance(node, Leaf):
+            slot[at] = ~len(leaves)
+            leaves.append(node)
+        else:
+            slot[at] = len(mu)
+            stack += [(node.right, child, len(child) + 1), (node.left, child, len(child))]
+            mu.append(node.rule.mu)
+            direction.append(node.rule.direction)
+            child += [0, 0]
+    return np.array(mu), np.array(direction), np.array(child, dtype=np.intp), leaves, root[0]
 
 
 def leaf_rows(X: np.ndarray, tree: PartitionNode):
     """(leaf, increasing row indices) for each leaf that receives rows of X,
-    partitioning the indices recursively by the sign test of each split."""
-    stack = [(tree, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if isinstance(node, Leaf):
-            yield node, rows
-            continue
-        left = (X.take(rows, axis=0) - node.rule.mu) @ node.rule.direction > 0.0
-        stack.append((node.right, rows[~left]))
-        stack.append((node.left, rows[left]))
+    in depth-first leaf order. All rows move down the tree together, one
+    level per step, each by the sign test of the split it has reached."""
+    mu, direction, child, leaves, root = _split_arrays(tree)
+    leaf = np.full(X.shape[0], root)  # each row's code, a leaf's once it reaches one
+    rows, at, x = np.arange(X.shape[0]), leaf.copy(), X  # the rows still moving, their splits
+    while root >= 0 and rows.size:
+        left = _goes_left(x, mu.take(at, axis=0), direction.take(at, axis=0))
+        at = child.take(2 * at + 1 - left)
+        done = at < 0
+        if done.any():
+            leaf[rows[done]] = at[done]
+            rows, at, x = rows[~done], at[~done], x[~done]
+    leaf = ~leaf
+    order = np.argsort(leaf, kind="stable")
+    counts = np.bincount(leaf, minlength=len(leaves))
+    ends = np.cumsum(counts)
+    for j in np.flatnonzero(counts):
+        yield leaves[j], order[ends[j] - counts[j] : ends[j]]
 
 
 def iter_leaves(tree: PartitionNode):

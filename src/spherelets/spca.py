@@ -20,14 +20,17 @@ reduction (``np.add.reduceat``), the small eigenproblems and solves
 stacked. The rows are centred once for both, a scatter sums only its
 upper triangle, and row norms add one column at a time
 (``numeric.row_dots``). ``fit_sphere`` is the one-set case, and
-``fit_pieces`` holds the model's sphere-or-plane policy.
+``fit_pieces`` holds the model's sphere-or-plane policy. Both ragged fits
+also give each row's squared residual to its set's piece, in closed form
+from the reduced coordinates the fit already holds, so a caller never
+projects the rows again to learn a piece's MSE.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -117,6 +120,13 @@ class SphereFits:
     (m, D) and ``frame`` (m, D, d+1) give each reduction hyperplane,
     whose top-w columns also span the best w-dimensional affine subspace
     for w <= d+1. A degenerate row has center ``mu`` and radius inf.
+
+    ``residual_sq`` (N,) is each input row's squared distance to its
+    set's piece: (|z - c_z| - r)^2 + max(|x - x_bar|^2 - |z|^2, 0) for a
+    sphere, with z = V'(x - x_bar) and c_z the reduced center, and the
+    out-of-plane part max(|x - x_bar|^2 - |z|^2, 0) for a degenerate set,
+    whose piece is its reduction hyperplane. It equals the piece's own
+    ``residual_sq`` up to rounding.
     """
 
     mu: np.ndarray
@@ -125,6 +135,18 @@ class SphereFits:
     radius: np.ndarray
     degenerate: np.ndarray
     h_condition: np.ndarray
+    residual_sq: np.ndarray
+
+
+class PieceFits(NamedTuple):
+    """The model pieces of m point sets (rows (N, D) cut at segment
+    starts): the pieces, each set's mean (m, D) and first principal axis
+    (m, D), and each row's squared residual (N,) to its set's piece."""
+
+    pieces: list[Piece]
+    mu: np.ndarray
+    axis: np.ndarray
+    residual_sq: np.ndarray
 
 
 def _segments(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,7 +177,9 @@ def _scatter_sums(A: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _centred_pca(X: np.ndarray, starts: np.ndarray,
                  sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``stacked_pca`` of validated non-empty segments, and the centred rows."""
+    """``stacked_pca`` of validated segments, and the centred rows."""
+    if np.any(sizes == 0):
+        raise InsufficientDataError("a point set has no rows")
     mu = np.add.reduceat(X, starts) / sizes[:, None]
     Xc = X - np.repeat(mu, sizes, axis=0)
     return mu, Xc, eig_desc(_scatter_sums(Xc, starts)).eigenvectors
@@ -166,43 +190,59 @@ def stacked_pca(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     whose rows X (N, D) are cut at ``starts``: columns by decreasing
     eigenvalue, sign rule of ``sym_eig``. ``axes[i][:, :w]`` frames set
     i's best w-dim subspace. Raises InsufficientDataError for an empty set."""
-    X, starts, sizes = _segments(X, starts)
-    if np.any(sizes == 0):
-        raise InsufficientDataError("a point set has no rows")
-    mu, _, axes = _centred_pca(X, starts, sizes)
+    mu, _, axes = _centred_pca(*_segments(X, starts))
     return mu, axes
 
 
-def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> tuple[list[Piece], np.ndarray]:
-    """The model piece of each point set (rows X cut at ``starts``) and its
-    first principal axis (m, D). Under ``spca`` a piece is the set's
-    d-sphere, or its (d+1)-wide reduction plane when degenerate; under
-    ``pca``, or for a set that cannot carry a d-sphere, it is the
-    min(d, D)-wide PCA plane."""
+def _reduced(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Reduced coordinates z = V_i'(x - x_bar) of centred rows Xc (N, D),
+    each row by the frame V_i (m, D, w) of its set."""
+    return (Xc[:, None, :] @ np.repeat(V, sizes, axis=0))[:, 0]
+
+
+def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
+    """The model piece of each point set (rows X cut at ``starts``), its
+    mean and first principal axis, and each row's squared residual to its
+    set's piece. Under ``spca`` a piece is the set's d-sphere, or its
+    (d+1)-wide reduction plane when degenerate; under ``pca``, or for a
+    set that cannot carry a d-sphere, it is the min(d, D)-wide PCA plane,
+    and a row's residual is its out-of-plane part."""
     if fitter not in ("spca", "pca"):
         raise ParameterError(f"fitter must be 'spca' or 'pca', got {fitter!r}")
     X, starts, sizes = _segments(X, starts)
-    sphere = (sizes >= d + 2) & (fitter == "spca" and d < X.shape[1])
-    pieces: list[Piece] = [None] * sizes.size
-    first = np.empty((sizes.size, X.shape[1]))  # not a view: split rules must not pin the D x D axes
+    m, D = sizes.size, X.shape[1]
+    sphere = (sizes >= d + 2) & (fitter == "spca" and d < D)
+    pieces: list[Piece] = [None] * m
+    # not views: split rules must not pin the fits' D x D axes
+    mu, first, residual_sq = np.empty((m, D)), np.empty((m, D)), np.empty(X.shape[0])
     if not sphere.all():  # each set is fitted only by the kernel its piece needs
-        mu, axes = stacked_pca(*_subsets(X, sizes, ~sphere))
+        rows, sub_X, sub_starts, sub_sizes = _subsets(X, starts, sizes, ~sphere)
+        mu[~sphere], Xc, axes = _centred_pca(sub_X, sub_starts, sub_sizes)
+        V = axes[:, :, : min(d, D)]
         first[~sphere] = axes[:, :, 0]
-        for i, m, V in zip(np.flatnonzero(~sphere), mu, axes):
-            pieces[i] = Hyperplane(mu=m, frame=V[:, : min(d, X.shape[1])].copy())
+        Z = _reduced(Xc, V, sub_sizes)
+        residual_sq[rows] = np.maximum(row_dots(Xc, Xc) - row_dots(Z, Z), 0.0)  # out of plane
+        for i, V_i in zip(np.flatnonzero(~sphere), V):
+            pieces[i] = Hyperplane(mu=mu[i], frame=V_i.copy())
     if sphere.any():
-        fits = fit_spheres(*_subsets(X, sizes, sphere), d)
-        first[sphere] = fits.frame[:, :, 0]
-        for i, V, m, c, r, deg in zip(np.flatnonzero(sphere), fits.frame, fits.mu, fits.center,
-                                      fits.radius, fits.degenerate):
-            s = Spherelet(frame=V.copy(), center=c, radius=float(r), mu=m, degenerate=bool(deg))
+        rows, sub_X, sub_starts, _ = _subsets(X, starts, sizes, sphere)
+        fits = fit_spheres(sub_X, sub_starts, d)
+        mu[sphere], first[sphere], residual_sq[rows] = fits.mu, fits.frame[:, :, 0], fits.residual_sq
+        for i, V, c, r, deg in zip(np.flatnonzero(sphere), fits.frame, fits.center, fits.radius,
+                                   fits.degenerate):
+            s = Spherelet(frame=V.copy(), center=c, radius=float(r), mu=mu[i], degenerate=bool(deg))
             pieces[i] = s.plane if deg else s
-    return pieces, first
+    return PieceFits(pieces, mu, first, residual_sq)
 
 
-def _subsets(X: np.ndarray, sizes: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and segment starts of the kept sets."""
-    return X[np.repeat(keep, sizes)], np.cumsum(sizes[keep]) - sizes[keep]
+def _subsets(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+             keep: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray, np.ndarray]:
+    """Which rows the kept sets hold, and their rows, segment starts and
+    sizes; when every set is kept, all rows, uncopied."""
+    if keep.all():
+        return slice(None), X, starts, sizes
+    rows = np.repeat(keep, sizes)
+    return rows, X[rows], np.cumsum(sizes[keep]) - sizes[keep], sizes[keep]
 
 
 def fit_hyperplane(X: np.ndarray, d: int) -> Hyperplane:
@@ -304,7 +344,7 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
     mu, Xc, axes = _centred_pca(X, starts, sizes)
     V = axes[:, :, : d + 1]
 
-    Z = (Xc[:, None, :] @ np.repeat(V, sizes, axis=0))[:, 0]  # reduced coordinates
+    Z = _reduced(Xc, V, sizes)
     Zc = Z - np.repeat(np.add.reduceat(Z, starts) / sizes[:, None], sizes, axis=0)
     l = row_dots(Z, Z)
     lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
@@ -313,7 +353,8 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
 
     h_cond = np.linalg.cond(Hs)
     # sqrt is monotone: the root of the largest square is the largest norm
-    diameter = 2.0 * np.sqrt(np.maximum.reduceat(row_dots(Xc, Xc), starts))
+    xx = row_dots(Xc, Xc)
+    diameter = 2.0 * np.sqrt(np.maximum.reduceat(xx, starts))
     ok = np.isfinite(h_cond) & (h_cond <= H_CONDITION_LIMIT)
     Hs[~ok] = np.eye(d + 1)  # sets judged singular solve a dummy system
     try:
@@ -328,10 +369,19 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
     c_z = -0.5 * f_z[:, :, 0]
     center = mu + (V @ c_z[:, :, None])[:, :, 0]
     Zr = Z - np.repeat(c_z, sizes, axis=0)
-    radius = np.add.reduceat(np.sqrt(row_dots(Zr, Zr)), starts) / sizes
+    dist = np.sqrt(row_dots(Zr, Zr))
+    radius = np.add.reduceat(dist, starts) / sizes
     ok &= np.isfinite(radius) & (radius <= RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
+    perp = np.maximum(xx - l, 0.0)  # |x - x_bar|^2 - |z|^2: out of the reduction plane
+    residual_sq = dist - np.repeat(np.where(ok, radius, 0.0), sizes)
+    residual_sq *= residual_sq
+    residual_sq += perp
+    if not ok.all():  # a degenerate set's piece is its reduction plane
+        plane = np.repeat(~ok, sizes)
+        residual_sq[plane] = perp[plane]
     return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
-                      radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond)
+                      radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond,
+                      residual_sq=residual_sq)
 
 
 def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFitDiagnostics]:

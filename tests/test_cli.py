@@ -241,6 +241,39 @@ def test_exit_data_on_out_of_range_or_malformed_model(tmp_path, capsys, text, me
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _plane_model(d, frame=None):
+    # two plane leaves in R^2 split at x = 0, both d wide unless leaf 5,
+    # the second in the file, is given another frame
+    good = [[1.0], [0.0]] if d == 1 else [[], []]
+    return {"version": 1, "d": d, "D": 2, "fitter": "pca",
+            "tree": {"split": {"mu": [0.0, 0.0], "direction": [1.0, 0.0]},
+                     "left": {"leaf": 3, "members": []}, "right": {"leaf": 5, "members": []}},
+            "leaves": [{"id": 3, "kind": "plane", "mu": [1.0, 0.0], "frame": good},
+                       {"id": 5, "kind": "plane", "mu": [-1.0, 0.0], "frame": frame or good}]}
+
+
+@pytest.mark.parametrize("d,frame,widths", [
+    (1, [[], []], "1 or 2"),  # used to load and project every row onto mu
+    (0, [[1.0, 0.0], [0.0, 1.0]], "0 or 1"),  # used to project every row onto itself
+], ids=["no-columns", "too-wide"])
+def test_exit_data_on_plane_frame_fit_never_writes(tmp_path, capsys, d, frame, widths):
+    # fit writes a plane min(d, D) wide, or d + 1 for a degenerate sphere
+    from spherelets.model import load
+
+    mpath, data = tmp_path / "m.json", tmp_path / "x.csv"
+    data.write_text("4,1\n-4,1\n")
+    mpath.write_text(json.dumps(_plane_model(d)))
+    assert load(str(mpath)).n_pieces == 2
+    mpath.write_text(json.dumps(_plane_model(d, frame)))
+    with pytest.raises(ParseError, match=r"^leaves\[1\] \(leaf 5\): frame must be a finite "
+                                         rf"2-row matrix, {widths} columns wide"):
+        load(str(mpath))
+    assert run("project", "--model", str(mpath), "--input", str(data),
+               "--out", str(tmp_path / "p.csv")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):
     # one routing pass, and one stacked kernel call per piece kind and frame
     # width, give both the projections and the printed MSEs

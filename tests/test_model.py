@@ -236,10 +236,17 @@ def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
         calls["fit_spheres"] += 1
         return fit_spheres(X, starts, d)
 
+    def refuse(self, X):
+        raise AssertionError("fit projected a cell onto its piece for its MSE")
+
     monkeypatch.setattr(partition, "fit_pieces", counting_fit_pieces)
     monkeypatch.setattr(spca, "fit_spheres", counting_fit_spheres)
     X = euler_spiral(1500, 2.0, seed=13).points
-    model = fit(X, 1, 1e-8, fitter=fitter)
+    with monkeypatch.context() as mp:
+        # every cell's MSE comes from the level fit's own per-row residuals
+        mp.setattr(spca.Spherelet, "residual_sq", refuse)
+        mp.setattr(spca.Hyperplane, "residual_sq", refuse)
+        model = fit(X, 1, 1e-8, fitter=fitter)
     depth = _depth(model.tree)
     assert model.n_pieces > 5
     assert depth > 3

@@ -1,11 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherelets.datasets import euler_spiral, sphere_sample
+from spherelets.datasets import enneper, euler_spiral, sphere_sample
 from spherelets.exceptions import ParameterError
+from spherelets.model import fit
 from spherelets.numeric import sym_eig
+from spherelets.spca import fit_pieces
 from spherelets.partition import (
     Internal,
     Leaf,
@@ -238,3 +242,117 @@ def test_route_many_matches_route_on_fitted_tree():
     tree = build_tree(X, 1, 1e-8, 10, "spca")
     pts = np.vstack([X, np.random.default_rng(9).uniform(-0.2, 1.2, size=(1000, 2))])
     assert route_many(pts, tree).tolist() == [route(x, tree) for x in pts]
+
+
+# -- the per-cell loop build_tree replaced -------------------------------------
+
+
+def _per_cell_tree(X, d, eps, n_min, fitter):
+    """The tree as the per-cell loop grew it: each cell's MSE from its
+    piece's own residual_sq, its sides from one product per cell. Nested
+    tuples ("split", mu, direction, left, right) and ("leaf", members, piece)."""
+    levels, cells = [], [np.arange(X.shape[0])]
+    while cells:
+        sizes = np.array([rows.size for rows in cells])
+        fits = fit_pieces(X[np.concatenate(cells)], np.cumsum(sizes) - sizes, d, fitter)
+        level, children = [], []
+        for rows, piece, axis in zip(cells, fits.pieces, fits.axis):
+            if rows.size > n_min and float(np.mean(piece.residual_sq(X[rows]))) > eps:
+                left = (X[rows] - piece.mu) @ axis > 0.0
+                if n_min <= np.count_nonzero(left) <= rows.size - n_min:
+                    level.append(("split", piece.mu, axis, len(children)))
+                    children += [rows[left], rows[~left]]
+                    continue
+            level.append(("leaf", rows, piece))
+        levels.append(level)
+        cells = children
+
+    def node(t, i):
+        entry = levels[t][i]
+        if entry[0] == "leaf":
+            return entry
+        return entry[:3] + (node(t + 1, entry[3]), node(t + 1, entry[3] + 1))
+
+    return node(0, 0)
+
+
+def _same_tree(node, ref):
+    if ref[0] == "leaf":
+        return (isinstance(node, Leaf) and np.array_equal(node.member_indices, ref[1])
+                and type(node.piece) is type(ref[2]) and np.array_equal(node.piece.frame, ref[2].frame)
+                and np.array_equal(node.piece.mu, ref[2].mu))
+    return (isinstance(node, Internal) and np.array_equal(node.rule.mu, ref[1])
+            and np.array_equal(node.rule.direction, ref[2])
+            and _same_tree(node.left, ref[3]) and _same_tree(node.right, ref[4]))
+
+
+@pytest.mark.parametrize("name,d,eps,fitter", [
+    ("spiral", 1, 1e-8, "spca"), ("spiral", 1, 1e-8, "pca"), ("enneper", 2, 1e-5, "spca"),
+    ("enneper", 2, 1e-5, "pca"), ("enneper10", 2, 1e-5, "spca")])
+def test_build_tree_equals_the_per_cell_loop_it_replaced(name, d, eps, fitter):
+    # closed-form MSEs and row_dots sides move a decision only within
+    # rounding of eps or of a hyperplane; on these inputs the trees are equal
+    X = {"spiral": lambda: euler_spiral(1500, 2.0, seed=41).points,
+         "enneper": lambda: enneper(3000, 1.0, seed=42),
+         "enneper10": lambda: enneper(3000, 1.0, seed=43) @ np.linalg.qr(
+             np.random.default_rng(43).normal(size=(10, 3)))[0].T}[name]()
+    tree = build_tree(X, d, eps, 10, fitter)
+    assert isinstance(tree, Internal)
+    assert _same_tree(tree, _per_cell_tree(X, d, eps, 10, fitter))
+
+
+# -- batch independence ------------------------------------------------------
+
+
+def _rules(node):
+    if isinstance(node, Leaf):
+        return []
+    return [node.rule] + _rules(node.left) + _rules(node.right)
+
+
+def _points_on_splits(tree, n, seed):
+    """n real-valued points, each on the hyperplane of a random split of
+    the tree up to rounding: the split mean plus an offset whose component
+    along the split direction is removed, so its score is a rounding error
+    of either sign."""
+    rules = _rules(tree)
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(len(rules), size=n)
+    mu = np.array([rules[k].mu for k in picks])
+    v = np.array([rules[k].direction for k in picks])
+    W = 0.1 * rng.normal(size=mu.shape)
+    W -= np.sum(W * v, axis=1, keepdims=True) * v
+    return mu + W
+
+
+@functools.cache
+def _split_models():
+    # the Enneper surface in R^3, where rows are scored one column at a
+    # time, and turned into R^10, where they take NumPy's row reduction
+    Q = np.linalg.qr(np.random.default_rng(32).normal(size=(10, 3)))[0]
+    return {3: fit(enneper(2000, 1.0, seed=31), 2, 1e-5),
+            10: fit(enneper(2000, 1.0, seed=32) @ Q.T, 2, 1e-5)}
+
+
+@pytest.mark.parametrize("D", [3, 10])
+def test_route_is_batch_independent_on_split_hyperplanes(D):
+    # a row's leaf is the one-point route's, whether it is routed alone, in
+    # batches of 7 or among all rows
+    tree = _split_models()[D].tree
+    X = _points_on_splits(tree, 2000, seed=D)
+    expect = [route(x, tree) for x in X]
+    assert len(set(expect)) > 10
+    for batch in (1, 7, len(X)):
+        got = np.concatenate([route_many(X[lo : lo + batch], tree)
+                              for lo in range(0, len(X), batch)])
+        assert got.tolist() == expect, batch
+
+
+@pytest.mark.parametrize("D", [3, 10])
+def test_project_is_batch_independent_on_split_hyperplanes(D):
+    # SphereletModel.project(x) is row i of project_many(X), bit for bit
+    model = _split_models()[D]
+    X = _points_on_splits(model.tree, 1000, seed=D + 1)
+    P = model.project_many(X)
+    for x, p in zip(X, P):
+        assert np.array_equal(model.project(x), p)

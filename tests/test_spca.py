@@ -526,7 +526,7 @@ def test_fit_pieces_policy_per_set():
     t = np.linspace(0, 1, 12)
     circle, line = _circle(12, [0.0, 0.0], 1.0), np.column_stack([t, 2 * t])
     short = np.array([[0.0, 1.0], [1.0, 1.0]])
-    pieces, axes = fit_pieces(*_ragged([circle, short, line]), 1, "spca")
+    pieces, mu, axes, _ = fit_pieces(*_ragged([circle, short, line]), 1, "spca")
     assert isinstance(pieces[0], Spherelet) and not pieces[0].degenerate
     # too short for a circle: the 1-wide PCA plane; collinear: the 2-wide
     # reduction plane of the degenerate circle
@@ -534,10 +534,11 @@ def test_fit_pieces_policy_per_set():
     assert isinstance(pieces[2], Hyperplane) and pieces[2].frame.shape == (2, 2)
     assert np.allclose(np.abs(axes[1]), [1.0, 0.0]) and np.allclose(axes[2], [1, 2] / np.sqrt(5))
     for i, S in enumerate([circle, short, line]):
-        alone, axis = fit_pieces(S, [0], 1, "spca")
+        alone, mu_alone, axis, _ = fit_pieces(S, [0], 1, "spca")
         assert np.array_equal(alone[0].frame, pieces[i].frame)
+        assert np.array_equal(mu_alone[0], mu[i]) and np.array_equal(pieces[i].mu, mu[i])
         assert np.array_equal(axis[0], axes[i])
-    planes, _ = fit_pieces(*_ragged([circle, line]), 1, "pca")
+    planes = fit_pieces(*_ragged([circle, line]), 1, "pca").pieces
     assert all(isinstance(p, Hyperplane) and p.frame.shape == (2, 1) for p in planes)
     with pytest.raises(ParameterError):
         fit_pieces(circle, [0], 1, "svd")
@@ -610,8 +611,11 @@ def _reference_fit_spheres(X, starts, d):
     radius = np.add.reduceat(np.linalg.norm(Z - np.repeat(c_z, sizes, axis=0), axis=1),
                              starts) / sizes
     ok &= np.isfinite(radius) & (radius <= spca.RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
+    # these formulas gave no per-row residuals; the piece property test
+    # checks fit_spheres' own against each piece's residual_sq
     return spca.SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
-                           radius=np.where(ok, radius, np.inf), degenerate=~ok, h_condition=h_cond)
+                           radius=np.where(ok, radius, np.inf), degenerate=~ok, h_condition=h_cond,
+                           residual_sq=None)
 
 
 @st.composite
@@ -648,6 +652,54 @@ def test_fit_kernels_equal_the_formulas_they_replaced_property(case):
     scatter = spca._scatter_sums(X, starts)
     assert np.array_equal(scatter, _reference_outer_sums(X, X, starts))
     assert np.array_equal(scatter, np.swapaxes(scatter, 1, 2))
+
+
+@st.composite
+def _piece_sets(draw):
+    """Ragged point sets in R^D, D = 1-16, for d = 0-3 at scales 1e-100 to
+    1e100: generic sets, sets too small for a d-sphere, collinear sets and
+    sets of one repeated point."""
+    D = draw(st.integers(1, 16), label="D")
+    d = draw(st.integers(0, 3), label="d")
+    scale = 10.0 ** draw(st.integers(-100, 100), label="log_scale")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    sets = []
+    for kind in draw(st.lists(st.sampled_from(["generic", "small", "collinear", "repeated"]),
+                              min_size=1, max_size=6), label="kinds"):
+        k = draw(st.integers(1, d + 1) if kind == "small" else st.integers(d + 2, 40), label="k")
+        offset = rng.uniform(-10, 10, D)
+        if kind == "collinear":
+            S = offset + rng.normal(size=k)[:, None] * rng.normal(size=D)
+        elif kind == "repeated":
+            S = np.repeat(offset[None, :], k, axis=0)
+        else:
+            S = offset + rng.uniform(1e-2, 1e2) * rng.normal(size=(k, D))
+        sets.append(scale * S)
+    return d, sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_piece_sets(), fitter=st.sampled_from(["spca", "pca"]))
+def test_fit_pieces_residuals_equal_each_piece_property(case, fitter):
+    # each row's closed-form residual is its piece's own residual_sq up to
+    # rounding: within 1e-12 of the set's squared scale (its largest row
+    # norm plus the piece's anchor norm and radius), all computed in the
+    # ambient coordinates
+    d, sets = case
+    X, starts = _ragged(sets)
+    with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
+        fits = fit_pieces(X, starts, d, fitter)
+    assert fits.residual_sq.shape == (X.shape[0],)
+    for S, lo, piece, mu in zip(sets, starts, fits.pieces, fits.mu):
+        got = fits.residual_sq[lo : lo + len(S)]
+        assert np.array_equal(piece.mu, mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = piece.residual_sq(S)
+        anchor = piece.mu if piece.degenerate else piece.center
+        radius = 0.0 if piece.degenerate else piece.radius
+        scale = float(np.max(np.sqrt(np.sum(S * S, axis=1)))) + np.linalg.norm(anchor) + radius
+        assert np.all(got >= 0.0)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * scale**2
 
 
 # -- properties ----------------------------------------------------------------

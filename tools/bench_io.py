@@ -1,4 +1,4 @@
-"""Time the serving I/O and projection of ``fit -> project``.
+"""Time the layers of ``fit -> project``: tree growth, I/O, routing and projection.
 
     python3 tools/bench_io.py [--reps 9]
 
@@ -8,9 +8,12 @@ the ``model-enneper`` benchmark model (d = 2, eps = 1e-5) on the train
 points, and prints the median and quartiles of the wall time
 (``time.perf_counter``, after one warm-up call) of each of:
 
+- ``fit``: ``model.fit`` of the train points, which is ``build_tree``;
 - ``load_csv``: ``datasets.load_csv`` of the test CSV;
 - ``save``: ``model.save`` of the fitted model;
 - ``load``: ``model.load`` of that file;
+- ``leaf_rows``: ``partition.leaf_rows`` of the test points through the
+  loaded tree, the batch routing inside ``project_many``;
 - ``project_many``: ``SphereletModel.project_many`` of the test points;
 - ``save_csv``: ``datasets.save_csv`` of their projections;
 
@@ -33,7 +36,7 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spherelets import datasets, model  # noqa: E402
+from spherelets import datasets, model, partition  # noqa: E402
 
 N = 20_000
 
@@ -58,15 +61,17 @@ def main() -> None:
                                   ("train.csv", "test.csv", "model.json", "proj.csv"))
         datasets.save_csv(datasets.enneper(N, seed=0), train)
         datasets.save_csv(datasets.enneper(N, seed=1), test)
-        fitted = model.fit(datasets.load_csv(train), 2, 1e-5)
-        T = datasets.load_csv(test)
+        X, T = datasets.load_csv(train), datasets.load_csv(test)
+        fitted = model.fit(X, 2, 1e-5)
         fitted.save(path)
         loaded = model.load(path)
         P = loaded.project_many(T)
         steps = {
+            "fit": lambda: model.fit(X, 2, 1e-5),
             "load_csv": lambda: datasets.load_csv(test),
             "save": lambda: fitted.save(path),
             "load": lambda: model.load(path),
+            "leaf_rows": lambda: list(partition.leaf_rows(T, loaded.tree)),
             "project_many": lambda: loaded.project_many(T),
             "save_csv": lambda: datasets.save_csv(P, out),
         }
