@@ -40,7 +40,6 @@ from .partition import (
     SplitRule,
     build_tree,
     iter_leaves,
-    leaf_of,
     leaf_rows,
 )
 from .spca import Hyperplane, Piece, Spherelet, _plane_images, _sphere_images
@@ -72,10 +71,8 @@ class SphereletModel:
         return len(self.leaves)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Project a single D-vector onto the estimated manifold: routed by
-        its own path down the tree, then projected by the batch kernel."""
-        X = self._rows(np.asarray(x, dtype=float).ravel())
-        return self._project_routed(X, [(leaf_of(X[0], self.tree), np.zeros(1, dtype=np.intp))])[0][0]
+        """Project a single D-vector onto the estimated manifold."""
+        return self.project_many(np.asarray(x, dtype=float).ravel())[0]
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
         return self._route_project(X)[0]
@@ -100,10 +97,10 @@ class SphereletModel:
         its image does not depend on the batch it is in. A row that
         projects onto a sphere center raises SingularProjectionError
         naming the first such row of the first leaf ``leaf_rows`` yields."""
-        leaf_of = np.empty(X.shape[0], dtype=np.intp)  # index into `routed`
+        route_of = np.empty(X.shape[0], dtype=np.intp)  # index into `routed`
         groups: dict[tuple[bool, int], list[int]] = {}
         for i, (leaf, rows) in enumerate(routed):
-            leaf_of[rows] = i
+            route_of[rows] = i
             groups.setdefault((leaf.piece.degenerate, leaf.piece.frame.shape[1]), []).append(i)
         P, singular = np.empty_like(X), np.zeros(X.shape[0], dtype=bool)
         for (plane, width), members in groups.items():
@@ -113,7 +110,7 @@ class SphereletModel:
             radius = None if plane else np.array([p.radius for p in pieces])
             slot = np.full(len(routed), -1)
             slot[members] = np.arange(len(members))
-            slot = slot[leaf_of]
+            slot = slot[route_of]
             rows = np.flatnonzero(slot >= 0)
             step = max(1, PROJECT_BLOCK // (self.D * (width + 1)))
             for lo in range(0, rows.size, step):
@@ -128,9 +125,9 @@ class SphereletModel:
                     P[sub], singular[sub] = images[:, 0], ~regular[:, 0]
         if singular.any():
             bad = np.flatnonzero(singular)
-            row = int(bad[np.argmin(leaf_of[bad])])
+            row = int(bad[np.argmin(route_of[bad])])
             raise SingularProjectionError(f"row {row} projects onto the sphere center of cell "
-                                          f"{routed[leaf_of[row]][0].cell_id}", row=row)
+                                          f"{routed[route_of[row]][0].cell_id}", row=row)
         return P, {leaf.cell_id: rows for leaf, rows in routed}
 
     def mse(self, X: np.ndarray) -> tuple[float, dict[int, float]]:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spherelets.datasets import enneper, euler_spiral, sphere_sample
 from spherelets.exceptions import ParameterError
 from spherelets.model import fit
-from spherelets.numeric import sym_eig
+from spherelets.numeric import row_dots, sym_eig
 from spherelets.spca import fit_pieces
 from spherelets.partition import (
     Internal,
@@ -16,6 +16,7 @@ from spherelets.partition import (
     SplitRule,
     build_tree,
     iter_leaves,
+    _score,
     leaf_rows,
     route,
 )
@@ -346,6 +347,18 @@ def test_route_is_batch_independent_on_split_hyperplanes(D):
         got = np.concatenate([route_many(X[lo : lo + batch], tree)
                               for lo in range(0, len(X), batch)])
         assert got.tolist() == expect, batch
+
+
+@pytest.mark.parametrize("D", range(1, 17))
+def test_one_row_score_is_row_dots_bit_for_bit(D):
+    # route scores one row in Python floats below NARROW_ROW; its scores
+    # are the ones row_dots gives the same rows inside a batch
+    rng = np.random.default_rng(D)
+    X = rng.normal(size=(500, D)) * 10.0 ** rng.integers(-8, 9, size=(500, 1))
+    rule = SplitRule(mu=rng.normal(size=D), direction=rng.normal(size=D))
+    expect = row_dots(X - rule.mu, rule.direction)
+    got = np.array([_score(x, rule) for x in X])
+    assert got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("D", [3, 10])
