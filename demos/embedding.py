@@ -22,7 +22,7 @@ K = 20
 X, labels = load_iris()
 print(f"iris: {X.shape[0]} samples, {X.shape[1]} features, 3 classes")
 
-kth = np.linalg.norm(X[knn_indices(X, K, exclude_self=False)[:, -1]] - X, axis=1)
+kth = np.linalg.norm(X[knn_indices(X, K)[:, -1]] - X, axis=1)
 sigma = float(np.sqrt(np.median(kth)))
 print(f"median k-th neighbour distance {np.median(kth):.3f} (k={K}), sigma={sigma:.3f}")
 

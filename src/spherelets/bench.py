@@ -10,17 +10,20 @@ cubic-per-point spherical one.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as model_mod
-from .datasets import euler_spiral, noisy_spiral, sphere_sample
+from .datasets import _euler_curve, euler_spiral, noisy_spiral, sphere_sample
 from .exceptions import ParameterError
 from .spca import fit_pieces, fit_sphere
 
 BENCH_METHODS = ("spca", "pca")
+# rate_study samples this many points of each curve segment
+POINTS_PER_SEGMENT = 60
 
 
 @dataclass(frozen=True)
@@ -77,31 +80,30 @@ def _bench_data(ds: dict, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bench_curve(
-    dataset: str | dict,
+    dataset: str,
     d: int,
     eps_grid: list[float],
-    n_min: int | None = None,
     methods: tuple[str, ...] = BENCH_METHODS,
     seed: int = 0,
 ) -> list[BenchRecord]:
     """One record per (method, eps): fit on the train split, evaluate the
-    training MSE and the predictive MSE on the held-out split."""
+    training MSE and the predictive MSE on the held-out split. ``dataset``
+    is a ``parse_dataset_spec`` descriptor."""
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid:
         raise ParameterError("eps grid is empty")
-    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
+    if not all(b < a for a, b in zip(eps_grid, eps_grid[1:])):  # NaN fails too
         raise ParameterError(f"eps grid must be strictly decreasing, got {eps_grid}")
     for m in methods:
         if m not in BENCH_METHODS:
             raise ParameterError(f"unknown method {m!r}")
-    ds = parse_dataset_spec(dataset) if isinstance(dataset, str) else dict(dataset)
-    train, test = _bench_data(ds, seed)
+    train, test = _bench_data(parse_dataset_spec(dataset), seed)
 
     records = []
     for method in methods:
         for eps in eps_grid:
             t0 = time.perf_counter()
-            fitted = model_mod.fit(train, d, eps, n_min, fitter=method)
+            fitted = model_mod.fit(train, d, eps, fitter=method)
             wall = time.perf_counter() - t0
             train_mse, _ = fitted.train_mse(train)
             test_mse, _ = fitted.mse(test)
@@ -119,33 +121,28 @@ def bench_curve(
 
 
 def rate_study(
-    curve: str = "euler",
     alpha_grid: list[float] | None = None,
     methods: tuple[str, ...] = BENCH_METHODS,
-    points_per_segment: int = 60,
     seed: int = 0,
 ) -> tuple[dict[str, float], list[RateRecord]]:
     """Per-segment single-piece fits at several segment diameters.
 
-    The curve parameter range is carved into contiguous arcs of length
-    alpha; each arc is sampled, fitted with one sphere or one line, and
-    its mean squared residual recorded. Returns the least-squares slope
-    of log(mean MSE) versus log(alpha) per method, plus all per-segment
-    records. Degenerate fits are dropped from the regression.
+    The Euler spiral's arc-length range is carved into contiguous arcs of
+    length alpha; each arc is sampled at ``POINTS_PER_SEGMENT`` points,
+    fitted with one sphere or one line, and its mean squared residual
+    recorded. Returns the least-squares slope of log(mean MSE) versus
+    log(alpha) per method, plus all per-segment records. Degenerate fits
+    are dropped from the regression.
     """
-    if curve != "euler":
-        raise ParameterError(f"rate study supports the 'euler' curve, got {curve!r}")
     if alpha_grid is None:
         alpha_grid = list(np.geomspace(0.05, 0.5, 6))
     alpha_grid = sorted(float(a) for a in alpha_grid)
+    if not alpha_grid or not all(0.0 < a < math.inf for a in alpha_grid):
+        raise ParameterError(f"alpha grid must hold finite positive diameters, got {alpha_grid}")
     if alpha_grid[-1] / alpha_grid[0] < 10.0 * (1.0 - 1e-09):
         raise ParameterError(
             f"alpha grid must span at least one decade, got [{alpha_grid[0]}, {alpha_grid[-1]}]"
         )
-    if points_per_segment < 50:
-        raise ParameterError(f"need >= 50 points per segment, got {points_per_segment}")
-
-    from .datasets import _euler_curve
 
     s_max = 2.0
     rng = np.random.default_rng(seed)
@@ -155,7 +152,7 @@ def rate_study(
         n_seg = int(s_max / alpha)
         seg_pts = []
         for j in range(n_seg):
-            s = rng.uniform(j * alpha, (j + 1) * alpha, size=points_per_segment)
+            s = rng.uniform(j * alpha, (j + 1) * alpha, size=POINTS_PER_SEGMENT)
             seg_pts.append(_euler_curve(np.sort(s)))
         for method in methods:
             mses = []

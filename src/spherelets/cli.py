@@ -123,17 +123,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args, argv) -> int:
+    if args.n < 1:
+        raise ParameterError(f"--n must be >= 1, got {args.n}")
+    pmax = args.param_max
     if args.dataset == "euler":
-        sample = euler_spiral(args.n, args.param_max or 2.0, seed=args.seed, noise_sd=args.noise)
+        sample = euler_spiral(args.n, 2.0 if pmax is None else pmax, seed=args.seed,
+                              noise_sd=args.noise)
         points, clean = sample.points, sample.clean
     elif args.dataset == "spiral":
         sample = noisy_spiral(args.n, args.noise, seed=args.seed)
         points, clean = sample.points, sample.clean
     elif args.dataset == "enneper":
-        clean = enneper(args.n, args.param_max or 1.0, seed=args.seed)
+        clean = enneper(args.n, 1.0 if pmax is None else pmax, seed=args.seed)
         points = clean + seeded_gaussian(args.n, 3, args.noise, args.seed + 1)
     else:  # sphere
-        clean = sphere_sample(args.n, 2, 3, 0.0, args.param_max or 1.0, seed=args.seed)
+        clean = sphere_sample(args.n, 2, 3, 0.0, 1.0 if pmax is None else pmax, seed=args.seed)
         points = clean + seeded_gaussian(args.n, 3, args.noise, args.seed + 1)
     comments = _provenance(args, argv)
     save_csv(points, args.out, comments=comments)
@@ -219,7 +223,7 @@ def _cmd_bench(args, argv) -> int:
 def _cmd_rate(args, argv) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     alpha_grid = _parse_float_list(args.alpha_grid, "alpha")
-    slopes, records = bench_mod.rate_study("euler", alpha_grid, methods=methods)
+    slopes, records = bench_mod.rate_study(alpha_grid, methods=methods)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for line in _provenance(args, argv):
             fh.write(f"# {line}\n")

@@ -89,6 +89,8 @@ def euler_spiral(
         raise ParameterError(f"need n >= 2, got {n}")
     if not 0.0 < s_max <= EULER_S_MAX:
         raise ParameterError(f"s_max must be in (0, {EULER_S_MAX}], got {s_max}")
+    if not 0.0 <= noise_sd < math.inf:
+        raise ParameterError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if equispaced:
         s = np.linspace(0.0, s_max, n)
     else:
@@ -108,8 +110,8 @@ def noisy_spiral(
     white Gaussian noise of the given standard deviation per coordinate."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
-    if noise_sd < 0:
-        raise ParameterError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not 0.0 <= noise_sd < math.inf:
+        raise ParameterError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     lo, hi = SPIRAL_T_RANGE
     if equispaced:
         t = np.linspace(lo, hi, n)
@@ -123,8 +125,8 @@ def noisy_spiral(
 def enneper(n: int, R: float = 1.0, seed: int = 0) -> np.ndarray:
     """Points of the compact Enneper-surface truncation over the disk
     u^2 + v^2 <= R^2, sampled uniformly on the parameter disk."""
-    if R <= 0:
-        raise ParameterError(f"R must be > 0, got {R}")
+    if not 0.0 < R < math.inf:
+        raise ParameterError(f"R must be finite and > 0, got {R}")
     rng = np.random.default_rng(seed)
     rad = R * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
@@ -156,8 +158,8 @@ def sphere_sample(
     orthonormal (d+1)-frame, uniform directions on it, center + radius."""
     if d + 1 > D:
         raise ParameterError(f"a {d}-sphere needs ambient dimension >= {d + 1}, got {D}")
-    if radius <= 0:
-        raise ParameterError(f"radius must be > 0, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ParameterError(f"radius must be finite and > 0, got {radius}")
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(D, d + 1))
     V, Rq = np.linalg.qr(A)

@@ -35,6 +35,7 @@ plane of the same fit instead, and counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,8 @@ class DenoiseConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.sigma <= 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.iters < 1:
             raise ParameterError(f"iters must be >= 1, got {self.iters}")
         if self.k < 1:
@@ -93,11 +94,11 @@ def blur_step(X: np.ndarray, k: int, sigma: float) -> np.ndarray:
     """One Gaussian-mean shift: each point moves to the softmax-weighted
     average of its k-neighborhood (self included)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and > 0, got {sigma}")
     if not 1 <= k <= X.shape[0]:
         raise ParameterError(f"k={k} out of range [1, {X.shape[0]}]")
-    return _blur(*_hoods(X, knn_indices(X, k, exclude_self=False)), sigma)
+    return _blur(*_hoods(X, knn_indices(X, k)), sigma)
 
 
 def denoise(
@@ -136,7 +137,7 @@ def denoise(
 
 
 def _pass(X: np.ndarray, cfg: DenoiseConfig) -> tuple[np.ndarray, int]:
-    nbr = knn_indices(X, cfg.k, exclude_self=False)
+    nbr = knn_indices(X, cfg.k)
     hoods, d2 = _hoods(X, nbr)
     if cfg.method == "gbms":
         return _blur(hoods, d2, cfg.sigma), 0

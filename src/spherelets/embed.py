@@ -46,6 +46,13 @@ DISTANCE_MODES = ("spherical", "euclidean")
 
 # the repulsion pass holds about this many pairs at a time (512 KiB of float64)
 REPULSION_BLOCK = 1 << 16
+# the optimizer's schedule: affinities times EXAGGERATION through iteration
+# EXAGGERATION_ITERS; momentum MOMENTUM_EARLY before MOMENTUM_SWITCH, then MOMENTUM_LATE
+EXAGGERATION = 4.0
+EXAGGERATION_ITERS = 100
+MOMENTUM_EARLY = 0.5
+MOMENTUM_LATE = 0.8
+MOMENTUM_SWITCH = 250
 
 
 @dataclass(frozen=True)
@@ -55,11 +62,6 @@ class EmbedConfig:
     sigma: float = 1.0
     iters: int = 1000
     learning_rate: float = 100.0
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch: int = 250
-    exaggeration: float = 4.0
-    exaggeration_iters: int = 100
     distance_mode: str = "spherical"
     seed: int = 0
     kl_every: int = 50
@@ -69,10 +71,10 @@ class EmbedConfig:
             raise ParameterError(f"m must be 1, 2 or 3, got {self.m}")
         if self.iters < 1:
             raise ParameterError(f"iters must be >= 1, got {self.iters}")
-        if self.sigma <= 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ParameterError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.distance_mode not in DISTANCE_MODES:
             raise ParameterError(
                 f"distance_mode must be one of {DISTANCE_MODES}, got {self.distance_mode!r}"
@@ -144,7 +146,7 @@ def spherical_knn_distances(
         raise DimensionError(f"a {d}-sphere needs ambient dimension >= {d + 1}, got {D}")
 
     X, e = unit_scale(X)  # fit and measure at unit scale, then scale back
-    nbr = knn_indices(X, k, exclude_self=False)
+    nbr = knn_indices(X, k)
     hoods = X.take(nbr, axis=0)
     fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
     proj, ok = project_spheres(np.concatenate([X[:, None, :], hoods], axis=1), fits)
@@ -166,7 +168,7 @@ def euclidean_knn_distances(X: np.ndarray, k: int) -> Pairs:
     if k > n:
         raise ParameterError(f"k={k} exceeds sample size {n}")
     X, e = unit_scale(X)
-    nbr = knn_indices(X, k, exclude_self=False)
+    nbr = knn_indices(X, k)
     diff = X.take(nbr, axis=0) - X[:, None, :]
     return _knn_pairs(nbr, np.ldexp(np.sqrt(row_dots(diff, diff)), e))
 
@@ -187,8 +189,8 @@ def conditional_affinities(Dmat: Pairs, sigma: float) -> Pairs:
     so each row sums to 1 over its support, the pairs of ``Dmat`` (none on
     the diagonal). Raises ParameterError when some row has empty support.
     """
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and > 0, got {sigma}")
     empty = np.bincount(Dmat.rows, minlength=Dmat.n) == 0
     if empty.any():
         raise ParameterError(f"row {int(np.argmax(empty))} has no neighbors; increase k")
@@ -365,7 +367,7 @@ def embed(
 
     P is globally renormalized to a distribution over ordered pairs.
     Early iterations use affinity exaggeration; momentum switches from
-    its early to its late value at ``momentum_switch``. Returns the
+    its early to its late value at ``MOMENTUM_SWITCH``. Returns the
     iterate with the lowest recorded KL (and the (iteration, KL) log when
     ``return_log`` is set).
     """
@@ -374,7 +376,7 @@ def embed(
     if total <= 0:
         raise ParameterError("affinity matrix is identically zero")
     support = replace(P, vals=P.vals / total)
-    exaggerated = replace(P, vals=support.vals * cfg.exaggeration)
+    exaggerated = replace(P, vals=support.vals * EXAGGERATION)
 
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, 1e-4, size=(P.n, cfg.m))
@@ -386,8 +388,8 @@ def embed(
     log: list[tuple[int, float]] = [(0, best_kl)]
 
     for it in range(1, cfg.iters + 1):
-        P_eff = exaggerated if it <= cfg.exaggeration_iters else support
-        mom = cfg.momentum_early if it < cfg.momentum_switch else cfg.momentum_late
+        P_eff = exaggerated if it <= EXAGGERATION_ITERS else support
+        mom = MOMENTUM_EARLY if it < MOMENTUM_SWITCH else MOMENTUM_LATE
 
         grad = kl_gradient(P_eff, Y)
         halvings = 0

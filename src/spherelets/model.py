@@ -93,18 +93,19 @@ class SphereletModel:
         """Projections of the rows of X, given the (leaf, rows) of each leaf
         in ``leaf_rows`` order, and the rows each leaf received.
 
-        Each row is projected onto its leaf's piece as a 1 x D stack, so
-        its image does not depend on the batch it is in. A row that
-        projects onto a sphere center raises SingularProjectionError
+        Each row is projected onto the ``surface`` of its leaf's piece as a
+        1 x D stack, so its image does not depend on the batch it is in. A
+        row that projects onto a sphere center raises SingularProjectionError
         naming the first such row of the first leaf ``leaf_rows`` yields."""
         route_of = np.empty(X.shape[0], dtype=np.intp)  # index into `routed`
+        surfaces = [leaf.piece.surface for leaf, _ in routed]
         groups: dict[tuple[bool, int], list[int]] = {}
-        for i, (leaf, rows) in enumerate(routed):
+        for i, ((_, rows), p) in enumerate(zip(routed, surfaces)):
             route_of[rows] = i
-            groups.setdefault((leaf.piece.degenerate, leaf.piece.frame.shape[1]), []).append(i)
+            groups.setdefault((p.degenerate, p.frame.shape[1]), []).append(i)
         P, singular = np.empty_like(X), np.zeros(X.shape[0], dtype=bool)
         for (plane, width), members in groups.items():
-            pieces = [routed[i][0].piece for i in members]
+            pieces = [surfaces[i] for i in members]
             frames = np.stack([p.frame for p in pieces])
             anchor = np.stack([p.mu if plane else p.center for p in pieces])
             radius = None if plane else np.array([p.radius for p in pieces])
@@ -291,8 +292,8 @@ def _check_pieces(objs: list, d: int, D: int) -> list[tuple[int, Piece]]:
         sphere, group, m = kind == "sphere", [objs[i] for i in members], len(members)
         mu = _finite([o["mu"] for o in group], (m, D), "mu")
         F = np.array([o["frame"] for o in group], dtype=float)
-        # what fit writes: a sphere's frame, a degenerate sphere's reduction
-        # plane, or a PCA plane
+        # what fit writes: a sphere's frame or a d-wide plane; files of
+        # earlier versions also hold (d+1)-wide planes of degenerate spheres
         widths = [d + 1] if sphere else sorted({min(d, D), min(d + 1, D)})
         if F.shape != (m, D, width) or width not in widths or not np.isfinite(F).all():
             want = (f"{D} x {d + 1} matrix" if sphere else
@@ -354,7 +355,9 @@ def _check_nodes(nodes: list, D: int) -> tuple[list[SplitRule], list[tuple[int, 
 
 def load(path: str) -> SphereletModel:
     """Load a model file; raises ParseError / VersionError on bad input,
-    including a piece or split whose shapes do not fit d and D, a
+    including a d or D that is not an integer (d >= 0, D >= 1), a fitter
+    other than spca or pca, a provenance that is not an object, a piece
+    or split whose shapes do not fit d and D, a
     non-finite number or one out of float range, a frame whose columns are
     not orthonormal within ``FRAME_TOL``, a sphere radius that is not
     finite and positive, leaf ids that do not pair each tree leaf with
@@ -378,10 +381,15 @@ def load(path: str) -> SphereletModel:
             raise ParseError(f"{path}: missing field {key!r}")
     if not isinstance(obj["leaves"], list):
         raise ParseError(f"{path}: leaves must be a list")
-    try:
-        d, D = int(obj["d"]), int(obj["D"])
-    except _MALFORMED as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    for key, least in (("d", 0), ("D", 1)):
+        if type(obj[key]) is not int or obj[key] < least:  # a bool is not a JSON integer
+            raise ParseError(f"{path}: {key} must be an integer >= {least}, got {obj[key]!r}")
+    if obj["fitter"] not in ("spca", "pca"):
+        raise ParseError(f"{path}: fitter must be 'spca' or 'pca', got {obj['fitter']!r}")
+    provenance = obj.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ParseError(f"{path}: provenance must be an object, got {provenance!r}")
+    d, D = obj["d"], obj["D"]
     objs = obj["leaves"]
     parsed = _named(lambda entries: _check_pieces(entries, d, D), objs,
                     lambda i: _piece_name(i, objs[i]))
@@ -403,6 +411,6 @@ def load(path: str) -> SphereletModel:
         tree=built.pop(),
         d=d,
         D=D,
-        fitter=str(obj["fitter"]),
-        provenance=obj.get("provenance", {}),
+        fitter=obj["fitter"],
+        provenance=provenance,
     )

@@ -14,6 +14,7 @@ holds at most about ``KNN_BLOCK`` distances at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,14 @@ class NeighborList:
     distances: np.ndarray
 
 
-def sym_eig(S: np.ndarray, rtol: float = 1e-10) -> SymEigResult:
+def sym_eig(S: np.ndarray) -> SymEigResult:
     """Full eigendecomposition of a symmetric real matrix, or of a stack
     of them.
 
     Parameters
     ----------
     S : (..., n, n) array
-        Each matrix symmetric within `rtol` relative Frobenius tolerance.
+        Each matrix symmetric within a relative Frobenius tolerance of 1e-10.
 
     Returns
     -------
@@ -69,7 +70,7 @@ def sym_eig(S: np.ndarray, rtol: float = 1e-10) -> SymEigResult:
         raise DimensionError(f"expected a square matrix, got shape {S.shape}")
     St = np.swapaxes(S, -1, -2)
     asym = np.linalg.norm(S - St, axis=(-2, -1))
-    bad = asym > rtol * (1.0 + np.linalg.norm(S, axis=(-2, -1)))
+    bad = asym > 1e-10 * (1.0 + np.linalg.norm(S, axis=(-2, -1)))
     if np.any(bad):
         raise DimensionError(f"matrix is not symmetric (|S-S^T|={np.max(asym[bad]):.3e})")
     # eigh works on the symmetrized matrix so tiny asymmetries cannot leak in
@@ -166,23 +167,23 @@ def unit_scale(X: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(X, -e), e
 
 
-def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
+def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     """Neighbor indices for every row of X at once; shape (n, k).
 
     Row i lists the k rows nearest to X[i] by increasing distance, ties
     broken by lower row index: the first k columns of a stable argsort of
-    the row's distances. With ``exclude_self=True`` row i never lists i.
+    the row's distances, the row itself included.
 
     The rows are cut into k-d leaves of at most ``KNN_LEAF`` rows (and at
-    least k + exclude_self). A row's k-th distance within its own leaf,
-    plus a rounding slack, bounds its k-th distance over all rows, so a
-    leaf's rows need only the candidates inside its box: the per-axis
-    extent of all its rows' bound balls. Candidate distances are computed
-    by the same expression as in a full scan, so the result is the full
-    scan's wherever BLAS gives a distance the same value in every block
-    shape (not guaranteed where rounding decides the order). Leaves whose
-    box holds every row, and input that is not all finite, are scanned
-    against every row; finite input is scaled exactly by a power of two.
+    least k). A row's k-th distance within its own leaf, plus a rounding
+    slack, bounds its k-th distance over all rows, so a leaf's rows need
+    only the candidates inside its box: the per-axis extent of all its
+    rows' bound balls. Candidate distances are computed by the same
+    expression as in a full scan, so the result is the full scan's
+    wherever BLAS gives a distance the same value in every block shape
+    (not guaranteed where rounding decides the order). Leaves whose box
+    holds every row, and input that is not all finite, are scanned against
+    every row; finite input is scaled exactly by a power of two.
 
     Rows are processed in blocks of about ``KNN_BLOCK`` distances, so
     memory beyond the (n, k) result is one block, not n x n. Each block
@@ -191,9 +192,8 @@ def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    limit = n - 1 if exclude_self else n
-    if not 1 <= k <= limit:
-        raise ParameterError(f"k={k} out of range [1, {limit}]")
+    if not 1 <= k <= n:
+        raise ParameterError(f"k={k} out of range [1, {n}]")
     X, _ = unit_scale(X)  # exact: the same order, no overflow
     prune = bool(X.size and np.isfinite(X).all())
     # The slack. With M the largest row norm, every intermediate of
@@ -212,14 +212,14 @@ def knn_indices(X: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray
     delta = np.sqrt(8.0 * (X.shape[1] + 2) * np.finfo(float).eps * m2)
     out = np.empty((n, k), dtype=np.intp)
     everyone, scan = np.arange(n), []
-    for leaf in _kd_leaves(X, k + exclude_self) if prune else [everyone]:
-        cand = everyone if leaf.size == n else _box_rows(X, leaf, k, exclude_self, 4.0 * delta)
+    for leaf in _kd_leaves(X, k) if prune else [everyone]:
+        cand = everyone if leaf.size == n else _box_rows(X, leaf, k, 4.0 * delta)
         if cand.size < n:
-            _select(X, leaf, cand, k, exclude_self, out)
+            _select(X, leaf, cand, k, out)
         else:
             scan.append(leaf)
     if scan:  # in full-width blocks, as without pruning
-        _select(X, np.sort(np.concatenate(scan)), everyone, k, exclude_self, out)
+        _select(X, np.sort(np.concatenate(scan)), everyone, k, out)
     return out
 
 
@@ -240,23 +240,21 @@ def _kd_leaves(X: np.ndarray, min_rows: int) -> list[np.ndarray]:
     return leaves
 
 
-def _box_rows(X: np.ndarray, leaf: np.ndarray, k: int, exclude_self: bool,
-              slack: float) -> np.ndarray:
+def _box_rows(X: np.ndarray, leaf: np.ndarray, k: int, slack: float) -> np.ndarray:
     """Rows of X inside the leaf's box: per axis, the extent of the balls
     around its rows whose radius is the row's k-th distance within the
     leaf plus `slack`."""
     r = np.concatenate([np.partition(dist, k - 1, axis=1)[:, k - 1]
-                        for _, dist in _distance_blocks(X, leaf, leaf, exclude_self)])
+                        for _, dist in _distance_blocks(X, leaf, leaf)])
     P, r = X.take(leaf, axis=0), r[:, None] + slack
     inside = (X >= (P - r).min(axis=0)) & (X <= (P + r).max(axis=0))
     return np.flatnonzero(inside.all(axis=1))
 
 
-def _select(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int, exclude_self: bool,
-            out: np.ndarray) -> None:
+def _select(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int, out: np.ndarray) -> None:
     """Write into out[rows] the k nearest of the candidate rows `cand`
     (sorted, holding each of `rows` and its k nearest)."""
-    for sub, dist in _distance_blocks(X, rows, cand, exclude_self):
+    for sub, dist in _distance_blocks(X, rows, cand):
         sel = np.argpartition(dist, k - 1, axis=1)[:, :k]
         sel.sort(axis=1)  # so the stable sort below breaks ties by index
         sel_d = np.take_along_axis(dist, sel, axis=1)
@@ -270,24 +268,20 @@ def _select(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int, exclude_s
             out[sub[r]] = cand[np.argsort(dist[r], kind="stable")[:k]]
 
 
-def _distance_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray, exclude_self: bool):
-    """Distances from X[rows] to X[cols] (sorted, holding each of `rows`)
-    in blocks of about ``KNN_BLOCK``: yields (row indices, block); with
-    `exclude_self` a row's distance to itself is inf."""
+def _distance_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Distances from X[rows] to X[cols] in blocks of about ``KNN_BLOCK``:
+    yields (row indices, block)."""
     Xc = X.take(cols, axis=0)
     step = max(1, KNN_BLOCK // cols.size)
     for lo in range(0, rows.size, step):
         sub = rows[lo : lo + step]
-        dist = np.sqrt(pairwise_sq_dists(X.take(sub, axis=0), Xc))
-        if exclude_self:
-            dist[np.arange(sub.size), np.searchsorted(cols, sub)] = np.inf
-        yield sub, dist
+        yield sub, np.sqrt(pairwise_sq_dists(X.take(sub, axis=0), Xc))
 
 
 def seeded_gaussian(n: int, D: int, sigma: float, seed: int) -> np.ndarray:
     """n-by-D matrix of independent N(0, sigma^2) draws, reproducible by seed."""
-    if sigma < 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, 1.0, size=(n, D)) * sigma
 

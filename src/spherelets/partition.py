@@ -24,7 +24,7 @@ row's leaf does not depend on the batch it is routed in.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +69,8 @@ def build_tree(
     """Grow the PC1-sign tree level by level until every cell meets the MSE
     target or runs out of points; leaves are numbered in depth-first order."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if eps <= 0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ParameterError(f"eps must be finite and > 0, got {eps}")
     if n_min < d + 3:
         raise ParameterError(f"n_min must be >= d+3 = {d + 3}, got {n_min}")
     if X.shape[0] < n_min:
@@ -98,16 +98,23 @@ def build_tree(
             cells[i] = None  # only a leaf keeps its rows
         cells = children
 
-    cell_ids = itertools.count()
-
-    def node(t: int, i: int) -> PartitionNode:
+    order, stack = [], [(0, 0)]  # (level, cell) of each node, depth-first
+    while stack:
+        t, i = stack.pop()
+        order.append((t, i))
+        j = levels[t][4][i]  # the left child's index in level t + 1
+        if j >= 0:
+            stack += [(t + 1, j + 1), (t + 1, j)]
+    built, cell_id = [], sum(1 for t, i in order if levels[t][4][i] < 0)
+    for t, i in reversed(order):  # children before parents, the right child first
         cells, pieces, mu, axis, child = levels[t]
         if child[i] < 0:
-            return Leaf(cell_id=next(cell_ids), member_indices=cells[i], piece=pieces[i])
-        return Internal(rule=SplitRule(mu=mu[i], direction=axis[i]),
-                        left=node(t + 1, child[i]), right=node(t + 1, child[i] + 1))
-
-    return node(0, 0)
+            cell_id -= 1
+            built.append(Leaf(cell_id=cell_id, member_indices=cells[i], piece=pieces[i]))
+        else:
+            left, right = built.pop(), built.pop()
+            built.append(Internal(rule=SplitRule(mu=mu[i], direction=axis[i]), left=left, right=right))
+    return built.pop()
 
 
 def _goes_left(X: np.ndarray, mu: np.ndarray, direction: np.ndarray) -> np.ndarray:

@@ -63,6 +63,11 @@ class Hyperplane:
     def ambient_dim(self) -> int:
         return self.mu.shape[0]
 
+    @property
+    def surface(self) -> Hyperplane:
+        """What rows project onto: the plane itself."""
+        return self
+
     def project(self, X: np.ndarray) -> np.ndarray:
         return project_plane(X, self)
 
@@ -77,8 +82,9 @@ class Spherelet:
     """A d-sphere in R^D: frame V (D x (d+1)), center c, radius r, data mean mu.
 
     ``degenerate`` marks the infinite-radius limit where the sphere
-    collapses to a hyperplane; projection then delegates to ``plane``,
-    the reduction hyperplane mu + span(V) the fit was computed in.
+    collapses to a plane; projection then delegates to ``surface``, the
+    fit's d-plane mu + span(V[:, :d]). ``plane`` is the (d+1)-dimensional
+    reduction hyperplane mu + span(V) the fit was computed in.
     """
 
     frame: np.ndarray
@@ -94,6 +100,12 @@ class Spherelet:
     @property
     def plane(self) -> Hyperplane:
         return Hyperplane(mu=self.mu, frame=self.frame)
+
+    @property
+    def surface(self) -> Spherelet | Hyperplane:
+        """What rows project onto: the sphere, or when it is degenerate the
+        d-plane of its fit, the ``pca`` fitter's plane of the same set."""
+        return Hyperplane(mu=self.mu, frame=self.frame[:, :-1]) if self.degenerate else self
 
     def project(self, X: np.ndarray) -> np.ndarray:
         return project_sphere(X, self)
@@ -124,9 +136,9 @@ class SphereFits:
     ``residual_sq`` (N,) is each input row's squared distance to its
     set's piece: (|z - c_z| - r)^2 + max(|x - x_bar|^2 - |z|^2, 0) for a
     sphere, with z = V'(x - x_bar) and c_z the reduced center, and the
-    out-of-plane part max(|x - x_bar|^2 - |z|^2, 0) for a degenerate set,
-    whose piece is its reduction hyperplane. It equals the piece's own
-    ``residual_sq`` up to rounding.
+    out-of-plane part max(|x - x_bar|^2 - |z_d|^2, 0) for a degenerate set,
+    z_d the first d coordinates of z, whose piece is the d-plane of its
+    fit. It equals the piece's own ``residual_sq`` up to rounding.
     """
 
     mu: np.ndarray
@@ -203,10 +215,10 @@ def _reduced(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
     """The model piece of each point set (rows X cut at ``starts``), its
     mean and first principal axis, and each row's squared residual to its
-    set's piece. Under ``spca`` a piece is the set's d-sphere, or its
-    (d+1)-wide reduction plane when degenerate; under ``pca``, or for a
-    set that cannot carry a d-sphere, it is the min(d, D)-wide PCA plane,
-    and a row's residual is its out-of-plane part."""
+    set's piece. Under ``spca`` a piece is the set's d-sphere; under
+    ``pca``, for a set that cannot carry a d-sphere, or for one whose
+    sphere fit degenerates, it is the min(d, D)-wide PCA plane, and a
+    row's residual is its out-of-plane part."""
     if fitter not in ("spca", "pca"):
         raise ParameterError(f"fitter must be 'spca' or 'pca', got {fitter!r}")
     X, starts, sizes = _segments(X, starts)
@@ -230,8 +242,8 @@ def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
         mu[sphere], first[sphere], residual_sq[rows] = fits.mu, fits.frame[:, :, 0], fits.residual_sq
         for i, V, c, r, deg in zip(np.flatnonzero(sphere), fits.frame, fits.center, fits.radius,
                                    fits.degenerate):
-            s = Spherelet(frame=V.copy(), center=c, radius=float(r), mu=mu[i], degenerate=bool(deg))
-            pieces[i] = s.plane if deg else s
+            pieces[i] = (Hyperplane(mu=mu[i], frame=V[:, :d].copy()) if deg else
+                         Spherelet(frame=V.copy(), center=c, radius=float(r), mu=mu[i]))
     return PieceFits(pieces, mu, first, residual_sq)
 
 
@@ -376,9 +388,10 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
     residual_sq = dist - np.repeat(np.where(ok, radius, 0.0), sizes)
     residual_sq *= residual_sq
     residual_sq += perp
-    if not ok.all():  # a degenerate set's piece is its reduction plane
+    if not ok.all():  # a degenerate set's piece is the d-plane of its fit
         plane = np.repeat(~ok, sizes)
-        residual_sq[plane] = perp[plane]
+        Zd = Z[plane, :d]
+        residual_sq[plane] = np.maximum(xx[plane] - row_dots(Zd, Zd), 0.0)
     return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
                       radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond,
                       residual_sq=residual_sq)
@@ -431,9 +444,10 @@ def _sphere_images(
 def project_sphere(x: np.ndarray, s: Spherelet) -> np.ndarray:
     """Closest point on the sphere: c + (r / |VV'(x-c)|) VV'(x-c).
 
-    Delegates to the reduction hyperplane when the spherelet is
-    degenerate. Raises SingularProjectionError naming the first point
-    that projects onto the center, where every sphere point is equally close.
+    Delegates to the fit's d-plane (``Spherelet.surface``) when the
+    spherelet is degenerate. Raises SingularProjectionError naming the
+    first point that projects onto the center, where every sphere point is
+    equally close.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != s.ambient_dim:
@@ -441,7 +455,7 @@ def project_sphere(x: np.ndarray, s: Spherelet) -> np.ndarray:
             f"point dimension {x.shape[-1]} != sphere dimension {s.ambient_dim}"
         )
     if s.degenerate:
-        return project_plane(x, s.plane)
+        return project_plane(x, s.surface)
     images, regular = _sphere_images(x, s.center, s.radius, s.frame)
     if not np.all(regular):
         bad = int(np.argmin(regular))
@@ -454,7 +468,7 @@ def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
     (|VV'(x-c)| - r)^2 + |(I-VV')(x-c)|^2; defined even at the center."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if s.degenerate:
-        return s.plane.residual_sq(X)
+        return s.surface.residual_sq(X)
     diff = X - s.center
     inner = diff @ s.frame
     in_norm = np.sqrt(row_dots(inner, inner))

@@ -173,7 +173,7 @@ def test_criterion_3_projection_beats_dense_grid():
 def test_criterion_4_rate_separation():
     t0 = time.perf_counter()
     alpha_grid = list(np.geomspace(0.05, 0.5, 6))
-    slopes, records = rate_study("euler", alpha_grid, seed=SEED)
+    slopes, records = rate_study(alpha_grid, seed=SEED)
     spca_records = [r for r in records if r.method == "spca"]
     alpha_max = max(r.alpha for r in spca_records)
     theta = max(r.mse / r.alpha**4 for r in spca_records if r.alpha == alpha_max)

@@ -20,6 +20,8 @@ def test_bench_eps_grid_validation():
         bench_curve("circle", 1, [])
     with pytest.raises(ParameterError):
         bench_curve("circle", 1, [1e-3, 1e-2])
+    with pytest.raises(ParameterError, match="strictly decreasing"):
+        bench_curve("circle", 1, [1e-3, float("nan")])  # used to fit at 1e-3 first
     with pytest.raises(ParameterError):
         bench_curve("circle", 1, [1e-2], methods=("svd",))
 
@@ -61,15 +63,14 @@ def test_bench_deterministic():
 
 def test_rate_study_validation():
     with pytest.raises(ParameterError):
-        rate_study("spiral", [0.05, 0.5])
-    with pytest.raises(ParameterError):
-        rate_study("euler", [0.1, 0.5])  # under one decade
-    with pytest.raises(ParameterError):
-        rate_study("euler", [0.05, 0.5], points_per_segment=20)
+        rate_study([0.1, 0.5])  # under one decade
+    for grid in ([], [np.nan, 1.0], [0.05, np.inf]):
+        with pytest.raises(ParameterError, match="finite positive"):
+            rate_study(grid)
 
 
 def test_rate_study_slopes_separate():
-    slopes, records = rate_study("euler", list(np.geomspace(0.05, 0.5, 5)), seed=0)
+    slopes, records = rate_study(list(np.geomspace(0.05, 0.5, 5)), seed=0)
     assert 3.5 <= slopes["pca"] <= 4.5
     assert slopes["spca"] >= slopes["pca"] + 1.5
     assert any(r.method == "spca" for r in records)

@@ -217,7 +217,7 @@ HUGE = 10**400  # written as 401 digits, out of float range
     (lambda: _edited_model(lambda o: o["tree"]["left"].update(members=[0, HUGE])),
      r"^tree\.left: .*too large"),
     (lambda: _edited_model(lambda o: o.update(D=float("inf"))),
-     r"m\.json: cannot convert float infinity to integer$"),
+     r"m\.json: D must be an integer >= 1, got inf$"),
     # JSON parsing refuses so long an integer where Python limits int digits
     (lambda: _edited_model(lambda o: o["tree"]["split"].update(mu=["@", 0.0])).replace(
         '"@"', "1" * 5000), r"m\.json: Exceeds the limit|^tree: int too large"),
@@ -257,7 +257,8 @@ def _plane_model(d, frame=None):
     (0, [[1.0, 0.0], [0.0, 1.0]], "0 or 1"),  # used to project every row onto itself
 ], ids=["no-columns", "too-wide"])
 def test_exit_data_on_plane_frame_fit_never_writes(tmp_path, capsys, d, frame, widths):
-    # fit writes a plane min(d, D) wide, or d + 1 for a degenerate sphere
+    # fit writes a plane min(d, D) wide; earlier versions also wrote the
+    # d + 1 wide reduction plane of a degenerate sphere
     from spherelets.model import load
 
     mpath, data = tmp_path / "m.json", tmp_path / "x.csv"
@@ -329,3 +330,58 @@ def test_fit_prints_the_routed_train_mse(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (
         f"pieces={fitted.n_pieces} train_mse={train_mse:.6e} model={model}\n")
     assert fitted.n_pieces > 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--d", "1", "--eps", "nan"],
+    ["fit", "--d", "1", "--eps", "inf"],
+    ["embed", "--d", "1", "--sigma", "1", "--iters", "5", "--lr", "nan"],
+    ["denoise", "--method", "smbms", "--k", "10", "--sigma", "nan"],
+    ["denoise", "--method", "ltp", "--k", "10", "--sigma", "nan"],
+    ["generate", "--dataset", "enneper", "--n", "50", "--noise", "nan"],
+    ["generate", "--dataset", "enneper", "--n", "50", "--param-max", "nan"],
+    ["generate", "--dataset", "spiral", "--n", "50", "--noise", "inf"],
+    ["generate", "--dataset", "euler", "--n", "50", "--noise", "nan"],
+    ["generate", "--dataset", "sphere", "--n", "-3"],
+    ["generate", "--dataset", "sphere", "--n", "0"],
+], ids=["fit-eps-nan", "fit-eps-inf", "embed-lr-nan", "smbms-sigma-nan", "ltp-sigma-nan",
+        "enneper-noise-nan", "enneper-param-max-nan", "spiral-noise-inf", "euler-noise-nan",
+        "n-negative", "n-zero"])
+def test_exit_usage_on_non_finite_or_empty_parameter(tmp_path, capsys, argv):
+    # each used to exit 0 with NaN, inf or unchanged output, exit 4, or end
+    # in a traceback: NaN passed checks written as x <= 0
+    data, out, log = tmp_path / "x.csv", tmp_path / "out", tmp_path / "kl.csv"
+    assert run("generate", "--dataset", "euler", "--n", "60", "--out", str(data)) == EXIT_OK
+    capsys.readouterr()
+    extra = [] if argv[0] == "generate" else ["--input", str(data)]
+    extra += ["--log", str(log)] if argv[0] == "embed" else []
+    assert run(*argv, *extra, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    (lambda: _edited_model(lambda o: o.update(d="1")), r"d must be an integer >= 0, got '1'$"),
+    (lambda: _edited_model(lambda o: o.update(d=1.9)), r"d must be an integer >= 0, got 1\.9$"),
+    (lambda: _edited_model(lambda o: o.update(d=True)), r"d must be an integer >= 0, got True$"),
+    (lambda: json.dumps(_plane_model(-1)), r"d must be an integer >= 0, got -1$"),
+    (lambda: _edited_model(lambda o: o.update(D=0)), r"D must be an integer >= 1, got 0$"),
+    (lambda: _edited_model(lambda o: o.update(fitter=42)),
+     r"fitter must be 'spca' or 'pca', got 42$"),
+    (lambda: _edited_model(lambda o: o.update(provenance=[1, 2])),
+     r"provenance must be an object, got \[1, 2\]$"),
+], ids=["d-string", "d-float", "d-bool", "d-negative", "D-zero", "fitter", "provenance"])
+def test_exit_data_on_malformed_model_header(tmp_path, capsys, text, message):
+    # each used to load, and to project with exit 0
+    from spherelets.model import load
+
+    mpath, data = tmp_path / "m.json", tmp_path / "x.csv"
+    mpath.write_text(text())
+    data.write_text("4,1\n")
+    with pytest.raises(ParseError, match=r"m\.json: " + message):
+        load(str(mpath))
+    assert run("project", "--model", str(mpath), "--input", str(data),
+               "--out", str(tmp_path / "p.csv")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -39,7 +39,7 @@ def test_blur_step_hand_computed_softmax():
 def test_blur_step_convex_hull_box():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(60, 2))
-    nbr = knn_indices(X, 7, exclude_self=False)
+    nbr = knn_indices(X, 7)
     Y = blur_step(X, 7, 0.8)
     for i in range(60):
         hood = X[nbr[i]]
@@ -102,7 +102,7 @@ def test_smbms_outputs_lie_on_local_spheres():
     out = denoise(X, cfg)
     # replicate the pass: blur on original neighborhoods, then fit on the
     # blurred images of each point's support
-    nbr = knn_indices(X, cfg.k, exclude_self=False)
+    nbr = knn_indices(X, cfg.k)
     Y = blur_step(X, cfg.k, cfg.sigma)
     for i in range(0, 300, 17):
         s, _ = fit_sphere(Y[_support(X, nbr, i, cfg)], 1)

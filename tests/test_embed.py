@@ -11,6 +11,11 @@ from hypothesis import strategies as st
 from spherelets.datasets import enneper, noisy_spiral, sphere_sample
 from spherelets.embed import (
     DISTANCE_MODES,
+    EXAGGERATION,
+    EXAGGERATION_ITERS,
+    MOMENTUM_EARLY,
+    MOMENTUM_LATE,
+    MOMENTUM_SWITCH,
     EmbedConfig,
     Pairs,
     affinities,
@@ -646,8 +651,8 @@ def _dense_oracle_embed(P, cfg):
     best_Y, best_kl = Y.copy(), _dense_oracle(P, Y)[1]
     log = [(0, best_kl)]
     for it in range(1, cfg.iters + 1):
-        P_eff = P * cfg.exaggeration if it <= cfg.exaggeration_iters else P
-        mom = cfg.momentum_early if it < cfg.momentum_switch else cfg.momentum_late
+        P_eff = P * EXAGGERATION if it <= EXAGGERATION_ITERS else P
+        mom = MOMENTUM_EARLY if it < MOMENTUM_SWITCH else MOMENTUM_LATE
         velocity = mom * velocity - lr * _dense_oracle(P_eff, Y)[0]
         Y = Y + velocity
         if it % cfg.kl_every == 0 or it == cfg.iters:
@@ -682,7 +687,7 @@ def test_embed_matches_dense_oracle_loop():
 def test_kl_gradient_memory_stays_below_one_dense_matrix():
     n, k = 2000, 10
     rng = np.random.default_rng(17)
-    nbr = knn_indices(rng.normal(size=(n, 3)), k, exclude_self=True)
+    nbr = knn_indices(rng.normal(size=(n, 3)), k + 1)[:, 1:]  # each row's k others
     own = np.repeat(np.arange(n), k)
     rows, cols = np.concatenate([own, nbr.ravel()]), np.concatenate([nbr.ravel(), own])
     vals = np.full(rows.size, 1.0 / rows.size)

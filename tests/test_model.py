@@ -394,7 +394,8 @@ def _per_leaf_projection(model, X):
 
 def _mixed_model():
     # one leaf of each projection kind in R^3: a sphere, a degenerate sphere
-    # (projected as its plane), and planes of widths 1 and 2
+    # (projected onto the 1-wide d-plane of its fit), and planes of widths
+    # 1 and 2
     rng = np.random.default_rng(21)
     frame = [np.linalg.qr(rng.normal(size=(3, w)))[0] for w in (2, 2, 1, 2)]
     mu = rng.normal(size=(4, 3))
@@ -420,7 +421,7 @@ def test_project_many_matches_each_leaf_projected_alone(monkeypatch, block):
     monkeypatch.setattr(model_mod, "PROJECT_BLOCK", block)
     rng = np.random.default_rng(22)
     models = [*_property_models(), _mixed_model()]
-    kinds = {(p.degenerate, p.frame.shape[1]) for p in models[-1].leaves.values()}
+    kinds = {(p.surface.degenerate, p.surface.frame.shape[1]) for p in models[-1].leaves.values()}
     assert len(kinds) == 3
     for model in models:
         X = rng.uniform(-2, 2, size=(500, model.D))
@@ -559,3 +560,44 @@ def test_load_checks_valid_splits_together(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(ParseError, match=r"^tree\.left\.left: split\.mu: expected 2 finite"):
         load(str(path))
+
+
+def test_flat_cell_projects_onto_the_pca_plane(tmp_path):
+    # a sphere fit to flat data degenerates; its piece is the pca plane of
+    # the cell, not the (d+1)-wide reduction plane, which is all of R^D
+    # here and used to map every row onto itself with an MSE of 0
+    rng = np.random.default_rng(31)
+    t = rng.uniform(-1, 1, 300)
+    flat = np.column_stack([rng.uniform(-1, 1, (300, 2)), np.zeros(300)])
+    line = np.column_stack([t, 0.5 * t + 0.25])
+    for d, X, x, image in ((2, flat, [0.1, 0.2, 5.0], [0.1, 0.2, 0.0]),
+                           (1, line, [0.3, 0.9], [0.5, 0.5])):
+        spherical, planar = fit(X, d, 1e-6), fit(X, d, 1e-6, fitter="pca")
+        T = np.vstack([x, X + rng.normal(size=X.shape)])
+        assert spherical.n_pieces == planar.n_pieces == 1
+        assert np.array_equal(spherical.project_many(T), planar.project_many(T))
+        assert spherical.mse(T) == planar.mse(T)
+        assert np.allclose(spherical.project(x), image, atol=1e-12)
+    # a file written with the earlier (d+1)-wide plane loads and projects
+    # as stored: onto all of R^2, every row onto itself
+    path = tmp_path / "old.json"
+    save(spherical, str(path))
+    obj = json.loads(path.read_text())
+    obj["leaves"][0]["frame"] = [[1.0, 0.0], [0.0, 1.0]]
+    path.write_text(json.dumps(obj))
+    assert np.allclose(load(str(path)).project_many(T), T, rtol=0.0, atol=1e-12)
+
+
+def test_fit_leaves_no_reference_cycle():
+    import gc
+
+    X = enneper(3000, 1.0, seed=32)
+    gc.collect()
+    gc.disable()
+    try:
+        model = fit(X, 2, 1e-6)
+        assert model.n_pieces > 3
+        del model
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

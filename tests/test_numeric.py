@@ -202,10 +202,8 @@ def test_knn_duplicates_drop_lowest_zero_row():
     assert np.array_equal(res.distances, np.zeros(4))
 
 
-def _knn_oracle(X, k, exclude_self):
+def _knn_oracle(X, k):
     dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-    if exclude_self:
-        np.fill_diagonal(dist, np.inf)
     return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
@@ -223,14 +221,13 @@ def test_knn_indices_matches_stable_argsort(data):
                            min_size=n, max_size=n), label="X"),
         dtype=float,
     )
-    exclude_self = n > 1 and data.draw(st.booleans(), label="exclude_self")
-    k = data.draw(st.integers(1, n - 1 if exclude_self else n), label="k")
+    k = data.draw(st.integers(1, n), label="k")
     block = data.draw(st.integers(1, 3 * n), label="block")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(num, "KNN_BLOCK", block)
-        got = num.knn_indices(X, k, exclude_self=exclude_self)
+        got = num.knn_indices(X, k)
     assert got.shape == (n, k)
-    assert np.array_equal(got, _knn_oracle(X, k, exclude_self))
+    assert np.array_equal(got, _knn_oracle(X, k))
 
 
 def test_knn_indices_matches_dense_stable_sort():
@@ -240,12 +237,8 @@ def test_knn_indices_matches_dense_stable_sort():
 
     X = noisy_spiral(2000, 0.2, seed=0).points
     dense = np.sqrt(pairwise_sq_dists(X, X))
-    for exclude_self in (False, True):
-        D = dense.copy()
-        if exclude_self:
-            np.fill_diagonal(D, np.inf)
-        expect = np.argsort(D, axis=1, kind="stable")[:, :36]
-        assert np.array_equal(knn_indices(X, 36, exclude_self=exclude_self), expect)
+    expect = np.argsort(dense, axis=1, kind="stable")[:, :36]
+    assert np.array_equal(knn_indices(X, 36), expect)
 
 
 def test_knn_indices_k_equals_n_and_single_point(monkeypatch):
@@ -254,15 +247,14 @@ def test_knn_indices_k_equals_n_and_single_point(monkeypatch):
     monkeypatch.setattr(num, "KNN_BLOCK", 7)
     assert num.knn_indices(np.array([[2.0, 5.0]]), 1).tolist() == [[0]]
     X = np.array([[0.0], [1.0], [-1.0], [1.0], [0.0]])
-    assert np.array_equal(num.knn_indices(X, 5), _knn_oracle(X, 5, False))
-    assert np.array_equal(num.knn_indices(X, 4, exclude_self=True), _knn_oracle(X, 4, True))
+    assert np.array_equal(num.knn_indices(X, 5), _knn_oracle(X, 5))
     with pytest.raises(ParameterError):
-        num.knn_indices(np.zeros((1, 2)), 1, exclude_self=True)
+        num.knn_indices(X, 6)
 
 
 def test_knn_indices_nan_rows_fall_back_to_stable_order():
     X = np.array([[0.0], [np.nan], [1.0], [2.0]])
-    assert np.array_equal(knn_indices(X, 3), _knn_oracle(X, 3, False))
+    assert np.array_equal(knn_indices(X, 3), _knn_oracle(X, 3))
 
 
 def test_knn_self_distance_exactly_zero():
@@ -295,16 +287,15 @@ def test_knn_indices_clustered_matches_oracle(data):
     dup = data.draw(st.lists(st.integers(0, len(X) - 1), max_size=10), label="dup")
     X = np.vstack([X, X[dup]])
     n = len(X)
-    exclude_self = n > 1 and data.draw(st.booleans(), label="exclude_self")
-    k = data.draw(st.integers(1, n - 1 if exclude_self else n), label="k")
+    k = data.draw(st.integers(1, n), label="k")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(num, "KNN_LEAF", data.draw(st.integers(1, 16), label="leaf"))
         mp.setattr(num, "KNN_BLOCK", data.draw(st.integers(1, 3 * n), label="block"))
-        got = num.knn_indices(X, k, exclude_self=exclude_self)
-    assert np.array_equal(got, _knn_oracle(X, k, exclude_self))
+        got = num.knn_indices(X, k)
+    assert np.array_equal(got, _knn_oracle(X, k))
 
 
-def _full_scan(X, k, exclude_self):
+def _full_scan(X, k):
     # the blocked full scan the leaf boxes replaced: every distance, as
     # pairwise_sq_dists computes it, then a stable sort of each row
     n, out = len(X), []
@@ -312,8 +303,6 @@ def _full_scan(X, k, exclude_self):
     for lo in range(0, n, step):
         rows = np.arange(lo, min(lo + step, n))
         dist = np.sqrt(pairwise_sq_dists(X[rows], X))
-        if exclude_self:
-            dist[rows - lo, rows] = np.inf
         out.append(np.argsort(dist, axis=1, kind="stable")[:, :k])
     return np.vstack(out)
 
@@ -328,11 +317,9 @@ def test_knn_indices_large_offset_matches_full_scan():
     from spherelets.datasets import noisy_spiral
 
     X = 1e6 + np.round(noisy_spiral(3000, 0.05, seed=4).points * 64 / 20) / 64
-    for exclude_self in (False, True):
-        expect = _full_scan(X, 20, exclude_self)
-        assert np.array_equal(knn_indices(X, 20, exclude_self=exclude_self), expect)
+    expect = _full_scan(X, 20)
+    assert np.array_equal(knn_indices(X, 20), expect)
     exact = np.sqrt(((X[:300, None] - X[None]) ** 2).sum(axis=2))
-    np.fill_diagonal(exact, np.inf)
     assert not np.array_equal(np.argsort(exact, axis=1, kind="stable")[:, :20], expect[:300])
 
 
@@ -361,6 +348,4 @@ def test_knn_indices_extreme_scales_match_full_scan(scale):
     # squares that would underflow to ties or overflow to NaN at this
     # scale: the points keep the neighbors they have at unit scale
     X = np.random.default_rng(23).normal(size=(700, 2))
-    for exclude_self in (False, True):
-        assert np.array_equal(knn_indices(X * scale, 5, exclude_self=exclude_self),
-                              _full_scan(X, 5, exclude_self))
+    assert np.array_equal(knn_indices(X * scale, 5), _full_scan(X, 5))

@@ -27,6 +27,7 @@ from spherelets.spca import (
     reduce_to_plane,
     sphere_distance,
     sphere_fit_loss,
+    sphere_residual_sq,
     stacked_pca,
 )
 
@@ -144,9 +145,13 @@ def test_fit_sphere_degenerates_on_collinear_points():
     s, diag = fit_sphere(X, 1)
     assert s.degenerate
     assert diag.h_condition > 1e12
-    # degenerate projection delegates to the reduction plane
+    # degenerate projection delegates to the fit's d-plane, the line itself
+    # (the 2-wide reduction plane is all of R^2 and would map x to itself)
     x = np.array([0.5, 1.3])
-    assert np.allclose(project_sphere(x, s), project_plane(x, s.plane), atol=1e-12)
+    assert s.surface.frame.shape == (2, 1)
+    assert np.allclose(project_sphere(x, s), project_plane(x, s.surface), atol=1e-12)
+    assert np.allclose(project_sphere(x, s), [0.62, 1.24], atol=1e-12)
+    assert np.allclose(sphere_residual_sq(x, s), [0.018], atol=1e-12)
 
 
 def test_fit_sphere_rigid_motion_equivariance():
@@ -528,10 +533,12 @@ def test_fit_pieces_policy_per_set():
     short = np.array([[0.0, 1.0], [1.0, 1.0]])
     pieces, mu, axes, _ = fit_pieces(*_ragged([circle, short, line]), 1, "spca")
     assert isinstance(pieces[0], Spherelet) and not pieces[0].degenerate
-    # too short for a circle: the 1-wide PCA plane; collinear: the 2-wide
-    # reduction plane of the degenerate circle
-    assert isinstance(pieces[1], Hyperplane) and pieces[1].frame.shape == (2, 1)
-    assert isinstance(pieces[2], Hyperplane) and pieces[2].frame.shape == (2, 2)
+    # too short for a circle, or collinear (a degenerate circle): the
+    # 1-wide PCA plane, the piece the pca fitter gives the set bit for bit
+    for i, S in ((1, short), (2, line)):
+        plane = fit_pieces(S, [0], 1, "pca").pieces[0]
+        assert isinstance(pieces[i], Hyperplane) and pieces[i].frame.shape == (2, 1)
+        assert np.array_equal(pieces[i].frame, plane.frame) and np.array_equal(pieces[i].mu, plane.mu)
     assert np.allclose(np.abs(axes[1]), [1.0, 0.0]) and np.allclose(axes[2], [1, 2] / np.sqrt(5))
     for i, S in enumerate([circle, short, line]):
         alone, mu_alone, axis, _ = fit_pieces(S, [0], 1, "spca")
