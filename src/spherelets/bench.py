@@ -19,6 +19,7 @@ import numpy as np
 from . import model as model_mod
 from .datasets import _euler_curve, euler_spiral, noisy_spiral, sphere_sample
 from .exceptions import ParameterError
+from .numeric import seeded_rng
 from .spca import fit_pieces, fit_sphere
 
 BENCH_METHODS = ("spca", "pca")
@@ -145,7 +146,7 @@ def rate_study(
         )
 
     s_max = 2.0
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     records: list[RateRecord] = []
     mean_mse: dict[str, dict[float, float]] = {m: {} for m in methods}
     for alpha in alpha_grid:

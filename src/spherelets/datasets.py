@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, ParameterError, ParseError
-from .numeric import seeded_gaussian
+from .numeric import seeded_gaussian, seeded_rng
 
 SPIRAL_T_RANGE = (math.pi, 4.0 * math.pi)
 EULER_S_MAX = 2.0
@@ -91,10 +91,8 @@ def euler_spiral(
         raise ParameterError(f"s_max must be in (0, {EULER_S_MAX}], got {s_max}")
     if not 0.0 <= noise_sd < math.inf:
         raise ParameterError(f"noise_sd must be finite and >= 0, got {noise_sd}")
-    if equispaced:
-        s = np.linspace(0.0, s_max, n)
-    else:
-        s = np.random.default_rng(seed).uniform(0.0, s_max, size=n)
+    rng = seeded_rng(seed)
+    s = np.linspace(0.0, s_max, n) if equispaced else rng.uniform(0.0, s_max, size=n)
     clean = _euler_curve(s)
     points = clean + seeded_gaussian(n, 2, noise_sd, seed + 1) if noise_sd > 0 else clean.copy()
     return CurveSample(points=points, params=s, clean=clean)
@@ -113,10 +111,8 @@ def noisy_spiral(
     if not 0.0 <= noise_sd < math.inf:
         raise ParameterError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     lo, hi = SPIRAL_T_RANGE
-    if equispaced:
-        t = np.linspace(lo, hi, n)
-    else:
-        t = np.random.default_rng(seed).uniform(lo, hi, size=n)
+    rng = seeded_rng(seed)
+    t = np.linspace(lo, hi, n) if equispaced else rng.uniform(lo, hi, size=n)
     clean = np.column_stack([2.0 * t * np.cos(t), 2.0 * t * np.sin(t)])
     points = clean + seeded_gaussian(n, 2, noise_sd, seed + 1) if noise_sd > 0 else clean.copy()
     return CurveSample(points=points, params=t, clean=clean)
@@ -127,7 +123,7 @@ def enneper(n: int, R: float = 1.0, seed: int = 0) -> np.ndarray:
     u^2 + v^2 <= R^2, sampled uniformly on the parameter disk."""
     if not 0.0 < R < math.inf:
         raise ParameterError(f"R must be finite and > 0, got {R}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     rad = R * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
     u, v = rad * np.cos(ang), rad * np.sin(ang)
@@ -160,7 +156,7 @@ def sphere_sample(
         raise ParameterError(f"a {d}-sphere needs ambient dimension >= {d + 1}, got {D}")
     if not 0.0 < radius < math.inf:
         raise ParameterError(f"radius must be finite and > 0, got {radius}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     A = rng.normal(size=(D, d + 1))
     V, Rq = np.linalg.qr(A)
     V = V * np.sign(np.diag(Rq))[None, :]
@@ -174,7 +170,7 @@ def train_test_split(n: int, test_fraction: float = 0.2, seed: int = 0):
     """Disjoint, exhaustive (train, test) index arrays by seeded shuffle."""
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = seeded_rng(seed).permutation(n)
     n_test = int(round(n * test_fraction))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 

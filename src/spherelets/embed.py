@@ -19,8 +19,9 @@ O(nk), and an exact repulsion over all pairs. As the gradient is
 antisymmetric pair by pair, both evaluate each unordered pair once and
 give its term to both of its rows. One pass computes the repulsion
 together with the normalization Z in row blocks of about
-``REPULSION_BLOCK`` pairs; the objective sums Z alone over the same
-blocks in the same order. The gradient reads the upper triangle of P,
+``REPULSION_BLOCK`` pairs, and forms only the squared kernel: Z follows
+from the weighted sums of the repulsion rows, and the objective takes
+its Z from the same pass. The gradient reads the upper triangle of P,
 which a ``Pairs`` selects once. Memory beyond the O(nk) support is one
 block (512 KiB).
 
@@ -71,6 +72,10 @@ class EmbedConfig:
             raise ParameterError(f"m must be 1, 2 or 3, got {self.m}")
         if self.iters < 1:
             raise ParameterError(f"iters must be >= 1, got {self.iters}")
+        if self.kl_every < 1:
+            raise ParameterError(f"kl_every must be >= 1, got {self.kl_every}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.sigma < math.inf:
             raise ParameterError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0.0 < self.learning_rate < math.inf:
@@ -256,70 +261,47 @@ def _support_kernel(rows: np.ndarray, cols: np.ndarray, Y: np.ndarray):
     return diff, 1.0 / (1.0 + np.einsum("ij,ij->j", diff, diff))
 
 
-def _kernel_blocks(Y: np.ndarray):
-    """The Student-t kernel w_ij of each unordered pair once, in row blocks:
-    yields (lo, hi, W) with W[r, c] = w_{lo + r, lo + c} for the rows
-    [lo, hi) and the columns [lo, n), about ``REPULSION_BLOCK`` pairs, the
-    diagonal zero. Each block's 1 + |y_i - y_j|^2 is one product
-    [y_i, |y_i|^2 + 1, 1] . [-2 y_j, 1, |y_j|^2] (clamped below at 1).
-    Every block is a view of one buffer, overwritten by the next block (a
-    fresh one would fault in its pages)."""
-    n = Y.shape[0]
+def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Z = sum_{i != j} w_ij and the rows sum_j w_ij^2 (y_i - y_j).
+
+    One exact pass over row blocks: the rows [lo, hi) against the columns
+    [lo, n), about ``REPULSION_BLOCK`` pairs, so no n x n array is ever
+    held. Each block's 1 + |y_i - y_j|^2 is one product
+    [-2 y_i, |y_i|^2 + 1, 1] . [y_j, 1, |y_j|^2] (clamped below at 1),
+    squared and inverted in place to w_ij^2. A block's square [lo, hi)^2
+    is summed from the row side only; for the columns beyond it the
+    weighted sums S_i = sum_j w_ij^2 [y_j, 1, |y_j|^2] go to both ends of
+    the pair. As w_ij = w_ij^2 (1 + |y_i - y_j|^2), Z is the sum over i
+    of the left factor times S_i. Every block is a view of one buffer,
+    overwritten by the next block (a fresh one would fault in its pages).
+    """
+    n, m = Y.shape
     sq = np.einsum("ij,ij->i", Y, Y)[:, None]
     ones = np.ones((n, 1))
-    left = np.hstack([Y, sq + 1.0, ones])
-    right = np.vstack([-2.0 * Y.T, ones.T, sq.T])
+    left = np.hstack([-2.0 * Y, sq + 1.0, ones])
+    right = np.hstack([Y, ones, sq])
+    S = np.zeros((n, m + 2))
     buf = np.empty(max(REPULSION_BLOCK, n))
     lo = 0
     while lo < n:
         hi = min(n, lo + max(1, REPULSION_BLOCK // (n - lo)))
         W = buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-        np.matmul(left[lo:hi], right[:, lo:], out=W)
+        np.matmul(left[lo:hi], right[lo:].T, out=W)
         np.maximum(W, 1.0, out=W)
+        W *= W
         np.reciprocal(W, out=W)
         np.fill_diagonal(W, 0.0)
-        yield lo, hi, W
+        S[lo:hi] += W @ right[lo:]
+        S[hi:] += W[:, hi - lo :].T @ right[lo:hi]
         lo = hi
-
-
-def _block_z(W: np.ndarray) -> float:
-    """A block's share of Z: its square [lo, hi)^2 holds both directions
-    of its pairs, the columns beyond it one direction of theirs."""
-    return 2.0 * W.sum() - W[:, : W.shape[0]].sum()
-
-
-def _normalizer(Y: np.ndarray) -> float:
-    """Z = sum_{i != j} w_ij alone, summed as ``_repulsion`` sums it."""
-    Z = 0.0
-    for _, _, W in _kernel_blocks(Y):
-        Z += _block_z(W)
-    return Z
-
-
-def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Z = sum_{i != j} w_ij and the rows sum_j w_ij^2 (y_i - y_j).
-
-    One exact pass over ``_kernel_blocks``, so no n x n array is ever
-    held. A block's square [lo, hi)^2 is summed from the row side only;
-    for the columns beyond it the weighted sums sum w_ij^2 [y, 1] go to
-    both ends of the pair.
-    """
-    n, m = Y.shape
-    Y1 = np.hstack([Y, np.ones((n, 1))])
-    S = np.zeros((n, m + 1))
-    Z = 0.0
-    for lo, hi, W in _kernel_blocks(Y):
-        Z += _block_z(W)
-        W *= W
-        S[lo:hi] += W @ Y1[lo:]
-        S[hi:] += W[:, hi - lo :].T @ Y1[lo:hi]
-    return Z, S[:, m:] * Y - S[:, :m]
+    return float(np.vdot(left, S)), S[:, m : m + 1] * Y - S[:, :m]
 
 
 def kl_objective(P, Y: np.ndarray) -> float:
     """KL(P || Q(Y)) of an embedding under the Student-t kernel:
-    sum over the support of p log(p Z / w). P is ``Pairs`` or a dense
-    array; a zero q under positive p yields inf.
+    sum over the support of p log(p Z / w), Z from ``_repulsion``. P is
+    ``Pairs`` or a dense array; a zero w (so a zero q) under positive p
+    yields inf.
 
     Overflow is deliberately silenced: a diverged iterate produces
     non-finite values that the optimizer's safeguard detects and undoes.
@@ -329,9 +311,10 @@ def kl_objective(P, Y: np.ndarray) -> float:
     keep = (P.vals > 0.0) & (P.rows != P.cols)
     rows, cols, p = P.rows[keep], P.cols[keep], P.vals[keep]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q = _support_kernel(rows, cols, Y)[1] / _normalizer(Y)
-        if np.any(q == 0.0):
+        w = _support_kernel(rows, cols, Y)[1]
+        if np.any(w == 0.0):
             return math.inf
+        q = w / _repulsion(Y)[0]
         return float(np.sum(p * np.log(p / q)))
 
 

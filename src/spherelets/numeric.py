@@ -278,12 +278,18 @@ def _distance_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         yield sub, np.sqrt(pairwise_sq_dists(X.take(sub, axis=0), Xc))
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """NumPy's default generator for a seed >= 0."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def seeded_gaussian(n: int, D: int, sigma: float, seed: int) -> np.ndarray:
     """n-by-D matrix of independent N(0, sigma^2) draws, reproducible by seed."""
     if not 0.0 <= sigma < math.inf:
         raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, 1.0, size=(n, D)) * sigma
+    return seeded_rng(seed).normal(0.0, 1.0, size=(n, D)) * sigma
 
 
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:

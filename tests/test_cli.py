@@ -361,6 +361,22 @@ def test_exit_usage_on_non_finite_or_empty_parameter(tmp_path, capsys, argv):
     assert not out.exists() and not log.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--dataset", "spiral", "--n", "50", "--seed", "-1"],
+    ["embed", "--d", "1", "--sigma", "1", "--iters", "5", "--seed", "-3"],
+    ["bench", "--dataset", "euler", "--d", "1", "--eps-grid", "1e-2,1e-3", "--seed", "-1"],
+], ids=["generate", "embed", "bench"])
+def test_exit_usage_on_negative_seed(tmp_path, capsys, argv):
+    # each used to end in NumPy's "expected non-negative integer" traceback
+    data, out, log = tmp_path / "x.csv", tmp_path / "out", tmp_path / "kl.csv"
+    assert run("generate", "--dataset", "euler", "--n", "60", "--out", str(data)) == EXIT_OK
+    capsys.readouterr()
+    extra = ["--input", str(data), "--log", str(log)] if argv[0] == "embed" else []
+    assert run(*argv, *extra, "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {argv[-1]}\n"
+    assert not out.exists() and not log.exists()
+
+
 @pytest.mark.parametrize("text,message", [
     (lambda: _edited_model(lambda o: o.update(d="1")), r"d must be an integer >= 0, got '1'$"),
     (lambda: _edited_model(lambda o: o.update(d=1.9)), r"d must be an integer >= 0, got 1\.9$"),

@@ -275,6 +275,13 @@ def test_embed_config_validation():
         EmbedConfig(distance_mode="cosine")
 
 
+@pytest.mark.parametrize("kl_every", [0, -2])
+def test_embed_config_rejects_kl_every_below_one(kl_every):
+    # 0 divided by zero at iteration 1; -2 logged KL every 2 iterations
+    with pytest.raises(ParameterError, match="kl_every must be >= 1"):
+        EmbedConfig(kl_every=kl_every)
+
+
 def test_embed_rejects_bad_affinities():
     with pytest.raises(ParameterError):
         embed(np.array([[0.0, 1.0], [0.5, 0.0]]), EmbedConfig(iters=5))
@@ -587,11 +594,9 @@ def test_repulsion_matches_dense_formula(n, m, block, log_scale, seed):
     Y = np.random.default_rng(seed).normal(0.0, 10.0**log_scale, size=(n, m))
     with mock.patch.object(embed_mod, "REPULSION_BLOCK", n * n + 1 if block is None else block):
         Z, rep = embed_mod._repulsion(Y)
-        Z_alone = embed_mod._normalizer(Y)
     Z_dense, rep_dense = _dense_repulsion(Y)
     assert abs(Z - Z_dense) <= 1e-12 * Z_dense
     assert _rel(rep, rep_dense) <= 1e-12
-    assert Z_alone == Z  # the objective's Z-only pass sums the same blocks in the same order
 
 
 def test_kl_gradient_reads_a_symmetric_p_once_per_pair():
@@ -609,18 +614,12 @@ def test_kl_gradient_reads_a_symmetric_p_once_per_pair():
         assert _rel(kl_gradient(form, Y), expect) <= 1e-12
 
 
-def test_kl_objective_needs_only_the_z_pass(monkeypatch):
+def test_kl_objective_takes_z_from_the_repulsion_pass():
     P = embed_mod._pairs(_knn_affinities(300, 16))
     Y = np.random.default_rng(17).normal(size=(300, 2))
     keep = P.vals > 0.0
     q = embed_mod._support_kernel(P.rows[keep], P.cols[keep], Y)[1] / embed_mod._repulsion(Y)[0]
-    expect = float(np.sum(P.vals[keep] * np.log(P.vals[keep] / q)))
-
-    def refuse(Y):
-        raise AssertionError("the objective ran the repulsion rows")
-
-    monkeypatch.setattr(embed_mod, "_repulsion", refuse)
-    assert kl_objective(P, Y) == expect
+    assert kl_objective(P, Y) == float(np.sum(P.vals[keep] * np.log(P.vals[keep] / q)))
 
 
 def test_kl_gradient_selects_the_upper_triangle_once_per_pairs():
@@ -640,6 +639,22 @@ def test_kl_objective_infinite_when_support_q_vanishes():
     P = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
     Y = np.array([[0.0, 0.0], [1e300, 0.0], [1.0, 0.0]])
     assert kl_objective(P, Y) == np.inf
+
+
+def test_kl_non_finite_where_the_squared_norms_overflow():
+    # |y|^2 overflows at |y| = 1e200, so Z is NaN, not finite: the objective
+    # is still inf where a support w vanishes, and otherwise non-finite, as
+    # is the gradient, so the optimizer's safeguard sees both
+    Y = np.array([[0.0, 0.0], [1e200, 0.0], [1e200, 1.0], [1.0, 0.0]])
+    far, near = np.zeros((4, 4)), np.zeros((4, 4))
+    far[0, 1] = far[1, 0] = 0.5  # w_01 = 1 / (1 + 1e400) = 0
+    near[1, 2] = near[2, 1] = 0.5  # w_12 = 1 / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kl_objective(far, Y) == np.inf
+        assert not np.isfinite(kl_objective(near, Y))
+        for P in (far, near):
+            assert not np.all(np.isfinite(kl_gradient(P, Y)))
 
 
 def _dense_oracle_embed(P, cfg):
