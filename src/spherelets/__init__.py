@@ -23,6 +23,7 @@ from .exceptions import (
     DimensionError,
     DivergenceError,
     InsufficientDataError,
+    NonFiniteError,
     ParameterError,
     ParseError,
     SingularProjectionError,

@@ -32,6 +32,7 @@ from .exceptions import (
     DimensionError,
     DivergenceError,
     InsufficientDataError,
+    NonFiniteError,
     ParameterError,
     ParseError,
     SingularProjectionError,
@@ -50,6 +51,16 @@ def _provenance(args: argparse.Namespace, argv: list[str]) -> list[str]:
         lines.append(f"seed: {args.seed}")
     lines.append(f"version: {__version__}")
     return lines
+
+
+def _check_finite(*outputs: tuple[str, np.ndarray]) -> None:
+    """Raise NonFiniteError, before any output is written, naming the
+    first row (counted from 0) of the first output array that holds a NaN
+    or an infinity."""
+    for path, A in outputs:
+        bad = ~np.isfinite(A).all(axis=1)
+        if bad.any():
+            raise NonFiniteError(f"{path}: row {int(bad.argmax())} is not finite; nothing written")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,9 +151,10 @@ def _cmd_generate(args, argv) -> int:
         clean = sphere_sample(args.n, 2, 3, 0.0, 1.0 if pmax is None else pmax, seed=args.seed)
         points = clean + seeded_gaussian(args.n, 3, args.noise, args.seed + 1)
     comments = _provenance(args, argv)
-    save_csv(points, args.out, comments=comments)
-    if args.clean_out:
-        save_csv(clean, args.clean_out, comments=comments)
+    outputs = [(args.out, points)] + ([(args.clean_out, clean)] if args.clean_out else [])
+    _check_finite(*outputs)
+    for path, A in outputs:
+        save_csv(A, path, comments=comments)
     print(f"wrote {points.shape[0]} x {points.shape[1]} points to {args.out}")
     return EXIT_OK
 
@@ -166,11 +178,11 @@ def _cmd_project(args, argv) -> int:
         Y, overall, per_cell = fitted.project_mse(X)
     else:
         Y = fitted.project_many(X)
+    _check_finite((args.out, Y))
     save_csv(Y, args.out, comments=_provenance(args, argv))
     if args.report_mse:
-        print(f"overall_mse={overall:.17g}")
-        for cid in sorted(per_cell):
-            print(f"cell {cid}: mse={per_cell[cid]:.17g}")
+        print("\n".join([f"overall_mse={overall:.17g}",
+                         *(f"cell {cid}: mse={mse:.17g}" for cid, mse in sorted(per_cell.items()))]))
     return EXIT_OK
 
 
@@ -179,6 +191,7 @@ def _cmd_denoise(args, argv) -> int:
     cfg = DenoiseConfig(method=args.method, k=args.k, sigma=args.sigma,
                         iters=args.iters, d=args.d)
     cleaned, fallbacks = denoise(X, cfg, return_info=True)
+    _check_finite((args.out, cleaned))
     save_csv(cleaned, args.out, comments=_provenance(args, argv))
     print(f"denoised {X.shape[0]} points ({fallbacks} linear fallbacks) -> {args.out}")
     return EXIT_OK
@@ -190,8 +203,10 @@ def _cmd_embed(args, argv) -> int:
                       learning_rate=args.lr, distance_mode=args.mode, seed=args.seed)
     Y, log = stsne(X, args.d, cfg, return_log=True)
     comments = _provenance(args, argv)
+    log_rows = np.array(log, dtype=float)
+    _check_finite((args.out, Y), (args.log, log_rows))
     save_csv(Y, args.out, comments=comments)
-    save_csv(np.array(log, dtype=float), args.log, header=["iteration", "kl"], comments=comments)
+    save_csv(log_rows, args.log, header=["iteration", "kl"], comments=comments)
     print(f"embedded {X.shape[0]} points; KL {log[0][1]:.6f} -> {log[-1][1]:.6f}")
     return EXIT_OK
 
@@ -260,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, DimensionError, InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SingularProjectionError, DivergenceError, np.linalg.LinAlgError,
+    except (SingularProjectionError, DivergenceError, NonFiniteError, np.linalg.LinAlgError,
             FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ EULER_S_MAX = 2.0
 CSV_CHUNK_ROWS = 4096
 # np.loadtxt skips these around a number, float() rejects them
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# the leading lines that are blank or '#' comments, each up to its newline
+_COMMENT_BLOCK = re.compile(r"(?:[^\S\n]*(?:#[^\n]*)?\n)*")
 
 
 @dataclass(frozen=True)
@@ -185,18 +188,24 @@ def load_csv(path: str) -> np.ndarray:
     finite number (``nan`` and ``inf`` included).
 
     The body is parsed by one ``np.loadtxt`` call, which rounds as
-    ``float`` does. Its result is kept only when it is as wide as the first
-    line and finite; otherwise ``_parse_lines`` parses the rows one cell at
-    a time with ``float``, which also accepts ``1_000`` and non-ASCII
-    digits, and names the offending cell."""
+    ``float`` does. When no '#' follows the leading comment block, its
+    lines go to ``loadtxt`` as they are, which skips the empty ones. Its
+    result is kept only when it is as wide as the first line and finite;
+    otherwise ``_parse_lines`` parses the rows one cell at a time with
+    ``float``, which also accepts ``1_000`` and non-ASCII digits, and names
+    the offending cell."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    lines = [s for line in text.split("\n") if (s := line.strip()) and not s.startswith("#")]
+    head, lines = _COMMENT_BLOCK.match(text).end(), text.split("\n")
+    if text.find("#", head) < 0:
+        del lines[: text.count("\n", 0, head)]
+    else:
+        lines = [s for line in lines if (s := line.strip()) and not s.startswith("#")]
     if lines and not any(c in text for c in _LOADTXT_ONLY_SPACE):
-        cells = lines[0].split(",")
+        cells = lines[0].strip().split(",")
         body = lines if all(map(_is_float, cells)) else lines[1:]
-        try:  # an empty body would make loadtxt warn
-            X = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body else None
+        try:  # a body of empty lines would make loadtxt warn
+            X = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if any(body) else None
         except ValueError:
             X = None
         if X is not None and X.shape[1] == len(cells) and np.isfinite(X).all():

@@ -85,8 +85,11 @@ def _hoods(X: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blur(hoods: np.ndarray, d2: np.ndarray, sigma: float) -> np.ndarray:
-    w = np.exp(-d2 / (2.0 * sigma * sigma))
-    w /= np.sum(w, axis=1, keepdims=True)               # self weight keeps the sum >= 1
+    # a sigma whose square is 0 gives NaN weights without a warning; the
+    # CLI reports the NaN rows before it writes them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.exp(-d2 / (2.0 * sigma * sigma))
+        w /= np.sum(w, axis=1, keepdims=True)           # self weight keeps the sum >= 1
     return np.einsum("nk,nkj->nj", w, hoods)
 
 
@@ -144,7 +147,8 @@ def _pass(X: np.ndarray, cfg: DenoiseConfig) -> tuple[np.ndarray, int]:
 
     Y = _blur(hoods, d2, cfg.sigma) if cfg.method in ("mbms", "smbms") else X
     # rows are ordered by distance, so each support is a leading block
-    reach = (SUPPORT_SIGMAS * cfg.sigma) ** 2
+    reach = SUPPORT_SIGMAS * cfg.sigma
+    reach *= reach  # saturates to inf where ``** 2`` raises OverflowError
     sizes = np.maximum(np.count_nonzero(d2 <= reach, axis=1), cfg.d + 3)
     support = Y.take(nbr[np.arange(cfg.k) < sizes[:, None]], axis=0)
     starts, P = np.cumsum(sizes) - sizes, Y[:, None, :]

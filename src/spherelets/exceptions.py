@@ -30,6 +30,10 @@ class SingularProjectionError(SphereletsError, ArithmeticError):
         self.row = row
 
 
+class NonFiniteError(SphereletsError, ArithmeticError):
+    """An output holds a NaN or an infinity; the message names where."""
+
+
 class DivergenceError(SphereletsError, ArithmeticError):
     """Iterative optimization failed to recover after repeated step halving."""
 

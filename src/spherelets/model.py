@@ -13,8 +13,9 @@ image do not depend on the batch it is in: ``project(x)`` is row i of
 ``project_many(X)`` bit for bit.
 
 Models serialize to versioned JSON with explicit arrays, on one line by
-the C encoder of ``json.dumps``; floats are written with shortest
-round-trip precision so save/load is exact.
+the C encoder of ``json.dumps``, without the training rows of each leaf;
+floats are written with shortest round-trip precision so save/load is
+exact.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .exceptions import (
     DimensionError,
+    NonFiniteError,
     ParameterError,
     ParseError,
     SingularProjectionError,
@@ -38,6 +40,7 @@ from .partition import (
     Leaf,
     PartitionNode,
     SplitRule,
+    _split_arrays,
     build_tree,
     iter_leaves,
     leaf_rows,
@@ -98,10 +101,12 @@ class SphereletModel:
         row that projects onto a sphere center raises SingularProjectionError
         naming the first such row of the first leaf ``leaf_rows`` yields."""
         route_of = np.empty(X.shape[0], dtype=np.intp)  # index into `routed`
+        if routed:
+            parts = [rows for _, rows in routed]
+            route_of[np.concatenate(parts)] = np.repeat(np.arange(len(parts)), [r.size for r in parts])
         surfaces = [leaf.piece.surface for leaf, _ in routed]
         groups: dict[tuple[bool, int], list[int]] = {}
-        for i, ((_, rows), p) in enumerate(zip(routed, surfaces)):
-            route_of[rows] = i
+        for i, p in enumerate(surfaces):
             groups.setdefault((p.degenerate, p.frame.shape[1]), []).append(i)
         P, singular = np.empty_like(X), np.zeros(X.shape[0], dtype=bool)
         for (plane, width), members in groups.items():
@@ -150,10 +155,14 @@ class SphereletModel:
         """``mse(X)`` of the rows X the tree was grown on, without routing
         them: each leaf's rows are its ``member_indices``, which the tree
         split by the sign tests routing makes. Raises ParameterError when
-        the leaves' members do not number the rows of X."""
+        the leaves' members do not number the rows of X, or when the model
+        was loaded from a file without them."""
         X = self._rows(X)
         routed = [(leaf, leaf.member_indices) for leaf in iter_leaves(self.tree)]
         members = np.concatenate([rows for _, rows in routed])
+        if members.size == 0:
+            raise ParameterError("the model was loaded without its training members, which model "
+                                 "files do not keep; mse(X) routes the rows instead")
         if not np.array_equal(np.sort(members), np.arange(X.shape[0])):
             raise ParameterError(f"the leaves' members are not the {X.shape[0]} training rows")
         return _with_mse(X, *self._project_routed(X, [r for r in routed if r[1].size]))[1:]
@@ -168,7 +177,12 @@ def _with_mse(X: np.ndarray, P: np.ndarray,
     and its mean over the rows of each cell."""
     R = X - P
     sq = row_dots(R, R)
-    per_cell = {cid: float(np.mean(sq[rows])) for cid, rows in sorted(cells.items())}
+    ids = sorted(cells)
+    sizes = [cells[cid].size for cid in ids]
+    by_cell = sq.take(np.concatenate([cells[cid] for cid in ids]))  # each cell's rows in turn
+    # np.mean of each cell's slice, the same sum and division without its per-call cost
+    per_cell = {cid: float(np.add.reduce(by_cell[hi - n : hi]) / n)
+                for cid, n, hi in zip(ids, sizes, np.cumsum(sizes).tolist())}
     return P, float(np.mean(sq)), per_cell
 
 
@@ -195,29 +209,48 @@ def fit(
 # -- serialization ----------------------------------------------------------
 
 
-def _tree_to_obj(node: PartitionNode):
-    if isinstance(node, Leaf):
-        return {"leaf": node.cell_id, "members": node.member_indices.tolist()}
-    return {
-        "split": {"mu": node.rule.mu.tolist(), "direction": node.rule.direction.tolist()},
-        "left": _tree_to_obj(node.left),
-        "right": _tree_to_obj(node.right),
-    }
+def _tree_to_obj(tree: PartitionNode) -> dict:
+    """The tree as nested split and leaf objects, the split vectors from
+    one ``tolist`` of each stacked array. A leaf is its id alone: the
+    training rows it was grown on are not written."""
+    mu, direction, child, leaves, root = _split_arrays(tree)
+    mu, direction, child = mu.tolist(), direction.tolist(), child.tolist()
+    splits, leaf_objs = [None] * len(mu), [{"leaf": leaf.cell_id} for leaf in leaves]
+
+    def node(code: int) -> dict:
+        return splits[code] if code >= 0 else leaf_objs[~code]
+
+    for c in reversed(range(len(mu))):  # a split's children come after it
+        splits[c] = {"split": {"mu": mu[c], "direction": direction[c]},
+                     "left": node(child[2 * c]), "right": node(child[2 * c + 1])}
+    return node(root)
 
 
-def _piece_to_obj(cell_id: int, piece: Piece):
-    sphere = isinstance(piece, Spherelet)
-    return {
-        "id": cell_id,
-        "kind": "sphere" if sphere else "plane",
-        "mu": piece.mu.tolist(),
-        "frame": piece.frame.tolist(),
-        "center": piece.center.tolist() if sphere else None,
-        "radius": piece.radius if sphere else None,
-    }
+def _pieces_to_obj(pieces: list[tuple[int, Piece]]) -> list[dict]:
+    """The (id, piece) pairs as piece objects in the same order, the
+    vectors of all pieces of one kind and frame width from one ``tolist``
+    of each stacked array."""
+    groups: dict[tuple[bool, int], list[int]] = {}
+    for i, (_, p) in enumerate(pieces):
+        groups.setdefault((isinstance(p, Spherelet), p.frame.shape[1]), []).append(i)
+    objs = [None] * len(pieces)
+    for (sphere, _), members in groups.items():
+        group = [pieces[i][1] for i in members]
+        mu = np.array([p.mu for p in group]).tolist()
+        frame = np.array([p.frame for p in group]).tolist()
+        none = [None] * len(group)
+        center = np.array([p.center for p in group]).tolist() if sphere else none
+        radius = [p.radius for p in group] if sphere else none
+        for i, m, F, c, r in zip(members, mu, frame, center, radius):
+            objs[i] = {"id": pieces[i][0], "kind": "sphere" if sphere else "plane",
+                       "mu": m, "frame": F, "center": c, "radius": r}
+    return objs
 
 
 def save(model: SphereletModel, path: str) -> None:
+    """Write the model file; raises NonFiniteError, and writes nothing,
+    when a number in the model is not finite, naming the first such piece
+    as ``load`` would, else the first such split."""
     obj = {
         "version": FORMAT_VERSION,
         "d": model.d,
@@ -225,10 +258,29 @@ def save(model: SphereletModel, path: str) -> None:
         "fitter": model.fitter,
         "provenance": model.provenance,
         "tree": _tree_to_obj(model.tree),
-        "leaves": [_piece_to_obj(cid, p) for cid, p in sorted(model.leaves.items())],
+        "leaves": _pieces_to_obj(sorted(model.leaves.items())),
     }
+    try:
+        text = json.dumps(obj, allow_nan=False)  # json.dump would run the pure-Python encoder
+    except ValueError:
+        raise NonFiniteError(f"{_non_finite_entry(obj)} is not finite; {path} not written") from None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj) + "\n")  # json.dump would run the pure-Python encoder
+        fh.write(text + "\n")
+
+
+def _non_finite_entry(obj: dict) -> str:
+    """The name of the first entry of a model object that holds a NaN or
+    an infinity: a piece in file order, else a split in depth-first
+    order, else the provenance."""
+    nodes, paths = _tree_nodes(obj["tree"])
+    entries = [*((_piece_name(i, piece), piece) for i, piece in enumerate(obj["leaves"])),
+               *((path, node["split"]) for node, path in zip(nodes, paths) if "split" in node)]
+    for name, entry in entries:
+        try:
+            json.dumps(entry, allow_nan=False)
+        except ValueError:
+            return name
+    return "provenance"
 
 
 # what a malformed value of a parsed model file raises when it is read

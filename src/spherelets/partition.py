@@ -185,7 +185,8 @@ def leaf_rows(X: np.ndarray, tree: PartitionNode):
         if done.any():
             leaf[rows[done]] = at[done]
             rows, at, x = rows[~done], at[~done], x[~done]
-    leaf = ~leaf
+    # the narrowest dtype: NumPy's stable sort of 8- and 16-bit keys is a radix sort
+    leaf = (~leaf).astype(np.min_scalar_type(len(leaves) - 1))
     order = np.argsort(leaf, kind="stable")
     counts = np.bincount(leaf, minlength=len(leaves))
     ends = np.cumsum(counts)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spherelets.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from spherelets.datasets import load_csv
+from spherelets.datasets import load_csv, save_csv
 from spherelets.exceptions import ParseError
 
 
@@ -139,6 +139,61 @@ def test_exit_data_on_non_finite_csv(tmp_path, capsys):
     assert run("fit", "--input", str(bad), "--d", "1", "--eps", "1e-4",
                "--out", str(tmp_path / "m.json")) == EXIT_DATA
     assert "row 41, column 1: not a finite number" in capsys.readouterr().err
+
+
+def _spiral_300(tmp_path, scale=1.0):
+    """300 rows of a noisy spiral, scaled, as a CSV path."""
+    data = tmp_path / "spiral.csv"
+    assert run("generate", "--dataset", "spiral", "--n", "300", "--noise", "0.2", "--seed", "0",
+               "--out", str(data)) == EXIT_OK
+    save_csv(load_csv(str(data)) * scale, str(data))
+    return data
+
+
+def test_exit_numeric_on_non_finite_denoise_output(tmp_path, capsys):
+    # sigma squared underflows to 0, so every blur weight is NaN: the pass
+    # warns of nothing, and the output guard names the first bad row
+    data, out = _spiral_300(tmp_path, 1e-170), tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run("denoise", "--input", str(data), "--method", "gbms", "--k", "10",
+               "--sigma", "1e-170", "--out", str(out)) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"error: {out}: row 0 is not finite; nothing written\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["emb", "log"])
+def test_non_finite_output_guard_writes_no_output(tmp_path, monkeypatch, capsys, bad):
+    # every output array is checked before the first is written
+    from spherelets import cli
+
+    Y, log = np.zeros((5, 2)), [(0, 1.0), (50, 0.5), (100, 0.25)]
+    if bad == "emb":
+        Y[3, 1] = np.inf
+    else:
+        log[1] = (50, np.nan)
+    monkeypatch.setattr(cli, "stsne", lambda *args, **kwargs: (Y, log))
+    data, out, log_out = _spiral_300(tmp_path), tmp_path / "emb.csv", tmp_path / "log.csv"
+    capsys.readouterr()
+    assert run("embed", "--input", str(data), "--sigma", "1", "--out", str(out),
+               "--log", str(log_out)) == EXIT_NUMERIC
+    first = f"{out}: row 3" if bad == "emb" else f"{log_out}: row 1"
+    assert capsys.readouterr().err == f"error: {first} is not finite; nothing written\n"
+    assert not out.exists() and not log_out.exists()
+
+
+def test_denoise_sigma_whose_square_overflows_covers_every_neighbour(tmp_path, capsys):
+    # the support radius squared saturates to inf instead of raising
+    # OverflowError; at 1e150 it already covers all k neighbours and the
+    # blur weights are all 1, so the outputs agree
+    data = _spiral_300(tmp_path)
+    outputs = []
+    for sigma in ("1e160", "1e150"):
+        out = tmp_path / f"out{sigma}.csv"
+        assert run("denoise", "--input", str(data), "--method", "smbms", "--k", "10",
+                   "--sigma", sigma, "--out", str(out)) == EXIT_OK
+        outputs.append(load_csv(str(out)))
+    assert np.array_equal(outputs[0], outputs[1])
+    assert np.isfinite(outputs[0]).all()
 
 
 def test_exit_numeric_on_singular_projection(tmp_path):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from spherelets import model as model_mod
 from spherelets import partition, spca
 from spherelets.datasets import enneper, euler_spiral, sphere_sample
-from spherelets.exceptions import ParameterError, ParseError, SingularProjectionError, VersionError
+from spherelets.exceptions import (
+    NonFiniteError,
+    ParameterError,
+    ParseError,
+    SingularProjectionError,
+    VersionError,
+)
 from spherelets.model import fit, load, save
 from spherelets.partition import iter_leaves, route
 from spherelets.spca import Spherelet, project_plane, project_sphere
@@ -465,6 +471,75 @@ def test_model_in_indent_one_layout_loads_and_projects_identically(tmp_path):
     assert np.array_equal(clone.project_many(probes), model.project_many(probes))
     save(clone, str(old))
     assert old.read_bytes() == new.read_bytes()
+
+
+def _keys(text: str) -> set[str]:
+    """Every object key anywhere in a JSON text."""
+    keys = set()
+    json.loads(text, object_pairs_hook=lambda pairs: keys.update(k for k, _ in pairs) or dict(pairs))
+    return keys
+
+
+def _with_members(obj: dict, model) -> dict:
+    """A model file object as files written before the training members
+    were dropped hold it: each leaf ``{"leaf": id, "members": rows}``."""
+    members = {leaf.cell_id: leaf.member_indices.tolist() for leaf in iter_leaves(model.tree)}
+    stack = [obj["tree"]]
+    while stack:
+        node = stack.pop()
+        if "leaf" in node:
+            node["members"] = members[node["leaf"]]
+        else:
+            stack += [node["left"], node["right"]]
+    return obj
+
+
+def test_model_file_with_members_loads_and_projects_identically(tmp_path):
+    # the writer no longer keeps each leaf's training rows; files that do
+    # still load, project and save as the model the writer saves now
+    X = enneper(1500, 1.0, seed=26)
+    model = fit(X, 2, 1e-5)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    save(model, str(new))
+    assert "members" not in _keys(new.read_text())
+    old.write_text(json.dumps(_with_members(json.loads(new.read_text()), model)) + "\n")
+    assert "members" in _keys(old.read_text())
+    with_members, without = load(str(old)), load(str(new))
+    probes = enneper(2000, 1.2, seed=27) + 0.01
+    P, overall, per_cell = model.project_mse(probes)
+    for clone in (with_members, without):
+        Q, clone_overall, clone_per_cell = clone.project_mse(probes)
+        assert Q.tobytes() == P.tobytes() and (clone_overall, clone_per_cell) == (overall, per_cell)
+    assert with_members.train_mse(X) == model.train_mse(X)
+    save(with_members, str(old))
+    assert old.read_bytes() == new.read_bytes()
+
+
+def test_train_mse_of_a_model_loaded_without_members_names_mse(tmp_path):
+    X = enneper(800, 1.0, seed=23)
+    path = tmp_path / "m.json"
+    save(fit(X, 2, 1e-5), str(path))
+    loaded = load(str(path))
+    with pytest.raises(ParameterError, match=r"loaded without its training members.*mse\(X\)"):
+        loaded.train_mse(X)
+    assert loaded.mse(X)[0] > 0.0
+
+
+def test_save_refuses_a_non_finite_model_and_writes_nothing(tmp_path):
+    # the first non-finite piece in file order is named as load names it,
+    # else the first non-finite split by its path
+    model = fit(enneper(800, 1.0, seed=23), 2, 1e-5)
+    ids = sorted(model.leaves)
+    path = tmp_path / "m.json"
+    model.leaves[ids[5]].mu[1] = np.inf
+    model.leaves[ids[3]].mu[0] = np.nan
+    with pytest.raises(NonFiniteError, match=rf"^leaves\[3\] \(leaf {ids[3]}\) is not finite; "):
+        save(model, str(path))
+    model.leaves[ids[3]].mu[0] = model.leaves[ids[5]].mu[1] = 0.0
+    model.tree.left.rule.direction[0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^tree\.left is not finite; "):
+        save(model, str(path))
+    assert not path.exists()
 
 
 def test_load_checks_valid_pieces_together(tmp_path):

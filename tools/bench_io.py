@@ -15,6 +15,11 @@ points, and prints the median and quartiles of the wall time
 - ``leaf_rows``: ``partition.leaf_rows`` of the test points through the
   loaded tree, the batch routing inside ``project_many``;
 - ``project_many``: ``SphereletModel.project_many`` of the test points;
+- ``project_mse``: ``SphereletModel.project_mse`` of the test points,
+  what ``project --report-mse`` computes;
+- ``train_mse``: ``SphereletModel.train_mse`` of the train points through
+  the fitted model, what ``fit`` prints (a loaded model has no training
+  members);
 - ``save_csv``: ``datasets.save_csv`` of their projections;
 
 followed by the size of the model file in bytes.
@@ -73,6 +78,8 @@ def main() -> None:
             "load": lambda: model.load(path),
             "leaf_rows": lambda: list(partition.leaf_rows(T, loaded.tree)),
             "project_many": lambda: loaded.project_many(T),
+            "project_mse": lambda: loaded.project_mse(T),
+            "train_mse": lambda: fitted.train_mse(X),
             "save_csv": lambda: datasets.save_csv(P, out),
         }
         print(f"n={N} pieces={fitted.n_pieces}")
