@@ -14,7 +14,6 @@ from .embed import (
     EmbedConfig,
     affinities,
     embed,
-    kl_divergence,
     knn_distances,
     spherical_knn_distances,
     stsne,
@@ -31,7 +30,7 @@ from .exceptions import (
     VersionError,
 )
 from .model import SphereletModel, fit, load, save
-from .numeric import knn, seeded_gaussian, sym_eig
+from .numeric import knn, seeded_gaussian
 from .partition import build_tree, route
 from .spca import (
     Hyperplane,
@@ -41,7 +40,6 @@ from .spca import (
     fit_sphere,
     project_plane,
     project_sphere,
-    reduce_to_plane,
     sphere_distance,
 )
 
@@ -60,19 +58,16 @@ __all__ = [
     "fit",
     "fit_hyperplane",
     "fit_sphere",
-    "kl_divergence",
     "knn",
     "knn_distances",
     "load",
     "project_plane",
     "project_sphere",
-    "reduce_to_plane",
     "route",
     "save",
     "seeded_gaussian",
     "sphere_distance",
     "spherical_knn_distances",
     "stsne",
-    "sym_eig",
     "__version__",
 ]

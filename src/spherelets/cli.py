@@ -137,19 +137,22 @@ def _cmd_generate(args, argv) -> int:
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
     pmax = args.param_max
-    if args.dataset == "euler":
-        sample = euler_spiral(args.n, 2.0 if pmax is None else pmax, seed=args.seed,
-                              noise_sd=args.noise)
-        points, clean = sample.points, sample.clean
-    elif args.dataset == "spiral":
-        sample = noisy_spiral(args.n, args.noise, seed=args.seed)
-        points, clean = sample.points, sample.clean
-    elif args.dataset == "enneper":
-        clean = enneper(args.n, 1.0 if pmax is None else pmax, seed=args.seed)
-        points = clean + seeded_gaussian(args.n, 3, args.noise, args.seed + 1)
-    else:  # sphere
-        clean = sphere_sample(args.n, 2, 3, 0.0, 1.0 if pmax is None else pmax, seed=args.seed)
-        points = clean + seeded_gaussian(args.n, 3, args.noise, args.seed + 1)
+    # huge --noise or --param-max overflows; _check_finite names the row
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.dataset == "euler":
+            sample = euler_spiral(args.n, 2.0 if pmax is None else pmax, seed=args.seed,
+                                  noise_sd=args.noise)
+            points, clean = sample.points, sample.clean
+        elif args.dataset == "spiral":
+            sample = noisy_spiral(args.n, args.noise, seed=args.seed)
+            points, clean = sample.points, sample.clean
+        elif args.dataset == "enneper":
+            clean = enneper(args.n, 1.0 if pmax is None else pmax, seed=args.seed)
+            points = clean + seeded_gaussian(args.n, 3, args.noise, args.seed + 1)
+        else:  # sphere
+            clean = sphere_sample(args.n, 2, 3, 0.0, 1.0 if pmax is None else pmax,
+                                  seed=args.seed)
+            points = clean + seeded_gaussian(args.n, 3, args.noise, args.seed + 1)
     comments = _provenance(args, argv)
     outputs = [(args.out, points)] + ([(args.clean_out, clean)] if args.clean_out else [])
     _check_finite(*outputs)

@@ -169,15 +169,6 @@ def sphere_sample(
     return c + radius * (u @ V.T)
 
 
-def train_test_split(n: int, test_fraction: float = 0.2, seed: int = 0):
-    """Disjoint, exhaustive (train, test) index arrays by seeded shuffle."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ParameterError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    perm = seeded_rng(seed).permutation(n)
-    n_test = int(round(n * test_fraction))
-    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
-
-
 # -- CSV ---------------------------------------------------------------------
 
 

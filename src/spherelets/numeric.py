@@ -49,38 +49,12 @@ class NeighborList:
     distances: np.ndarray
 
 
-def sym_eig(S: np.ndarray) -> SymEigResult:
-    """Full eigendecomposition of a symmetric real matrix, or of a stack
-    of them.
-
-    Parameters
-    ----------
-    S : (..., n, n) array
-        Each matrix symmetric within a relative Frobenius tolerance of 1e-10.
-
-    Returns
-    -------
-    SymEigResult with eigenvalues in decreasing order. Each eigenvector is
-    scaled so its largest-magnitude entry is positive, which makes
-    downstream fits reproducible across runs and platforms. A stack gives
-    stacked eigenpairs, each matrix treated on its own.
-    """
-    S = np.asarray(S, dtype=float)
-    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
-        raise DimensionError(f"expected a square matrix, got shape {S.shape}")
-    St = np.swapaxes(S, -1, -2)
-    asym = np.linalg.norm(S - St, axis=(-2, -1))
-    bad = asym > 1e-10 * (1.0 + np.linalg.norm(S, axis=(-2, -1)))
-    if np.any(bad):
-        raise DimensionError(f"matrix is not symmetric (|S-S^T|={np.max(asym[bad]):.3e})")
-    # eigh works on the symmetrized matrix so tiny asymmetries cannot leak in
-    return eig_desc(0.5 * (S + St))
-
-
 def eig_desc(S: np.ndarray) -> SymEigResult:
-    """``sym_eig`` without its checks, for float matrices (..., n, n) that
-    are exactly symmetric by construction (as scatter sums are): eigh
-    reads their lower triangle, and 0.5 * (S + S') would give S back."""
+    """Eigenpairs of float matrices (..., n, n) that are exactly symmetric
+    by construction, as scatter sums are: eigh reads only their lower
+    triangle, so they are not checked. Eigenvalues decrease, and each
+    eigenvector is signed so its largest-magnitude entry is positive, which
+    makes downstream fits reproducible across runs and platforms."""
     w, Q = np.linalg.eigh(S)
     w, Q = w[..., ::-1], Q[..., ::-1]  # eigh sorts ascending
     top = np.argmax(np.abs(Q), axis=-2)[..., None, :]
@@ -157,12 +131,12 @@ def unit_scale(X: np.ndarray) -> tuple[np.ndarray, int]:
 
     The scaling is exact, and the largest |x| of the copy lies in
     [1/2, 1), where squares neither overflow nor underflow; a length
-    computed on it scales back exactly by ``np.ldexp(length, e)``. X
-    itself and e = 0 when X is empty or not all finite.
+    computed on it scales back exactly by ``np.ldexp(length, e)``. A copy
+    of X and e = 0 when X is empty or not all finite.
     """
     X = np.asarray(X, dtype=float)
     if not (X.size and np.isfinite(X).all()):
-        return X, 0
+        return X.copy(), 0
     e = int(np.frexp(np.max(np.abs(X)))[1])
     return np.ldexp(X, -e), e
 
@@ -290,18 +264,3 @@ def seeded_gaussian(n: int, D: int, sigma: float, seed: int) -> np.ndarray:
     if not 0.0 <= sigma < math.inf:
         raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
     return seeded_rng(seed).normal(0.0, 1.0, size=(n, D)) * sigma
-
-
-def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Principal angles (radians, ascending) between spans of two
-    orthonormal column frames.
-
-    Computed from sines (singular values of (I - BB')A), which stays
-    accurate for tiny angles where the cosine formulation saturates
-    around sqrt(eps).
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    resid = A - B @ (B.T @ A)
-    s = np.linalg.svd(resid, compute_uv=False)
-    return np.sort(np.arcsin(np.clip(s, 0.0, 1.0)))

@@ -83,8 +83,8 @@ class Spherelet:
 
     ``degenerate`` marks the infinite-radius limit where the sphere
     collapses to a plane; projection then delegates to ``surface``, the
-    fit's d-plane mu + span(V[:, :d]). ``plane`` is the (d+1)-dimensional
-    reduction hyperplane mu + span(V) the fit was computed in.
+    fit's d-plane mu + span(V[:, :d]). The fit was computed in the
+    (d+1)-dimensional reduction hyperplane mu + span(V).
     """
 
     frame: np.ndarray
@@ -96,10 +96,6 @@ class Spherelet:
     @property
     def ambient_dim(self) -> int:
         return self.frame.shape[0]
-
-    @property
-    def plane(self) -> Hyperplane:
-        return Hyperplane(mu=self.mu, frame=self.frame)
 
     @property
     def surface(self) -> Spherelet | Hyperplane:
@@ -200,8 +196,9 @@ def _centred_pca(X: np.ndarray, starts: np.ndarray,
 def stacked_pca(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     """Means (m, D) and scatter eigenvectors (m, D, D) of the m point sets
     whose rows X (N, D) are cut at ``starts``: columns by decreasing
-    eigenvalue, sign rule of ``sym_eig``. ``axes[i][:, :w]`` frames set
-    i's best w-dim subspace. Raises InsufficientDataError for an empty set."""
+    eigenvalue, signed as by ``numeric.eig_desc``. ``axes[i][:, :w]``
+    frames set i's best w-dim subspace. Raises InsufficientDataError for
+    an empty set."""
     mu, _, axes = _centred_pca(*_segments(X, starts))
     return mu, axes
 
@@ -292,12 +289,6 @@ def project_planes(P: np.ndarray, mu: np.ndarray, frame: np.ndarray) -> np.ndarr
 def _plane_images(x: np.ndarray, mu: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """mu + VV'(x - mu), broadcasting over leading axes of a stack."""
     return mu + ((x - mu) @ frame) @ np.swapaxes(frame, -1, -2)
-
-
-def reduce_to_plane(X: np.ndarray, plane: Hyperplane) -> np.ndarray:
-    """Map every row into the affine subspace: x_bar + VV'(X_i - x_bar)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return project_plane(X, plane)
 
 
 def sphere_fit_loss(Y: np.ndarray, f: np.ndarray, b: float | None = None) -> float:

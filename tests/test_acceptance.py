@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from oracles import principal_angles
 from spherelets.bench import rate_study
 from spherelets.cli import EXIT_OK, main as cli_main
 from spherelets.datasets import (
@@ -30,13 +31,14 @@ from spherelets.embed import (
     knn_distances,
 )
 from spherelets.model import fit, load
-from spherelets.numeric import knn, principal_angles
+from spherelets.numeric import knn
 from spherelets.partition import route
 from spherelets.spca import (
+    Hyperplane,
     fit_sphere,
     optimal_offset,
+    project_plane,
     project_sphere,
-    reduce_to_plane,
     sphere_fit_loss,
 )
 
@@ -205,7 +207,7 @@ def test_criterion_5_stationarity():
         s, _ = fit_sphere(X, d)
         if s.degenerate:
             continue
-        Y = reduce_to_plane(X, s.plane)
+        Y = project_plane(X, Hyperplane(mu=s.mu, frame=s.frame))
         f_hat = -2.0 * s.center
         g0 = sphere_fit_loss(Y, f_hat)
         h = 1e-6 * (1 + np.linalg.norm(f_hat))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ def test_exit_numeric_on_non_finite_denoise_output(tmp_path, capsys):
                "--sigma", "1e-170", "--out", str(out)) == EXIT_NUMERIC
     assert capsys.readouterr().err == f"error: {out}: row 0 is not finite; nothing written\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["--dataset", "euler", "--n", "100", "--noise", "1e308"], 12),
+    (["--dataset", "enneper", "--n", "10", "--param-max", "1e200"], 0),
+], ids=["euler-noise", "enneper-param-max"])
+def test_generate_overflow_exits_numeric_without_warnings(tmp_path, capsys, argv, row):
+    # the draws overflow to inf; the output guard alone reports it
+    out, clean = tmp_path / "out.csv", tmp_path / "clean.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("generate", *argv, "--out", str(out),
+                   "--clean-out", str(clean)) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"error: {out}: row {row} is not finite; nothing written\n"
+    assert not out.exists() and not clean.exists()
 
 
 @pytest.mark.parametrize("bad", ["emb", "log"])

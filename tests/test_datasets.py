@@ -23,7 +23,6 @@ from spherelets.datasets import (
     noisy_spiral,
     save_csv,
     sphere_sample,
-    train_test_split,
 )
 from spherelets.exceptions import DimensionError, ParameterError, ParseError
 from spherelets.numeric import seeded_gaussian
@@ -82,10 +81,9 @@ def test_euler_spiral_seeded_and_validated():
     lambda: noisy_spiral(10, 0.0, seed=-1, equispaced=True),
     lambda: enneper(10, seed=-1),
     lambda: sphere_sample(10, 1, 2, seed=-1),
-    lambda: train_test_split(10, seed=-1),
     lambda: seeded_gaussian(10, 2, 1.0, -1),
     lambda: rate_study(seed=-1),
-], ids=["euler", "euler-equispaced", "spiral-equispaced", "enneper", "sphere", "split",
+], ids=["euler", "euler-equispaced", "spiral-equispaced", "enneper", "sphere",
         "gaussian", "rate-study"])
 def test_negative_seed_is_a_parameter_error(draw):
     # NumPy's generator raises ValueError; an unused seed passed silently
@@ -366,14 +364,6 @@ def test_distance_to_curve_validation():
         curve_grid("helix", 2000)
     with pytest.raises(DimensionError):
         distance_to_curve(np.zeros((3, 5)), "spiral", 2000)
-
-
-def test_train_test_split_partition():
-    train, test = train_test_split(103, 0.2, seed=14)
-    assert len(set(train) & set(test)) == 0
-    assert sorted(np.concatenate([train, test]).tolist()) == list(range(103))
-    t2 = train_test_split(103, 0.2, seed=14)
-    assert np.array_equal(train, t2[0]) and np.array_equal(test, t2[1])
 
 
 def test_curve_sample_shapes():

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion."""
+"""Every script under demos/ and tools/ runs to completion, and the
+package exports every name it lists."""
 
 import os
 import subprocess
@@ -7,14 +8,31 @@ from pathlib import Path
 
 import pytest
 
+import spherelets
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(tmp_path, script, *args):
+    # run where its output files may land, against the sources in src/
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run([sys.executable, str(script), *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_exits_zero(tmp_path, demo):
-    # run where its output files may land, against the sources in src/
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
+    _run(tmp_path, demo)
+
+
+@pytest.mark.parametrize("tool", sorted((ROOT / "tools").glob("*.py")), ids=lambda p: p.stem)
+def test_tool_exits_zero(tmp_path, tool):
+    # one timed call per step: this checks the tools still run, not their timings
+    _run(tmp_path, tool, "--reps", "1")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in spherelets.__all__ if not hasattr(spherelets, name)]
+    assert not missing

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import kl_divergence
 from spherelets.datasets import enneper, noisy_spiral, sphere_sample
 from spherelets.embed import (
     DISTANCE_MODES,
@@ -22,7 +23,6 @@ from spherelets.embed import (
     conditional_affinities,
     embed,
     euclidean_knn_distances,
-    kl_divergence,
     kl_gradient,
     kl_objective,
     knn_distances,
@@ -207,9 +207,10 @@ def test_kl_infinite_when_q_vanishes():
 # -- embedding optimizer ------------------------------------------------------
 
 
-def test_embed_two_points_reaches_zero_kl():
+def test_embed_two_points_reaches_zero_kl(monkeypatch):
+    monkeypatch.setattr(EmbedConfig, "kl_every", 10)
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cfg = EmbedConfig(m=2, iters=60, seed=0, kl_every=10)
+    cfg = EmbedConfig(m=2, iters=60, seed=0)
     Y, log = embed(P, cfg, return_log=True)
     assert log[-1][1] < 1e-6
 
@@ -231,11 +232,12 @@ def test_embed_gradient_matches_central_differences():
     assert np.linalg.norm(grad - fd) <= 1e-5 * (1 + np.linalg.norm(grad))
 
 
-def test_embed_deterministic():
+def test_embed_deterministic(monkeypatch):
+    monkeypatch.setattr(EmbedConfig, "kl_every", 30)
     rng = np.random.default_rng(9)
     X = rng.normal(size=(40, 3))
     P = affinities(euclidean_knn_distances(X, 8), 1.0)
-    cfg = EmbedConfig(m=2, iters=120, seed=4, kl_every=30)
+    cfg = EmbedConfig(m=2, iters=120, seed=4)
     a = embed(P, cfg)
     b = embed(P, cfg)
     assert np.array_equal(a, b)
@@ -256,7 +258,7 @@ def test_embed_recorded_kl_non_increasing():
         [rng.normal(0, 0.3, (20, 3)), rng.normal(4, 0.3, (20, 3))]
     )
     P = affinities(euclidean_knn_distances(X, 6), 1.0)
-    cfg = EmbedConfig(m=2, iters=400, seed=1, kl_every=50)
+    cfg = EmbedConfig(m=2, iters=400, seed=1)
     Y, log = embed(P, cfg, return_log=True)
     kls = [v for _, v in log]
     assert all(b <= a + 1e-15 for a, b in zip(kls, kls[1:]))
@@ -273,13 +275,8 @@ def test_embed_config_validation():
         EmbedConfig(sigma=0.0)
     with pytest.raises(ParameterError):
         EmbedConfig(distance_mode="cosine")
-
-
-@pytest.mark.parametrize("kl_every", [0, -2])
-def test_embed_config_rejects_kl_every_below_one(kl_every):
-    # 0 divided by zero at iteration 1; -2 logged KL every 2 iterations
-    with pytest.raises(ParameterError, match="kl_every must be >= 1"):
-        EmbedConfig(kl_every=kl_every)
+    with pytest.raises(TypeError):  # the KL schedule is fixed, not a setting
+        EmbedConfig(kl_every=10)
 
 
 def test_embed_rejects_bad_affinities():
@@ -304,14 +301,15 @@ def test_embed_rejects_bad_pairs(rows, cols, vals):
         embed(P, EmbedConfig(iters=5))
 
 
-def test_embed_recovers_from_huge_learning_rate():
+def test_embed_recovers_from_huge_learning_rate(monkeypatch):
     # an exploding step makes the next gradient non-finite; the optimizer
     # reverts to the best iterate and halves the step instead of dying
+    monkeypatch.setattr(EmbedConfig, "kl_every", 20)
     rng = np.random.default_rng(12)
     A = rng.uniform(0.1, 1.0, (8, 8))
     A = 0.5 * (A + A.T)
     np.fill_diagonal(A, 0.0)
-    cfg = EmbedConfig(m=2, iters=80, learning_rate=1e300, seed=0, kl_every=20)
+    cfg = EmbedConfig(m=2, iters=80, learning_rate=1e300, seed=0)
     Y, log = embed(A, cfg, return_log=True)
     assert np.all(np.isfinite(Y))
     kls = [v for _, v in log]
@@ -329,9 +327,10 @@ def test_embed_divergence_error_when_unrecoverable(monkeypatch):
     monkeypatch.setattr(
         embed_mod, "kl_gradient", lambda P, Y: np.full_like(Y, np.nan)
     )
+    monkeypatch.setattr(EmbedConfig, "kl_every", 10)
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DivergenceError):
-        embed_mod.embed(P, EmbedConfig(m=2, iters=30, seed=0, kl_every=10))
+        embed_mod.embed(P, EmbedConfig(m=2, iters=30, seed=0))
 
 
 def test_embed_rejects_non_finite_affinities():
@@ -681,13 +680,14 @@ def _dense_oracle_embed(P, cfg):
     return best_Y, log
 
 
-def test_embed_matches_dense_oracle_loop():
+def test_embed_matches_dense_oracle_loop(monkeypatch):
     # at this n the default step of 100 is chaotic: a last-bit change in
     # one gradient moves the result by tens of percent, so the loops are
     # compared at a step of 30, where one KL checkpoint still reverts and
     # halves the step
+    monkeypatch.setattr(EmbedConfig, "kl_every", 25)
     P = _knn_affinities(120, 16) * 7.0
-    cfg = EmbedConfig(m=2, iters=300, learning_rate=30.0, seed=2, kl_every=25)
+    cfg = EmbedConfig(m=2, iters=300, learning_rate=30.0, seed=2)
     Y, log = embed(P, cfg, return_log=True)
     Y_oracle, log_oracle = _dense_oracle_embed(P, cfg)
     assert _rel(Y, Y_oracle) <= 1e-12

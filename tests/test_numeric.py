@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sym_eig
 from spherelets.exceptions import DimensionError, ParameterError
 from spherelets.numeric import (
     eig_desc,
@@ -11,7 +12,7 @@ from spherelets.numeric import (
     pairwise_sq_dists,
     row_dots,
     seeded_gaussian,
-    sym_eig,
+    unit_scale,
 )
 
 
@@ -349,3 +350,14 @@ def test_knn_indices_extreme_scales_match_full_scan(scale):
     # scale: the points keep the neighbors they have at unit scale
     X = np.random.default_rng(23).normal(size=(700, 2))
     assert np.array_equal(knn_indices(X * scale, 5), _full_scan(X, 5))
+
+
+@pytest.mark.parametrize("X", [np.zeros((0, 3)), np.array([[1.0, np.nan], [3.0, 4.0]]),
+                               np.array([[np.inf, 2.0]]), np.array([[3.0, -5.0]])],
+                         ids=["empty", "nan", "inf", "finite"])
+def test_unit_scale_result_shares_no_memory_with_input(X):
+    scaled, e = unit_scale(X)
+    assert not np.shares_memory(scaled, X)
+    assert np.array_equal(np.ldexp(scaled, e), X, equal_nan=True)
+    scaled[...] = 7.0  # writing to the result leaves the input alone
+    assert not np.any(X == 7.0)

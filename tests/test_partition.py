@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sym_eig
 from spherelets.datasets import enneper, euler_spiral, sphere_sample
 from spherelets.exceptions import ParameterError
 from spherelets.model import fit
-from spherelets.numeric import row_dots, sym_eig
+from spherelets.numeric import row_dots
 from spherelets.spca import fit_pieces
 from spherelets.partition import (
     Internal,
