@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, ParameterError
-from .numeric import knn_indices, row_dots
+from .numeric import knn_indices, row_dots, unit_scale
 from .spca import fit_spheres, project_planes, project_spheres, stacked_pca
 
 METHODS = ("gbms", "ltp", "mbms", "smbms", "lsp")
@@ -120,8 +120,14 @@ def denoise(
     A point whose local sphere fit degenerates (or whose projection is
     singular) falls back to the local tangent plane; with
     ``return_info=True`` the count of such fallbacks is returned as well.
+
+    The passes run on X scaled exactly by a power of two to unit scale,
+    with sigma scaled alike, and the result is scaled back: scaling X and
+    sigma by 2^e, where both stay normal floats, scales the output by 2^e
+    bit for bit. A sigma that overflows at unit scale weighs every
+    neighbor alike, the sigma -> inf limit.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     n, D = X.shape
     if n < cfg.k:
         raise ParameterError(f"k={cfg.k} exceeds sample size {n}")
@@ -130,24 +136,28 @@ def denoise(
     if cfg.method in _MODEL_METHODS and cfg.d > D:
         raise DimensionError(f"d={cfg.d} exceeds ambient dimension {D}")
 
+    X, e = unit_scale(X)
+    with np.errstate(over="ignore"):
+        sigma = float(np.ldexp(cfg.sigma, -e))
     fallbacks = 0
     for _ in range(cfg.iters):
-        X, fb = _pass(X, cfg)
+        X, fb = _pass(X, cfg, sigma)
         fallbacks += fb
+    X = np.ldexp(X, e)
     if return_info:
         return X, fallbacks
     return X
 
 
-def _pass(X: np.ndarray, cfg: DenoiseConfig) -> tuple[np.ndarray, int]:
+def _pass(X: np.ndarray, cfg: DenoiseConfig, sigma: float) -> tuple[np.ndarray, int]:
     nbr = knn_indices(X, cfg.k)
     hoods, d2 = _hoods(X, nbr)
     if cfg.method == "gbms":
-        return _blur(hoods, d2, cfg.sigma), 0
+        return _blur(hoods, d2, sigma), 0
 
-    Y = _blur(hoods, d2, cfg.sigma) if cfg.method in ("mbms", "smbms") else X
+    Y = _blur(hoods, d2, sigma) if cfg.method in ("mbms", "smbms") else X
     # rows are ordered by distance, so each support is a leading block
-    reach = SUPPORT_SIGMAS * cfg.sigma
+    reach = SUPPORT_SIGMAS * sigma
     reach *= reach  # saturates to inf where ``** 2`` raises OverflowError
     sizes = np.maximum(np.count_nonzero(d2 <= reach, axis=1), cfg.d + 3)
     support = Y.take(nbr[np.arange(cfg.k) < sizes[:, None]], axis=0)

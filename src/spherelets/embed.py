@@ -18,12 +18,13 @@ scale, then scaled back. The KL gradient splits into an attraction over that sup
 O(nk), and an exact repulsion over all pairs. As the gradient is
 antisymmetric pair by pair, both evaluate each unordered pair once and
 give its term to both of its rows. One pass computes the repulsion
-together with the normalization Z in row blocks of about
-``REPULSION_BLOCK`` pairs, and forms only the squared kernel: Z follows
-from the weighted sums of the repulsion rows, and the objective takes
-its Z from the same pass. The gradient reads the upper triangle of P,
-which a ``Pairs`` selects once. Memory beyond the O(nk) support is one
-block (512 KiB).
+together with the normalization Z over row panels of at least
+``PANEL_ROWS`` rows, each taking its columns in chunks of at most
+``REPULSION_BLOCK`` pairs, and forms only the squared kernel in five
+array passes per chunk: Z follows from the weighted sums of the
+repulsion rows, and the objective takes its Z from the same pass. The
+gradient reads the upper triangle of P, which a ``Pairs`` selects once.
+Memory beyond the O(nk) support is one chunk buffer (512 KiB).
 
 The optimizer records KL every ``kl_every`` = 50 iterations. If a
 checkpoint shows an increase it reverts to the best iterate seen, halves
@@ -47,8 +48,10 @@ from .spca import fit_spheres, project_spheres, sphere_arcs
 
 DISTANCE_MODES = ("spherical", "euclidean")
 
-# the repulsion pass holds about this many pairs at a time (512 KiB of float64)
+# the repulsion pass holds about this many pairs at a time (512 KiB of float64),
+# in row panels of at least PANEL_ROWS rows
 REPULSION_BLOCK = 1 << 16
+PANEL_ROWS = 64
 # the optimizer's schedule: affinities times EXAGGERATION through iteration
 # EXAGGERATION_ITERS; momentum MOMENTUM_EARLY before MOMENTUM_SWITCH, then MOMENTUM_LATE
 EXAGGERATION = 4.0
@@ -195,14 +198,27 @@ def conditional_affinities(Dmat: Pairs, sigma: float) -> Pairs:
     """Row-conditional affinities p_{j|i} = exp(-D_ij / sigma^2), normalized
     so each row sums to 1 over its support, the pairs of ``Dmat`` (none on
     the diagonal). Raises ParameterError when some row has empty support.
+
+    A row whose kernel sum is not a positive normal float (every term
+    underflowed, or sigma^2 itself did) takes the sigma -> 0 limit
+    instead: exp(-(D_ij - min_j D_ij) / sigma / sigma), which its nearest
+    neighbors share. Every other row is computed as written above.
     """
     if not 0.0 < sigma < math.inf:
         raise ParameterError(f"sigma must be finite and > 0, got {sigma}")
-    empty = np.bincount(Dmat.rows, minlength=Dmat.n) == 0
-    if empty.any():
-        raise ParameterError(f"row {int(np.argmax(empty))} has no neighbors; increase k")
-    K = np.exp(-Dmat.vals / (sigma * sigma))
-    return replace(Dmat, vals=K / np.bincount(Dmat.rows, K, minlength=Dmat.n)[Dmat.rows])
+    counts = np.bincount(Dmat.rows, minlength=Dmat.n)
+    if not counts.all():
+        raise ParameterError(f"row {int(np.argmin(counts))} has no neighbors; increase k")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        K = np.exp(-Dmat.vals / (sigma * sigma))
+        sums = np.bincount(Dmat.rows, K, minlength=Dmat.n)
+        bad = ~(sums >= np.finfo(float).tiny)
+        if bad.any():
+            low = np.minimum.reduceat(Dmat.vals, np.cumsum(counts) - counts)
+            sel = bad[Dmat.rows]
+            K[sel] = np.exp(-((Dmat.vals[sel] - low[Dmat.rows[sel]]) / sigma) / sigma)
+            sums[bad] = np.bincount(Dmat.rows[sel], K[sel], minlength=Dmat.n)[bad]
+    return replace(Dmat, vals=K / sums[Dmat.rows])
 
 
 def affinities(Dmat: Pairs, sigma: float) -> Pairs:
@@ -252,35 +268,51 @@ def _support_kernel(rows: np.ndarray, cols: np.ndarray, Y: np.ndarray):
 def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
     """Z = sum_{i != j} w_ij and the rows sum_j w_ij^2 (y_i - y_j).
 
-    One exact pass over row blocks: the rows [lo, hi) against the columns
-    [lo, n), about ``REPULSION_BLOCK`` pairs, so no n x n array is ever
-    held. Each block's 1 + |y_i - y_j|^2 is one product
-    [-2 y_i, |y_i|^2 + 1, 1] . [y_j, 1, |y_j|^2] (clamped below at 1),
-    squared and inverted in place to w_ij^2. A block's square [lo, hi)^2
-    is summed from the row side only; for the columns beyond it the
-    weighted sums S_i = sum_j w_ij^2 [y_j, 1, |y_j|^2] go to both ends of
-    the pair. As w_ij = w_ij^2 (1 + |y_i - y_j|^2), Z is the sum over i
-    of the left factor times S_i. Every block is a view of one buffer,
-    overwritten by the next block (a fresh one would fault in its pages).
+    One exact pass over the upper triangle, cut into row panels: the rows
+    [lo, hi), at least ``PANEL_ROWS`` of them (fewer only at the end), and
+    as many as fit in ``REPULSION_BLOCK`` pairs with the columns [lo, n).
+    A panel takes those columns in chunks of at most ``REPULSION_BLOCK``
+    pairs (never narrower than the panel is tall), so no n x n array is
+    ever held. A chunk's 1 + |y_i - y_j|^2 is one product
+    [-2 y_i, |y_i|^2 + 1, 1] . [y_j, 1, |y_j|^2], squared and inverted in
+    place to w_ij^2; a product that rounding puts just below 1 still
+    squares to a finite, positive value. The panel's square [lo, hi)^2,
+    in its first chunk, is summed from the row side only, its diagonal
+    zeroed; for the columns beyond it the weighted sums
+    S_i = sum_j w_ij^2 [y_j, 1, |y_j|^2] go to both ends of the pair, so a
+    chunk writes only its own rows of S. As
+    w_ij = w_ij^2 (1 + |y_i - y_j|^2), Z is the sum over i of the left
+    factor times S_i. Every chunk is a view of one buffer, overwritten by
+    the next (a fresh one would fault in its pages).
     """
     n, m = Y.shape
-    sq = np.einsum("ij,ij->i", Y, Y)[:, None]
-    ones = np.ones((n, 1))
-    left = np.hstack([-2.0 * Y, sq + 1.0, ones])
-    right = np.hstack([Y, ones, sq])
+    sq = np.einsum("ij,ij->i", Y, Y)
+    left, right = np.empty((n, m + 2)), np.empty((n, m + 2))
+    np.multiply(Y, -2.0, out=left[:, :m])
+    np.add(sq, 1.0, out=left[:, m])
+    left[:, m + 1] = 1.0
+    right[:, :m] = Y
+    right[:, m] = 1.0
+    right[:, m + 1] = sq
     S = np.zeros((n, m + 2))
-    buf = np.empty(max(REPULSION_BLOCK, n))
+    buf = np.empty(max(REPULSION_BLOCK, PANEL_ROWS * PANEL_ROWS))
     lo = 0
     while lo < n:
-        hi = min(n, lo + max(1, REPULSION_BLOCK // (n - lo)))
-        W = buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-        np.matmul(left[lo:hi], right[lo:].T, out=W)
-        np.maximum(W, 1.0, out=W)
-        W *= W
-        np.reciprocal(W, out=W)
-        np.fill_diagonal(W, 0.0)
-        S[lo:hi] += W @ right[lo:]
-        S[hi:] += W[:, hi - lo :].T @ right[lo:hi]
+        hi = min(n, lo + max(PANEL_ROWS, REPULSION_BLOCK // (n - lo)))
+        rows = hi - lo
+        width = max(rows, REPULSION_BLOCK // rows)
+        for c0 in range(lo, n, width):
+            c1 = min(n, c0 + width)
+            W = buf[: rows * (c1 - c0)].reshape(rows, c1 - c0)
+            np.matmul(left[lo:hi], right[c0:c1].T, out=W)
+            W *= W
+            np.reciprocal(W, out=W)
+            if c0 == lo:
+                np.fill_diagonal(W, 0.0)
+                S[hi:c1] += W[:, rows:].T @ right[lo:hi]
+            else:
+                S[c0:c1] += W.T @ right[lo:hi]
+            S[lo:hi] += W @ right[c0:c1]
         lo = hi
     return float(np.vdot(left, S)), S[:, m : m + 1] * Y - S[:, :m]
 

@@ -152,9 +152,10 @@ def _spiral_300(tmp_path, scale=1.0):
 
 
 def test_exit_numeric_on_non_finite_denoise_output(tmp_path, capsys):
-    # sigma squared underflows to 0, so every blur weight is NaN: the pass
-    # warns of nothing, and the output guard names the first bad row
-    data, out = _spiral_300(tmp_path, 1e-170), tmp_path / "out.csv"
+    # sigma is 1e-170 of the data's size, so its square underflows to 0 even
+    # at the data's unit scale and every blur weight is NaN: the pass warns
+    # of nothing, and the output guard names the first bad row
+    data, out = _spiral_300(tmp_path), tmp_path / "out.csv"
     capsys.readouterr()
     assert run("denoise", "--input", str(data), "--method", "gbms", "--k", "10",
                "--sigma", "1e-170", "--out", str(out)) == EXIT_NUMERIC
@@ -211,6 +212,45 @@ def test_denoise_sigma_whose_square_overflows_covers_every_neighbour(tmp_path, c
         outputs.append(load_csv(str(out)))
     assert np.array_equal(outputs[0], outputs[1])
     assert np.isfinite(outputs[0]).all()
+
+
+@pytest.mark.parametrize("method", ["gbms", "smbms", "lsp"])
+def test_denoise_commutes_with_power_of_two_scaling(tmp_path, capsys, method):
+    # the benchmark's spiral and sigma scaled by 2^-565 (about 1e-170): the
+    # unit-scale output times 2^-565, with the same fallbacks, where gbms
+    # once wrote NaN, smbms failed to converge and lsp fell back everywhere
+    data = tmp_path / "spiral.csv"
+    assert run("generate", "--dataset", "spiral", "--n", "4000", "--noise", "0.2",
+               "--seed", "0", "--out", str(data)) == EXIT_OK
+    tiny = tmp_path / "tiny.csv"
+    save_csv(np.ldexp(load_csv(str(data)), -565), str(tiny))
+    outputs, reports = [], []
+    for inp, sigma in ((data, 1.0), (tiny, float(np.ldexp(1.0, -565)))):
+        out = tmp_path / f"out-{inp.stem}.csv"
+        capsys.readouterr()
+        assert run("denoise", "--input", str(inp), "--method", method, "--k", "36",
+                   "--sigma", repr(sigma), "--iters", "2", "--d", "1", "--out", str(out)) == EXIT_OK
+        reports.append(capsys.readouterr().out.split(" -> ")[0])
+        outputs.append(load_csv(str(out)))
+    assert reports[0] == reports[1] == "denoised 4000 points (0 linear fallbacks)"
+    assert np.array_equal(outputs[1], np.ldexp(outputs[0], -565))
+
+
+def test_embed_sigma_whose_kernel_underflows_takes_the_nearest_neighbours(tmp_path, capsys):
+    # at sigma 1e-3 every exp(-D / sigma^2) of every row underflows to 0; each
+    # row's affinity goes to its nearest neighbours instead of 0 / 0
+    data, out = tmp_path / "enneper.csv", tmp_path / "emb.csv"
+    assert run("generate", "--dataset", "enneper", "--n", "1000", "--noise", "0.01",
+               "--seed", "0", "--out", str(data)) == EXIT_OK
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("embed", "--input", str(data), "--mode", "spherical", "--d", "2",
+                   "--k", "20", "--sigma", "1e-3", "--iters", "60", "--out", str(out),
+                   "--log", str(tmp_path / "kl.csv")) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    Y = load_csv(str(out))
+    assert Y.shape == (1000, 2) and np.isfinite(Y).all()
 
 
 def test_exit_numeric_on_singular_projection(tmp_path):

@@ -2,9 +2,11 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spherelets.datasets import distance_to_curve, noisy_spiral, sphere_sample
-from spherelets.denoise import SUPPORT_SIGMAS, DenoiseConfig, blur_step, denoise
+from spherelets.denoise import METHODS, SUPPORT_SIGMAS, DenoiseConfig, blur_step, denoise
 from spherelets.exceptions import ParameterError, SingularProjectionError
 from spherelets.numeric import knn_indices
 from spherelets.spca import fit_hyperplane, fit_sphere, project_plane, project_sphere
@@ -285,3 +287,28 @@ def test_hood_distances_equal_the_row_sum_they_replaced():
     hoods, d2 = denoise_mod._hoods(X, nbr)
     assert np.array_equal(hoods, X[nbr])
     assert np.array_equal(d2, np.sum((X[nbr] - X[:, None, :]) ** 2, axis=2))
+
+
+_SCALED_SPIRAL = noisy_spiral(150, 0.2, seed=3).points
+
+
+def _normal(a) -> bool:
+    """Every nonzero |a| is a normal float."""
+    a = np.abs(np.asarray(a, dtype=float))
+    a = a[a != 0.0]
+    return bool(np.all((a >= np.finfo(float).tiny) & (a <= np.finfo(float).max)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from(METHODS), e=st.integers(-600, 600),
+       sigma=st.sampled_from([0.3, 1.0, 3.0]))
+def test_denoise_commutes_with_power_of_two_scaling(method, e, sigma):
+    X = _SCALED_SPIRAL
+    Xe, sigma_e = np.ldexp(X, e), float(np.ldexp(sigma, e))
+    assume(_normal(Xe) and _normal(sigma_e))
+    cfg = DenoiseConfig(method=method, k=12, sigma=sigma, iters=2, d=1)
+    out, fallbacks = denoise(X, cfg, return_info=True)
+    scaled = DenoiseConfig(method=method, k=12, sigma=sigma_e, iters=2, d=1)
+    out_e, fallbacks_e = denoise(Xe, scaled, return_info=True)
+    assert fallbacks_e == fallbacks
+    assert np.array_equal(out_e, np.ldexp(out, e))

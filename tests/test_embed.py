@@ -137,6 +137,48 @@ def test_conditional_rows_sum_to_one():
     assert np.allclose(cond.sum(axis=1), 1.0, atol=1e-12)
 
 
+_AFFINITY_POINTS = np.random.default_rng(5).normal(size=(40, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma=st.one_of(st.floats(5e-324, 1e300, allow_subnormal=True),
+                       st.floats(-323.0, 300.0).map(lambda t: 10.0**t)))
+@example(sigma=5e-324)
+@example(sigma=1e-200)
+@example(sigma=1e-160)
+@example(sigma=1e-3)
+@example(sigma=1e300)
+def test_conditional_affinities_finite_and_normalized_at_every_sigma(sigma):
+    # a sigma so small that every term of a row underflows, or sigma^2
+    # itself does, takes the sigma -> 0 limit: the nearest neighbors share
+    # the row; the duplicated point gives distances of 0
+    X = np.vstack([_AFFINITY_POINTS, _AFFINITY_POINTS[:1]])
+    Dmat = euclidean_knn_distances(X, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cond = conditional_affinities(Dmat, sigma)
+        P = affinities(Dmat, sigma)
+    assert np.all(np.isfinite(cond.vals)) and np.all(cond.vals >= 0.0)
+    assert np.all(np.isfinite(P.vals))
+    assert np.allclose(np.bincount(cond.rows, cond.vals), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_conditional_affinities_limit_goes_to_the_nearest_neighbors():
+    # row 0 has two nearest neighbors at 1.0, row 1 one at 1.0; at sigma
+    # 1e-3 every exp(-D / sigma^2) underflows
+    D = np.full((4, 4), np.inf)
+    for i, j, d in [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.5), (1, 2, 2.0), (2, 3, 3.0)]:
+        D[i, j] = D[j, i] = d
+    cond = _dense(conditional_affinities(_pairs_of(D), 1e-3), 0.0)
+    assert np.array_equal(cond[0], [0.0, 0.5, 0.5, 0.0])
+    assert np.array_equal(cond[1], [1.0, 0.0, 0.0, 0.0])
+    # where no row underflows, every row is the plain formula's, bit for bit
+    pairs = _pairs_of(D)
+    K = np.exp(-pairs.vals / (0.7 * 0.7))
+    expect = K / np.bincount(pairs.rows, K)[pairs.rows]
+    assert np.array_equal(conditional_affinities(pairs, 0.7).vals, expect)
+
+
 def test_affinities_hand_softmax_chain():
     # five points in a chain; support = adjacent pairs only
     gaps = [1.0, 2.0, 0.5, 1.5]
@@ -556,12 +598,16 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("block", ["one row", "default", "all rows"])
+@pytest.mark.parametrize("block", ["square chunks", "default", "all rows"])
 def test_kl_kernel_matches_dense_oracle(monkeypatch, block):
+    # square chunks: panels of PANEL_ROWS rows (fewer at the end) take their
+    # columns PANEL_ROWS at a time; default: at n = 1100, panels of
+    # PANEL_ROWS rows take their columns in a chunk of 1024 and a ragged one
     rng = np.random.default_rng(13)
     for n, P in [(37, _random_pair_dist(rng, 37)), (150, _knn_affinities(150, 14)),
                  (1100, _knn_affinities(1100, 15))]:
-        size = {"one row": 1, "default": embed_mod.REPULSION_BLOCK, "all rows": n * n + 1}[block]
+        size = {"square chunks": 1, "default": embed_mod.REPULSION_BLOCK,
+                "all rows": n * n + 1}[block]
         monkeypatch.setattr(embed_mod, "REPULSION_BLOCK", size)
         # the initial scale up to the extent of a finished embedding; beyond
         # it both formulas lose digits to the Gram form's |y|^2 terms
@@ -586,11 +632,25 @@ def _dense_repulsion(Y):
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(2, 300), m=st.integers(1, 3),
        block=st.one_of(st.just(1), st.integers(2, 300 * 300), st.none()),
-       log_scale=st.floats(-4.0, 1.0), seed=st.integers(0, 2**32 - 1))
-@example(n=7, m=2, block=20, log_scale=0.0, seed=0)  # blocks of 2, 4 and 1 rows; the last may take 20
-def test_repulsion_matches_dense_formula(n, m, block, log_scale, seed):
-    # block None: one block holds every pair
+       log_scale=st.floats(-4.0, 1.0), seed=st.integers(0, 2**32 - 1), twins=st.booleans())
+# one panel of all 7 rows in one 7 x 7 chunk, though the block is 20 pairs
+@example(n=7, m=2, block=20, log_scale=0.0, seed=0, twins=False)
+# panels of 64, 94 and 42 rows, each in one chunk
+@example(n=200, m=2, block=64 * 200, log_scale=0.0, seed=1, twins=False)
+# four panels of 64 rows in chunks of 93 columns, the last of each ragged,
+# then one 44 x 44 chunk
+@example(n=300, m=2, block=6000, log_scale=0.0, seed=2, twins=False)
+# a block below PANEL_ROWS^2: panels of 64 rows in 64 x 64 chunks, then 44 x 44
+@example(n=300, m=3, block=1000, log_scale=0.0, seed=3, twins=False)
+# 150 pairs of rows at |y| ~ 10, 1e-9 of their size apart: rounding puts the
+# Gram form of some of their 1 + |y_i - y_j|^2 below 1
+@example(n=300, m=2, block=None, log_scale=1.0, seed=4, twins=True)
+def test_repulsion_matches_dense_formula(n, m, block, log_scale, seed, twins):
+    # block None: one block holds every pair; twins: each odd row is the even
+    # row before it, moved by 1e-9 of its size
     Y = np.random.default_rng(seed).normal(0.0, 10.0**log_scale, size=(n, m))
+    if twins:
+        Y[1::2] = Y[: n // 2 * 2 : 2] * (1.0 + 1e-9)
     with mock.patch.object(embed_mod, "REPULSION_BLOCK", n * n + 1 if block is None else block):
         Z, rep = embed_mod._repulsion(Y)
     Z_dense, rep_dense = _dense_repulsion(Y)
@@ -717,3 +777,19 @@ def test_kl_gradient_memory_stays_below_one_dense_matrix():
     # one n x n float64 array would be 32 MB; the kernel holds the O(nk)
     # support terms and one repulsion block
     assert kl_peak < n * n * 8 / 8
+
+
+def test_repulsion_memory_is_one_buffer_and_a_few_row_arrays():
+    n, m = 5000, 2
+    Y = np.random.default_rng(20).normal(size=(n, m))
+    tracemalloc.start()
+    try:
+        Z, rep = embed_mod._repulsion(Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(Z) and np.all(np.isfinite(rep))
+    # the chunk buffer plus left, right, S and the rows with their
+    # temporaries: six n x (m + 2) arrays; a dense n x n array is 200 MB
+    buffer = max(embed_mod.REPULSION_BLOCK, embed_mod.PANEL_ROWS**2)
+    assert peak <= 8 * (buffer + 6 * n * (m + 2))
