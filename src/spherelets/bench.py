@@ -19,10 +19,12 @@ import numpy as np
 from . import model as model_mod
 from .datasets import _euler_curve, euler_spiral, noisy_spiral, sphere_sample
 from .exceptions import ParameterError
-from .numeric import seeded_rng
-from .spca import fit_pieces, fit_sphere
+from .numeric import row_dots, seeded_rng
+from .spca import fit_hyperplane, fit_sphere, project_plane
 
 BENCH_METHODS = ("spca", "pca")
+# each benchmark dataset's one option besides its counts ntrain and ntest
+DATASET_OPTIONS = {"euler": "smax", "spiral": "noise", "circle": "radius"}
 # rate_study samples this many points of each curve segment
 POINTS_PER_SEGMENT = 60
 
@@ -47,17 +49,30 @@ class RateRecord:
 
 def parse_dataset_spec(spec: str) -> dict:
     """Parse ``name[:key=value,...]`` dataset descriptors, e.g.
-    ``euler:ntrain=2500,ntest=2500``."""
+    ``euler:ntrain=2500,ntest=2500``. Each value is a finite number, an
+    integer for a count; raises ParameterError for another dataset than
+    those of ``DATASET_OPTIONS`` or another option than its own."""
     name, _, rest = spec.partition(":")
     out: dict = {"name": name.strip().lower()}
-    if out["name"] not in ("euler", "spiral", "circle"):
+    if out["name"] not in DATASET_OPTIONS:
         raise ParameterError(f"unknown benchmark dataset {out['name']!r}")
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ParameterError(f"malformed dataset option {item!r}")
-            out[key.strip()] = float(value)
+    options = ("ntrain", "ntest", DATASET_OPTIONS[out["name"]])
+    for item in rest.split(",") if rest else []:
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep:
+            raise ParameterError(f"malformed dataset option {item!r}")
+        if key not in options:
+            raise ParameterError(f"unknown option {key!r} of dataset {out['name']!r}; "
+                                 f"expected one of {', '.join(options)}")
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        count = key != options[2]
+        if not math.isfinite(number) or (count and not number.is_integer()):
+            raise ParameterError(f"dataset option {key} must be a finite "
+                                 f"{'integer' if count else 'number'}, got {value!r}")
+        out[key] = int(number) if count else number
     return out
 
 
@@ -135,6 +150,9 @@ def rate_study(
     log(alpha) per method, plus all per-segment records. Degenerate fits
     are dropped from the regression.
     """
+    for m in methods:
+        if m not in BENCH_METHODS:
+            raise ParameterError(f"unknown method {m!r}")
     if alpha_grid is None:
         alpha_grid = list(np.geomspace(0.05, 0.5, 6))
     alpha_grid = sorted(float(a) for a in alpha_grid)
@@ -164,8 +182,8 @@ def rate_study(
                         continue
                     mse = diag.geometric_mse
                 else:
-                    line = fit_pieces(pts, [0], 1, "pca")[0][0]
-                    mse = float(np.mean(line.residual_sq(pts)))
+                    R = pts - project_plane(pts, fit_hyperplane(pts, 0))
+                    mse = float(np.mean(row_dots(R, R)))
                 mses.append(mse)
                 records.append(RateRecord(method=method, alpha=alpha, segment=j, mse=mse))
             if mses:

@@ -95,13 +95,12 @@ def _blur(hoods: np.ndarray, d2: np.ndarray, sigma: float) -> np.ndarray:
 
 def blur_step(X: np.ndarray, k: int, sigma: float) -> np.ndarray:
     """One Gaussian-mean shift: each point moves to the softmax-weighted
-    average of its k-neighborhood (self included)."""
+    average of its k-neighborhood (self included). It is one ``gbms`` pass
+    of ``denoise``, and so scale-free as ``denoise`` is."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not 0.0 < sigma < math.inf:
-        raise ParameterError(f"sigma must be finite and > 0, got {sigma}")
     if not 1 <= k <= X.shape[0]:
         raise ParameterError(f"k={k} out of range [1, {X.shape[0]}]")
-    return _blur(*_hoods(X, knn_indices(X, k)), sigma)
+    return denoise(X, DenoiseConfig("gbms", k, sigma))
 
 
 def denoise(

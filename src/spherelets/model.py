@@ -1,13 +1,14 @@
 """Piecewise-spherical manifold models.
 
-A fitted model is a PC1-sign partition tree whose leaves keep the piece
-fitted to their cell: a spherelet under the ``spca`` fitter (with
-hyperplane fallback on degeneracy) or a d-dimensional hyperplane under
-``pca``. ``fit`` grows the tree a level at a time, each level one ragged
-fit whose per-row residuals give every cell's MSE. Projection routes a
-batch down the tree a level at a time and maps each leaf's rows onto its
-piece, so held-out data can be projected without refitting; the rows of
-all pieces of one kind and frame width take one stacked kernel call.
+A fitted model is a PC1-sign partition tree and one ``spca.PieceTable``
+of the pieces fitted to its cells, row j the j-th leaf's depth first: a
+spherelet under the ``spca`` fitter (with hyperplane fallback on
+degeneracy) or a d-dimensional hyperplane under ``pca``. ``fit`` grows
+the tree a level at a time, each level one ragged fit whose per-row
+residuals give every cell's MSE; ``load`` builds the table once. Projection
+routes a batch down the tree a level at a time and maps each leaf's rows
+onto its piece, so held-out data can be projected without refitting; the
+rows of each of the table's ``groups`` take one stacked kernel call.
 Routing and projection treat each row on its own, so a row's leaf and
 image do not depend on the batch it is in: ``project(x)`` is row i of
 ``project_many(X)`` bit for bit.
@@ -45,33 +46,29 @@ from .partition import (
     iter_leaves,
     leaf_rows,
 )
-from .spca import Hyperplane, Piece, Spherelet, _plane_images, _sphere_images
+from .spca import PieceTable, _plane_images, _sphere_images
 
 FORMAT_VERSION = 1
 
 # load() rejects a piece frame F with Frobenius |F'F - I| above this
 FRAME_TOL = 1e-9
-# _route_project gathers each row's D x w frame: at most this many frame
-# and row elements at once (8 MiB)
+# _project_routed gathers each row's D x W frame from the piece table: at
+# most this many frame and row elements at once (8 MiB)
 PROJECT_BLOCK = 1 << 20
 
 
 @dataclass
 class SphereletModel:
     tree: PartitionNode
+    pieces: PieceTable
     d: int
     D: int
     fitter: str
     provenance: dict = field(default_factory=dict)
 
     @property
-    def leaves(self) -> dict[int, Piece]:
-        """The piece of every leaf, by cell id."""
-        return {leaf.cell_id: leaf.piece for leaf in iter_leaves(self.tree)}
-
-    @property
     def n_pieces(self) -> int:
-        return len(self.leaves)
+        return self.pieces.radius.size
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Project a single D-vector onto the estimated manifold."""
@@ -93,48 +90,39 @@ class SphereletModel:
 
     def _project_routed(self, X: np.ndarray,
                         routed: list) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Projections of the rows of X, given the (leaf, rows) of each leaf
-        in ``leaf_rows`` order, and the rows each leaf received.
+        """Projections of the rows of X, given the (j, leaf, rows) of each
+        leaf in ``leaf_rows`` order, and the rows each leaf received.
 
-        Each row is projected onto the ``surface`` of its leaf's piece as a
-        1 x D stack, so its image does not depend on the batch it is in. A
-        row that projects onto a sphere center raises SingularProjectionError
-        naming the first such row of the first leaf ``leaf_rows`` yields."""
-        route_of = np.empty(X.shape[0], dtype=np.intp)  # index into `routed`
+        Each row is projected onto its leaf's piece, row j of the table, as
+        a 1 x D stack, so its image does not depend on the batch it is in.
+        A row that projects onto a sphere center raises
+        SingularProjectionError naming the first such row of the first leaf
+        ``leaf_rows`` yields."""
+        at = np.empty(X.shape[0], dtype=np.intp)  # each row's piece
         if routed:
-            parts = [rows for _, rows in routed]
-            route_of[np.concatenate(parts)] = np.repeat(np.arange(len(parts)), [r.size for r in parts])
-        surfaces = [leaf.piece.surface for leaf, _ in routed]
-        groups: dict[tuple[bool, int], list[int]] = {}
-        for i, p in enumerate(surfaces):
-            groups.setdefault((p.degenerate, p.frame.shape[1]), []).append(i)
-        P, singular = np.empty_like(X), np.zeros(X.shape[0], dtype=bool)
-        for (plane, width), members in groups.items():
-            pieces = [surfaces[i] for i in members]
-            frames = np.stack([p.frame for p in pieces])
-            anchor = np.stack([p.mu if plane else p.center for p in pieces])
-            radius = None if plane else np.array([p.radius for p in pieces])
-            slot = np.full(len(routed), -1)
-            slot[members] = np.arange(len(members))
-            slot = slot[route_of]
-            rows = np.flatnonzero(slot >= 0)
-            step = max(1, PROJECT_BLOCK // (self.D * (width + 1)))
+            at[np.concatenate([rows for *_, rows in routed])] = np.repeat(
+                [j for j, *_ in routed], [rows.size for *_, rows in routed])
+        pieces, P, singular = self.pieces, np.empty_like(X), np.zeros(X.shape[0], dtype=bool)
+        step = max(1, PROJECT_BLOCK // (self.D * (pieces.frame.shape[2] + 1)))
+        for sphere, width, members in pieces.groups():
+            rows = np.flatnonzero(np.isin(at, members))
             for lo in range(0, rows.size, step):
                 sub = rows[lo : lo + step]
-                k = slot[sub]
-                x, a = X.take(sub, axis=0)[:, None, :], anchor.take(k, axis=0)[:, None, :]
-                F = frames.take(k, axis=0)
-                if plane:
-                    P[sub] = _plane_images(x, a, F)[:, 0]
-                else:
-                    images, regular = _sphere_images(x, a, radius.take(k)[:, None], F)
+                j = at[sub]
+                x, a = X.take(sub, axis=0)[:, None, :], pieces.center.take(j, axis=0)[:, None, :]
+                F = pieces.frame.take(j, axis=0)[:, :, :width]
+                if sphere:
+                    images, regular = _sphere_images(x, a, pieces.radius.take(j)[:, None], F)
                     P[sub], singular[sub] = images[:, 0], ~regular[:, 0]
+                else:
+                    P[sub] = _plane_images(x, a, F)[:, 0]
         if singular.any():
             bad = np.flatnonzero(singular)
-            row = int(bad[np.argmin(route_of[bad])])
-            raise SingularProjectionError(f"row {row} projects onto the sphere center of cell "
-                                          f"{routed[route_of[row]][0].cell_id}", row=row)
-        return P, {leaf.cell_id: rows for leaf, rows in routed}
+            row = int(bad[np.argmin(at[bad])])
+            cell = next(leaf.cell_id for j, leaf, _ in routed if j == at[row])
+            raise SingularProjectionError(f"row {row} projects onto the sphere center of cell {cell}",
+                                          row=row)
+        return P, {leaf.cell_id: rows for _, leaf, rows in routed}
 
     def mse(self, X: np.ndarray) -> tuple[float, dict[int, float]]:
         """Overall and per-cell mean squared projection residual.
@@ -158,14 +146,14 @@ class SphereletModel:
         the leaves' members do not number the rows of X, or when the model
         was loaded from a file without them."""
         X = self._rows(X)
-        routed = [(leaf, leaf.member_indices) for leaf in iter_leaves(self.tree)]
-        members = np.concatenate([rows for _, rows in routed])
+        routed = [(j, leaf, leaf.member_indices) for j, leaf in enumerate(iter_leaves(self.tree))]
+        members = np.concatenate([rows for *_, rows in routed])
         if members.size == 0:
             raise ParameterError("the model was loaded without its training members, which model "
                                  "files do not keep; mse(X) routes the rows instead")
         if not np.array_equal(np.sort(members), np.arange(X.shape[0])):
             raise ParameterError(f"the leaves' members are not the {X.shape[0]} training rows")
-        return _with_mse(X, *self._project_routed(X, [r for r in routed if r[1].size]))[1:]
+        return _with_mse(X, *self._project_routed(X, [r for r in routed if r[2].size]))[1:]
 
     def save(self, path: str) -> None:
         save(self, path)
@@ -199,11 +187,11 @@ def fit(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if n_min is None:
         n_min = max(10, d + 3)
-    tree = build_tree(X, d, eps, n_min, fitter)
+    tree, pieces = build_tree(X, d, eps, n_min, fitter)
     prov = dict(provenance or {})
     prov.setdefault("eps", eps)
     prov.setdefault("n_min", n_min)
-    return SphereletModel(tree=tree, d=d, D=X.shape[1], fitter=fitter, provenance=prov)
+    return SphereletModel(tree=tree, pieces=pieces, d=d, D=X.shape[1], fitter=fitter, provenance=prov)
 
 
 # -- serialization ----------------------------------------------------------
@@ -226,25 +214,20 @@ def _tree_to_obj(tree: PartitionNode) -> dict:
     return node(root)
 
 
-def _pieces_to_obj(pieces: list[tuple[int, Piece]]) -> list[dict]:
-    """The (id, piece) pairs as piece objects in the same order, the
-    vectors of all pieces of one kind and frame width from one ``tolist``
-    of each stacked array."""
-    groups: dict[tuple[bool, int], list[int]] = {}
-    for i, (_, p) in enumerate(pieces):
-        groups.setdefault((isinstance(p, Spherelet), p.frame.shape[1]), []).append(i)
-    objs = [None] * len(pieces)
-    for (sphere, _), members in groups.items():
-        group = [pieces[i][1] for i in members]
-        mu = np.array([p.mu for p in group]).tolist()
-        frame = np.array([p.frame for p in group]).tolist()
-        none = [None] * len(group)
-        center = np.array([p.center for p in group]).tolist() if sphere else none
-        radius = [p.radius for p in group] if sphere else none
-        for i, m, F, c, r in zip(members, mu, frame, center, radius):
-            objs[i] = {"id": pieces[i][0], "kind": "sphere" if sphere else "plane",
+def _pieces_to_obj(pieces: PieceTable, ids: list[int]) -> list[dict]:
+    """The piece objects of a table whose row j is the piece of leaf
+    ``ids[j]``, in increasing id order; the vectors of all pieces of one
+    kind and frame width from one ``tolist`` of each stacked array."""
+    objs = [None] * len(ids)
+    for sphere, width, rows in pieces.groups():
+        mu, frame = pieces.mu[rows].tolist(), pieces.frame[rows, :, :width].tolist()
+        none = [None] * rows.size
+        center = pieces.center[rows].tolist() if sphere else none
+        radius = pieces.radius[rows].tolist() if sphere else none
+        for j, m, F, c, r in zip(rows.tolist(), mu, frame, center, radius):
+            objs[j] = {"id": ids[j], "kind": "sphere" if sphere else "plane",
                        "mu": m, "frame": F, "center": c, "radius": r}
-    return objs
+    return sorted(objs, key=lambda o: o["id"])
 
 
 def save(model: SphereletModel, path: str) -> None:
@@ -258,7 +241,7 @@ def save(model: SphereletModel, path: str) -> None:
         "fitter": model.fitter,
         "provenance": model.provenance,
         "tree": _tree_to_obj(model.tree),
-        "leaves": _pieces_to_obj(sorted(model.leaves.items())),
+        "leaves": _pieces_to_obj(model.pieces, [leaf.cell_id for leaf in iter_leaves(model.tree)]),
     }
     try:
         text = json.dumps(obj, allow_nan=False)  # json.dump would run the pure-Python encoder
@@ -330,40 +313,42 @@ def _width(frame) -> int:
         return 0
 
 
-def _check_pieces(objs: list, d: int, D: int) -> list[tuple[int, Piece]]:
-    """The (id, piece) of each piece object, checked together for all
-    pieces of one kind and frame width."""
+def _check_pieces(objs: list, d: int, D: int) -> tuple[list[int], PieceTable]:
+    """The id of each piece object and the table of their pieces in that
+    order, checked together for all pieces of one kind and frame width."""
     ids = [int(o["id"]) for o in objs]
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, o in enumerate(objs):
-        groups.setdefault((o["kind"], _width(o["frame"])), []).append(i)
-    parsed = [None] * len(objs)
-    for (kind, width), members in groups.items():
-        if kind not in ("plane", "sphere"):
-            raise ValueError(f"unknown piece kind {kind!r}")
-        sphere, group, m = kind == "sphere", [objs[i] for i in members], len(members)
-        mu = _finite([o["mu"] for o in group], (m, D), "mu")
+    for o in objs:
+        if o["kind"] not in ("plane", "sphere"):
+            raise ValueError(f"unknown piece kind {o['kind']!r}")
+    m, W = len(objs), min(d + 1, D)
+    pieces = PieceTable(sphere=np.array([o["kind"] == "sphere" for o in objs], dtype=bool),
+                        width=np.array([_width(o["frame"]) for o in objs], dtype=np.intp),
+                        mu=np.empty((m, D)), frame=np.zeros((m, D, W)), center=np.empty((m, D)),
+                        radius=np.full(m, math.inf))
+    for sphere, width, members in pieces.groups():
+        group = [objs[i] for i in members]
+        mu = _finite([o["mu"] for o in group], (members.size, D), "mu")
         F = np.array([o["frame"] for o in group], dtype=float)
         # what fit writes: a sphere's frame or a d-wide plane; files of
         # earlier versions also hold (d+1)-wide planes of degenerate spheres
         widths = [d + 1] if sphere else sorted({min(d, D), min(d + 1, D)})
-        if F.shape != (m, D, width) or width not in widths or not np.isfinite(F).all():
+        if F.shape != (members.size, D, width) or width not in widths or not np.isfinite(F).all():
             want = (f"{D} x {d + 1} matrix" if sphere else
                     f"{D}-row matrix, {' or '.join(map(str, widths))} columns wide")
             raise ValueError(f"frame must be a finite {want}, got shape {F.shape[1:]}")
         ortho = _frame_errors(F).max()
         if ortho > FRAME_TOL:
             raise ValueError(f"frame columns are not orthonormal: |F'F - I| = {ortho:.3g}")
+        pieces.mu[members], pieces.frame[members, :, :width] = mu, F
+        pieces.center[members] = mu
         if sphere:
             radius = [float(o["radius"]) for o in group]
             for r in radius:
                 if not (math.isfinite(r) and r > 0.0):
                     raise ValueError(f"sphere radius {r!r} is not finite and positive")
-            center = _finite([o["center"] for o in group], (m, D), "center")
-        for j, i in enumerate(members):
-            parsed[i] = ids[i], (Spherelet(frame=F[j], center=center[j], radius=radius[j], mu=mu[j])
-                                 if sphere else Hyperplane(mu=mu[j], frame=F[j]))
-    return parsed
+            pieces.center[members] = _finite([o["center"] for o in group], (members.size, D), "center")
+            pieces.radius[members] = radius
+    return ids, pieces
 
 
 def _piece_name(i: int, obj) -> str:
@@ -443,24 +428,25 @@ def load(path: str) -> SphereletModel:
         raise ParseError(f"{path}: provenance must be an object, got {provenance!r}")
     d, D = obj["d"], obj["D"]
     objs = obj["leaves"]
-    parsed = _named(lambda entries: _check_pieces(entries, d, D), objs,
-                    lambda i: _piece_name(i, objs[i]))
+    ids, pieces = _named(lambda entries: _check_pieces(entries, d, D), objs,
+                         lambda i: _piece_name(i, objs[i]))
     nodes, paths = _tree_nodes(obj["tree"])
     rules, leaves = _named(lambda entries: _check_nodes(entries, D), nodes, paths.__getitem__)
     leaf_ids = sorted(cid for cid, _ in leaves)
-    piece_ids = sorted(cid for cid, _ in parsed)
-    if leaf_ids != piece_ids:  # also catches an id used twice on either side
-        raise ParseError(f"{path}: tree leaves {leaf_ids} do not match pieces {piece_ids}")
-    pieces, built = dict(parsed), []
+    if leaf_ids != sorted(ids):  # also catches an id used twice on either side
+        raise ParseError(f"{path}: tree leaves {leaf_ids} do not match pieces {sorted(ids)}")
+    row = {cid: i for i, cid in enumerate(ids)}  # the table is put in the leaves' depth-first order
+    pieces, built = pieces.take([row[cid] for cid, _ in leaves]), []
     for node in reversed(nodes):  # children before parents, the right child first
         if "leaf" in node:
             cid, members = leaves.pop()
-            built.append(Leaf(cell_id=cid, member_indices=members, piece=pieces[cid]))
+            built.append(Leaf(cell_id=cid, member_indices=members))
         else:
             left, right = built.pop(), built.pop()
             built.append(Internal(rule=rules.pop(), left=left, right=right))
     return SphereletModel(
         tree=built.pop(),
+        pieces=pieces,
         d=d,
         D=D,
         fitter=obj["fitter"],

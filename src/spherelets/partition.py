@@ -12,8 +12,9 @@ cell's piece. A cell is split while its piece's MSE (one segment sum of
 those residuals) exceeds ``eps`` and it retains more than ``n_min``
 members, at the piece's mean along the fit's own first principal axis,
 by the same sign test that routes points; a split leaving either side
-below ``n_min`` is rejected. Leaves keep pieces and are numbered
-depth-first once the tree's shape is known.
+below ``n_min`` is rejected. Leaves are numbered depth-first once the
+tree's shape is known, and their pieces gathered into one
+``spca.PieceTable`` whose row j is the piece of leaf j.
 
 Routing moves a whole batch down the tree a level at a time, every row
 one step per level, over arrays of the split means, directions and
@@ -31,7 +32,7 @@ import numpy as np
 
 from .exceptions import ParameterError
 from .numeric import NARROW_ROW, row_dots
-from .spca import Piece, fit_pieces
+from .spca import PieceTable, fit_pieces
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class Internal:
 class Leaf:
     cell_id: int
     member_indices: np.ndarray
-    piece: Piece | None = None
 
 
 PartitionNode = Internal | Leaf
@@ -65,9 +65,10 @@ def build_tree(
     eps: float,
     n_min: int,
     fitter: str = "spca",
-) -> PartitionNode:
+) -> tuple[PartitionNode, PieceTable]:
     """Grow the PC1-sign tree level by level until every cell meets the MSE
-    target or runs out of points; leaves are numbered in depth-first order."""
+    target or runs out of points. Returns the tree, its leaves numbered in
+    depth-first order, and the piece table, row j the piece of leaf j."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not 0.0 < eps < math.inf:
         raise ParameterError(f"eps must be finite and > 0, got {eps}")
@@ -76,9 +77,9 @@ def build_tree(
     if X.shape[0] < n_min:
         raise ParameterError(f"n={X.shape[0]} is below n_min={n_min}")
 
-    # levels[t] holds the pieces, means and first axes of the cells of
-    # level t, the rows of its leaves, and for each cell the index j of its
-    # left child in level t + 1 (its right child is j + 1), or -1 for a leaf
+    # levels[t] holds the rows of the leaves of level t, the pieces and
+    # first axes of its cells, and for each cell the index j of its left
+    # child in level t + 1 (its right child is j + 1), or -1 for a leaf
     levels, cells = [], [np.arange(X.shape[0])]
     while cells:
         sizes = np.array([rows.size for rows in cells])
@@ -86,11 +87,10 @@ def build_tree(
         rows = X.take(np.concatenate(cells), axis=0)
         fits = fit_pieces(rows, starts, d, fitter)
         mse = np.add.reduceat(fits.residual_sq, starts) / sizes
-        left = _goes_left(rows, np.repeat(fits.mu, sizes, axis=0), np.repeat(fits.axis, sizes, axis=0))
+        left = _goes_left(rows, np.repeat(fits.pieces.mu, sizes, axis=0), np.repeat(fits.axis, sizes, axis=0))
         n_left = np.add.reduceat(left, starts, dtype=np.intp)
         split = (sizes > n_min) & (mse > eps) & (n_min <= n_left) & (n_left <= sizes - n_min)
-        levels.append((cells, fits.pieces, fits.mu, fits.axis,
-                       np.where(split, 2 * np.cumsum(split) - 2, -1)))
+        levels.append((cells, fits.pieces, fits.axis, np.where(split, 2 * np.cumsum(split) - 2, -1)))
         children = []
         for i in np.flatnonzero(split):
             side = left[starts[i] : starts[i] + sizes[i]]
@@ -102,19 +102,23 @@ def build_tree(
     while stack:
         t, i = stack.pop()
         order.append((t, i))
-        j = levels[t][4][i]  # the left child's index in level t + 1
+        j = levels[t][3][i]  # the left child's index in level t + 1
         if j >= 0:
             stack += [(t + 1, j + 1), (t + 1, j)]
-    built, cell_id = [], sum(1 for t, i in order if levels[t][4][i] < 0)
+    # each leaf's row among the cells of all levels, by cell id
+    offset = np.cumsum([0] + [len(level[0]) for level in levels])
+    leaf_at = [offset[t] + i for t, i in order if levels[t][3][i] < 0]
+    pieces = PieceTable(*map(np.concatenate, zip(*(level[1] for level in levels)))).take(leaf_at)
+    built, cell_id = [], len(leaf_at)
     for t, i in reversed(order):  # children before parents, the right child first
-        cells, pieces, mu, axis, child = levels[t]
+        cells, table, axis, child = levels[t]
         if child[i] < 0:
             cell_id -= 1
-            built.append(Leaf(cell_id=cell_id, member_indices=cells[i], piece=pieces[i]))
+            built.append(Leaf(cell_id=cell_id, member_indices=cells[i]))
         else:
             left, right = built.pop(), built.pop()
-            built.append(Internal(rule=SplitRule(mu=mu[i], direction=axis[i]), left=left, right=right))
-    return built.pop()
+            built.append(Internal(rule=SplitRule(mu=table.mu[i], direction=axis[i]), left=left, right=right))
+    return built.pop(), pieces
 
 
 def _goes_left(X: np.ndarray, mu: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -172,9 +176,9 @@ def _split_arrays(tree: PartitionNode) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def leaf_rows(X: np.ndarray, tree: PartitionNode):
-    """(leaf, increasing row indices) for each leaf that receives rows of X,
-    in depth-first leaf order. All rows move down the tree together, one
-    level per step, each by the sign test of the split it has reached."""
+    """(j, leaf, increasing row indices) for each leaf that receives rows of
+    X, the j-th in depth-first leaf order. All rows move down the tree
+    together, one level per step, each by the sign test of its split."""
     mu, direction, child, leaves, root = _split_arrays(tree)
     leaf = np.full(X.shape[0], root)  # each row's code, a leaf's once it reaches one
     rows, at, x = np.arange(X.shape[0]), leaf.copy(), X  # the rows still moving, their splits
@@ -191,7 +195,7 @@ def leaf_rows(X: np.ndarray, tree: PartitionNode):
     counts = np.bincount(leaf, minlength=len(leaves))
     ends = np.cumsum(counts)
     for j in np.flatnonzero(counts):
-        yield leaves[j], order[ends[j] - counts[j] : ends[j]]
+        yield j, leaves[j], order[ends[j] - counts[j] : ends[j]]
 
 
 def iter_leaves(tree: PartitionNode):

@@ -24,13 +24,18 @@ upper triangle, and row norms add one column at a time
 also give each row's squared residual to its set's piece, in closed form
 from the reduced coordinates the fit already holds, so a caller never
 projects the rows again to learn a piece's MSE.
+
+``fit_pieces`` gives its pieces as one ``PieceTable``, a row per set.
+``Spherelet`` and ``Hyperplane`` are plain records: each formula's one
+home is a module function (``project_sphere``, ``project_plane``,
+``sphere_residual_sq``) over the stacked kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,31 +55,10 @@ RADIUS_DIAMETER_RATIO = 1e6
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Affine subspace mu + span(frame); frame columns are orthonormal.
-
-    It is the infinite-radius limit of a sphere, so, like a degenerate
-    ``Spherelet``, it reads as ``degenerate``."""
+    """Affine subspace mu + span(frame); frame columns are orthonormal."""
 
     mu: np.ndarray
     frame: np.ndarray
-    degenerate: ClassVar[bool] = True
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.mu.shape[0]
-
-    @property
-    def surface(self) -> Hyperplane:
-        """What rows project onto: the plane itself."""
-        return self
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        return project_plane(X, self)
-
-    def residual_sq(self, X: np.ndarray) -> np.ndarray:
-        """Squared distance of each row of X to the subspace."""
-        R = X - project_plane(X, self)
-        return row_dots(R, R)
 
 
 @dataclass(frozen=True)
@@ -82,8 +66,8 @@ class Spherelet:
     """A d-sphere in R^D: frame V (D x (d+1)), center c, radius r, data mean mu.
 
     ``degenerate`` marks the infinite-radius limit where the sphere
-    collapses to a plane; projection then delegates to ``surface``, the
-    fit's d-plane mu + span(V[:, :d]). The fit was computed in the
+    collapses to a plane; ``project_sphere`` then projects onto the fit's
+    d-plane mu + span(V[:, :d]). The fit was computed in the
     (d+1)-dimensional reduction hyperplane mu + span(V).
     """
 
@@ -92,25 +76,6 @@ class Spherelet:
     radius: float
     mu: np.ndarray
     degenerate: bool = False
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.frame.shape[0]
-
-    @property
-    def surface(self) -> Spherelet | Hyperplane:
-        """What rows project onto: the sphere, or when it is degenerate the
-        d-plane of its fit, the ``pca`` fitter's plane of the same set."""
-        return Hyperplane(mu=self.mu, frame=self.frame[:, :-1]) if self.degenerate else self
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        return project_sphere(X, self)
-
-    def residual_sq(self, X: np.ndarray) -> np.ndarray:
-        return sphere_residual_sq(X, self)
-
-
-Piece = Spherelet | Hyperplane
 
 
 @dataclass(frozen=True)
@@ -134,7 +99,8 @@ class SphereFits:
     sphere, with z = V'(x - x_bar) and c_z the reduced center, and the
     out-of-plane part max(|x - x_bar|^2 - |z_d|^2, 0) for a degenerate set,
     z_d the first d coordinates of z, whose piece is the d-plane of its
-    fit. It equals the piece's own ``residual_sq`` up to rounding.
+    fit. It equals ``sphere_residual_sq`` of the set's ``fit_sphere`` up
+    to rounding.
     """
 
     mu: np.ndarray
@@ -146,13 +112,40 @@ class SphereFits:
     residual_sq: np.ndarray
 
 
+class PieceTable(NamedTuple):
+    """m model pieces stacked, one row each: the d-sphere of its frame,
+    ``center`` and ``radius`` where ``sphere`` is set, else the affine
+    subspace ``mu`` + span(frame), whose center is its ``mu`` and radius
+    inf. ``frame`` (m, D, W) holds each piece's first ``width``
+    orthonormal columns and zeros past them; ``mu`` (m, D) is the mean of
+    the set the piece was fitted to."""
+
+    sphere: np.ndarray
+    width: np.ndarray
+    mu: np.ndarray
+    frame: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
+
+    def take(self, rows) -> PieceTable:
+        """The table of the pieces in these rows, in this order."""
+        return PieceTable(*(a.take(rows, axis=0) for a in self))
+
+    def groups(self) -> list[tuple[bool, int, np.ndarray]]:
+        """(sphere, width, rows) of the pieces of each kind and frame width,
+        in the order of each group's first row: the pieces one stacked
+        kernel call projects, checks or writes."""
+        key = 2 * self.width + self.sphere
+        kinds, first = np.unique(key, return_index=True)
+        return [(bool(k & 1), int(k >> 1), np.flatnonzero(key == k)) for k in kinds[np.argsort(first)]]
+
+
 class PieceFits(NamedTuple):
     """The model pieces of m point sets (rows (N, D) cut at segment
-    starts): the pieces, each set's mean (m, D) and first principal axis
-    (m, D), and each row's squared residual (N,) to its set's piece."""
+    starts), each set's first principal axis (m, D), and each row's
+    squared residual (N,) to its set's piece."""
 
-    pieces: list[Piece]
-    mu: np.ndarray
+    pieces: PieceTable
     axis: np.ndarray
     residual_sq: np.ndarray
 
@@ -211,37 +204,35 @@ def _reduced(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
     """The model piece of each point set (rows X cut at ``starts``), its
-    mean and first principal axis, and each row's squared residual to its
-    set's piece. Under ``spca`` a piece is the set's d-sphere; under
-    ``pca``, for a set that cannot carry a d-sphere, or for one whose
-    sphere fit degenerates, it is the min(d, D)-wide PCA plane, and a
-    row's residual is its out-of-plane part."""
+    first principal axis, and each row's squared residual to its set's
+    piece. Under ``spca`` a piece is the set's d-sphere; under ``pca``,
+    for a set that cannot carry a d-sphere, or for one whose sphere fit
+    degenerates, it is the min(d, D)-wide PCA plane, and a row's residual
+    is its out-of-plane part. The table's frames are min(d+1, D) wide."""
     if fitter not in ("spca", "pca"):
         raise ParameterError(f"fitter must be 'spca' or 'pca', got {fitter!r}")
     X, starts, sizes = _segments(X, starts)
-    m, D = sizes.size, X.shape[1]
+    m, D, w = sizes.size, X.shape[1], min(d, X.shape[1])
     sphere = (sizes >= d + 2) & (fitter == "spca" and d < D)
-    pieces: list[Piece] = [None] * m
     # not views: split rules must not pin the fits' D x D axes
     mu, first, residual_sq = np.empty((m, D)), np.empty((m, D)), np.empty(X.shape[0])
+    frame, center, radius = np.zeros((m, D, min(d + 1, D))), np.empty((m, D)), np.full(m, math.inf)
     if not sphere.all():  # each set is fitted only by the kernel its piece needs
         rows, sub_X, sub_starts, sub_sizes = _subsets(X, starts, sizes, ~sphere)
         mu[~sphere], Xc, axes = _centred_pca(sub_X, sub_starts, sub_sizes)
-        V = axes[:, :, : min(d, D)]
-        first[~sphere] = axes[:, :, 0]
-        Z = _reduced(Xc, V, sub_sizes)
+        first[~sphere], frame[~sphere, :, :w] = axes[:, :, 0], axes[:, :, :w]
+        Z = _reduced(Xc, axes[:, :, :w], sub_sizes)
         residual_sq[rows] = np.maximum(row_dots(Xc, Xc) - row_dots(Z, Z), 0.0)  # out of plane
-        for i, V_i in zip(np.flatnonzero(~sphere), V):
-            pieces[i] = Hyperplane(mu=mu[i], frame=V_i.copy())
     if sphere.any():
         rows, sub_X, sub_starts, _ = _subsets(X, starts, sizes, sphere)
         fits = fit_spheres(sub_X, sub_starts, d)
         mu[sphere], first[sphere], residual_sq[rows] = fits.mu, fits.frame[:, :, 0], fits.residual_sq
-        for i, V, c, r, deg in zip(np.flatnonzero(sphere), fits.frame, fits.center, fits.radius,
-                                   fits.degenerate):
-            pieces[i] = (Hyperplane(mu=mu[i], frame=V[:, :d].copy()) if deg else
-                         Spherelet(frame=V.copy(), center=c, radius=float(r), mu=mu[i]))
-    return PieceFits(pieces, mu, first, residual_sq)
+        frame[sphere], center[sphere], radius[sphere] = fits.frame, fits.center, fits.radius
+        sphere[sphere] = ~fits.degenerate  # a degenerate set's piece is the d-plane of its fit
+        frame[~sphere, :, w:] = 0.0
+    pieces = PieceTable(sphere=sphere, width=np.where(sphere, d + 1, w), mu=mu, frame=frame,
+                        center=np.where(sphere[:, None], center, mu), radius=radius)
+    return PieceFits(pieces, first, residual_sq)
 
 
 def _subsets(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
@@ -273,10 +264,8 @@ def fit_hyperplane(X: np.ndarray, d: int) -> Hyperplane:
 def project_plane(x: np.ndarray, p: Hyperplane) -> np.ndarray:
     """Orthogonal projection mu + VV'(x - mu); idempotent."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != p.ambient_dim:
-        raise DimensionError(
-            f"point dimension {x.shape[-1]} != plane dimension {p.ambient_dim}"
-        )
+    if x.shape[-1] != p.mu.shape[0]:
+        raise DimensionError(f"point dimension {x.shape[-1]} != plane dimension {p.mu.shape[0]}")
     return _plane_images(x, p.mu, p.frame)
 
 
@@ -435,18 +424,16 @@ def _sphere_images(
 def project_sphere(x: np.ndarray, s: Spherelet) -> np.ndarray:
     """Closest point on the sphere: c + (r / |VV'(x-c)|) VV'(x-c).
 
-    Delegates to the fit's d-plane (``Spherelet.surface``) when the
+    Projects onto the fit's d-plane mu + span(V[:, :d]) when the
     spherelet is degenerate. Raises SingularProjectionError naming the
     first point that projects onto the center, where every sphere point is
     equally close.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != s.ambient_dim:
-        raise DimensionError(
-            f"point dimension {x.shape[-1]} != sphere dimension {s.ambient_dim}"
-        )
+    if x.shape[-1] != s.frame.shape[0]:
+        raise DimensionError(f"point dimension {x.shape[-1]} != sphere dimension {s.frame.shape[0]}")
     if s.degenerate:
-        return project_plane(x, s.surface)
+        return _plane_images(x, s.mu, s.frame[:, :-1])
     images, regular = _sphere_images(x, s.center, s.radius, s.frame)
     if not np.all(regular):
         bad = int(np.argmin(regular))
@@ -456,10 +443,12 @@ def project_sphere(x: np.ndarray, s: Spherelet) -> np.ndarray:
 
 def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
     """Squared distance of each row to the sphere, via the closed form
-    (|VV'(x-c)| - r)^2 + |(I-VV')(x-c)|^2; defined even at the center."""
+    (|VV'(x-c)| - r)^2 + |(I-VV')(x-c)|^2; defined even at the center.
+    For a degenerate spherelet, the squared distance to its d-plane."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if s.degenerate:
-        return s.surface.residual_sq(X)
+        R = X - _plane_images(X, s.mu, s.frame[:, :-1])
+        return row_dots(R, R)
     diff = X - s.center
     inner = diff @ s.frame
     in_norm = np.sqrt(row_dots(inner, inner))

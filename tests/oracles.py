@@ -2,8 +2,10 @@
 
 Dense or checked forms of quantities the library computes another way:
 a dense KL divergence, a symmetric eigendecomposition that first checks
-symmetry, and principal angles between subspaces. No library path calls
-them, so they live with the tests.
+symmetry, principal angles between subspaces, a row of a piece table as
+a ``Spherelet`` or ``Hyperplane`` record, and the projection and squared
+residual of one such piece by the module function of its kind.
+No library path calls them, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import math
 import numpy as np
 
 from spherelets.exceptions import DimensionError
-from spherelets.numeric import SymEigResult, eig_desc
+from spherelets.numeric import SymEigResult, eig_desc, row_dots
+from spherelets.partition import iter_leaves
+from spherelets.spca import Hyperplane, Spherelet, project_plane, project_sphere, sphere_residual_sq
 
 
 def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
@@ -71,3 +75,32 @@ def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     resid = A - B @ (B.T @ A)
     s = np.linalg.svd(resid, compute_uv=False)
     return np.sort(np.arcsin(np.clip(s, 0.0, 1.0)))
+
+
+def piece_record(pieces, j: int):
+    """Row j of a ``spca.PieceTable`` as a ``Spherelet`` or ``Hyperplane``."""
+    frame = pieces.frame[j, :, : pieces.width[j]].copy()
+    if pieces.sphere[j]:
+        return Spherelet(frame=frame, center=pieces.center[j], radius=float(pieces.radius[j]),
+                         mu=pieces.mu[j])
+    return Hyperplane(mu=pieces.mu[j], frame=frame)
+
+
+def leaf_pieces(model) -> dict:
+    """The piece of each leaf of a model as a record, by cell id: the j-th
+    leaf depth first has row j of the model's piece table."""
+    return {leaf.cell_id: piece_record(model.pieces, j) for j, leaf in enumerate(iter_leaves(model.tree))}
+
+
+def project_piece(piece, X: np.ndarray) -> np.ndarray:
+    """The rows of X projected onto a piece record, a ``Spherelet`` or a
+    ``Hyperplane``."""
+    return project_sphere(X, piece) if isinstance(piece, Spherelet) else project_plane(X, piece)
+
+
+def piece_residual_sq(piece, X: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of X to a piece record."""
+    if isinstance(piece, Spherelet):
+        return sphere_residual_sq(X, piece)
+    R = X - project_plane(X, piece)
+    return row_dots(R, R)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,34 @@ def test_rate_study_slopes_separate():
     assert slopes["spca"] >= slopes["pca"] + 1.5
     assert any(r.method == "spca" for r in records)
     assert all(r.mse >= 0 for r in records)
+
+
+def test_parse_dataset_spec_counts_are_integers():
+    ds = parse_dataset_spec("euler:ntrain=1e3, ntest=20,smax=1.5")
+    assert ds == {"name": "euler", "ntrain": 1000, "ntest": 20, "smax": 1.5}
+    assert type(ds["ntrain"]) is int and type(ds["smax"]) is float
+    assert parse_dataset_spec("spiral:noise=0.1")["noise"] == 0.1
+    assert parse_dataset_spec("circle:radius=2")["radius"] == 2.0
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("euler:ntrain=abc", "option ntrain must be a finite integer, got 'abc'"),
+    ("euler:ntrain=inf", "option ntrain must be a finite integer, got 'inf'"),
+    ("euler:ntest=nan", "option ntest must be a finite integer, got 'nan'"),
+    ("euler:ntrain=2.5", "option ntrain must be a finite integer, got '2.5'"),
+    ("spiral:noise=inf", "option noise must be a finite number, got 'inf'"),
+    ("circle:radius=", "option radius must be a finite number, got ''"),
+    ("euler:bogus=1", "unknown option 'bogus' of dataset 'euler'; expected one of ntrain, ntest, smax"),
+    ("circle:smax=1", "unknown option 'smax' of dataset 'circle'"),
+    ("spiral:radius=1", "unknown option 'radius' of dataset 'spiral'"),
+])
+def test_parse_dataset_spec_rejects_bad_options(spec, message):
+    # these used to end in a traceback, be truncated or be ignored
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        parse_dataset_spec(spec)
+
+
+def test_rate_study_rejects_unknown_method():
+    # it used to fit the unknown method's segments as pca
+    with pytest.raises(ParameterError, match="unknown method 'bogus'"):
+        rate_study([0.05, 0.5], methods=("spca", "bogus"))

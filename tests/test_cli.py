@@ -107,6 +107,25 @@ def test_rate_subcommand(tmp_path):
     assert "method,alpha,segment,mse" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--dataset", "euler:ntrain=abc"],
+    ["bench", "--dataset", "euler:ntrain=inf"],
+    ["bench", "--dataset", "euler:ntrain=2.5"],
+    ["bench", "--dataset", "euler:bogus=1"],
+    ["rate", "--alpha-grid", "0.05,0.5", "--methods", "spca,bogus"],
+])
+def test_bench_and_rate_exit_usage_on_bad_input(tmp_path, capsys, argv):
+    # a ValueError or OverflowError traceback, a count silently truncated,
+    # an option ignored, or a slope written for an unknown method, before
+    out = tmp_path / "o.csv"
+    if argv[0] == "bench":
+        argv = argv + ["--d", "1", "--eps-grid", "1e-4"]
+    assert run(*argv, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exit_usage_on_bad_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("generate", "--dataset", "mobius", "--n", "10", "--out", str(tmp_path / "x.csv"))
@@ -402,7 +421,7 @@ def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):
                "--out", str(model)) == EXIT_OK
     fitted, X = load(str(model)), load_csv(str(data))
     expect_proj, (overall, per_cell) = fitted.project_many(X), fitted.mse(X)
-    kinds = {(p.degenerate, p.frame.shape[1]) for p in fitted.leaves.values()}
+    kinds = set(zip(fitted.pieces.sphere.tolist(), fitted.pieces.width.tolist()))
     capsys.readouterr()
     calls = Counter()
     for name in ("leaf_rows", "_sphere_images", "_plane_images"):

@@ -312,3 +312,23 @@ def test_denoise_commutes_with_power_of_two_scaling(method, e, sigma):
     out_e, fallbacks_e = denoise(Xe, scaled, return_info=True)
     assert fallbacks_e == fallbacks
     assert np.array_equal(out_e, np.ldexp(out, e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=st.integers(-600, 600), k=st.sampled_from([1, 5, 12]), sigma=st.sampled_from([0.3, 1.0, 3.0]))
+def test_blur_step_commutes_with_power_of_two_scaling(e, k, sigma):
+    # one gbms pass of denoise, so scale-free as denoise is: at 2^-565 the
+    # input's own scale used to give NaN rows
+    X = _SCALED_SPIRAL
+    Xe, sigma_e = np.ldexp(X, e), float(np.ldexp(sigma, e))
+    assume(_normal(Xe) and _normal(sigma_e))
+    out = blur_step(X, k, sigma)
+    assert np.array_equal(out, denoise(X, DenoiseConfig(method="gbms", k=k, sigma=sigma)))
+    assert np.array_equal(blur_step(Xe, k, sigma_e), np.ldexp(out, e))
+
+
+def test_blur_step_at_two_to_the_minus_565_is_the_unit_result():
+    X = noisy_spiral(4000, 0.2, seed=0).points
+    out = blur_step(np.ldexp(X, -565), 36, float(np.ldexp(1.0, -565)))
+    assert np.isfinite(out).all()
+    assert np.array_equal(out, np.ldexp(blur_step(X, 36, 1.0), -565))

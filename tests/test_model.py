@@ -1,11 +1,13 @@
 import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import leaf_pieces, project_piece
 from spherelets import model as model_mod
 from spherelets import partition, spca
 from spherelets.datasets import enneper, euler_spiral, sphere_sample
@@ -29,7 +31,7 @@ def _circle_model(n=120, r=1.0, seed=0):
 def test_fit_circle_single_piece():
     model, X = _circle_model()
     assert model.n_pieces == 1
-    piece = model.leaves[0]
+    piece = leaf_pieces(model)[0]
     assert isinstance(piece, Spherelet)
     assert np.allclose(piece.center, [0.0, 0.0], atol=1e-9)
     assert np.isclose(piece.radius, 1.0, atol=1e-9)
@@ -67,7 +69,7 @@ def test_project_matches_route_plus_piece_projection():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-0.2, 1.2, size=(100, 2))
     for x in pts:
-        piece = model.leaves[route(x, model.tree)]
+        piece = leaf_pieces(model)[route(x, model.tree)]
         expect = (
             project_sphere(x, piece)
             if isinstance(piece, Spherelet)
@@ -185,8 +187,8 @@ def test_serialized_numbers_survive_exactly(tmp_path):
     path = tmp_path / "model.json"
     save(model, str(path))
     clone = load(str(path))
-    a: Spherelet = model.leaves[0]
-    b: Spherelet = clone.leaves[0]
+    a: Spherelet = leaf_pieces(model)[0]
+    b: Spherelet = leaf_pieces(clone)[0]
     assert np.array_equal(a.frame, b.frame)
     assert np.array_equal(a.center, b.center)
     assert a.radius == b.radius
@@ -214,12 +216,12 @@ def test_project_many_rows_equal_project_property(data):
             model.project(X[exc.row])
         return
     assert P.shape == X.shape
-    pieces = model.leaves
+    pieces = leaf_pieces(model)
     for i, x in enumerate(X):
         scale = max(1.0, float(np.max(np.abs(x))))
         assert np.max(np.abs(P[i] - model.project(x))) <= 1e-12 * scale
         # the one-point reference: scalar route, then that leaf's piece
-        assert np.max(np.abs(P[i] - pieces[route(x, model.tree)].project(x))) <= 1e-12 * scale
+        assert np.max(np.abs(P[i] - project_piece(pieces[route(x, model.tree)], x))) <= 1e-12 * scale
 
 
 def _depth(node):
@@ -242,7 +244,7 @@ def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
         calls["fit_spheres"] += 1
         return fit_spheres(X, starts, d)
 
-    def refuse(self, X):
+    def refuse(*args):
         raise AssertionError("fit projected a cell onto its piece for its MSE")
 
     monkeypatch.setattr(partition, "fit_pieces", counting_fit_pieces)
@@ -250,20 +252,22 @@ def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
     X = euler_spiral(1500, 2.0, seed=13).points
     with monkeypatch.context() as mp:
         # every cell's MSE comes from the level fit's own per-row residuals
-        mp.setattr(spca.Spherelet, "residual_sq", refuse)
-        mp.setattr(spca.Hyperplane, "residual_sq", refuse)
+        for name in ("sphere_residual_sq", "project_sphere", "project_plane", "_plane_images",
+                     "_sphere_images"):
+            mp.setattr(spca, name, refuse)
         model = fit(X, 1, 1e-8, fitter=fitter)
     depth = _depth(model.tree)
     assert model.n_pieces > 5
     assert depth > 3
     assert calls["fit_pieces"] == depth
     assert calls["fit_spheres"] == (depth if fitter == "spca" else 0)
-    # every leaf keeps the piece of its own cell, fitted on its members
-    for leaf in iter_leaves(model.tree):
-        cell = X[leaf.member_indices]
-        expect = spca.fit_pieces(cell, [0], 1, fitter)[0][0]
-        assert np.array_equal(leaf.piece.frame, expect.frame)
-        assert np.array_equal(leaf.piece.mu, expect.mu)
+    # each leaf's row of the table is the piece of its own cell, fitted on
+    # its members
+    for j, leaf in enumerate(iter_leaves(model.tree)):
+        assert leaf.cell_id == j
+        expect = spca.fit_pieces(X[leaf.member_indices], [0], 1, fitter).pieces
+        for a, b in zip(model.pieces.take([j]), expect):
+            assert np.array_equal(a, b)
 
 
 def _two_sphere_model():
@@ -352,8 +356,18 @@ def test_load_rejects_bad_split(tmp_path):
 
 
 def test_leaves_derived_from_tree():
-    model, _ = _circle_model()
-    assert model.leaves == {leaf.cell_id: leaf.piece for leaf in iter_leaves(model.tree)}
+    # the piece table has a row per leaf, the j-th leaf depth first's in
+    # row j, and its frames are zero past each row's width
+    for model in (_circle_model()[0], _mixed_model(), *_property_models()):
+        pieces = model.pieces
+        assert model.n_pieces == len(list(iter_leaves(model.tree))) == pieces.radius.size
+        assert all(a.shape[0] == model.n_pieces for a in pieces)
+        assert pieces.frame.shape[1:] == (model.D, min(model.d + 1, model.D))
+        for j in range(model.n_pieces):
+            assert not pieces.frame[j, :, pieces.width[j]:].any()
+        assert np.array_equal(pieces.center[~pieces.sphere], pieces.mu[~pieces.sphere])
+        assert np.all(pieces.radius[~pieces.sphere] == np.inf)
+        assert np.all(np.isfinite(pieces.radius[pieces.sphere]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -392,24 +406,23 @@ def test_save_load_round_trip_exact_property(data, tmp_path_factory):
 def _per_leaf_projection(model, X):
     # the reference: each leaf's rows projected by its own piece, one 1 x D
     # stack at a time
-    P = np.empty_like(X)
-    for leaf, rows in partition.leaf_rows(X, model.tree):
-        P[rows] = leaf.piece.project(X[rows][:, None, :])[:, 0]
+    P, pieces = np.empty_like(X), leaf_pieces(model)
+    for _, leaf, rows in partition.leaf_rows(X, model.tree):
+        P[rows] = project_piece(pieces[leaf.cell_id], X[rows][:, None, :])[:, 0]
     return P
 
 
 def _mixed_model():
-    # one leaf of each projection kind in R^3: a sphere, a degenerate sphere
-    # (projected onto the 1-wide d-plane of its fit), and planes of widths
-    # 1 and 2
+    # one leaf of each projection kind in R^3: a sphere, the 1-wide d-plane
+    # of a degenerate sphere fit, and planes of widths 1 and 2
     rng = np.random.default_rng(21)
-    frame = [np.linalg.qr(rng.normal(size=(3, w)))[0] for w in (2, 2, 1, 2)]
+    frame = np.stack([np.linalg.qr(rng.normal(size=(3, 2)))[0] for _ in range(4)])
+    frame[1:3, :, 1] = 0.0
     mu = rng.normal(size=(4, 3))
-    pieces = [Spherelet(frame=frame[0], center=mu[0] + 0.1, radius=0.7, mu=mu[0]),
-              Spherelet(frame=frame[1], center=mu[1], radius=np.inf, mu=mu[1], degenerate=True),
-              spca.Hyperplane(mu=mu[2], frame=frame[2]), spca.Hyperplane(mu=mu[3], frame=frame[3])]
-    leaves = [partition.Leaf(cell_id=i, member_indices=np.arange(0), piece=p)
-              for i, p in enumerate(pieces)]
+    pieces = spca.PieceTable(sphere=np.array([True, False, False, False]), width=np.array([2, 1, 1, 2]),
+                             mu=mu, frame=frame, center=np.vstack([mu[0] + 0.1, mu[1:]]),
+                             radius=np.array([0.7, np.inf, np.inf, np.inf]))
+    leaves = [partition.Leaf(cell_id=i, member_indices=np.arange(0)) for i in range(4)]
 
     def split(direction, left, right):
         rule = partition.SplitRule(mu=np.zeros(3), direction=np.array(direction, dtype=float))
@@ -417,7 +430,7 @@ def _mixed_model():
 
     tree = split([1, 0, 0], split([0, 1, 0], leaves[0], leaves[1]),
                  split([0, 0, 1], leaves[2], leaves[3]))
-    return model_mod.SphereletModel(tree=tree, d=1, D=3, fitter="spca")
+    return model_mod.SphereletModel(tree=tree, pieces=pieces, d=1, D=3, fitter="spca")
 
 
 @pytest.mark.parametrize("block", [model_mod.PROJECT_BLOCK, 1, 40])
@@ -427,7 +440,7 @@ def test_project_many_matches_each_leaf_projected_alone(monkeypatch, block):
     monkeypatch.setattr(model_mod, "PROJECT_BLOCK", block)
     rng = np.random.default_rng(22)
     models = [*_property_models(), _mixed_model()]
-    kinds = {(p.surface.degenerate, p.surface.frame.shape[1]) for p in models[-1].leaves.values()}
+    kinds = {(type(p), p.frame.shape[1]) for p in leaf_pieces(models[-1]).values()}
     assert len(kinds) == 3
     for model in models:
         X = rng.uniform(-2, 2, size=(500, model.D))
@@ -529,13 +542,14 @@ def test_save_refuses_a_non_finite_model_and_writes_nothing(tmp_path):
     # the first non-finite piece in file order is named as load names it,
     # else the first non-finite split by its path
     model = fit(enneper(800, 1.0, seed=23), 2, 1e-5)
-    ids = sorted(model.leaves)
+    ids = sorted(leaf_pieces(model))
+    assert ids == list(range(model.n_pieces))  # leaf i is row i of the table
     path = tmp_path / "m.json"
-    model.leaves[ids[5]].mu[1] = np.inf
-    model.leaves[ids[3]].mu[0] = np.nan
+    model.pieces.mu[5, 1] = np.inf
+    model.pieces.mu[3, 0] = np.nan
     with pytest.raises(NonFiniteError, match=rf"^leaves\[3\] \(leaf {ids[3]}\) is not finite; "):
         save(model, str(path))
-    model.leaves[ids[3]].mu[0] = model.leaves[ids[5]].mu[1] = 0.0
+    model.pieces.mu[3, 0] = model.pieces.mu[5, 1] = 0.0
     model.tree.left.rule.direction[0] = np.nan
     with pytest.raises(NonFiniteError, match=r"^tree\.left is not finite; "):
         save(model, str(path))
@@ -553,7 +567,7 @@ def test_load_checks_valid_pieces_together(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(obj))
     model = load(str(path))
-    assert [type(p).__name__ for _, p in sorted(model.leaves.items())] == [
+    assert [type(p).__name__ for _, p in sorted(leaf_pieces(model).items())] == [
         "Spherelet", "Hyperplane", "Hyperplane"]
     obj["leaves"][2]["frame"] = [[0.6], [0.9]]
     obj["leaves"][1]["mu"] = [0.0, float("nan")]
@@ -575,7 +589,7 @@ def test_load_checks_valid_pieces_together(tmp_path):
 def test_train_mse_projects_leaf_members_as_routing_would():
     X = enneper(3000, 1.0, seed=6)
     model = fit(X, 2, 1e-5)
-    routed = [(leaf.cell_id, rows.tolist()) for leaf, rows in partition.leaf_rows(X, model.tree)]
+    routed = [(leaf.cell_id, rows.tolist()) for _, leaf, rows in partition.leaf_rows(X, model.tree)]
     # the members are the rows routing gives
     assert routed == [(leaf.cell_id, leaf.member_indices.tolist()) for leaf in iter_leaves(model.tree)]
     overall, per_cell = model.train_mse(X)
@@ -676,3 +690,70 @@ def test_fit_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_committed_model_file_resaves_to_its_own_bytes(tmp_path):
+    # a quarter circle and a straight segment, fitted at d = 1: one sphere
+    # leaf and the plane of a degenerate sphere fit. Writing involves no
+    # BLAS, so the bytes are the same on every platform
+    source, again = DATA / "arc_and_segment.json", tmp_path / "again.json"
+    model = load(str(source))
+    assert sorted(model.pieces.sphere.tolist()) == [False, True]
+    assert sorted(model.pieces.width.tolist()) == [1, 2]
+    save(model, str(again))
+    assert again.read_bytes() == source.read_bytes()
+
+
+def test_legacy_file_with_members_and_wide_plane_projects_as_hand_built_pieces(tmp_path):
+    # written in the indented layout, with each leaf's training members, a
+    # (d+1)-wide plane, and leaf ids that are not in depth-first order
+    model = load(str(DATA / "legacy_members_wide_plane.json"))
+    assert [leaf.cell_id for leaf in iter_leaves(model.tree)] == [4, 1, 2]
+    sphere = Spherelet(frame=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                       center=np.array([2.0, 0.0, 0.0]), radius=1.0, mu=np.array([2.0, 0.5, 0.0]))
+    wide = spca.Hyperplane(mu=np.array([-1.0, 1.0, 0.0]),
+                           frame=np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0]]))
+    narrow = spca.Hyperplane(mu=np.array([-1.0, -1.0, 0.0]), frame=np.array([[0.0], [0.6], [0.8]]))
+
+    def reference(x):  # the file's two splits, by hand
+        return (4, sphere) if x[0] > 0.0 else (1, wide) if x[1] > 0.0 else (2, narrow)
+
+    X = np.vstack([[[3.0, 1.0, 2.0], [-1.0, 2.0, 5.0], [2.5, -0.5, -1.0], [-2.0, -1.0, 1.0],
+                    [-0.5, -3.0, 0.0]],
+                   np.random.default_rng(28).uniform(-3, 3, size=(200, 3))])
+    P, overall, per_cell = model.project_mse(X)
+    cells = np.array([reference(x)[0] for x in X])
+    for x, p in zip(X, P):
+        assert np.array_equal(p, project_piece(reference(x)[1], x))
+    sq = np.sum((X - P) ** 2, axis=1)
+    assert np.isclose(overall, sq.mean(), rtol=1e-15)
+    assert sorted(per_cell) == [1, 2, 4]
+    for cid, mse in per_cell.items():
+        assert np.isclose(mse, sq[cells == cid].mean(), rtol=1e-15)
+    # the members number the first five rows, which route as they say
+    assert model.train_mse(X[:5]) == model.mse(X[:5])
+    # the writer drops the members; the rewritten file projects the same
+    path = tmp_path / "m.json"
+    save(model, str(path))
+    assert "members" not in _keys(path.read_text())
+    assert load(str(path)).project_many(X).tobytes() == P.tobytes()
+
+
+@pytest.mark.parametrize("fitter", ["spca", "pca"])
+def test_fit_save_load_gives_the_same_piece_table(tmp_path, fitter):
+    # the table load builds equals the one fit built, array for array and
+    # bit for bit
+    model = fit(enneper(1500, 1.0, seed=29), 2, 1e-5, fitter=fitter)
+    path = tmp_path / "m.json"
+    save(model, str(path))
+    clone = load(str(path))
+    assert clone.pieces._fields == model.pieces._fields
+    for name, a, b in zip(model.pieces._fields, model.pieces, clone.pieces):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert model.n_pieces > 3
+    if fitter == "pca":
+        assert not model.pieces.sphere.any()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sym_eig
+from oracles import piece_record, piece_residual_sq, sym_eig
 from spherelets.datasets import enneper, euler_spiral, sphere_sample
 from spherelets.exceptions import ParameterError
 from spherelets.model import fit
@@ -26,8 +26,8 @@ from spherelets.partition import (
 def _root_split(X, n_min=3):
     """The root rule of a tree forced to split (eps below any MSE) and the
     member sets of its two children."""
-    tree = build_tree(X, 0, 1e-300, n_min, "pca")
-    assert isinstance(tree, Internal)
+    tree, pieces = build_tree(X, 0, 1e-300, n_min, "pca")
+    assert isinstance(tree, Internal) and pieces.radius.size == len(list(iter_leaves(tree)))
     return tree.rule, _members(tree.left), _members(tree.right)
 
 
@@ -42,9 +42,11 @@ def _depth(node):
 
 def route_many(X, tree):
     """Cell id of each row of X from one ``leaf_rows`` pass, which must
-    hand each leaf its rows in increasing order and every row exactly once."""
-    cells = np.full(X.shape[0], -1)
-    for leaf, rows in leaf_rows(X, tree):
+    hand each leaf its rows in increasing order and every row exactly once,
+    and number each leaf by its depth-first place."""
+    cells, leaves = np.full(X.shape[0], -1), list(iter_leaves(tree))
+    for j, leaf, rows in leaf_rows(X, tree):
+        assert leaves[j] is leaf
         assert rows.size and np.all(np.diff(rows) > 0) and np.all(cells[rows] == -1)
         cells[rows] = leaf.cell_id
     assert np.all(cells >= 0)
@@ -79,15 +81,17 @@ def test_split_cell_direction_matches_eig_oracle():
 def test_split_cell_degenerate():
     """Identical points have MSE 0, so they stay one leaf at any eps."""
     for fitter in ("spca", "pca"):
-        tree = build_tree(np.ones((5, 2)), 0, 1e-300, 3, fitter)
-        assert isinstance(tree, Leaf)
+        tree, pieces = build_tree(np.ones((5, 2)), 0, 1e-300, 3, fitter)
+        assert isinstance(tree, Leaf) and pieces.radius.size == 1
+        assert np.array_equal(pieces.mu[0], [1.0, 1.0])
         assert tree.member_indices.tolist() == list(range(5))
 
 
 def test_build_tree_circle_single_leaf():
     X = sphere_sample(100, 1, 2, 0.0, 1.0, seed=0)
-    tree = build_tree(X, 1, 1e-6, 10, "spca")
+    tree, pieces = build_tree(X, 1, 1e-6, 10, "spca")
     assert isinstance(tree, Leaf)
+    assert pieces.sphere.tolist() == [True] and np.isclose(pieces.radius[0], 1.0)
 
 
 def test_build_tree_validation():
@@ -108,7 +112,7 @@ def _leaf_list(tree):
 
 def test_leaves_partition_training_set():
     X = euler_spiral(600, 2.0, seed=2).points
-    tree = build_tree(X, 1, 1e-7, 10, "spca")
+    tree, _ = build_tree(X, 1, 1e-7, 10, "spca")
     leaves = _leaf_list(tree)
     all_idx = np.concatenate([l.member_indices for l in leaves])
     assert sorted(all_idx.tolist()) == list(range(600))
@@ -120,7 +124,7 @@ def test_leaves_partition_training_set():
 
 def test_route_replays_training_membership():
     X = euler_spiral(500, 2.0, seed=3).points
-    tree = build_tree(X, 1, 1e-7, 10, "spca")
+    tree, _ = build_tree(X, 1, 1e-7, 10, "spca")
     for leaf in _leaf_list(tree):
         for i in leaf.member_indices:
             assert route(X[i], tree) == leaf.cell_id
@@ -128,7 +132,7 @@ def test_route_replays_training_membership():
 
 def test_route_boundary_point_goes_right():
     X = euler_spiral(500, 2.0, seed=4).points
-    tree = build_tree(X, 1, 1e-7, 10, "spca")
+    tree, _ = build_tree(X, 1, 1e-7, 10, "spca")
     assert isinstance(tree, Internal)
     rng = np.random.default_rng(1)
     w = rng.normal(size=2)
@@ -143,7 +147,7 @@ def test_route_boundary_point_goes_right():
 
 def test_route_matches_independent_replay():
     X = euler_spiral(800, 2.0, seed=5).points
-    tree = build_tree(X, 1, 1e-8, 10, "spca")
+    tree, _ = build_tree(X, 1, 1e-8, 10, "spca")
 
     def replay(x, node):
         while isinstance(node, Internal):
@@ -161,17 +165,17 @@ def test_leaf_guard_mse_or_small():
     # every leaf meets the MSE target or was blocked from splitting
     X = euler_spiral(2000, 2.0, seed=6).points
     eps, n_min = 1e-8, 10
-    tree = build_tree(X, 1, eps, n_min, "spca")
+    tree, pieces = build_tree(X, 1, eps, n_min, "spca")
     for leaf in _leaf_list(tree):
         cell = X[leaf.member_indices]
-        mse = float(np.mean(leaf.piece.residual_sq(cell)))
+        mse = float(np.mean(piece_residual_sq(piece_record(pieces, leaf.cell_id), cell)))
         assert mse <= eps or len(leaf.member_indices) <= 2 * n_min
 
 
 def test_build_tree_pca_fitter_splits():
     X = euler_spiral(600, 2.0, seed=7).points
-    tree_s = build_tree(X, 1, 1e-8, 10, "spca")
-    tree_p = build_tree(X, 1, 1e-8, 10, "pca")
+    tree_s, _ = build_tree(X, 1, 1e-8, 10, "spca")
+    tree_p, _ = build_tree(X, 1, 1e-8, 10, "pca")
     # line pieces need more cells than sphere pieces at equal target
     assert len(_leaf_list(tree_p)) > len(_leaf_list(tree_s))
 
@@ -233,7 +237,7 @@ def test_training_rows_route_to_their_leaf_property(data):
     rows = st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=D, max_size=D)
     X = np.array(data.draw(st.lists(rows, min_size=n, max_size=n), label="X"))
     fitter = data.draw(st.sampled_from(["spca", "pca"]), label="fitter")
-    tree = build_tree(X, 1, data.draw(st.sampled_from([1e-6, 1e-2, 1.0])), 10, fitter)
+    tree, _ = build_tree(X, 1, data.draw(st.sampled_from([1e-6, 1e-2, 1.0])), 10, fitter)
     cells = route_many(X, tree)
     for leaf in _leaf_list(tree):
         assert np.all(cells[leaf.member_indices] == leaf.cell_id)
@@ -241,7 +245,7 @@ def test_training_rows_route_to_their_leaf_property(data):
 
 def test_route_many_matches_route_on_fitted_tree():
     X = euler_spiral(800, 2.0, seed=5).points
-    tree = build_tree(X, 1, 1e-8, 10, "spca")
+    tree, _ = build_tree(X, 1, 1e-8, 10, "spca")
     pts = np.vstack([X, np.random.default_rng(9).uniform(-0.2, 1.2, size=(1000, 2))])
     assert route_many(pts, tree).tolist() == [route(x, tree) for x in pts]
 
@@ -251,15 +255,17 @@ def test_route_many_matches_route_on_fitted_tree():
 
 def _per_cell_tree(X, d, eps, n_min, fitter):
     """The tree as the per-cell loop grew it: each cell's MSE from its
-    piece's own residual_sq, its sides from one product per cell. Nested
-    tuples ("split", mu, direction, left, right) and ("leaf", members, piece)."""
+    piece's own squared residuals, its sides from one product per cell.
+    Nested tuples ("split", mu, direction, left, right) and ("leaf",
+    members, piece)."""
     levels, cells = [], [np.arange(X.shape[0])]
     while cells:
         sizes = np.array([rows.size for rows in cells])
         fits = fit_pieces(X[np.concatenate(cells)], np.cumsum(sizes) - sizes, d, fitter)
         level, children = [], []
-        for rows, piece, axis in zip(cells, fits.pieces, fits.axis):
-            if rows.size > n_min and float(np.mean(piece.residual_sq(X[rows]))) > eps:
+        for i, (rows, axis) in enumerate(zip(cells, fits.axis)):
+            piece = piece_record(fits.pieces, i)
+            if rows.size > n_min and float(np.mean(piece_residual_sq(piece, X[rows]))) > eps:
                 left = (X[rows] - piece.mu) @ axis > 0.0
                 if n_min <= np.count_nonzero(left) <= rows.size - n_min:
                     level.append(("split", piece.mu, axis, len(children)))
@@ -278,14 +284,15 @@ def _per_cell_tree(X, d, eps, n_min, fitter):
     return node(0, 0)
 
 
-def _same_tree(node, ref):
+def _same_tree(node, ref, pieces):
     if ref[0] == "leaf":
+        piece = piece_record(pieces, node.cell_id) if isinstance(node, Leaf) else None
         return (isinstance(node, Leaf) and np.array_equal(node.member_indices, ref[1])
-                and type(node.piece) is type(ref[2]) and np.array_equal(node.piece.frame, ref[2].frame)
-                and np.array_equal(node.piece.mu, ref[2].mu))
+                and type(piece) is type(ref[2]) and np.array_equal(piece.frame, ref[2].frame)
+                and np.array_equal(piece.mu, ref[2].mu))
     return (isinstance(node, Internal) and np.array_equal(node.rule.mu, ref[1])
             and np.array_equal(node.rule.direction, ref[2])
-            and _same_tree(node.left, ref[3]) and _same_tree(node.right, ref[4]))
+            and _same_tree(node.left, ref[3], pieces) and _same_tree(node.right, ref[4], pieces))
 
 
 @pytest.mark.parametrize("name,d,eps,fitter", [
@@ -298,9 +305,9 @@ def test_build_tree_equals_the_per_cell_loop_it_replaced(name, d, eps, fitter):
          "enneper": lambda: enneper(3000, 1.0, seed=42),
          "enneper10": lambda: enneper(3000, 1.0, seed=43) @ np.linalg.qr(
              np.random.default_rng(43).normal(size=(10, 3)))[0].T}[name]()
-    tree = build_tree(X, d, eps, 10, fitter)
+    tree, pieces = build_tree(X, d, eps, 10, fitter)
     assert isinstance(tree, Internal)
-    assert _same_tree(tree, _per_cell_tree(X, d, eps, 10, fitter))
+    assert _same_tree(tree, _per_cell_tree(X, d, eps, 10, fitter), pieces)
 
 
 # -- batch independence ------------------------------------------------------

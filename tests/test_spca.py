@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import principal_angles, sym_eig
+from oracles import piece_record, piece_residual_sq, principal_angles, project_piece, sym_eig
 from spherelets import spca
 from spherelets.datasets import sphere_sample
 from spherelets.exceptions import (
@@ -144,11 +144,12 @@ def test_fit_sphere_degenerates_on_collinear_points():
     s, diag = fit_sphere(X, 1)
     assert s.degenerate
     assert diag.h_condition > 1e12
-    # degenerate projection delegates to the fit's d-plane, the line itself
+    # degenerate projection goes onto the fit's d-plane, the line itself
     # (the 2-wide reduction plane is all of R^2 and would map x to itself)
     x = np.array([0.5, 1.3])
-    assert s.surface.frame.shape == (2, 1)
-    assert np.allclose(project_sphere(x, s), project_plane(x, s.surface), atol=1e-12)
+    line = Hyperplane(mu=s.mu, frame=s.frame[:, :1])
+    assert np.array_equal(project_sphere(x, s), project_plane(x, line))
+    assert np.array_equal(sphere_residual_sq(x, s), piece_residual_sq(line, np.atleast_2d(x)))
     assert np.allclose(project_sphere(x, s), [0.62, 1.24], atol=1e-12)
     assert np.allclose(sphere_residual_sq(x, s), [0.018], atol=1e-12)
 
@@ -530,22 +531,28 @@ def test_fit_pieces_policy_per_set():
     t = np.linspace(0, 1, 12)
     circle, line = _circle(12, [0.0, 0.0], 1.0), np.column_stack([t, 2 * t])
     short = np.array([[0.0, 1.0], [1.0, 1.0]])
-    pieces, mu, axes, _ = fit_pieces(*_ragged([circle, short, line]), 1, "spca")
-    assert isinstance(pieces[0], Spherelet) and not pieces[0].degenerate
+    pieces, axes, _ = fit_pieces(*_ragged([circle, short, line]), 1, "spca")
+    assert pieces.sphere.tolist() == [True, False, False] and pieces.width.tolist() == [2, 1, 1]
+    assert isinstance(piece_record(pieces, 0), Spherelet)
+    assert np.allclose(pieces.center[0], 0.0, atol=1e-12) and np.isclose(pieces.radius[0], 1.0)
     # too short for a circle, or collinear (a degenerate circle): the
-    # 1-wide PCA plane, the piece the pca fitter gives the set bit for bit
+    # 1-wide PCA plane, the piece the pca fitter gives the set bit for bit,
+    # whose center is its mean and radius inf
     for i, S in ((1, short), (2, line)):
-        plane = fit_pieces(S, [0], 1, "pca").pieces[0]
-        assert isinstance(pieces[i], Hyperplane) and pieces[i].frame.shape == (2, 1)
-        assert np.array_equal(pieces[i].frame, plane.frame) and np.array_equal(pieces[i].mu, plane.mu)
+        plane = fit_pieces(S, [0], 1, "pca").pieces
+        assert isinstance(piece_record(pieces, i), Hyperplane) and pieces.width[i] == 1
+        assert np.array_equal(pieces.frame[i], plane.frame[0]) and np.array_equal(pieces.mu[i], plane.mu[0])
+        assert not pieces.frame[i, :, 1].any()
+        assert np.array_equal(pieces.center[i], pieces.mu[i]) and pieces.radius[i] == np.inf
     assert np.allclose(np.abs(axes[1]), [1.0, 0.0]) and np.allclose(axes[2], [1, 2] / np.sqrt(5))
     for i, S in enumerate([circle, short, line]):
-        alone, mu_alone, axis, _ = fit_pieces(S, [0], 1, "spca")
-        assert np.array_equal(alone[0].frame, pieces[i].frame)
-        assert np.array_equal(mu_alone[0], mu[i]) and np.array_equal(pieces[i].mu, mu[i])
+        alone, axis, _ = fit_pieces(S, [0], 1, "spca")
+        for a, b in zip(alone, pieces.take([i])):
+            assert np.array_equal(a, b)
         assert np.array_equal(axis[0], axes[i])
     planes = fit_pieces(*_ragged([circle, line]), 1, "pca").pieces
-    assert all(isinstance(p, Hyperplane) and p.frame.shape == (2, 1) for p in planes)
+    assert not planes.sphere.any() and planes.width.tolist() == [1, 1]
+    assert planes.frame.shape == (2, 2, 2) and not planes.frame[:, :, 1].any()
     with pytest.raises(ParameterError):
         fit_pieces(circle, [0], 1, "svd")
 
@@ -696,13 +703,13 @@ def test_fit_pieces_residuals_equal_each_piece_property(case, fitter):
     with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
         fits = fit_pieces(X, starts, d, fitter)
     assert fits.residual_sq.shape == (X.shape[0],)
-    for S, lo, piece, mu in zip(sets, starts, fits.pieces, fits.mu):
+    for j, (S, lo) in enumerate(zip(sets, starts)):
         got = fits.residual_sq[lo : lo + len(S)]
-        assert np.array_equal(piece.mu, mu)
+        piece = piece_record(fits.pieces, j)
         with np.errstate(over="ignore", invalid="ignore"):
-            expect = piece.residual_sq(S)
-        anchor = piece.mu if piece.degenerate else piece.center
-        radius = 0.0 if piece.degenerate else piece.radius
+            expect = piece_residual_sq(piece, S)
+        anchor = fits.pieces.center[j]
+        radius = fits.pieces.radius[j] if fits.pieces.sphere[j] else 0.0
         scale = float(np.max(np.sqrt(np.sum(S * S, axis=1)))) + np.linalg.norm(anchor) + radius
         assert np.all(got >= 0.0)
         assert np.max(np.abs(got - expect)) <= 1e-12 * scale**2
@@ -753,8 +760,8 @@ def test_projection_idempotent_property(sphere, kind, n, spread):
         piece = spca.Hyperplane(mu=c, frame=V[:, :d])
     X = c + spread * rng.normal(size=(n, c.size))
     try:
-        P = piece.project(X)
+        P = project_piece(piece, X)
     except SingularProjectionError:
         return
     scale = max(1.0, float(np.max(np.abs(X))), float(np.max(np.abs(c))) + r)
-    assert np.max(np.abs(piece.project(P) - P)) <= 1e-12 * scale
+    assert np.max(np.abs(project_piece(piece, P) - P)) <= 1e-12 * scale
