@@ -19,10 +19,11 @@ O(nk), and an exact repulsion over all pairs. As the gradient is
 antisymmetric pair by pair, both evaluate each unordered pair once and
 give its term to both of its rows. One pass computes the repulsion
 together with the normalization Z over row panels of at least
-``PANEL_ROWS`` rows, each taking its columns in chunks of at most
-``REPULSION_BLOCK`` pairs, and forms only the squared kernel in five
-array passes per chunk: Z follows from the weighted sums of the
-repulsion rows, and the objective takes its Z from the same pass. The
+``PANEL_ROWS`` rows (more above n = 1024, up to 256), each taking its
+columns in chunks of at most ``REPULSION_BLOCK`` pairs, and forms only
+the squared kernel in five array passes per chunk: Z follows from the
+weighted sums of the repulsion rows, and the objective takes its Z from
+the same pass. The
 gradient reads the upper triangle of P, which a ``Pairs`` selects once.
 Memory beyond the O(nk) support is one chunk buffer (512 KiB).
 
@@ -49,7 +50,7 @@ from .spca import fit_spheres, project_spheres, sphere_arcs
 DISTANCE_MODES = ("spherical", "euclidean")
 
 # the repulsion pass holds about this many pairs at a time (512 KiB of float64),
-# in row panels of at least PANEL_ROWS rows
+# in row panels of at least PANEL_ROWS rows (n // 16 above n = 1024, up to 256)
 REPULSION_BLOCK = 1 << 16
 PANEL_ROWS = 64
 # the optimizer's schedule: affinities times EXAGGERATION through iteration
@@ -269,8 +270,10 @@ def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
     """Z = sum_{i != j} w_ij and the rows sum_j w_ij^2 (y_i - y_j).
 
     One exact pass over the upper triangle, cut into row panels: the rows
-    [lo, hi), at least ``PANEL_ROWS`` of them (fewer only at the end), and
-    as many as fit in ``REPULSION_BLOCK`` pairs with the columns [lo, n).
+    [lo, hi), at least n // 16 of them, but no fewer than ``PANEL_ROWS``
+    and no more than sqrt(``REPULSION_BLOCK``) (fewer only at the end),
+    and as many as fit in ``REPULSION_BLOCK`` pairs with the columns
+    [lo, n).
     A panel takes those columns in chunks of at most ``REPULSION_BLOCK``
     pairs (never narrower than the panel is tall), so no n x n array is
     ever held. A chunk's 1 + |y_i - y_j|^2 is one product
@@ -295,10 +298,12 @@ def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
     right[:, m] = 1.0
     right[:, m + 1] = sq
     S = np.zeros((n, m + 2))
-    buf = np.empty(max(REPULSION_BLOCK, PANEL_ROWS * PANEL_ROWS))
+    # taller panels are faster at large n; a square chunk stays in the block
+    panel = max(PANEL_ROWS, min(n // 16, math.isqrt(REPULSION_BLOCK)))
+    buf = np.empty(max(REPULSION_BLOCK, panel * panel))
     lo = 0
     while lo < n:
-        hi = min(n, lo + max(PANEL_ROWS, REPULSION_BLOCK // (n - lo)))
+        hi = min(n, lo + max(panel, REPULSION_BLOCK // (n - lo)))
         rows = hi - lo
         width = max(rows, REPULSION_BLOCK // rows)
         for c0 in range(lo, n, width):

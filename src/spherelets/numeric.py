@@ -7,25 +7,31 @@ their inputs, so values can be shared freely across threads.
 
 ``knn_indices`` is exact without computing all n^2 distances: it cuts the
 rows into k-d leaves, bounds each row's k-th distance by its k-th
-distance within its own leaf plus a rounding slack, and computes each
-leaf's distances only to the rows inside the box those bounds span. It
-holds at most about ``KNN_BLOCK`` distances at a time.
+distance within its leaf, or within the leaf's parent cell when the leaf
+has fewer than k rows, plus a rounding slack, and computes each leaf's
+distances only to the rows inside the box those bounds span (~0.066 n^2
+of them on the 4000-point spiral of the ``denoise`` benchmark). It writes
+them a block of about ``KNN_BLOCK`` at a time into one workspace of two
+blocks, allocated per call and never held between calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import DimensionError, ParameterError
 
-# knn_indices holds about this many distances at a time (8 MiB of float64)
+# knn_indices computes distances in blocks of about this many (8 MiB of
+# float64), in a workspace of two blocks per call
 KNN_BLOCK = 1 << 20
 # and cuts the rows into k-d leaves of at most this many rows
-KNN_LEAF = 128
-# row_dots adds rows narrower than this one column at a time
+KNN_LEAF = 48
+# row_dots adds rows narrower than this one column at a time, and the
+# knn_indices box test compares at most this many columns less one
 NARROW_ROW = 8
 
 
@@ -68,8 +74,19 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    sq = row_dots(A, A)[:, None] + row_dots(B, B)[None, :] - 2.0 * (A @ B.T)
-    return np.maximum(sq, 0.0)
+    return _sq_dists(A, B, row_dots(A, A), row_dots(B, B))
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray, a2: np.ndarray, b2: np.ndarray,
+              out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """max((|a|^2 + |b|^2) - 2 (a . b), 0) for the rows a of A and b of B,
+    given their squared norms a2 and b2, written into `out` with `tmp` as
+    scratch (both (len(A), len(B)); fresh arrays when omitted). Negating
+    2 (a . b) is exact, so adding it rounds as the subtraction does."""
+    out = np.matmul(A, B.T, out=out)
+    out *= -2.0
+    out += np.add(a2[:, None], b2[None, :], out=tmp)
+    return np.maximum(out, 0.0, out=out)
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -148,21 +165,28 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     broken by lower row index: the first k columns of a stable argsort of
     the row's distances, the row itself included.
 
-    The rows are cut into k-d leaves of at most ``KNN_LEAF`` rows (and at
-    least k). A row's k-th distance within its own leaf, plus a rounding
-    slack, bounds its k-th distance over all rows, so a leaf's rows need
-    only the candidates inside its box: the per-axis extent of all its
-    rows' bound balls. Candidate distances are computed by the same
-    expression as in a full scan, so the result is the full scan's
-    wherever BLAS gives a distance the same value in every block shape
-    (not guaranteed where rounding decides the order). Leaves whose box
-    holds every row, and input that is not all finite, are scanned against
-    every row; finite input is scaled exactly by a power of two.
+    The rows are cut into k-d leaves of at most ``KNN_LEAF`` rows; a cell
+    splits only while each half keeps ceil(k/2) rows, so a leaf's parent
+    cell holds at least k. A row's k-th distance within its leaf (within
+    the parent cell when the leaf has fewer than k rows), plus a rounding
+    slack, bounds its k-th distance over all rows, as the k-th distance
+    within any k rows does. So a leaf's rows need only the candidates
+    inside its box: on each of the (at most ``NARROW_ROW`` - 1) axes along
+    which the rows spread widest, the extent of all its rows' bound balls.
+    Candidate distances are computed by the same expression as in a full
+    scan, so the result is the full scan's wherever BLAS gives a distance
+    the same value in every block shape (not guaranteed where rounding
+    decides the order). Leaves whose box holds every row, and input that
+    is not all finite, are scanned against every row; finite input is
+    scaled exactly by a power of two.
 
-    Rows are processed in blocks of about ``KNN_BLOCK`` distances, so
-    memory beyond the (n, k) result is one block, not n x n. Each block
-    selects with argpartition; a row whose k-th distance is tied with an
-    unselected entry takes a stable argsort instead.
+    Rows are processed in blocks of about ``KNN_BLOCK`` distances, each
+    written in place into one workspace of two blocks, allocated per call
+    at the size of the largest block so far, and the boxes of about
+    ``KNN_BLOCK`` / n leaves are tested at once, so memory beyond the
+    (n, k) result is about that, never n x n. Each block selects with
+    argpartition; a row whose k-th distance is tied with an unselected
+    entry takes a stable argsort instead.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -170,71 +194,92 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
         raise ParameterError(f"k={k} out of range [1, {n}]")
     X, _ = unit_scale(X)  # exact: the same order, no overflow
     prune = bool(X.size and np.isfinite(X).all())
+    pts = _Points(X)
     # The slack. With M the largest row norm, every intermediate of
-    # pairwise_sq_dists is at most 4 M^2 and collects at most D + 2
-    # roundings, so a computed squared distance is within 8 (D + 2) eps M^2
-    # of the exact one (underflow errs far less: M >= 1/2 once scaled), and as
+    # _sq_dists is at most 4 M^2 and collects at most D + 2 roundings, so
+    # a computed squared distance is within 8 (D + 2) eps M^2 of the exact
+    # one (underflow errs far less: M >= 1/2 once scaled), and as
     # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), a computed distance is within
     # delta = sqrt(8 (D + 2) eps) M of the exact one. If row i's k-th
-    # distance within its leaf computes to b, its exact k-th distance over
+    # distance within k rows computes to b, its exact k-th distance over
     # all rows is at most b + delta and its computed one at most
     # b + 2 delta. A row outside the box lies farther than b + 3 delta on
     # some axis, so its computed distance exceeds b + 2 delta: it can be
     # neither selected nor tied. A fourth delta covers the rounding of the
     # box edges (about eps M).
-    m2 = np.max(row_dots(X, X), initial=0.0)
+    m2 = np.max(pts.sq, initial=0.0)
     delta = np.sqrt(8.0 * (X.shape[1] + 2) * np.finfo(float).eps * m2)
     out = np.empty((n, k), dtype=np.intp)
     everyone, scan = np.arange(n), []
-    for leaf in _kd_leaves(X, k) if prune else [everyone]:
-        cand = everyone if leaf.size == n else _box_rows(X, leaf, k, 4.0 * delta)
-        if cand.size < n:
-            _select(X, leaf, cand, k, out)
-        else:
-            scan.append(leaf)
+    leaves = _kd_leaves(X, k) if prune else []
+    if len(leaves) < 2:  # one leaf, or not all finite: every row is a candidate
+        leaves, scan = [], [everyone]
+    step = max(1, KNN_BLOCK // n)  # a box test of (leaves, n) holds about KNN_BLOCK
+    for lo in range(0, len(leaves), step):
+        group = leaves[lo : lo + step]
+        for (leaf, _), cand in zip(group, _box_rows(pts, group, k, 4.0 * delta)):
+            if cand.size < n:
+                _select(pts, leaf, cand, k, out)
+            else:
+                scan.append(leaf)
     if scan:  # in full-width blocks, as without pruning
-        _select(X, np.sort(np.concatenate(scan)), everyone, k, out)
+        _select(pts, np.sort(np.concatenate(scan)), everyone, k, out)
     return out
 
 
-def _kd_leaves(X: np.ndarray, min_rows: int) -> list[np.ndarray]:
-    """Sorted row indices of X's k-d leaves: a cell of more than
-    ``KNN_LEAF`` rows splits at the median of its widest axis, unless a
-    half would get fewer than `min_rows` rows."""
-    leaves, cells = [], [np.arange(X.shape[0])]
+def _kd_leaves(X: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sorted row indices of X's k-d leaves, each with the cell that
+    bounds its rows' k-th distances: the leaf itself when it holds k rows,
+    else its parent. A cell of more than ``KNN_LEAF`` rows splits at the
+    median of its widest axis, unless a half would get fewer than
+    ceil(k/2) rows."""
+    leaves, cells = [], [(np.arange(X.shape[0]), None)]
     while cells:
-        cell = cells.pop()
+        cell, parent = cells.pop()
         half = cell.size // 2
-        if cell.size <= KNN_LEAF or half < min_rows:
-            leaves.append(np.sort(cell))
+        if cell.size <= KNN_LEAF or 2 * half < k:
+            leaf = np.sort(cell)
+            leaves.append((leaf, leaf if leaf.size >= k else np.sort(parent)))
             continue
         P = X.take(cell, axis=0)
         part = np.argpartition(P[:, np.argmax(np.ptp(P, axis=0))], half)
-        cells += [cell[part[:half]], cell[part[half:]]]
+        cells += [(cell[part[:half]], cell), (cell[part[half:]], cell)]
     return leaves
 
 
-def _box_rows(X: np.ndarray, leaf: np.ndarray, k: int, slack: float) -> np.ndarray:
-    """Rows of X inside the leaf's box: per axis, the extent of the balls
-    around its rows whose radius is the row's k-th distance within the
-    leaf plus `slack`."""
-    r = np.concatenate([np.partition(dist, k - 1, axis=1)[:, k - 1]
-                        for _, dist in _distance_blocks(X, leaf, leaf)])
-    P, r = X.take(leaf, axis=0), r[:, None] + slack
-    inside = (X >= (P - r).min(axis=0)) & (X <= (P + r).max(axis=0))
-    return np.flatnonzero(inside.all(axis=1))
+def _box_rows(pts: _Points, leaves: list[tuple[np.ndarray, np.ndarray]], k: int,
+              slack: float) -> list[np.ndarray]:
+    """Rows inside each leaf's box: on each box axis, the extent of the
+    balls around the leaf's rows whose radius is the row's k-th distance
+    within the leaf's cell plus `slack`. The leaves' boxes are tested in
+    one pass over the box columns."""
+    radii = []
+    for leaf, cell in leaves:
+        for _, dist in pts.blocks(leaf, cell):
+            dist.partition(k - 1, axis=1)  # the block is scratch
+            radii.append(dist[:, k - 1] + slack)
+    C, r = pts.columns, np.concatenate(radii)
+    P = C.take(np.concatenate([leaf for leaf, _ in leaves]), axis=1)
+    first = np.cumsum([0] + [leaf.size for leaf, _ in leaves[:-1]])
+    lo, hi = np.minimum.reduceat(P - r, first, axis=1), np.maximum.reduceat(P + r, first, axis=1)
+    inside = np.ones((len(leaves), C.shape[1]), dtype=bool)
+    for c, a, b in zip(C, lo, hi):
+        inside &= c >= a[:, None]
+        inside &= c <= b[:, None]
+    which, rows = np.nonzero(inside)
+    return np.split(rows, np.cumsum(np.bincount(which, minlength=len(leaves)))[:-1])
 
 
-def _select(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int, out: np.ndarray) -> None:
+def _select(pts: _Points, rows: np.ndarray, cand: np.ndarray, k: int, out: np.ndarray) -> None:
     """Write into out[rows] the k nearest of the candidate rows `cand`
     (sorted, holding each of `rows` and its k nearest)."""
-    for sub, dist in _distance_blocks(X, rows, cand):
+    for sub, dist in pts.blocks(rows, cand):
+        at = np.arange(sub.size)[:, None]
         sel = np.argpartition(dist, k - 1, axis=1)[:, :k]
         sel.sort(axis=1)  # so the stable sort below breaks ties by index
-        sel_d = np.take_along_axis(dist, sel, axis=1)
+        sel_d = dist[at, sel]
         kth = sel_d.max(axis=1)
-        order = np.argsort(sel_d, axis=1, kind="stable")
-        out[sub] = cand[np.take_along_axis(sel, order, axis=1)]
+        out[sub] = cand[sel[at, np.argsort(sel_d, axis=1, kind="stable")]]
         # the selection is unique unless more than k entries reach the
         # k-th distance (or NaN spoils the comparison)
         tied = np.count_nonzero(dist <= kth[:, None], axis=1) != k
@@ -242,14 +287,40 @@ def _select(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int, out: np.n
             out[sub[r]] = cand[np.argsort(dist[r], kind="stable")[:k]]
 
 
-def _distance_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Distances from X[rows] to X[cols] in blocks of about ``KNN_BLOCK``:
-    yields (row indices, block)."""
-    Xc = X.take(cols, axis=0)
-    step = max(1, KNN_BLOCK // cols.size)
-    for lo in range(0, rows.size, step):
-        sub = rows[lo : lo + step]
-        yield sub, np.sqrt(pairwise_sq_dists(X.take(sub, axis=0), Xc))
+class _Points:
+    """The rows of one ``knn_indices`` call, with their squared norms
+    (computed once) and the workspace of its distance blocks: two blocks
+    the size of the largest block so far, allocated per call (so calls
+    from several threads share nothing), rewritten by every block and
+    replaced only when a block outgrows them."""
+
+    def __init__(self, X: np.ndarray) -> None:
+        self.X, self.sq = X, row_dots(X, X)
+        self.work = np.empty((2, 0))
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The coordinates on the box axes, one contiguous row per axis:
+        the at most ``NARROW_ROW`` - 1 axes along which the (finite) rows
+        spread widest. A box on fewer axes holds every row the box on all
+        of them holds, and costs fewer passes over the rows."""
+        axes = np.argsort(-np.ptp(self.X, axis=0), kind="stable")[: NARROW_ROW - 1]
+        return np.ascontiguousarray(self.X.T[axes])
+
+    def blocks(self, rows: np.ndarray, cols: np.ndarray):
+        """Distances from X[rows] to X[cols] in blocks of about
+        ``KNN_BLOCK``: yields (row indices, block), each block valid until
+        the next."""
+        Xc, sc = self.X.take(cols, axis=0), self.sq.take(cols)
+        step = max(1, KNN_BLOCK // cols.size)
+        for lo in range(0, rows.size, step):
+            sub = rows[lo : lo + step]
+            size = sub.size * cols.size
+            if self.work.shape[1] < size:
+                self.work = np.empty((2, size))
+            out, tmp = (w[:size].reshape(sub.size, cols.size) for w in self.work)
+            dist = _sq_dists(self.X.take(sub, axis=0), Xc, self.sq.take(sub), sc, out, tmp)
+            yield sub, np.sqrt(dist, out=dist)
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -2,11 +2,14 @@
 
 The sources, the benchmark and its manifest are copied into a temporary
 directory, and ``perfbench/run.py`` runs a workload there at a twentieth
-of its sizes for one second, untraced and traced: ``embed-enneper``,
-and ``model-enneper``, whose ``fit -> project`` CLI unit and checks of the
-model file's pieces and the printed ``overall_mse`` no other test runs. A
-library change that breaks the benchmark's CLI runs, or its traced replay
-of the library's layers, fails here.
+of its sizes for one second, untraced and traced: ``embed-enneper``;
+``model-enneper``, whose ``fit -> project`` CLI unit and checks of the
+model file's pieces and the printed ``overall_mse`` no other test runs;
+and ``denoise-spiral``, whose ``denoise`` CLI unit is checked by the mean
+squared distance of its output to the clean spiral, the path that
+``numeric.knn_indices`` feeds. A library change that breaks the
+benchmark's CLI runs, or its traced replay of the library's layers,
+fails here.
 """
 
 import json
@@ -51,3 +54,8 @@ def test_embed_workload_runs_correct(checkout, trace):
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_model_workload_runs_correct(checkout, trace):
     _assert_runs_correct(checkout, "model-enneper", trace)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_denoise_workload_runs_correct(checkout, trace):
+    _assert_runs_correct(checkout, "denoise-spiral", trace)

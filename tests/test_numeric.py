@@ -326,22 +326,58 @@ def test_knn_indices_large_offset_matches_full_scan():
 
 def test_knn_indices_evaluates_few_distances(monkeypatch):
     # on the 4000-point spiral the leaf boxes leave most of the n^2
-    # distances unevaluated, and no call holds more than KNN_BLOCK of them
+    # distances unevaluated, and no block holds more than KNN_BLOCK of them
     import spherelets.numeric as num
     from spherelets.datasets import noisy_spiral
 
     X = noisy_spiral(4000, 0.2, seed=0).points
-    sizes, plain = [], num.pairwise_sq_dists
+    sizes, plain = [], num._sq_dists
 
-    def counting(A, B):
-        out = plain(A, B)
+    def counting(A, B, *args):
+        out = plain(A, B, *args)
         sizes.append(out.size)
         return out
 
-    monkeypatch.setattr(num, "pairwise_sq_dists", counting)
+    monkeypatch.setattr(num, "_sq_dists", counting)
     num.knn_indices(X, 36)
-    assert sum(sizes) < 0.25 * len(X) ** 2
+    assert sum(sizes) < 0.1 * len(X) ** 2
     assert max(sizes) <= num.KNN_BLOCK
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_knn_indices_parent_cell_bounds_match_oracle(data):
+    # k above KNN_LEAF: leaves below the root hold fewer than k rows (k
+    # only where an odd k stops a split), so they bound their rows' k-th
+    # distances within their parent cells. From D = NARROW_ROW on, the
+    # boxes span only some of the axes. Coordinates on a 2^-10 grid keep
+    # every distance exact, and duplicate rows tie, so the oracle's order
+    # is the contract's
+    import spherelets.numeric as num
+
+    D = data.draw(st.integers(1, 10), label="D")
+    leaf = data.draw(st.integers(1, 6), label="leaf")
+    coords = st.lists(st.integers(-4096, 4096), min_size=D, max_size=D)
+    X = np.array(data.draw(st.lists(coords, min_size=leaf + 1, max_size=60), label="X")) / 1024
+    dup = data.draw(st.lists(st.integers(0, len(X) - 1), max_size=10), label="dup")
+    X = np.vstack([X, X[dup]])
+    n = len(X)
+    k = data.draw(st.integers(leaf + 1, n), label="k")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(num, "KNN_LEAF", leaf)
+        mp.setattr(num, "KNN_BLOCK", data.draw(st.integers(1, 3 * n), label="block"))
+        got = num.knn_indices(X, k)
+    assert np.array_equal(got, _knn_oracle(X, k))
+
+
+def test_knn_indices_results_share_no_memory():
+    # every block is written into one reused workspace; the results are
+    # still fresh arrays, apart from each other and from the input
+    X = np.random.default_rng(24).normal(size=(500, 2))
+    first, second = knn_indices(X, 8), knn_indices(X, 8)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, X) and not np.shares_memory(second, X)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e160, 2.0**-565, 2.0**532])

@@ -5,14 +5,18 @@
 Pins BLAS to one thread before NumPy loads, then for each input prints
 the median and quartiles of the wall time of one ``knn_indices`` call
 (``time.perf_counter``, after one warm-up call) and the number of
-distances it evaluates as a fraction of n^2, counted by wrapping
-``numeric.pairwise_sq_dists`` in a separate, untimed call. The inputs:
+distances it evaluates as a fraction of n^2, counted by wrapping its
+block kernel ``numeric._sq_dists`` in a separate, untimed call. The
+inputs:
 
 - spiral: ``noisy_spiral(4000, 0.2, seed=0)``, k = 36, the input of the
   first ``denoise`` pass of the benchmark's ``denoise-spiral`` workload;
 - enneper: 20 000 Enneper points plus N(0, 0.01^2) noise, seed 0, k = 20;
 - gauss10: 4000 standard normal points in 10 dimensions, k = 36, where
-  the leaf boxes prune almost nothing.
+  the leaf boxes prune almost nothing;
+- rot64: 5000 Enneper points (uniform on the parameter disk, a
+  2-manifold) rotated into 64 dimensions by a seeded orthonormal frame,
+  k = 20, the high-dimensional guard: its boxes span 7 of the 64 axes.
 """
 
 from __future__ import annotations
@@ -41,25 +45,32 @@ def inputs() -> dict[str, tuple[np.ndarray, int]]:
         "spiral": (datasets.noisy_spiral(4000, 0.2, seed=0).points, 36),
         "enneper": (enneper, 20),
         "gauss10": (np.random.default_rng(0).normal(size=(4000, 10)), 36),
+        "rot64": (rotated(datasets.enneper(5000, seed=0), 64), 20),
     }
+
+
+def rotated(X: np.ndarray, D: int) -> np.ndarray:
+    """X's rows in D dimensions, through a seeded orthonormal frame."""
+    frame = np.linalg.qr(np.random.default_rng(0).normal(size=(D, X.shape[1])))[0]
+    return X @ frame.T
 
 
 def evaluated_fraction(X: np.ndarray, k: int) -> float:
     """Distances ``knn_indices`` evaluates on X, as a fraction of n^2."""
     count = 0
-    plain = numeric.pairwise_sq_dists
+    plain = numeric._sq_dists
 
-    def counting(A, B):
+    def counting(*args):
         nonlocal count
-        out = plain(A, B)
+        out = plain(*args)
         count += out.size
         return out
 
-    numeric.pairwise_sq_dists = counting
+    numeric._sq_dists = counting
     try:
         numeric.knn_indices(X, k)
     finally:
-        numeric.pairwise_sq_dists = plain
+        numeric._sq_dists = plain
     return count / X.shape[0] ** 2
 
 
