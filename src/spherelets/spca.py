@@ -19,7 +19,10 @@ its own: rows (N, D) cut at segment starts, every per-set sum a segment
 reduction (``np.add.reduceat``), the small eigenproblems and solves
 stacked. The rows are centred once for both, a scatter sums only its
 upper triangle, and row norms add one column at a time
-(``numeric.row_dots``). ``fit_sphere`` is the one-set case, and
+(``numeric.row_dots``). Reduced coordinates are column sums, each frame
+entry repeated to its set's rows, and condition numbers come from the
+scatters' eigenvalues: no per-row matrix product and no SVD.
+``fit_sphere`` is the one-set case, and
 ``fit_pieces`` holds the model's sphere-or-plane policy. Both ragged fits
 also give each row's squared residual to its set's piece, in closed form
 from the reduced coordinates the fit already holds, so a caller never
@@ -93,6 +96,12 @@ class SphereFits:
     (m, D) and ``frame`` (m, D, d+1) give each reduction hyperplane,
     whose top-w columns also span the best w-dimensional affine subspace
     for w <= d+1. A degenerate row has center ``mu`` and radius inf.
+
+    ``h_condition`` (m,) is each reduced scatter's 2-norm condition
+    number max|lambda| / min|lambda|, the value of ``np.linalg.cond`` up
+    to rounding: inf for an exactly singular scatter (a set of identical
+    rows, or one exactly inside a d-plane), never NaN unless the scatter
+    has a NaN entry. A set above ``H_CONDITION_LIMIT`` is degenerate.
 
     ``residual_sq`` (N,) is each input row's squared distance to its
     set's piece: (|z - c_z| - r)^2 + max(|x - x_bar|^2 - |z|^2, 0) for a
@@ -198,8 +207,17 @@ def stacked_pca(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
 
 def _reduced(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Reduced coordinates z = V_i'(x - x_bar) of centred rows Xc (N, D),
-    each row by the frame V_i (m, D, w) of its set."""
-    return (Xc[:, None, :] @ np.repeat(V, sizes, axis=0))[:, 0]
+    each row by the frame V_i (m, D, w) of its set. Coordinate j is the
+    column sum V_i[0, j] x_0 + V_i[1, j] x_1 + ... in that order, each
+    frame entry repeated to its set's rows: elementwise, so a row's
+    coordinates never depend on the rows batched with it."""
+    Z = np.empty((Xc.shape[0], V.shape[2]))
+    for j in range(V.shape[2]):
+        z = np.repeat(V[:, 0, j], sizes) * Xc[:, 0]
+        for c in range(1, V.shape[1]):
+            z += np.repeat(V[:, c, j], sizes) * Xc[:, c]
+        Z[:, j] = z
+    return Z
 
 
 def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
@@ -310,16 +328,17 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
 
     Each set is reduced to its top-(d+1) PCA subspace, and the linear
     system for the center is solved in the reduced coordinates
-    z_i = V'(x_i - x_bar), where the scatter is generically invertible;
-    the center maps back as c = x_bar + V c_z. This keeps the center
-    inside the affine subspace of the frame, which the ambient-coordinate
-    pseudo-inverse form only guarantees for centered data.
+    z_i = V'(x_i - x_bar), column sums over the D axes in order, where
+    the scatter is generically invertible; the center maps back as
+    c = x_bar + V c_z. This keeps the center inside the affine subspace of
+    the frame, which the ambient-coordinate pseudo-inverse form only
+    guarantees for centered data.
 
     A set is degenerate (hyperplane fallback) when its reduced scatter is
-    numerically singular (condition number above ``H_CONDITION_LIMIT``
-    or a failed solve) or its radius exceeds ``RADIUS_DIAMETER_RATIO``
-    times the data diameter. Each set is judged on its own; one
-    degenerate set never affects another.
+    numerically singular (condition number, from the scatter's
+    eigenvalues, above ``H_CONDITION_LIMIT`` or a failed solve) or its
+    radius exceeds ``RADIUS_DIAMETER_RATIO`` times the data diameter. Each
+    set is judged on its own; one degenerate set never affects another.
 
     Raises
     ------
@@ -343,7 +362,11 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
     Hs = _scatter_sums(Zc, starts)
     xi = np.add.reduceat(Zc * lc[:, None], starts)[:, :, None]
 
-    h_cond = np.linalg.cond(Hs)
+    lam = np.abs(np.linalg.eigvalsh(Hs))  # |.|: a rounded scatter can be indefinite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_cond = lam.max(axis=1) / lam.min(axis=1)
+    # as np.linalg.cond: 0/0 of a singular scatter and an inf entry's NaN read inf
+    h_cond[np.isnan(h_cond) & ~np.isnan(Hs).any(axis=(1, 2))] = math.inf
     # sqrt is monotone: the root of the largest square is the largest norm
     xx = row_dots(Xc, Xc)
     diameter = 2.0 * np.sqrt(np.maximum.reduceat(xx, starts))

@@ -2,8 +2,9 @@
 
 Dense or checked forms of quantities the library computes another way:
 a dense KL divergence, a symmetric eigendecomposition that first checks
-symmetry, principal angles between subspaces, a row of a piece table as
-a ``Spherelet`` or ``Hyperplane`` record, and the projection and squared
+symmetry, principal angles between subspaces, the stacked sphere fit by
+its earlier formulas and kernels, a row of a piece table as a
+``Spherelet`` or ``Hyperplane`` record, and the projection and squared
 residual of one such piece by the module function of its kind.
 No library path calls them, so they live with the tests.
 """
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from spherelets import spca
 from spherelets.exceptions import DimensionError
 from spherelets.numeric import SymEigResult, eig_desc, row_dots
 from spherelets.partition import iter_leaves
@@ -75,6 +77,53 @@ def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     resid = A - B @ (B.T @ A)
     s = np.linalg.svd(resid, compute_uv=False)
     return np.sort(np.arcsin(np.clip(s, 0.0, 1.0)))
+
+
+def outer_sums(A: np.ndarray, B: np.ndarray, starts) -> np.ndarray:
+    """Per-segment sums of a_r b_r' (m, p, q), both halves of a scatter
+    summed."""
+    return np.stack([np.add.reduceat(A * b[:, None], starts) for b in B.T], axis=-1)
+
+
+def frame_products(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Reduced coordinates of centred rows Xc (N, D) by one 1 x D by D x w
+    matrix product per row, with each set's frame V (m, D, w) repeated to
+    its rows: the BLAS kernel ``spca._reduced`` once was."""
+    return (Xc[:, None, :] @ np.repeat(V, sizes, axis=0))[:, 0]
+
+
+def reference_fit_spheres(X: np.ndarray, starts, d: int, reduced=frame_products,
+                          condition=np.linalg.cond) -> spca.SphereFits:
+    """``spca.fit_spheres`` by its earlier formulas: np.linalg.norm / np.sum
+    rows, full outer sums, the checked ``sym_eig`` and a second centring.
+    ``reduced(Xc, V, sizes)`` gives the reduced coordinates and
+    ``condition(Hs)`` the reduced scatters' condition numbers; by default
+    the per-row BLAS products and the SVD of ``np.linalg.cond``. No
+    per-row residuals: ``residual_sq`` is None."""
+    starts = np.asarray(starts)
+    sizes = np.diff(starts, append=X.shape[0])
+    mu = np.add.reduceat(X, starts) / sizes[:, None]
+    Xc = X - np.repeat(mu, sizes, axis=0)
+    V = sym_eig(outer_sums(Xc, Xc, starts)).eigenvectors[:, :, : d + 1]
+    Xc = X - np.repeat(mu, sizes, axis=0)
+    Z = reduced(Xc, V, sizes)
+    Zc = Z - np.repeat(np.add.reduceat(Z, starts) / sizes[:, None], sizes, axis=0)
+    l = np.sum(Z * Z, axis=1)
+    lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
+    Hs = outer_sums(Zc, Zc, starts)
+    xi = outer_sums(Zc, lc[:, None], starts)
+    h_cond = condition(Hs)
+    diameter = 2.0 * np.maximum.reduceat(np.linalg.norm(Xc, axis=1), starts)
+    ok = np.isfinite(h_cond) & (h_cond <= spca.H_CONDITION_LIMIT)
+    Hs[~ok] = np.eye(d + 1)
+    c_z = 0.5 * np.linalg.solve(Hs, xi)[:, :, 0]
+    center = mu + (V @ c_z[:, :, None])[:, :, 0]
+    radius = np.add.reduceat(np.linalg.norm(Z - np.repeat(c_z, sizes, axis=0), axis=1),
+                             starts) / sizes
+    ok &= np.isfinite(radius) & (radius <= spca.RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
+    return spca.SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
+                           radius=np.where(ok, radius, np.inf), degenerate=~ok, h_condition=h_cond,
+                           residual_sq=None)
 
 
 def piece_record(pieces, j: int):

@@ -1,9 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import piece_record, piece_residual_sq, principal_angles, project_piece, sym_eig
+from oracles import (
+    outer_sums,
+    piece_record,
+    piece_residual_sq,
+    principal_angles,
+    project_piece,
+    reference_fit_spheres,
+    sym_eig,
+)
 from spherelets import spca
 from spherelets.datasets import sphere_sample
 from spherelets.exceptions import (
@@ -595,40 +605,19 @@ def test_ragged_rows_equal_single_set_calls_property(case):
 # -- the kernels against the formulas they replaced -------------------------
 
 
-def _reference_outer_sums(A, B, starts):
-    """Per-segment sums of a_r b_r', both halves of a scatter summed."""
-    return np.stack([np.add.reduceat(A * b[:, None], starts) for b in B.T], axis=-1)
+def _column_sums(Xc, V, sizes):
+    """Reduced coordinates z_j = V[set, 0, j] Xc[:, 0] + V[set, 1, j] Xc[:, 1] + ..."""
+    return np.column_stack([functools.reduce(np.add, (np.repeat(V[:, c, j], sizes) * Xc[:, c]
+                                                      for c in range(V.shape[1])))
+                            for j in range(V.shape[2])])
 
 
-def _reference_fit_spheres(X, starts, d):
-    """fit_spheres by its earlier formulas: np.linalg.norm / np.sum rows,
-    full outer sums, the checked sym_eig and a second centring."""
-    starts = np.asarray(starts)
-    sizes = np.diff(starts, append=X.shape[0])
-    mu = np.add.reduceat(X, starts) / sizes[:, None]
-    Xc = X - np.repeat(mu, sizes, axis=0)
-    V = sym_eig(_reference_outer_sums(Xc, Xc, starts)).eigenvectors[:, :, : d + 1]
-    Xc = X - np.repeat(mu, sizes, axis=0)
-    Z = (Xc[:, None, :] @ np.repeat(V, sizes, axis=0))[:, 0]
-    Zc = Z - np.repeat(np.add.reduceat(Z, starts) / sizes[:, None], sizes, axis=0)
-    l = np.sum(Z * Z, axis=1)
-    lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
-    Hs = _reference_outer_sums(Zc, Zc, starts)
-    xi = _reference_outer_sums(Zc, lc[:, None], starts)
-    h_cond = np.linalg.cond(Hs)
-    diameter = 2.0 * np.maximum.reduceat(np.linalg.norm(Xc, axis=1), starts)
-    ok = np.isfinite(h_cond) & (h_cond <= spca.H_CONDITION_LIMIT)
-    Hs[~ok] = np.eye(d + 1)
-    c_z = 0.5 * np.linalg.solve(Hs, xi)[:, :, 0]
-    center = mu + (V @ c_z[:, :, None])[:, :, 0]
-    radius = np.add.reduceat(np.linalg.norm(Z - np.repeat(c_z, sizes, axis=0), axis=1),
-                             starts) / sizes
-    ok &= np.isfinite(radius) & (radius <= spca.RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
-    # these formulas gave no per-row residuals; the piece property test
-    # checks fit_spheres' own against each piece's residual_sq
-    return spca.SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
-                           radius=np.where(ok, radius, np.inf), degenerate=~ok, h_condition=h_cond,
-                           residual_sq=None)
+def _eigvalsh_condition(Hs):
+    """max|lambda| / min|lambda|, inf where a NaN-free scatter gives NaN."""
+    lam = np.abs(np.linalg.eigvalsh(Hs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = lam.max(axis=1) / lam.min(axis=1)
+    return np.where(np.isnan(cond) & ~np.isnan(Hs).any(axis=(1, 2)), np.inf, cond)
 
 
 @st.composite
@@ -653,18 +642,79 @@ def _wide_ragged_sets(draw):
 def test_fit_kernels_equal_the_formulas_they_replaced_property(case):
     # rows narrower than numeric.NARROW_ROW add one column at a time, the
     # sums NumPy's reduction makes for them; wider rows take that
-    # reduction, so every output is bit-equal at every D
+    # reduction, so every output is bit-equal at every D; the reduced
+    # coordinates and condition numbers are those of the current kernels
     d, sets = case
     X, starts = _ragged(sets)
     with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
-        fits, expect = fit_spheres(X, starts, d), _reference_fit_spheres(X, starts, d)
+        fits = fit_spheres(X, starts, d)
+        expect = reference_fit_spheres(X, starts, d, _column_sums, _eigvalsh_condition)
     for field in ("mu", "frame", "center", "radius", "degenerate", "h_condition"):
         assert np.array_equal(getattr(fits, field), getattr(expect, field), equal_nan=True), field
     mu, axes = stacked_pca(X, starts)
     assert np.array_equal(mu, expect.mu) and np.array_equal(axes[:, :, : d + 1], expect.frame)
     scatter = spca._scatter_sums(X, starts)
-    assert np.array_equal(scatter, _reference_outer_sums(X, X, starts))
+    assert np.array_equal(scatter, outer_sums(X, X, starts))
     assert np.array_equal(scatter, np.swapaxes(scatter, 1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_wide_ragged_sets())
+def test_fit_spheres_match_the_blas_kernel_within_rounding_property(case):
+    # against the reduced coordinates of one BLAS product per row and the
+    # condition numbers of np.linalg.cond's SVD, which round differently
+    d, sets = case
+    X, starts = _ragged(sets)
+    # the cubic sums xi overflow once |x|^3 * N nears 1e308, and rounding
+    # then decides whether a fit's radius is finite (seen for d = 0 at
+    # scales of 1e106 and up): such draws are left out
+    assume(3 * np.log(np.abs(X).max()) + np.log(X.shape[0]) < np.log(np.finfo(float).max))
+    with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
+        fits, old = fit_spheres(X, starts, d), reference_fit_spheres(X, starts, d)
+    assert np.array_equal(fits.mu, old.mu) and np.array_equal(fits.frame, old.frame)
+    assert np.array_equal(fits.degenerate, old.degenerate)
+    scale = np.abs(old.center).max(axis=1)
+    assert np.all(np.abs(fits.center - old.center).max(axis=1) <= 1e-12 * scale)
+    finite = ~old.degenerate  # the degenerate radius is inf
+    assert np.all(np.abs(fits.radius[finite] - old.radius[finite]) <= 1e-12 * old.radius[finite])
+    # a scatter's smallest eigenvalue rounds by ~eps * its largest, so a
+    # condition number kappa rounds by ~eps * kappa relative; past the
+    # limit (a numerically singular scatter) it is rounding noise, and
+    # the equal degenerate flags already say both are past it
+    well = old.h_condition <= spca.H_CONDITION_LIMIT
+    kappa = old.h_condition[well]
+    rtol = 1e-12 + 8 * np.finfo(float).eps * kappa
+    assert np.all(np.abs(fits.h_condition[well] - kappa) <= rtol * kappa)
+
+
+def test_singular_scatter_reports_infinite_condition():
+    # an exactly singular reduced scatter reports inf, never the 0 / 0 NaN
+    # of a set of identical rows, and the set degenerates
+    t = np.linspace(-1, 1, 9)
+    same = np.tile([3.0, -1.0, 2.0], (6, 1))
+    on_axis = np.column_stack([t, 0 * t, 0 * t]) + [1.0, 2.0, 3.0]
+    diagonal = np.column_stack([t, t, np.full_like(t, 5.0)])
+    for d, sets in ((0, [same]), (1, [same, on_axis, diagonal])):
+        fits = fit_spheres(*_ragged(sets), d)
+        assert np.all(fits.h_condition == np.inf) and fits.degenerate.all()
+        for S in sets:
+            s, diag = fit_sphere(S, d)
+            assert diag.h_condition == np.inf and s.degenerate
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_condition_limit_cut_matches_svd_condition(factor):
+    # a rhombus of semi-axes 1 and b has the reduced scatter diag(2, 2 b^2)
+    # in its own frame, condition number 1 / b^2: here just either side of
+    # the limit, well clear of the ~eps * kappa rounding of either kernel
+    b = 1.0 / np.sqrt(factor * spca.H_CONDITION_LIMIT)
+    c, s = np.cos(0.3), np.sin(0.3)
+    S = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, b], [0.0, -b]]) @ [[c, s], [-s, c]] + [2.0, -1.0]
+    fits, old = fit_spheres(S, [0], 1), reference_fit_spheres(S, [0], 1)
+    assert old.h_condition[0] == pytest.approx(factor * spca.H_CONDITION_LIMIT, rel=1e-6)
+    svd_flag = not old.h_condition[0] <= spca.H_CONDITION_LIMIT
+    assert svd_flag == (factor > 1)
+    assert fits.degenerate[0] == svd_flag and fit_sphere(S, 1)[0].degenerate == svd_flag
 
 
 @st.composite
