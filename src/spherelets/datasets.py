@@ -124,6 +124,8 @@ def noisy_spiral(
 def enneper(n: int, R: float = 1.0, seed: int = 0) -> np.ndarray:
     """Points of the compact Enneper-surface truncation over the disk
     u^2 + v^2 <= R^2, sampled uniformly on the parameter disk."""
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
     if not 0.0 < R < math.inf:
         raise ParameterError(f"R must be finite and > 0, got {R}")
     rng = seeded_rng(seed)
@@ -155,6 +157,8 @@ def sphere_sample(
 ) -> np.ndarray:
     """Uniform points on a random d-sphere embedded in R^D: a seeded random
     orthonormal (d+1)-frame, uniform directions on it, center + radius."""
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
     if d + 1 > D:
         raise ParameterError(f"a {d}-sphere needs ambient dimension >= {d + 1}, got {D}")
     if not 0.0 < radius < math.inf:

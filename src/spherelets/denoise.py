@@ -25,12 +25,13 @@ fitted to that strand's points. The support never shrinks below d + 3
 members, the least a local model needs; a point with fewer neighbors
 within reach is fitted to its d + 3 nearest.
 
-A pass fits all n supports in one ragged call, their rows concatenated
-and cut at each support's start offset: ``spca.fit_spheres`` for the
-sphere methods, ``spca.stacked_pca`` for the tangent-plane methods.
-The fallback is per row: a point whose local sphere is degenerate, or
-which projects onto its sphere's center, is projected onto the top-d
-plane of the same fit instead, and counted.
+A pass fits all n supports in one ragged ``spca.fit_pieces`` call, their
+rows concatenated and cut at each support's start offset: the ``spca``
+fitter for the sphere methods, ``pca`` for the tangent-plane methods. It
+projects each point onto its own piece by ``spca.project_pieces``. The
+fallback is per row: a point whose local sphere is degenerate, or which
+projects onto its sphere's center, lands on the top-d plane of the same
+fit instead, and is counted.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .exceptions import DimensionError, ParameterError
 from .numeric import knn_indices, row_dots, unit_scale
-from .spca import fit_spheres, project_planes, project_spheres, stacked_pca
+from .spca import fit_pieces, project_pieces
 
 METHODS = ("gbms", "ltp", "mbms", "smbms", "lsp")
 _SPHERE_METHODS = ("smbms", "lsp")
@@ -70,6 +71,8 @@ class DenoiseConfig:
             raise ParameterError(f"iters must be >= 1, got {self.iters}")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
+        if self.d < 0:
+            raise ParameterError(f"d must be >= 0, got {self.d}")
         if self.method in _MODEL_METHODS and self.k < self.d + 3:
             raise ParameterError(
                 f"method {self.method!r} fits local models and needs k >= d+3 = {self.d + 3}"
@@ -160,12 +163,8 @@ def _pass(X: np.ndarray, cfg: DenoiseConfig, sigma: float) -> tuple[np.ndarray, 
     reach *= reach  # saturates to inf where ``** 2`` raises OverflowError
     sizes = np.maximum(np.count_nonzero(d2 <= reach, axis=1), cfg.d + 3)
     support = Y.take(nbr[np.arange(cfg.k) < sizes[:, None]], axis=0)
-    starts, P = np.cumsum(sizes) - sizes, Y[:, None, :]
-    if cfg.method in ("ltp", "mbms"):
-        mu, axes = stacked_pca(support, starts)
-        return project_planes(P, mu, axes[:, :, : cfg.d])[:, 0], 0
-    fits = fit_spheres(support, starts, cfg.d)
-    out, ok = project_spheres(P, fits)
-    bad = ~ok
-    out[bad] = project_planes(P[bad], fits.mu[bad], fits.frame[bad][:, :, : cfg.d])
-    return out[:, 0], int(np.count_nonzero(bad))
+    fitter = "spca" if cfg.method in _SPHERE_METHODS else "pca"
+    pieces = fit_pieces(support, np.cumsum(sizes) - sizes, cfg.d, fitter).pieces
+    out, regular = project_pieces(Y[:, None, :], pieces)
+    fallbacks = np.count_nonzero(~(pieces.sphere & regular[:, 0])) if fitter == "spca" else 0
+    return out[:, 0], int(fallbacks)

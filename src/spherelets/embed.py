@@ -4,10 +4,12 @@ Pipeline: per-point local sphere fits turn the k-NN graph into sparse
 symmetric intrinsic (great-circle) distances; a fixed-bandwidth kernel
 exp(-D_ij / sigma^2) converts distances to symmetrized affinities; and a
 Student-t embedding minimizes KL(P || Q) by momentum gradient descent.
-The n local fits are one ``spca.fit_spheres`` call over the n·k
-neighborhood rows, cut every k rows. The fallback is per row: a row
-whose fit degenerates, or whose point or a neighbor projects onto the
-sphere's center, keeps its Euclidean distances.
+The n local fits are one ``spca.fit_pieces`` call over the n·k
+neighborhood rows, cut every k rows, and one ``spca.project_pieces`` call
+maps each point and its neighbors onto the point's piece. The fallback
+is per row: a row whose fit degenerates to a plane, or whose point or a
+neighbor projects onto the sphere's center, keeps its Euclidean
+distances.
 A ``euclidean`` distance mode runs the identical pipeline on straight-
 line distances over the same k-NN graph for apples-to-apples baselines.
 
@@ -45,7 +47,7 @@ import numpy as np
 
 from .exceptions import DimensionError, DivergenceError, ParameterError
 from .numeric import knn_indices, row_dots, unit_scale
-from .spca import fit_spheres, project_spheres, sphere_arcs
+from .spca import fit_pieces, project_pieces, sphere_arcs
 
 DISTANCE_MODES = ("spherical", "euclidean")
 
@@ -159,12 +161,13 @@ def spherical_knn_distances(
     X, e = unit_scale(X)  # fit and measure at unit scale, then scale back
     nbr = knn_indices(X, k)
     hoods = X.take(nbr, axis=0)
-    fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
-    proj, ok = project_spheres(np.concatenate([X[:, None, :], hoods], axis=1), fits)
+    pieces = fit_pieces(hoods.reshape(n * k, D), np.arange(0, n * k, k), d, "spca").pieces
+    proj, regular = project_pieces(np.concatenate([X[:, None, :], hoods], axis=1), pieces)
+    ok = pieces.sphere & regular.all(axis=1)
     diff = hoods - X[:, None, :]
     rows = np.sqrt(row_dots(diff, diff))
-    c = fits.center[ok][:, None, :]
-    rows[ok] = sphere_arcs(proj[ok, :1] - c, proj[ok, 1:] - c, fits.radius[ok][:, None])
+    c = pieces.center[ok][:, None, :]
+    rows[ok] = sphere_arcs(proj[ok, :1] - c, proj[ok, 1:] - c, pieces.radius[ok][:, None])
     fallbacks = n - int(np.count_nonzero(ok))
     dist = _knn_pairs(nbr, np.ldexp(rows, e))
     if return_info:

@@ -6,9 +6,10 @@ spherelet under the ``spca`` fitter (with hyperplane fallback on
 degeneracy) or a d-dimensional hyperplane under ``pca``. ``fit`` grows
 the tree a level at a time, each level one ragged fit whose per-row
 residuals give every cell's MSE; ``load`` builds the table once. Projection
-routes a batch down the tree a level at a time and maps each leaf's rows
-onto its piece, so held-out data can be projected without refitting; the
-rows of each of the table's ``groups`` take one stacked kernel call.
+routes a batch down the tree a level at a time to each row's piece index
+(``partition.leaf_index``) and maps the rows onto the pieces they index
+by ``spca.project_pieces``, so held-out data can be projected without
+refitting; the per-cell MSEs group the rows by the same index.
 Routing and projection treat each row on its own, so a row's leaf and
 image do not depend on the batch it is in: ``project(x)`` is row i of
 ``project_many(X)`` bit for bit.
@@ -44,9 +45,9 @@ from .partition import (
     _split_arrays,
     build_tree,
     iter_leaves,
-    leaf_rows,
+    leaf_index,
 )
-from .spca import PieceTable, _plane_images, _sphere_images
+from .spca import PieceTable, project_pieces
 
 FORMAT_VERSION = 1
 
@@ -75,7 +76,8 @@ class SphereletModel:
         return self.project_many(np.asarray(x, dtype=float).ravel())[0]
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
-        return self._route_project(X)[0]
+        X = self._rows(X)
+        return self._project_routed(X, leaf_index(X, self.tree))
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -83,46 +85,29 @@ class SphereletModel:
             raise DimensionError(f"point dimension {X.shape[1]} != model dimension {self.D}")
         return X
 
-    def _route_project(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Projections of the rows of X and the rows each leaf received."""
-        X = self._rows(X)
-        return self._project_routed(X, list(leaf_rows(X, self.tree)))
-
-    def _project_routed(self, X: np.ndarray,
-                        routed: list) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Projections of the rows of X, given the (j, leaf, rows) of each
-        leaf in ``leaf_rows`` order, and the rows each leaf received.
-
-        Each row is projected onto its leaf's piece, row j of the table, as
-        a 1 x D stack, so its image does not depend on the batch it is in.
-        A row that projects onto a sphere center raises
-        SingularProjectionError naming the first such row of the first leaf
-        ``leaf_rows`` yields."""
-        at = np.empty(X.shape[0], dtype=np.intp)  # each row's piece
-        if routed:
-            at[np.concatenate([rows for *_, rows in routed])] = np.repeat(
-                [j for j, *_ in routed], [rows.size for *_, rows in routed])
-        pieces, P, singular = self.pieces, np.empty_like(X), np.zeros(X.shape[0], dtype=bool)
-        step = max(1, PROJECT_BLOCK // (self.D * (pieces.frame.shape[2] + 1)))
-        for sphere, width, members in pieces.groups():
-            rows = np.flatnonzero(np.isin(at, members))
-            for lo in range(0, rows.size, step):
-                sub = rows[lo : lo + step]
-                j = at[sub]
-                x, a = X.take(sub, axis=0)[:, None, :], pieces.center.take(j, axis=0)[:, None, :]
-                F = pieces.frame.take(j, axis=0)[:, :, :width]
-                if sphere:
-                    images, regular = _sphere_images(x, a, pieces.radius.take(j)[:, None], F)
-                    P[sub], singular[sub] = images[:, 0], ~regular[:, 0]
-                else:
-                    P[sub] = _plane_images(x, a, F)[:, 0]
-        if singular.any():
-            bad = np.flatnonzero(singular)
+    def _project_routed(self, X: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Projections of the rows of X, row i onto piece ``at[i]`` of the
+        table as a 1 x D stack, so its image does not depend on the batch
+        it is in. A row that projects onto a sphere center raises
+        SingularProjectionError naming the first such row of the first
+        leaf in depth-first order."""
+        P, regular = np.empty_like(X), np.ones(X.shape[0], dtype=bool)
+        step = max(1, PROJECT_BLOCK // (self.D * (self.pieces.frame.shape[2] + 1)))
+        for lo in range(0, X.shape[0], step):
+            sub = slice(lo, lo + step)
+            images, ok = project_pieces(X[sub, None], self.pieces.take(at[sub]))
+            P[sub], regular[sub] = images[:, 0], ok[:, 0]
+        if not regular.all():
+            bad = np.flatnonzero(~regular)
             row = int(bad[np.argmin(at[bad])])
-            cell = next(leaf.cell_id for j, leaf, _ in routed if j == at[row])
+            cell = self._cell_ids()[at[row]]
             raise SingularProjectionError(f"row {row} projects onto the sphere center of cell {cell}",
                                           row=row)
-        return P, {leaf.cell_id: rows for _, leaf, rows in routed}
+        return P
+
+    def _cell_ids(self) -> list[int]:
+        """The cell id of each piece of the table, the leaves depth-first."""
+        return [leaf.cell_id for leaf in iter_leaves(self.tree)]
 
     def mse(self, X: np.ndarray) -> tuple[float, dict[int, float]]:
         """Overall and per-cell mean squared projection residual.
@@ -137,7 +122,9 @@ class SphereletModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
             raise ParameterError("cannot compute MSE of an empty dataset")
-        return _with_mse(X, *self._route_project(X))
+        X = self._rows(X)
+        at = leaf_index(X, self.tree)
+        return _with_mse(X, self._project_routed(X, at), at, self._cell_ids())
 
     def train_mse(self, X: np.ndarray) -> tuple[float, dict[int, float]]:
         """``mse(X)`` of the rows X the tree was grown on, without routing
@@ -146,32 +133,37 @@ class SphereletModel:
         the leaves' members do not number the rows of X, or when the model
         was loaded from a file without them."""
         X = self._rows(X)
-        routed = [(j, leaf, leaf.member_indices) for j, leaf in enumerate(iter_leaves(self.tree))]
-        members = np.concatenate([rows for *_, rows in routed])
-        if members.size == 0:
+        members = [leaf.member_indices for leaf in iter_leaves(self.tree)]
+        rows = np.concatenate(members)
+        if rows.size == 0:
             raise ParameterError("the model was loaded without its training members, which model "
                                  "files do not keep; mse(X) routes the rows instead")
-        if not np.array_equal(np.sort(members), np.arange(X.shape[0])):
+        if not np.array_equal(np.sort(rows), np.arange(X.shape[0])):
             raise ParameterError(f"the leaves' members are not the {X.shape[0]} training rows")
-        return _with_mse(X, *self._project_routed(X, [r for r in routed if r[2].size]))[1:]
+        at = np.empty(X.shape[0], dtype=np.intp)
+        at[rows] = np.repeat(np.arange(len(members)), [m.size for m in members])
+        return _with_mse(X, self._project_routed(X, at), at, self._cell_ids())[1:]
 
     def save(self, path: str) -> None:
         save(self, path)
 
 
-def _with_mse(X: np.ndarray, P: np.ndarray,
-              cells: dict[int, np.ndarray]) -> tuple[np.ndarray, float, dict[int, float]]:
+def _with_mse(X: np.ndarray, P: np.ndarray, at: np.ndarray,
+              ids: list[int]) -> tuple[np.ndarray, float, dict[int, float]]:
     """The projections P of the rows of X, their mean squared residual,
-    and its mean over the rows of each cell."""
+    and its mean over the rows of each cell, row i in the cell of piece
+    ``at[i]`` and piece j that of cell ``ids[j]``."""
     R = X - P
     sq = row_dots(R, R)
-    ids = sorted(cells)
-    sizes = [cells[cid].size for cid in ids]
-    by_cell = sq.take(np.concatenate([cells[cid] for cid in ids]))  # each cell's rows in turn
+    # each cell's rows in turn, in increasing order; NumPy's stable sort of
+    # 8- and 16-bit keys is a radix sort
+    order = np.argsort(at.astype(np.min_scalar_type(len(ids) - 1)), kind="stable")
+    by_cell, at = sq.take(order), at.take(order)
+    bounds = np.flatnonzero(np.diff(at, prepend=-1, append=-1))
     # np.mean of each cell's slice, the same sum and division without its per-call cost
-    per_cell = {cid: float(np.add.reduce(by_cell[hi - n : hi]) / n)
-                for cid, n, hi in zip(ids, sizes, np.cumsum(sizes).tolist())}
-    return P, float(np.mean(sq)), per_cell
+    per_cell = sorted((ids[j], float(np.add.reduce(by_cell[lo:hi]) / (hi - lo)))
+                      for j, lo, hi in zip(at[bounds[:-1]].tolist(), bounds.tolist(), bounds[1:].tolist()))
+    return P, float(np.mean(sq)), dict(per_cell)
 
 
 def fit(
@@ -241,7 +233,7 @@ def save(model: SphereletModel, path: str) -> None:
         "fitter": model.fitter,
         "provenance": model.provenance,
         "tree": _tree_to_obj(model.tree),
-        "leaves": _pieces_to_obj(model.pieces, [leaf.cell_id for leaf in iter_leaves(model.tree)]),
+        "leaves": _pieces_to_obj(model.pieces, model._cell_ids()),
     }
     try:
         text = json.dumps(obj, allow_nan=False)  # json.dump would run the pure-Python encoder

@@ -16,11 +16,13 @@ below ``n_min`` is rejected. Leaves are numbered depth-first once the
 tree's shape is known, and their pieces gathered into one
 ``spca.PieceTable`` whose row j is the piece of leaf j.
 
-Routing moves a whole batch down the tree a level at a time, every row
-one step per level, over arrays of the split means, directions and
-children. Growth, batch routing and the one-point ``route`` all score a
-row by the same column-order sum ``row_dots(x - mu, direction)``, so a
-row's leaf does not depend on the batch it is routed in.
+Routing (``leaf_index``) moves a whole batch down the tree a level at a
+time, every row one step per level, over arrays of the split means,
+directions and children, and gives each row its leaf's depth-first
+number: the row of its piece in the table. Growth, batch routing and the
+one-point ``route`` all score a row by the same column-order sum
+``row_dots(x - mu, direction)``, so a row's leaf does not depend on the
+batch it is routed in.
 """
 
 from __future__ import annotations
@@ -175,12 +177,12 @@ def _split_arrays(tree: PartitionNode) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.array(mu), np.array(direction), np.array(child, dtype=np.intp), leaves, root[0]
 
 
-def leaf_rows(X: np.ndarray, tree: PartitionNode):
-    """(j, leaf, increasing row indices) for each leaf that receives rows of
-    X, the j-th in depth-first leaf order. All rows move down the tree
-    together, one level per step, each by the sign test of its split."""
-    mu, direction, child, leaves, root = _split_arrays(tree)
-    leaf = np.full(X.shape[0], root)  # each row's code, a leaf's once it reaches one
+def leaf_index(X: np.ndarray, tree: PartitionNode) -> np.ndarray:
+    """Each row's leaf (n,), numbered depth-first: the row of its piece in
+    the model's table. All rows move down the tree together, one level per
+    step, each by the sign test of its split."""
+    mu, direction, child, _, root = _split_arrays(tree)
+    leaf = np.full(X.shape[0], root, dtype=np.intp)  # each row's code, a leaf's once it reaches one
     rows, at, x = np.arange(X.shape[0]), leaf.copy(), X  # the rows still moving, their splits
     while root >= 0 and rows.size:
         left = _goes_left(x, mu.take(at, axis=0), direction.take(at, axis=0))
@@ -189,13 +191,7 @@ def leaf_rows(X: np.ndarray, tree: PartitionNode):
         if done.any():
             leaf[rows[done]] = at[done]
             rows, at, x = rows[~done], at[~done], x[~done]
-    # the narrowest dtype: NumPy's stable sort of 8- and 16-bit keys is a radix sort
-    leaf = (~leaf).astype(np.min_scalar_type(len(leaves) - 1))
-    order = np.argsort(leaf, kind="stable")
-    counts = np.bincount(leaf, minlength=len(leaves))
-    ends = np.cumsum(counts)
-    for j in np.flatnonzero(counts):
-        yield j, leaves[j], order[ends[j] - counts[j] : ends[j]]
+    return ~leaf
 
 
 def iter_leaves(tree: PartitionNode):

@@ -28,10 +28,13 @@ also give each row's squared residual to its set's piece, in closed form
 from the reduced coordinates the fit already holds, so a caller never
 projects the rows again to learn a piece's MSE.
 
-``fit_pieces`` gives its pieces as one ``PieceTable``, a row per set.
-``Spherelet`` and ``Hyperplane`` are plain records: each formula's one
-home is a module function (``project_sphere``, ``project_plane``,
-``sphere_residual_sq``) over the stacked kernels.
+``fit_pieces`` gives its pieces as one ``PieceTable``, a row per set,
+and ``project_pieces`` is the one projection onto a table's pieces: the
+model, denoising and embedding all project through it, a point at its
+sphere's center onto the piece's d-plane. ``Spherelet`` and
+``Hyperplane`` are plain records: each formula's one home is a module
+function (``project_sphere``, ``project_plane``, ``sphere_residual_sq``)
+over the stacked kernels.
 """
 
 from __future__ import annotations
@@ -229,6 +232,8 @@ def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
     is its out-of-plane part. The table's frames are min(d+1, D) wide."""
     if fitter not in ("spca", "pca"):
         raise ParameterError(f"fitter must be 'spca' or 'pca', got {fitter!r}")
+    if d < 0:
+        raise ParameterError(f"d must be >= 0, got {d}")
     X, starts, sizes = _segments(X, starts)
     m, D, w = sizes.size, X.shape[1], min(d, X.shape[1])
     sphere = (sizes >= d + 2) & (fitter == "spca" and d < D)
@@ -285,12 +290,6 @@ def project_plane(x: np.ndarray, p: Hyperplane) -> np.ndarray:
     if x.shape[-1] != p.mu.shape[0]:
         raise DimensionError(f"point dimension {x.shape[-1]} != plane dimension {p.mu.shape[0]}")
     return _plane_images(x, p.mu, p.frame)
-
-
-def project_planes(P: np.ndarray, mu: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Stacked ``project_plane``: the points P[i] (shape (m, q, D)) onto
-    the affine subspace mu[i] + span(frame[i])."""
-    return _plane_images(P, mu[:, None, :], frame)
 
 
 def _plane_images(x: np.ndarray, mu: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -483,23 +482,27 @@ def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
     return (in_norm - s.radius) ** 2 + perp_sq
 
 
-def project_spheres(P: np.ndarray, fits: SphereFits) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``project_sphere``: the points P[i] (shape (m, q, D)) onto
-    sphere i of ``fits``.
-
-    Returns (projections, ok). ``ok[i]`` is False when fit i is degenerate
-    or one of its points projects onto the center (where
-    ``project_sphere`` raises); such rows of the projections are NaN and
-    left to the caller's fallback.
-    """
-    ok = ~fits.degenerate
-    out = np.full(P.shape, np.nan)
-    images, regular = _sphere_images(P[ok], fits.center[ok][:, None, :],
-                                     fits.radius[ok][:, None], fits.frame[ok])
-    regular = regular.all(axis=1)
-    ok[ok] = regular
-    out[ok] = images[regular]
-    return out, ok
+def project_pieces(P: np.ndarray, pieces: PieceTable) -> tuple[np.ndarray, np.ndarray]:
+    """The images (m, q, D) of the points P[i] (m, q, D) on piece i of the
+    table, a plane anchored at its ``center``, and a mask (m, q) that is
+    False where a point projects onto its sphere's center: that point's
+    image is on the piece's d-plane mu + span(frame[:, :width-1]) instead.
+    One stacked kernel call per group of ``pieces.groups()``; a point's
+    image depends only on it and its piece."""
+    images, regular = np.empty(P.shape), np.ones(P.shape[:2], dtype=bool)
+    for sphere, width, rows in pieces.groups():
+        if rows.size == P.shape[0]:
+            rows = slice(None)  # one group: the table's own arrays, uncopied
+        x, a, F = P[rows], pieces.center[rows, None], pieces.frame[rows, :, :width]
+        if not sphere:
+            images[rows] = _plane_images(x, a, F)
+            continue
+        out, ok = _sphere_images(x, a, pieces.radius[rows, None], F)
+        if not ok.all():
+            i, j = np.nonzero(~ok)
+            out[i, j] = _plane_images(x[i, j, None], pieces.mu[rows][i, None], F[i, :, :-1])[:, 0]
+        images[rows], regular[rows] = out, ok
+    return images, regular
 
 
 def sphere_arcs(U: np.ndarray, W: np.ndarray, radius: float | np.ndarray) -> np.ndarray:

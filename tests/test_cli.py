@@ -113,6 +113,8 @@ def test_rate_subcommand(tmp_path):
     ["bench", "--dataset", "euler:ntrain=2.5"],
     ["bench", "--dataset", "euler:bogus=1"],
     ["rate", "--alpha-grid", "0.05,0.5", "--methods", "spca,bogus"],
+    ["bench", "--dataset", "circle:ntrain=-5"],
+    ["bench", "--dataset", "circle:ntest=-5"],
 ])
 def test_bench_and_rate_exit_usage_on_bad_input(tmp_path, capsys, argv):
     # a ValueError or OverflowError traceback, a count silently truncated,
@@ -412,6 +414,7 @@ def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):
     from collections import Counter
 
     from spherelets import model as model_mod
+    from spherelets import spca
     from spherelets.model import load
 
     data, model, out = tmp_path / "e.csv", tmp_path / "m.json", tmp_path / "p.csv"
@@ -424,16 +427,16 @@ def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):
     kinds = set(zip(fitted.pieces.sphere.tolist(), fitted.pieces.width.tolist()))
     capsys.readouterr()
     calls = Counter()
-    for name in ("leaf_rows", "_sphere_images", "_plane_images"):
-        def counting(*args, _name=name, _fn=getattr(model_mod, name)):
+    for module, name in ((model_mod, "leaf_index"), (spca, "_sphere_images"), (spca, "_plane_images")):
+        def counting(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(model_mod, name, counting)
+        monkeypatch.setattr(module, name, counting)
     assert run("project", "--model", str(model), "--input", str(data),
                "--out", str(out), "--report-mse") == EXIT_OK
     printed = capsys.readouterr().out.splitlines()
     assert len(per_cell) > 3
-    assert calls["leaf_rows"] == 1
+    assert calls["leaf_index"] == 1
     assert calls["_sphere_images"] + calls["_plane_images"] == len(kinds)
     assert printed == [f"overall_mse={overall:.17g}"] + [
         f"cell {cid}: mse={per_cell[cid]:.17g}" for cid in sorted(per_cell)]
@@ -453,7 +456,7 @@ def test_fit_prints_the_routed_train_mse(tmp_path, monkeypatch, capsys):
     with monkeypatch.context() as mp:
         def refuse(*args):
             raise AssertionError("fit routed its training rows")
-        mp.setattr(model_mod, "leaf_rows", refuse)
+        mp.setattr(model_mod, "leaf_index", refuse)
         assert run("fit", "--input", str(data), "--d", "2", "--eps", "1e-5",
                    "--out", str(model)) == EXIT_OK
     fitted = load(str(model))
@@ -475,12 +478,16 @@ def test_fit_prints_the_routed_train_mse(tmp_path, monkeypatch, capsys):
     ["generate", "--dataset", "euler", "--n", "50", "--noise", "nan"],
     ["generate", "--dataset", "sphere", "--n", "-3"],
     ["generate", "--dataset", "sphere", "--n", "0"],
+    ["fit", "--method", "pca", "--d", "-1", "--eps", "1e-3"],
+    ["denoise", "--method", "ltp", "--k", "10", "--d", "-1"],
+    ["denoise", "--method", "mbms", "--k", "10", "--d", "-1"],
 ], ids=["fit-eps-nan", "fit-eps-inf", "embed-lr-nan", "smbms-sigma-nan", "ltp-sigma-nan",
         "enneper-noise-nan", "enneper-param-max-nan", "spiral-noise-inf", "euler-noise-nan",
-        "n-negative", "n-zero"])
+        "n-negative", "n-zero", "pca-d-negative", "ltp-d-negative", "mbms-d-negative"])
 def test_exit_usage_on_non_finite_or_empty_parameter(tmp_path, capsys, argv):
     # each used to exit 0 with NaN, inf or unchanged output, exit 4, or end
-    # in a traceback: NaN passed checks written as x <= 0
+    # in a traceback: NaN passed checks written as x <= 0, and a negative
+    # d reached a NumPy shape error or projected onto the (D-1)-plane
     data, out, log = tmp_path / "x.csv", tmp_path / "out", tmp_path / "kl.csv"
     assert run("generate", "--dataset", "euler", "--n", "60", "--out", str(data)) == EXIT_OK
     capsys.readouterr()

@@ -72,6 +72,9 @@ def test_config_validation():
         DenoiseConfig(method="smbms", k=3, d=1)  # k < d+3
     with pytest.raises(ParameterError):
         DenoiseConfig(method="gbms", k=10, iters=0)
+    for method in ("ltp", "mbms"):  # once projected onto the (D-1)-plane
+        with pytest.raises(ParameterError, match="d must be >= 0"):
+            DenoiseConfig(method=method, k=10, d=-1)
     DenoiseConfig(method="gbms", k=2, d=1)  # blur-only carries no k >= d+3 bound
 
 
@@ -235,22 +238,22 @@ def test_stacked_pass_matches_looped_fits(method, seed_fallbacks):
     assert np.max(np.abs(out - expect)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("method,kernel", [("ltp", "stacked_pca"), ("smbms", "fit_spheres")])
-def test_pass_fits_every_support_in_one_call(monkeypatch, method, kernel):
+@pytest.mark.parametrize("method,fitter", [("ltp", "pca"), ("smbms", "spca")])
+def test_pass_fits_every_support_in_one_call(monkeypatch, method, fitter):
     X = _mixed_cloud()
     cfg = DenoiseConfig(method=method, k=9, sigma=1.0, iters=2, d=1)
     d2 = np.sum((X[knn_indices(X, cfg.k)] - X[:, None, :]) ** 2, axis=2)
     sizes = np.maximum(np.count_nonzero(d2 <= (SUPPORT_SIGMAS * cfg.sigma) ** 2, axis=1), cfg.d + 3)
     assert np.unique(sizes).size > 1  # guard: the supports differ in size
-    calls, real = [], getattr(denoise_mod, kernel)
+    calls, real = [], denoise_mod.fit_pieces
 
-    def counting(rows, starts, *args):
-        calls.append(len(starts))
-        return real(rows, starts, *args)
+    def counting(rows, starts, d, f):
+        calls.append((len(starts), d, f))
+        return real(rows, starts, d, f)
 
-    monkeypatch.setattr(denoise_mod, kernel, counting)
+    monkeypatch.setattr(denoise_mod, "fit_pieces", counting)
     denoise(X, cfg)
-    assert calls == [len(X)] * cfg.iters
+    assert calls == [(len(X), cfg.d, fitter)] * cfg.iters
 
 
 def test_local_fits_use_only_neighbors_within_support():

@@ -31,10 +31,11 @@ from spherelets.embed import (
 from spherelets.exceptions import ParameterError, SingularProjectionError
 from spherelets.numeric import knn_indices, seeded_gaussian, unit_scale
 from spherelets.spca import (
+    fit_pieces,
     fit_sphere,
     fit_spheres,
+    project_pieces,
     project_sphere,
-    project_spheres,
     sphere_arcs,
     sphere_distance,
 )
@@ -457,15 +458,15 @@ def test_spherical_distances_equal_the_formulas_they_replaced():
 
 def test_spherical_distances_fit_every_hood_in_one_call(monkeypatch):
     X = _mixed_cloud()
-    calls, real = [], embed_mod.fit_spheres
+    calls, real = [], embed_mod.fit_pieces
 
-    def counting(rows, starts, d):
-        calls.append((rows.shape, np.asarray(starts).tolist()))
-        return real(rows, starts, d)
+    def counting(rows, starts, d, fitter):
+        calls.append((rows.shape, np.asarray(starts).tolist(), fitter))
+        return real(rows, starts, d, fitter)
 
-    monkeypatch.setattr(embed_mod, "fit_spheres", counting)
+    monkeypatch.setattr(embed_mod, "fit_pieces", counting)
     spherical_knn_distances(X, 1, 9)
-    assert calls == [((len(X) * 9, 2), list(range(0, len(X) * 9, 9)))]
+    assert calls == [((len(X) * 9, 2), list(range(0, len(X) * 9, 9)), "spca")]
 
 
 def test_euclidean_distances_match_rowwise_loop():
@@ -492,10 +493,11 @@ def _dense_distances(X, d, k, mode):
     hoods = X[nbr]
     rows = np.linalg.norm(hoods - X[:, None, :], axis=2)
     if mode == "spherical":
-        fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
-        proj, ok = project_spheres(np.concatenate([X[:, None, :], hoods], axis=1), fits)
-        c = fits.center[ok][:, None, :]
-        rows[ok] = sphere_arcs(proj[ok, :1] - c, proj[ok, 1:] - c, fits.radius[ok][:, None])
+        pieces = fit_pieces(hoods.reshape(n * k, D), np.arange(0, n * k, k), d, "spca").pieces
+        proj, regular = project_pieces(np.concatenate([X[:, None, :], hoods], axis=1), pieces)
+        ok = pieces.sphere & regular.all(axis=1)
+        c = pieces.center[ok][:, None, :]
+        rows[ok] = sphere_arcs(proj[ok, :1] - c, proj[ok, 1:] - c, pieces.radius[ok][:, None])
     dist = np.full((n, n), np.inf)
     dist[np.arange(n)[:, None], nbr] = rows
     np.fill_diagonal(dist, np.inf)

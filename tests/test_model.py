@@ -406,8 +406,9 @@ def test_save_load_round_trip_exact_property(data, tmp_path_factory):
 def _per_leaf_projection(model, X):
     # the reference: each leaf's rows projected by its own piece, one 1 x D
     # stack at a time
-    P, pieces = np.empty_like(X), leaf_pieces(model)
-    for _, leaf, rows in partition.leaf_rows(X, model.tree):
+    P, pieces, at = np.empty_like(X), leaf_pieces(model), partition.leaf_index(X, model.tree)
+    for j, leaf in enumerate(iter_leaves(model.tree)):
+        rows = np.flatnonzero(at == j)
         P[rows] = project_piece(pieces[leaf.cell_id], X[rows][:, None, :])[:, 0]
     return P
 
@@ -589,9 +590,10 @@ def test_load_checks_valid_pieces_together(tmp_path):
 def test_train_mse_projects_leaf_members_as_routing_would():
     X = enneper(3000, 1.0, seed=6)
     model = fit(X, 2, 1e-5)
-    routed = [(leaf.cell_id, rows.tolist()) for _, leaf, rows in partition.leaf_rows(X, model.tree)]
+    at = partition.leaf_index(X, model.tree)
     # the members are the rows routing gives
-    assert routed == [(leaf.cell_id, leaf.member_indices.tolist()) for leaf in iter_leaves(model.tree)]
+    for j, leaf in enumerate(iter_leaves(model.tree)):
+        assert np.flatnonzero(at == j).tolist() == leaf.member_indices.tolist()
     overall, per_cell = model.train_mse(X)
     assert (overall, per_cell) == model.mse(X)
     assert len(per_cell) == model.n_pieces > 3

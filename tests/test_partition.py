@@ -18,7 +18,7 @@ from spherelets.partition import (
     build_tree,
     iter_leaves,
     _score,
-    leaf_rows,
+    leaf_index,
     route,
 )
 
@@ -41,16 +41,12 @@ def _depth(node):
 
 
 def route_many(X, tree):
-    """Cell id of each row of X from one ``leaf_rows`` pass, which must
-    hand each leaf its rows in increasing order and every row exactly once,
-    and number each leaf by its depth-first place."""
-    cells, leaves = np.full(X.shape[0], -1), list(iter_leaves(tree))
-    for j, leaf, rows in leaf_rows(X, tree):
-        assert leaves[j] is leaf
-        assert rows.size and np.all(np.diff(rows) > 0) and np.all(cells[rows] == -1)
-        cells[rows] = leaf.cell_id
-    assert np.all(cells >= 0)
-    return cells
+    """Cell id of each row of X from one ``leaf_index`` pass, which must
+    give every row the depth-first number of a leaf."""
+    at, leaves = leaf_index(X, tree), list(iter_leaves(tree))
+    assert at.shape == (X.shape[0],) and at.dtype == np.intp
+    assert np.all((0 <= at) & (at < len(leaves)))
+    return np.array([leaves[j].cell_id for j in at.tolist()], dtype=int)
 
 
 def test_split_cell_1d_signs():
@@ -208,7 +204,7 @@ def _split_means(node):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_route_many_equals_route_property(data):
-    # leaf_rows splits the rows as the one-point route sends them; integer
+    # leaf_index sends the rows where the one-point route sends them; integer
     # points on integer hyperplanes: many rows score exactly 0, and the
     # split means themselves are always included
     D = data.draw(st.integers(1, 3), label="D")

@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from spherelets.exceptions import (
     ParameterError,
     SingularProjectionError,
 )
+from spherelets.model import load
 from spherelets.spca import (
     Hyperplane,
     Spherelet,
@@ -30,15 +32,16 @@ from spherelets.spca import (
     fit_sphere,
     fit_spheres,
     optimal_offset,
+    project_pieces,
     project_plane,
-    project_planes,
     project_sphere,
-    project_spheres,
     sphere_distance,
     sphere_fit_loss,
     sphere_residual_sq,
     stacked_pca,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # -- hyperplane fit ----------------------------------------------------------
@@ -454,28 +457,54 @@ def test_fit_spheres_failed_solve_marks_only_its_row(monkeypatch):
         assert fits.radius[i] == clean.radius[i]
 
 
-def test_project_spheres_masks_point_at_center():
-    H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [5.0, 5.0], 2.0)])
-    fits = fit_spheres(*_ragged(H), 1)
+def test_project_pieces_matches_each_piece_and_one_row_calls():
+    # a sphere of width d + 1 = 2, a d-wide plane and a (d+1)-wide plane as
+    # files of earlier versions hold, in R^3, with 4 points for each row
+    pieces = load(str(DATA / "legacy_members_wide_plane.json")).pieces
+    kinds = sorted(zip(pieces.sphere.tolist(), pieces.width.tolist()))
+    assert kinds == [(False, 1), (False, 2), (True, 2)]
+    rng = np.random.default_rng(31)
+    table = pieces.take(rng.permutation(np.arange(12) % 3))
+    P = rng.uniform(-3, 3, size=(12, 4, 3))
+    images, regular = project_pieces(P, table)
+    assert images.shape == P.shape and regular.shape == (12, 4) and regular.all()
+    for i in range(12):
+        # each row is the call on that row alone, bit for bit
+        one, ok = project_pieces(P[i : i + 1], table.take([i]))
+        assert np.array_equal(one[0], images[i]) and ok.all()
+        assert np.allclose(images[i], project_piece(piece_record(table, i), P[i]), rtol=0, atol=1e-12)
+
+
+def test_project_pieces_point_at_center_lands_on_d_plane():
+    H = [_circle(12, [0.0, 0.0], 1.0), _circle(12, [5.0, 5.0], 2.0)]
+    pieces = fit_pieces(*_ragged(H), 1, "spca").pieces
     P = np.array([[[0.0, 0.0], [2.0, 0.0]], [[9.0, 5.0], [5.0, 3.0]]])
-    P[0, 0] = fits.center[0]
-    out, ok = project_spheres(P, fits)
-    assert ok.tolist() == [False, True]
-    s0, _ = fit_sphere(H[0], 1)
+    P[0, 0] = pieces.center[0]
+    images, regular = project_pieces(P, pieces)
+    assert regular.tolist() == [[False, True], [True, True]]
+    s0, s1 = piece_record(pieces, 0), piece_record(pieces, 1)
     with pytest.raises(SingularProjectionError):
         project_sphere(P[0], s0)
-    s1, _ = fit_sphere(H[1], 1)
-    assert _rel_close(out[1], project_sphere(P[1], s1))
-    assert np.allclose(out[1], [[7.0, 5.0], [5.0, 3.0]], atol=1e-10)
+    # the point at the center goes onto the piece's d-plane mu + span(frame[:, :1])
+    line = Hyperplane(mu=pieces.mu[0], frame=pieces.frame[0, :, :1])
+    assert np.allclose(images[0, 0], project_plane(P[0, 0], line), rtol=0, atol=1e-12)
+    one, ok = project_pieces(P[:1, :1], pieces.take([0]))
+    assert np.array_equal(one[0, 0], images[0, 0]) and not ok.any()
+    assert _rel_close(images[0, 1], project_sphere(P[0, 1], s0))
+    assert _rel_close(images[1], project_sphere(P[1], s1))
+    assert np.allclose(images[1], [[7.0, 5.0], [5.0, 3.0]], atol=1e-10)
 
 
-def test_project_spheres_degenerate_row_not_ok():
+def test_project_pieces_degenerate_fit_projects_onto_its_plane():
     t = np.linspace(0, 1, 12)
-    H = np.stack([np.column_stack([t, 2 * t]), _circle(12, [0.0, 0.0], 1.0)])
-    out, ok = project_spheres(np.array([[[0.5, 0.5]], [[3.0, 0.0]]]), fit_spheres(*_ragged(H), 1))
-    assert ok.tolist() == [False, True]
-    assert np.all(np.isnan(out[0]))
-    assert np.allclose(out[1], [[1.0, 0.0]], atol=1e-10)
+    H = [np.column_stack([t, 2 * t]), _circle(12, [0.0, 0.0], 1.0)]
+    pieces = fit_pieces(*_ragged(H), 1, "spca").pieces
+    assert pieces.sphere.tolist() == [False, True]
+    images, regular = project_pieces(np.array([[[0.5, 0.5]], [[3.0, 0.0]]]), pieces)
+    assert regular.all()
+    # the foot of (0.5, 0.5) on the line y = 2x through the collinear set
+    assert np.allclose(images[0], [[0.3, 0.6]], rtol=0, atol=1e-12)
+    assert np.allclose(images[1], [[1.0, 0.0]], atol=1e-10)
 
 
 def test_stacked_pca_matches_hyperplane_fit():
@@ -486,10 +515,6 @@ def test_stacked_pca_matches_hyperplane_fit():
         plane = fit_hyperplane(H[i], 1)
         assert np.array_equal(mu[i], plane.mu)
         assert np.array_equal(axes[i, :, :2], plane.frame)
-        P = rng.normal(size=(1, 4, 3))
-        expect = project_plane(P[0], plane)
-        got = project_planes(P, mu[i : i + 1], axes[i : i + 1, :, :2])[0]
-        assert np.allclose(got, expect, atol=1e-12)
 
 
 def test_fit_spheres_validation():
@@ -565,6 +590,9 @@ def test_fit_pieces_policy_per_set():
     assert planes.frame.shape == (2, 2, 2) and not planes.frame[:, :, 1].any()
     with pytest.raises(ParameterError):
         fit_pieces(circle, [0], 1, "svd")
+    for fitter in ("spca", "pca"):  # pca once ended in a NumPy shape error
+        with pytest.raises(ParameterError, match="d must be >= 0"):
+            fit_pieces(circle, [0], -1, fitter)
 
 
 @st.composite

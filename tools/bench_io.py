@@ -12,8 +12,9 @@ points, and prints the median and quartiles of the wall time
 - ``load_csv``: ``datasets.load_csv`` of the test CSV;
 - ``save``: ``model.save`` of the fitted model;
 - ``load``: ``model.load`` of that file;
-- ``leaf_rows``: ``partition.leaf_rows`` of the test points through the
-  loaded tree, the batch routing inside ``project_many``;
+- ``leaf_index``: ``partition.leaf_index`` of the test points through
+  the loaded tree, the batch routing inside ``project_many`` that gives
+  each row the row of its piece in the model's table;
 - ``project_many``: ``SphereletModel.project_many`` of the test points;
 - ``project_mse``: ``SphereletModel.project_mse`` of the test points,
   what ``project --report-mse`` computes;
@@ -76,7 +77,7 @@ def main() -> None:
             "load_csv": lambda: datasets.load_csv(test),
             "save": lambda: fitted.save(path),
             "load": lambda: model.load(path),
-            "leaf_rows": lambda: list(partition.leaf_rows(T, loaded.tree)),
+            "leaf_index": lambda: partition.leaf_index(T, loaded.tree),
             "project_many": lambda: loaded.project_many(T),
             "project_mse": lambda: loaded.project_mse(T),
             "train_mse": lambda: fitted.train_mse(X),
