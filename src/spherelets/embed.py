@@ -290,6 +290,20 @@ def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
     w_ij = w_ij^2 (1 + |y_i - y_j|^2), Z is the sum over i of the left
     factor times S_i. Every chunk is a view of one buffer, overwritten by
     the next (a fresh one would fault in its pages).
+
+    Rounding, with u the unit roundoff and gamma_k = k u / (1 - k u):
+    the Gram product q_ij = 1 + |y_i - y_j|^2 adds 2m + 4 rounded terms
+    of total size T_ij = 1 + |y_i|^2 + |y_j|^2 + 2 sum_c |y_ic y_jc|, so
+    each w_ij^2 is off by at most 2 gamma_{2m+4} T_ij / q_ij of itself;
+    S_i sums at most n terms, and the row is the difference
+    y_i S_i[m] - S_i[:m]. Entry c of row i is therefore within
+        sum_{j != i} w_ij^2 (2 gamma_{2m+4} (T_ij / q_ij) |y_ic - y_jc|
+                             + gamma_{n+4} (|y_ic| + |y_jc|))
+    of the exact sum, to first order in u. The second term does not
+    shrink with |y_i - y_j|: for two rows 1e-9 of |y| ~ 10 apart,
+    w^2 ~ 1 while their term is ~1e-8, so such a row carries this
+    absolute bound, not a relative one. Z sums positive terms and keeps
+    its relative accuracy.
     """
     n, m = Y.shape
     sq = np.einsum("ij,ij->i", Y, Y)

@@ -54,8 +54,9 @@ FORMAT_VERSION = 1
 # load() rejects a piece frame F with Frobenius |F'F - I| above this
 FRAME_TOL = 1e-9
 # _project_routed gathers each row's D x W frame from the piece table: at
-# most this many frame and row elements at once (8 MiB)
-PROJECT_BLOCK = 1 << 20
+# most this many frame and row elements at once (512 KiB), which holds a
+# block's gathered pieces and images in cache and below the fit's peak memory
+PROJECT_BLOCK = 1 << 16
 
 
 @dataclass

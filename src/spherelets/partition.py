@@ -8,21 +8,25 @@ R^D, so unseen points can be routed through the same tree.
 
 The tree grows a level at a time: one ragged ``spca.fit_pieces`` call
 fits every cell of a level and gives each row's squared residual to its
-cell's piece. A cell is split while its piece's MSE (one segment sum of
-those residuals) exceeds ``eps`` and it retains more than ``n_min``
-members, at the piece's mean along the fit's own first principal axis,
-by the same sign test that routes points; a split leaving either side
-below ``n_min`` is rejected. Leaves are numbered depth-first once the
-tree's shape is known, and their pieces gathered into one
-``spca.PieceTable`` whose row j is the piece of leaf j.
+cell's piece and its ``score``, its first reduced coordinate along the
+cell's first principal axis. A cell is split while its piece's MSE (one
+segment sum of those residuals) exceeds ``eps`` and it retains more than
+``n_min`` members, at the piece's mean along that axis, by the sign of
+the fit's own score, the same sign test that routes points; a split
+leaving either side below ``n_min`` is rejected. The next level's cells
+are the split cells' rows in one stable sort by (cell, side), so no row
+is scored twice. Leaves are numbered depth-first once the tree's shape
+is known, and their pieces gathered into one ``spca.PieceTable`` whose
+row j is the piece of leaf j.
 
 Routing (``leaf_index``) moves a whole batch down the tree a level at a
 time, every row one step per level, over arrays of the split means,
 directions and children, and gives each row its leaf's depth-first
 number: the row of its piece in the table. Growth, batch routing and the
 one-point ``route`` all score a row by the same column-order sum
-``row_dots(x - mu, direction)``, so a row's leaf does not depend on the
-batch it is routed in.
+(x_0 - mu_0) v_0 + (x_1 - mu_1) v_1 + ... at every D, so a training row
+routes to the leaf that holds it, and a row's leaf does not depend on
+the batch it is routed in.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterError
-from .numeric import NARROW_ROW, row_dots
 from .spca import PieceTable, fit_pieces
 
 
@@ -79,44 +82,46 @@ def build_tree(
     if X.shape[0] < n_min:
         raise ParameterError(f"n={X.shape[0]} is below n_min={n_min}")
 
-    # levels[t] holds the rows of the leaves of level t, the pieces and
-    # first axes of its cells, and for each cell the index j of its left
-    # child in level t + 1 (its right child is j + 1), or -1 for a leaf
-    levels, cells = [], [np.arange(X.shape[0])]
-    while cells:
-        sizes = np.array([rows.size for rows in cells])
+    # levels[t] holds the rows of the leaves of level t, cell i's from
+    # bounds[i] to bounds[i + 1], the pieces and first axes of its cells,
+    # and for each cell the index j of its left child in level t + 1 (its
+    # right child is j + 1), or -1 for a leaf
+    levels, index, sizes = [], np.arange(X.shape[0]), np.array([X.shape[0]])
+    while sizes.size:
         starts = np.cumsum(sizes) - sizes
-        rows = X.take(np.concatenate(cells), axis=0)
-        fits = fit_pieces(rows, starts, d, fitter)
+        fits = fit_pieces(X.take(index, axis=0), starts, d, fitter)
         mse = np.add.reduceat(fits.residual_sq, starts) / sizes
-        left = _goes_left(rows, np.repeat(fits.pieces.mu, sizes, axis=0), np.repeat(fits.axis, sizes, axis=0))
+        left = fits.score > 0.0  # the split's sign test, scored by the fit itself
         n_left = np.add.reduceat(left, starts, dtype=np.intp)
         split = (sizes > n_min) & (mse > eps) & (n_min <= n_left) & (n_left <= sizes - n_min)
-        levels.append((cells, fits.pieces, fits.axis, np.where(split, 2 * np.cumsum(split) - 2, -1)))
-        children = []
-        for i in np.flatnonzero(split):
-            side = left[starts[i] : starts[i] + sizes[i]]
-            children += [cells[i][side], cells[i][~side]]
-            cells[i] = None  # only a leaf keeps its rows
-        cells = children
+        parted = np.repeat(split, sizes)  # the rows of the split cells
+        bounds = np.concatenate(([0], np.cumsum(np.where(split, 0, sizes))))
+        levels.append((index[~parted], bounds.tolist(), fits.pieces, fits.axis,  # only leaves keep rows
+                       np.where(split, 2 * np.cumsum(split) - 2, -1).tolist()))
+        # the next level's cells: each split cell's left rows, then its
+        # right rows, each in their order
+        side = 2 * np.repeat(np.arange(sizes.size), sizes)[parted] + ~left[parted]
+        index = index[parted].take(np.argsort(side.astype(np.min_scalar_type(side.max(initial=0))),
+                                              kind="stable"))
+        sizes = np.column_stack([n_left, sizes - n_left])[split].ravel()
 
     order, stack = [], [(0, 0)]  # (level, cell) of each node, depth-first
     while stack:
         t, i = stack.pop()
         order.append((t, i))
-        j = levels[t][3][i]  # the left child's index in level t + 1
+        j = levels[t][4][i]  # the left child's index in level t + 1
         if j >= 0:
             stack += [(t + 1, j + 1), (t + 1, j)]
     # each leaf's row among the cells of all levels, by cell id
-    offset = np.cumsum([0] + [len(level[0]) for level in levels])
-    leaf_at = [offset[t] + i for t, i in order if levels[t][3][i] < 0]
-    pieces = PieceTable(*map(np.concatenate, zip(*(level[1] for level in levels)))).take(leaf_at)
+    offset = np.cumsum([0] + [len(level[4]) for level in levels])
+    leaf_at = [offset[t] + i for t, i in order if levels[t][4][i] < 0]
+    pieces = PieceTable(*map(np.concatenate, zip(*(level[2] for level in levels)))).take(leaf_at)
     built, cell_id = [], len(leaf_at)
     for t, i in reversed(order):  # children before parents, the right child first
-        cells, table, axis, child = levels[t]
+        rows, bounds, table, axis, child = levels[t]
         if child[i] < 0:
             cell_id -= 1
-            built.append(Leaf(cell_id=cell_id, member_indices=cells[i]))
+            built.append(Leaf(cell_id=cell_id, member_indices=rows[bounds[i] : bounds[i + 1]]))
         else:
             left, right = built.pop(), built.pop()
             built.append(Internal(rule=SplitRule(mu=table.mu[i], direction=axis[i]), left=left, right=right))
@@ -125,9 +130,16 @@ def build_tree(
 
 def _goes_left(X: np.ndarray, mu: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """The sign test of every row of X against its own split: a positive
-    centred score goes left. Elementwise, so a row's side does not depend
-    on the rows beside it."""
-    return row_dots(X - mu, direction) > 0.0
+    centred score goes left. The score is the column-order sum
+    (x_0 - mu_0) v_0 + (x_1 - mu_1) v_1 + ... at every D, the same products
+    and sums as the first reduced coordinate growth's fit gives its rows
+    (``spca.PieceFits.score``). Elementwise, so a row's side does not
+    depend on the rows beside it."""
+    A = X - mu
+    s = A[:, 0] * direction[:, 0]
+    for j in range(1, A.shape[1]):
+        s += A[:, j] * direction[:, j]
+    return s > 0.0
 
 
 def route(x: np.ndarray, tree: PartitionNode) -> int:
@@ -141,12 +153,9 @@ def route(x: np.ndarray, tree: PartitionNode) -> int:
 
 
 def _score(x: np.ndarray, rule: SplitRule) -> float:
-    """``row_dots(x - mu, direction)`` of one row x, bit for bit. A row
-    narrower than ``NARROW_ROW`` is summed a column at a time in Python
-    floats, the same IEEE products and sums as ``row_dots``' column loop
+    """The centred score of one row x that ``_goes_left`` tests, bit for
+    bit: the same IEEE products and column-order sums in Python floats,
     without NumPy's per-call cost on 0-d arrays."""
-    if not 0 < x.shape[-1] < NARROW_ROW:
-        return float(row_dots(x - rule.mu, rule.direction))
     a, b = (x - rule.mu).tolist(), rule.direction.tolist()
     s = a[0] * b[0]
     for j in range(1, len(a)):

@@ -15,18 +15,25 @@ f_hat = -H^{-1} xi with H the centered scatter and xi the correlation of
 squared norms with centered positions. The center is c = -f_hat / 2.
 
 ``fit_spheres`` and ``stacked_pca`` fit many point sets at once, each on
-its own: rows (N, D) cut at segment starts, every per-set sum a segment
-reduction (``np.add.reduceat``), the small eigenproblems and solves
-stacked. The rows are centred once for both, a scatter sums only its
-upper triangle, and row norms add one column at a time
-(``numeric.row_dots``). Reduced coordinates are column sums, each frame
-entry repeated to its set's rows, and condition numbers come from the
-scatters' eigenvalues: no per-row matrix product and no SVD.
+its own: rows (N, D) cut at segment starts, the small eigenproblems and
+solves stacked. The rows are centred once for both, into one contiguous
+(D, N) copy, and the reduced coordinates are (w, N) too: every per-set
+sum is a segment reduction (``np.add.reduceat``) along one contiguous
+coordinate row, the same sums, bit for bit, as over a strided column of
+(N, D) rows, and every per-set value broadcast to its rows is a 1-D
+``np.repeat``. A scatter sums only its upper triangle. Reduced
+coordinates are column-order sums, each frame entry repeated to its
+set's rows, and condition numbers come from the scatters' eigenvalues:
+no per-row matrix product and no SVD. Row norms are ``numeric.row_dots``'
+sums bit for bit: a coordinate at a time below ``NARROW_ROW``, NumPy's
+pairwise row sum of a row-major copy from there on.
 ``fit_sphere`` is the one-set case, and
 ``fit_pieces`` holds the model's sphere-or-plane policy. Both ragged fits
 also give each row's squared residual to its set's piece, in closed form
 from the reduced coordinates the fit already holds, so a caller never
-projects the rows again to learn a piece's MSE.
+projects the rows again to learn a piece's MSE, and each row's
+``score``, its first reduced coordinate: the sign test of a PC1 split of
+the set, which tree growth reads instead of scoring the rows again.
 
 ``fit_pieces`` gives its pieces as one ``PieceTable``, a row per set,
 and ``project_pieces`` is the one projection onto a table's pieces: the
@@ -51,7 +58,7 @@ from .exceptions import (
     ParameterError,
     SingularProjectionError,
 )
-from .numeric import eig_desc, row_dots
+from .numeric import NARROW_ROW, eig_desc, row_dots
 
 # Fall back to the hyperplane when the reduced scatter is this
 # ill-conditioned or the fitted radius dwarfs the data scale.
@@ -112,7 +119,13 @@ class SphereFits:
     out-of-plane part max(|x - x_bar|^2 - |z_d|^2, 0) for a degenerate set,
     z_d the first d coordinates of z, whose piece is the d-plane of its
     fit. It equals ``sphere_residual_sq`` of the set's ``fit_sphere`` up
-    to rounding.
+    to rounding. Row norms are ``row_dots``' sums: a column at a time
+    below ``numeric.NARROW_ROW`` coordinates, NumPy's pairwise row sum
+    from there on.
+
+    ``score`` (N,) is each input row's first reduced coordinate
+    V[:, 0]'(x - x_bar), summed over the D axes in column order at every
+    D: the centred score along the set's first principal axis.
     """
 
     mu: np.ndarray
@@ -122,6 +135,7 @@ class SphereFits:
     degenerate: np.ndarray
     h_condition: np.ndarray
     residual_sq: np.ndarray
+    score: np.ndarray
 
 
 class PieceTable(NamedTuple):
@@ -154,12 +168,16 @@ class PieceTable(NamedTuple):
 
 class PieceFits(NamedTuple):
     """The model pieces of m point sets (rows (N, D) cut at segment
-    starts), each set's first principal axis (m, D), and each row's
-    squared residual (N,) to its set's piece."""
+    starts), each set's first principal axis (m, D), each row's squared
+    residual (N,) to its set's piece, and each row's ``score`` (N,) along
+    its set's first axis: ``axis[i] @ (x - pieces.mu[i])`` summed
+    a0 x0 + a1 x1 + ... in column order, the sign test of the set's
+    PC1 split (``SphereFits.score``)."""
 
     pieces: PieceTable
     axis: np.ndarray
     residual_sq: np.ndarray
+    score: np.ndarray
 
 
 def _segments(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,26 +194,46 @@ def _segments(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _scatter_sums(A: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment sums of the outer products a_r a_r' (m, p, p). Column q
-    of the upper triangle is summed from the products of A's first q + 1
-    columns with column q, so that memory stays O(N p), and mirrored: the
-    products commute, so the lower triangle would sum to the same."""
-    p = A.shape[1]
+    """Per-segment sums of the outer products a a' (m, p, p) of the columns
+    a of A (p, N). Column q of the upper triangle is summed from the
+    products of A's first q + 1 rows with row q, so that memory stays
+    O(N p), and mirrored: the products commute, so the lower triangle
+    would sum to the same."""
+    p = A.shape[0]
     out = np.empty((starts.size, p, p))
     for q in range(p):
-        out[:, : q + 1, q] = np.add.reduceat(A[:, : q + 1] * A[:, q : q + 1], starts)
+        out[:, : q + 1, q] = np.add.reduceat(A[: q + 1] * A[q], starts, axis=1).T
         out[:, q, :q] = out[:, :q, q]
     return out
 
 
+def _less(A: np.ndarray, per_set: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """A (p, N) less, in place, each set's entry of ``per_set`` (p, m),
+    repeated to the set's columns by one 1-D ``np.repeat`` per row."""
+    for a, v in zip(A, per_set):
+        a -= np.repeat(v, sizes)
+    return A
+
+
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    """Squared norms (N,) of the columns of A (p, N): ``row_dots`` of the
+    rows of A.T, bit for bit. Narrow columns add one entry at a time from
+    A's own rows; NumPy's pairwise sum of a wide row reads it in memory
+    order, so wide columns are copied to rows first."""
+    R = A.T if A.shape[0] < NARROW_ROW else A.T.copy()
+    return row_dots(R, R)
+
+
 def _centred_pca(X: np.ndarray, starts: np.ndarray,
                  sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``stacked_pca`` of validated segments, and the centred rows."""
+    """``stacked_pca`` of validated segments, and the centred rows as one
+    contiguous (D, N) array, row c every row's centred coordinate c."""
     if np.any(sizes == 0):
         raise InsufficientDataError("a point set has no rows")
-    mu = np.add.reduceat(X, starts) / sizes[:, None]
-    Xc = X - np.repeat(mu, sizes, axis=0)
-    return mu, Xc, eig_desc(_scatter_sums(Xc, starts)).eigenvectors
+    XcT = X.T.copy()
+    mu = np.add.reduceat(XcT, starts, axis=1) / sizes
+    _less(XcT, mu, sizes)
+    return mu.T.copy(), XcT, eig_desc(_scatter_sums(XcT, starts)).eigenvectors
 
 
 def stacked_pca(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -208,18 +246,17 @@ def stacked_pca(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     return mu, axes
 
 
-def _reduced(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Reduced coordinates z = V_i'(x - x_bar) of centred rows Xc (N, D),
-    each row by the frame V_i (m, D, w) of its set. Coordinate j is the
-    column sum V_i[0, j] x_0 + V_i[1, j] x_1 + ... in that order, each
+def _reduced(XcT: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Reduced coordinates z = V_i'(x - x_bar) (w, N) of the centred rows
+    XcT (D, N), each by the frame V_i (m, D, w) of its set. Coordinate j
+    is the column-order sum V_i[0, j] x_0 + V_i[1, j] x_1 + ..., each
     frame entry repeated to its set's rows: elementwise, so a row's
     coordinates never depend on the rows batched with it."""
-    Z = np.empty((Xc.shape[0], V.shape[2]))
-    for j in range(V.shape[2]):
-        z = np.repeat(V[:, 0, j], sizes) * Xc[:, 0]
+    Z = np.empty((V.shape[2], XcT.shape[1]))
+    for j, z in enumerate(Z):
+        np.multiply(np.repeat(V[:, 0, j], sizes), XcT[0], out=z)
         for c in range(1, V.shape[1]):
-            z += np.repeat(V[:, c, j], sizes) * Xc[:, c]
-        Z[:, j] = z
+            z += np.repeat(V[:, c, j], sizes) * XcT[c]
     return Z
 
 
@@ -229,7 +266,9 @@ def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
     piece. Under ``spca`` a piece is the set's d-sphere; under ``pca``,
     for a set that cannot carry a d-sphere, or for one whose sphere fit
     degenerates, it is the min(d, D)-wide PCA plane, and a row's residual
-    is its out-of-plane part. The table's frames are min(d+1, D) wide."""
+    is its out-of-plane part. The table's frames are min(d+1, D) wide.
+    Each row's ``score`` is its first reduced coordinate, by its set's
+    first axis, which the PC1-sign split of the set tests."""
     if fitter not in ("spca", "pca"):
         raise ParameterError(f"fitter must be 'spca' or 'pca', got {fitter!r}")
     if d < 0:
@@ -238,24 +277,27 @@ def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
     m, D, w = sizes.size, X.shape[1], min(d, X.shape[1])
     sphere = (sizes >= d + 2) & (fitter == "spca" and d < D)
     # not views: split rules must not pin the fits' D x D axes
-    mu, first, residual_sq = np.empty((m, D)), np.empty((m, D)), np.empty(X.shape[0])
+    mu, first = np.empty((m, D)), np.empty((m, D))
+    residual_sq, score = np.empty(X.shape[0]), np.empty(X.shape[0])
     frame, center, radius = np.zeros((m, D, min(d + 1, D))), np.empty((m, D)), np.full(m, math.inf)
     if not sphere.all():  # each set is fitted only by the kernel its piece needs
         rows, sub_X, sub_starts, sub_sizes = _subsets(X, starts, sizes, ~sphere)
-        mu[~sphere], Xc, axes = _centred_pca(sub_X, sub_starts, sub_sizes)
+        mu[~sphere], XcT, axes = _centred_pca(sub_X, sub_starts, sub_sizes)
         first[~sphere], frame[~sphere, :, :w] = axes[:, :, 0], axes[:, :, :w]
-        Z = _reduced(Xc, axes[:, :, :w], sub_sizes)
-        residual_sq[rows] = np.maximum(row_dots(Xc, Xc) - row_dots(Z, Z), 0.0)  # out of plane
+        Z = _reduced(XcT, axes[:, :, : max(w, 1)], sub_sizes)  # a 0-wide plane's rows still need a score
+        score[rows] = Z[0]
+        residual_sq[rows] = np.maximum(_sq_norms(XcT) - _sq_norms(Z[:w]), 0.0)  # out of plane
     if sphere.any():
         rows, sub_X, sub_starts, _ = _subsets(X, starts, sizes, sphere)
         fits = fit_spheres(sub_X, sub_starts, d)
         mu[sphere], first[sphere], residual_sq[rows] = fits.mu, fits.frame[:, :, 0], fits.residual_sq
         frame[sphere], center[sphere], radius[sphere] = fits.frame, fits.center, fits.radius
+        score[rows] = fits.score
         sphere[sphere] = ~fits.degenerate  # a degenerate set's piece is the d-plane of its fit
         frame[~sphere, :, w:] = 0.0
     pieces = PieceTable(sphere=sphere, width=np.where(sphere, d + 1, w), mu=mu, frame=frame,
                         center=np.where(sphere[:, None], center, mu), radius=radius)
-    return PieceFits(pieces, first, residual_sq)
+    return PieceFits(pieces, first, residual_sq, score)
 
 
 def _subsets(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
@@ -351,15 +393,15 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
         raise InsufficientDataError(f"need at least {d + 2} points for a {d}-sphere, got {sizes.min()}")
     if d + 1 > X.shape[1]:
         raise DimensionError(f"frame width {d + 1} exceeds ambient dimension {X.shape[1]}")
-    mu, Xc, axes = _centred_pca(X, starts, sizes)
+    mu, XcT, axes = _centred_pca(X, starts, sizes)
     V = axes[:, :, : d + 1]
 
-    Z = _reduced(Xc, V, sizes)
-    Zc = Z - np.repeat(np.add.reduceat(Z, starts) / sizes[:, None], sizes, axis=0)
-    l = row_dots(Z, Z)
+    Z = _reduced(XcT, V, sizes)
+    Zc = _less(Z.copy(), np.add.reduceat(Z, starts, axis=1) / sizes, sizes)
+    l = _sq_norms(Z)
     lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
     Hs = _scatter_sums(Zc, starts)
-    xi = np.add.reduceat(Zc * lc[:, None], starts)[:, :, None]
+    xi = np.add.reduceat(Zc * lc, starts, axis=1).T[:, :, None]
 
     lam = np.abs(np.linalg.eigvalsh(Hs))  # |.|: a rounded scatter can be indefinite
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -367,7 +409,7 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
     # as np.linalg.cond: 0/0 of a singular scatter and an inf entry's NaN read inf
     h_cond[np.isnan(h_cond) & ~np.isnan(Hs).any(axis=(1, 2))] = math.inf
     # sqrt is monotone: the root of the largest square is the largest norm
-    xx = row_dots(Xc, Xc)
+    xx = _sq_norms(XcT)
     diameter = 2.0 * np.sqrt(np.maximum.reduceat(xx, starts))
     ok = np.isfinite(h_cond) & (h_cond <= H_CONDITION_LIMIT)
     Hs[~ok] = np.eye(d + 1)  # sets judged singular solve a dummy system
@@ -382,8 +424,7 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
                 ok[i] = False
     c_z = -0.5 * f_z[:, :, 0]
     center = mu + (V @ c_z[:, :, None])[:, :, 0]
-    Zr = Z - np.repeat(c_z, sizes, axis=0)
-    dist = np.sqrt(row_dots(Zr, Zr))
+    dist = np.sqrt(_sq_norms(_less(Z.copy(), c_z.T, sizes)))
     radius = np.add.reduceat(dist, starts) / sizes
     ok &= np.isfinite(radius) & (radius <= RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
     perp = np.maximum(xx - l, 0.0)  # |x - x_bar|^2 - |z|^2: out of the reduction plane
@@ -392,11 +433,10 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
     residual_sq += perp
     if not ok.all():  # a degenerate set's piece is the d-plane of its fit
         plane = np.repeat(~ok, sizes)
-        Zd = Z[plane, :d]
-        residual_sq[plane] = np.maximum(xx[plane] - row_dots(Zd, Zd), 0.0)
+        residual_sq[plane] = np.maximum(xx[plane] - _sq_norms(Z[:d, plane]), 0.0)
     return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
                       radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond,
-                      residual_sq=residual_sq)
+                      residual_sq=residual_sq, score=Z[0])
 
 
 def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFitDiagnostics]:

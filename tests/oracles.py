@@ -3,7 +3,9 @@
 Dense or checked forms of quantities the library computes another way:
 a dense KL divergence, a symmetric eigendecomposition that first checks
 symmetry, principal angles between subspaces, the stacked sphere fit by
-its earlier formulas and kernels, a row of a piece table as a
+its earlier formulas and kernels, the ragged fits on row-major (N, D)
+arrays as they were before the kernels took one (D, N) copy of the
+centred rows, a row of a piece table as a
 ``Spherelet`` or ``Hyperplane`` record, and the projection and squared
 residual of one such piece by the module function of its kind.
 No library path calls them, so they live with the tests.
@@ -85,6 +87,19 @@ def outer_sums(A: np.ndarray, B: np.ndarray, starts) -> np.ndarray:
     return np.stack([np.add.reduceat(A * b[:, None], starts) for b in B.T], axis=-1)
 
 
+def column_sums(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Reduced coordinates (N, w) of centred rows Xc (N, D), column j the
+    sum V[set, 0, j] Xc[:, 0] + V[set, 1, j] Xc[:, 1] + ... in that order,
+    each frame entry repeated to its set's rows."""
+    Z = np.empty((Xc.shape[0], V.shape[2]))
+    for j in range(V.shape[2]):
+        z = np.repeat(V[:, 0, j], sizes) * Xc[:, 0]
+        for c in range(1, V.shape[1]):
+            z += np.repeat(V[:, c, j], sizes) * Xc[:, c]
+        Z[:, j] = z
+    return Z
+
+
 def frame_products(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Reduced coordinates of centred rows Xc (N, D) by one 1 x D by D x w
     matrix product per row, with each set's frame V (m, D, w) repeated to
@@ -99,7 +114,8 @@ def reference_fit_spheres(X: np.ndarray, starts, d: int, reduced=frame_products,
     ``reduced(Xc, V, sizes)`` gives the reduced coordinates and
     ``condition(Hs)`` the reduced scatters' condition numbers; by default
     the per-row BLAS products and the SVD of ``np.linalg.cond``. No
-    per-row residuals: ``residual_sq`` is None."""
+    per-row residuals: ``residual_sq`` is None; ``score`` is the first
+    reduced coordinate."""
     starts = np.asarray(starts)
     sizes = np.diff(starts, append=X.shape[0])
     mu = np.add.reduceat(X, starts) / sizes[:, None]
@@ -123,7 +139,90 @@ def reference_fit_spheres(X: np.ndarray, starts, d: int, reduced=frame_products,
     ok &= np.isfinite(radius) & (radius <= spca.RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
     return spca.SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
                            radius=np.where(ok, radius, np.inf), degenerate=~ok, h_condition=h_cond,
-                           residual_sq=None)
+                           residual_sq=None, score=Z[:, 0])
+
+
+def _row_major_scatter_sums(A: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-segment sums of the outer products of the rows of A (N, p),
+    upper triangle column by column over strided columns, mirrored."""
+    p = A.shape[1]
+    out = np.empty((starts.size, p, p))
+    for q in range(p):
+        out[:, : q + 1, q] = np.add.reduceat(A[:, : q + 1] * A[:, q : q + 1], starts)
+        out[:, q, :q] = out[:, :q, q]
+    return out
+
+
+def _row_major_pca(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+    """Means, centred rows (N, D) and scatter eigenvectors of the sets."""
+    mu = np.add.reduceat(X, starts) / sizes[:, None]
+    Xc = X - np.repeat(mu, sizes, axis=0)
+    return mu, Xc, eig_desc(_row_major_scatter_sums(Xc, starts)).eigenvectors
+
+
+def row_major_fit_spheres(X: np.ndarray, starts, d: int) -> spca.SphereFits:
+    """``spca.fit_spheres`` on row-major arrays: every per-set sum a 2-D
+    segment sum over strided columns, every broadcast a 2-D repeat, and
+    row norms by ``row_dots`` of the (N, p) rows."""
+    X, starts, sizes = spca._segments(X, starts)
+    mu, Xc, axes = _row_major_pca(X, starts, sizes)
+    V = axes[:, :, : d + 1]
+    Z = column_sums(Xc, V, sizes)
+    Zc = Z - np.repeat(np.add.reduceat(Z, starts) / sizes[:, None], sizes, axis=0)
+    l = row_dots(Z, Z)
+    lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
+    Hs = _row_major_scatter_sums(Zc, starts)
+    xi = np.add.reduceat(Zc * lc[:, None], starts)[:, :, None]
+    lam = np.abs(np.linalg.eigvalsh(Hs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_cond = lam.max(axis=1) / lam.min(axis=1)
+    h_cond[np.isnan(h_cond) & ~np.isnan(Hs).any(axis=(1, 2))] = math.inf
+    xx = row_dots(Xc, Xc)
+    diameter = 2.0 * np.sqrt(np.maximum.reduceat(xx, starts))
+    ok = np.isfinite(h_cond) & (h_cond <= spca.H_CONDITION_LIMIT)
+    Hs[~ok] = np.eye(d + 1)
+    c_z = 0.5 * np.linalg.solve(Hs, xi)[:, :, 0]
+    center = mu + (V @ c_z[:, :, None])[:, :, 0]
+    Zr = Z - np.repeat(c_z, sizes, axis=0)
+    dist = np.sqrt(row_dots(Zr, Zr))
+    radius = np.add.reduceat(dist, starts) / sizes
+    ok &= np.isfinite(radius) & (radius <= spca.RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
+    residual_sq = (dist - np.repeat(np.where(ok, radius, 0.0), sizes)) ** 2 + np.maximum(xx - l, 0.0)
+    plane = np.repeat(~ok, sizes)
+    Zd = Z[plane, :d]
+    residual_sq[plane] = np.maximum(xx[plane] - row_dots(Zd, Zd), 0.0)
+    return spca.SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
+                           radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond,
+                           residual_sq=residual_sq, score=Z[:, 0])
+
+
+def row_major_fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> spca.PieceFits:
+    """``spca.fit_pieces`` on row-major arrays, by ``row_major_fit_spheres``
+    and the plane residuals' ``row_dots`` of (N, p) rows."""
+    X, starts, sizes = spca._segments(X, starts)
+    m, D, w = sizes.size, X.shape[1], min(d, X.shape[1])
+    sphere = (sizes >= d + 2) & (fitter == "spca" and d < D)
+    mu, first = np.empty((m, D)), np.empty((m, D))
+    residual_sq, score = np.empty(X.shape[0]), np.empty(X.shape[0])
+    frame, center, radius = np.zeros((m, D, min(d + 1, D))), np.empty((m, D)), np.full(m, math.inf)
+    if not sphere.all():
+        rows, sub_X, sub_starts, sub_sizes = spca._subsets(X, starts, sizes, ~sphere)
+        mu[~sphere], Xc, axes = _row_major_pca(sub_X, sub_starts, sub_sizes)
+        first[~sphere], frame[~sphere, :, :w] = axes[:, :, 0], axes[:, :, :w]
+        Z = column_sums(Xc, axes[:, :, : max(w, 1)], sub_sizes)
+        score[rows], Zw = Z[:, 0], Z[:, :w].copy()
+        residual_sq[rows] = np.maximum(row_dots(Xc, Xc) - row_dots(Zw, Zw), 0.0)
+    if sphere.any():
+        rows, sub_X, sub_starts, _ = spca._subsets(X, starts, sizes, sphere)
+        fits = row_major_fit_spheres(sub_X, sub_starts, d)
+        mu[sphere], first[sphere], residual_sq[rows] = fits.mu, fits.frame[:, :, 0], fits.residual_sq
+        frame[sphere], center[sphere], radius[sphere] = fits.frame, fits.center, fits.radius
+        score[rows] = fits.score
+        sphere[sphere] = ~fits.degenerate
+        frame[~sphere, :, w:] = 0.0
+    pieces = spca.PieceTable(sphere=sphere, width=np.where(sphere, d + 1, w), mu=mu, frame=frame,
+                             center=np.where(sphere[:, None], center, mu), radius=radius)
+    return spca.PieceFits(pieces, first, residual_sq, score)
 
 
 def piece_record(pieces, j: int):

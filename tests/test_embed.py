@@ -622,13 +622,39 @@ def test_kl_kernel_matches_dense_oracle(monkeypatch, block):
                 assert abs(kl_objective(form, Y) - kl) <= 1e-12 * kl
 
 
-def _dense_repulsion(Y):
-    """Z and the rows sum_j w_ij^2 (y_i - y_j) from every ordered pair's
-    difference."""
+def _dense_z(Y):
+    """Z = sum_{i != j} w_ij from every ordered pair's difference."""
     diff = Y[:, None, :] - Y[None, :, :]
     W = 1.0 / (1.0 + np.sum(diff * diff, axis=2))
     np.fill_diagonal(W, 0.0)
-    return W.sum(), np.einsum("ij,ijc->ic", W * W, diff)
+    return W.sum()
+
+
+def _gamma(k, eps):
+    """k u / (1 - k u), u = eps / 2 the unit roundoff."""
+    return k * eps / 2 / (1 - k * eps / 2)
+
+
+def _repulsion_rows_within_bound(Y, rep):
+    """Whether each entry of ``_repulsion``'s rows is within the bound its
+    docstring states of the rows by direct differences in np.longdouble,
+    widened by that oracle's own rounding: the sum of n terms, each a
+    square of 1 + m + 1 rounded parts times a rounded difference."""
+    n, m = Y.shape
+    L = Y.astype(np.longdouble)
+    diff = L[:, None, :] - L[None, :, :]
+    W = 1 / (1 + np.sum(diff * diff, axis=2))
+    np.fill_diagonal(W, 0)
+    W2 = W * W
+    exact = np.sum(W2[:, :, None] * diff, axis=1)
+    A, W2, gap = np.abs(Y), W2.astype(float), np.abs(diff).astype(float)
+    T = 1 + np.sum(Y * Y, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :] + 2 * (A @ A.T)
+    q = 1 + np.sum(gap * gap, axis=2)
+    eps, eps_ld = np.finfo(float).eps, float(np.finfo(np.longdouble).eps)
+    bound = np.einsum("ij,ijc->ic", W2 * (2 * _gamma(2 * m + 4, eps) * T / q), gap)
+    bound += _gamma(n + 4, eps) * np.einsum("ij,ijc->ic", W2, A[:, None, :] + A[None, :, :])
+    bound += _gamma(n + 2 * m + 8, eps_ld) * np.einsum("ij,ijc->ic", W2, gap)
+    return np.abs(rep - exact).astype(float) <= bound
 
 
 @settings(max_examples=80, deadline=None)
@@ -647,17 +673,21 @@ def _dense_repulsion(Y):
 # 150 pairs of rows at |y| ~ 10, 1e-9 of their size apart: rounding puts the
 # Gram form of some of their 1 + |y_i - y_j|^2 below 1
 @example(n=300, m=2, block=None, log_scale=1.0, seed=4, twins=True)
+# a twin pair and one far row: the rows differ from the dense formula by
+# 6.6e-12 of the largest, within the stated absolute bound
+@example(n=3, m=1, block=1, log_scale=1.0, seed=3, twins=True)
 def test_repulsion_matches_dense_formula(n, m, block, log_scale, seed, twins):
     # block None: one block holds every pair; twins: each odd row is the even
-    # row before it, moved by 1e-9 of its size
+    # row before it, moved by 1e-9 of its size. Z keeps 1e-12 relative; the
+    # rows cancel in the Gram form, so they are held to its rounding bound
     Y = np.random.default_rng(seed).normal(0.0, 10.0**log_scale, size=(n, m))
     if twins:
         Y[1::2] = Y[: n // 2 * 2 : 2] * (1.0 + 1e-9)
     with mock.patch.object(embed_mod, "REPULSION_BLOCK", n * n + 1 if block is None else block):
         Z, rep = embed_mod._repulsion(Y)
-    Z_dense, rep_dense = _dense_repulsion(Y)
+    Z_dense = _dense_z(Y)
     assert abs(Z - Z_dense) <= 1e-12 * Z_dense
-    assert _rel(rep, rep_dense) <= 1e-12
+    assert _repulsion_rows_within_bound(Y, rep).all()
 
 
 def test_kl_gradient_reads_a_symmetric_p_once_per_pair():

@@ -9,7 +9,7 @@ from oracles import piece_record, piece_residual_sq, sym_eig
 from spherelets.datasets import enneper, euler_spiral, sphere_sample
 from spherelets.exceptions import ParameterError
 from spherelets.model import fit
-from spherelets.numeric import row_dots
+from spherelets.numeric import NARROW_ROW, row_dots
 from spherelets.spca import fit_pieces
 from spherelets.partition import (
     Internal,
@@ -17,6 +17,7 @@ from spherelets.partition import (
     SplitRule,
     build_tree,
     iter_leaves,
+    _goes_left,
     _score,
     leaf_index,
     route,
@@ -239,6 +240,42 @@ def test_training_rows_route_to_their_leaf_property(data):
         assert np.all(cells[leaf.member_indices] == leaf.cell_id)
 
 
+@st.composite
+def _grown_sets(draw):
+    """Rows for a grown tree in R^D, D = 1-16: a cloud longest along its
+    first axis and symmetric under flipping that axis and under -x, whose
+    scatter has that axis as an exact eigenvector, with rows on the root
+    split's hyperplane (first coordinate 0), all turned by a random
+    rotation and moved: those rows score a rounding error of either sign."""
+    D = draw(st.integers(1, 16), label="D")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    Y = rng.normal(size=(draw(st.integers(4, 30), label="k"), D))
+    Y[:, 0] *= 4.0
+    W = rng.normal(size=(draw(st.integers(0, 30), label="on_split"), D))
+    W[:, 0] = 0.0
+    flip = np.ones(D)
+    flip[0] = -1.0
+    Q = np.linalg.qr(rng.normal(size=(D, D)))[0]
+    return np.vstack([Y, Y * flip, -Y, -Y * flip, W, -W]) @ Q.T + rng.uniform(-10, 10, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=_grown_sets(), d=st.integers(0, 2), fitter=st.sampled_from(["spca", "pca"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_grown_tree_routes_each_training_row_to_its_leaf_property(X, d, fitter, seed):
+    # growth splits a cell by the signs of its fit's own scores; leaf_index
+    # and the one-point route score those rows by the same sums at every
+    # D, so each training row reaches the leaf whose members hold it
+    tree, _ = build_tree(X, d, 1e-12, d + 3, fitter)
+    leaves = _leaf_list(tree)
+    owner = np.full(X.shape[0], -1)
+    for j, leaf in enumerate(leaves):
+        owner[leaf.member_indices] = j
+    assert np.array_equal(leaf_index(X, tree), owner)
+    sample = np.random.default_rng(seed).choice(X.shape[0], size=min(X.shape[0], 20), replace=False)
+    assert [route(X[i], tree) for i in sample] == [leaves[owner[i]].cell_id for i in sample]
+
+
 def test_route_many_matches_route_on_fitted_tree():
     X = euler_spiral(800, 2.0, seed=5).points
     tree, _ = build_tree(X, 1, 1e-8, 10, "spca")
@@ -355,14 +392,20 @@ def test_route_is_batch_independent_on_split_hyperplanes(D):
 
 @pytest.mark.parametrize("D", range(1, 17))
 def test_one_row_score_is_row_dots_bit_for_bit(D):
-    # route scores one row in Python floats below NARROW_ROW; its scores
-    # are the ones row_dots gives the same rows inside a batch
+    # route scores one row in Python floats: its scores are the ones the
+    # fit that grew the split gives the same rows (the column-order sum at
+    # every D), and below NARROW_ROW also the ones row_dots gives them
     rng = np.random.default_rng(D)
     X = rng.normal(size=(500, D)) * 10.0 ** rng.integers(-8, 9, size=(500, 1))
-    rule = SplitRule(mu=rng.normal(size=D), direction=rng.normal(size=D))
-    expect = row_dots(X - rule.mu, rule.direction)
+    fits = fit_pieces(X, [0], 0, "pca")
+    rule = SplitRule(mu=fits.pieces.mu[0], direction=fits.axis[0])
     got = np.array([_score(x, rule) for x in X])
-    assert got.tobytes() == expect.tobytes()
+    assert got.tobytes() == fits.score.tobytes()
+    column_order = functools.reduce(np.add, ((X[:, j] - rule.mu[j]) * rule.direction[j] for j in range(D)))
+    assert got.tobytes() == column_order.tobytes()
+    assert np.array_equal(got > 0.0, _goes_left(X, rule.mu[None], rule.direction[None]))
+    if D < NARROW_ROW:
+        assert got.tobytes() == row_dots(X - rule.mu, rule.direction).tobytes()
 
 
 @pytest.mark.parametrize("D", [3, 10])

@@ -1,18 +1,21 @@
-import functools
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    column_sums,
     outer_sums,
     piece_record,
     piece_residual_sq,
     principal_angles,
     project_piece,
     reference_fit_spheres,
+    row_major_fit_pieces,
+    row_major_fit_spheres,
     sym_eig,
 )
 from spherelets import spca
@@ -566,7 +569,8 @@ def test_fit_pieces_policy_per_set():
     t = np.linspace(0, 1, 12)
     circle, line = _circle(12, [0.0, 0.0], 1.0), np.column_stack([t, 2 * t])
     short = np.array([[0.0, 1.0], [1.0, 1.0]])
-    pieces, axes, _ = fit_pieces(*_ragged([circle, short, line]), 1, "spca")
+    X, starts = _ragged([circle, short, line])
+    pieces, axes, _, score = fit_pieces(X, starts, 1, "spca")
     assert pieces.sphere.tolist() == [True, False, False] and pieces.width.tolist() == [2, 1, 1]
     assert isinstance(piece_record(pieces, 0), Spherelet)
     assert np.allclose(pieces.center[0], 0.0, atol=1e-12) and np.isclose(pieces.radius[0], 1.0)
@@ -581,10 +585,11 @@ def test_fit_pieces_policy_per_set():
         assert np.array_equal(pieces.center[i], pieces.mu[i]) and pieces.radius[i] == np.inf
     assert np.allclose(np.abs(axes[1]), [1.0, 0.0]) and np.allclose(axes[2], [1, 2] / np.sqrt(5))
     for i, S in enumerate([circle, short, line]):
-        alone, axis, _ = fit_pieces(S, [0], 1, "spca")
+        alone, axis, _, one = fit_pieces(S, [0], 1, "spca")
         for a, b in zip(alone, pieces.take([i])):
             assert np.array_equal(a, b)
         assert np.array_equal(axis[0], axes[i])
+        assert np.array_equal(one, score[starts[i] : starts[i] + len(S)])
     planes = fit_pieces(*_ragged([circle, line]), 1, "pca").pieces
     assert not planes.sphere.any() and planes.width.tolist() == [1, 1]
     assert planes.frame.shape == (2, 2, 2) and not planes.frame[:, :, 1].any()
@@ -633,13 +638,6 @@ def test_ragged_rows_equal_single_set_calls_property(case):
 # -- the kernels against the formulas they replaced -------------------------
 
 
-def _column_sums(Xc, V, sizes):
-    """Reduced coordinates z_j = V[set, 0, j] Xc[:, 0] + V[set, 1, j] Xc[:, 1] + ..."""
-    return np.column_stack([functools.reduce(np.add, (np.repeat(V[:, c, j], sizes) * Xc[:, c]
-                                                      for c in range(V.shape[1])))
-                            for j in range(V.shape[2])])
-
-
 def _eigvalsh_condition(Hs):
     """max|lambda| / min|lambda|, inf where a NaN-free scatter gives NaN."""
     lam = np.abs(np.linalg.eigvalsh(Hs))
@@ -665,23 +663,45 @@ def _wide_ragged_sets(draw):
     return d, sets
 
 
+def _generic_sets(D, d, seed, sizes=(20, 9, 33)):
+    """A case of ``_wide_ragged_sets`` at a given D, for an @example."""
+    rng = np.random.default_rng(seed)
+    return d, [rng.uniform(-10, 10, D) + rng.uniform(1e-2, 1e2) * rng.normal(size=(k, D)) for k in sizes]
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=_wide_ragged_sets())
-def test_fit_kernels_equal_the_formulas_they_replaced_property(case):
+@given(case=_wide_ragged_sets(), fitter=st.sampled_from(["spca", "pca"]))
+@example(case=_generic_sets(8, 2, 8), fitter="spca")
+@example(case=_generic_sets(16, 3, 16), fitter="spca")
+@example(case=_generic_sets(64, 1, 64), fitter="spca")
+@example(case=_generic_sets(8, 0, 0), fitter="pca")  # a 0-wide plane, each row still scored
+def test_fit_kernels_equal_the_formulas_they_replaced_property(case, fitter):
     # rows narrower than numeric.NARROW_ROW add one column at a time, the
     # sums NumPy's reduction makes for them; wider rows take that
     # reduction, so every output is bit-equal at every D; the reduced
-    # coordinates and condition numbers are those of the current kernels
+    # coordinates and condition numbers are those of the current kernels.
+    # Against the row-major kernels the (D, N) layout replaced, every
+    # field is bit-equal, the per-row residuals and scores too
     d, sets = case
     X, starts = _ragged(sets)
     with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
         fits = fit_spheres(X, starts, d)
-        expect = reference_fit_spheres(X, starts, d, _column_sums, _eigvalsh_condition)
-    for field in ("mu", "frame", "center", "radius", "degenerate", "h_condition"):
+        expect = reference_fit_spheres(X, starts, d, column_sums, _eigvalsh_condition)
+        row_major = row_major_fit_spheres(X, starts, d)
+        pieces = fit_pieces(X, starts, d, fitter)
+        row_major_pieces = row_major_fit_pieces(X, starts, d, fitter)
+    for field in ("mu", "frame", "center", "radius", "degenerate", "h_condition", "score"):
         assert np.array_equal(getattr(fits, field), getattr(expect, field), equal_nan=True), field
+    for field in dataclasses.fields(fits):
+        got, old = getattr(fits, field.name), getattr(row_major, field.name)
+        assert np.array_equal(got, old, equal_nan=True), field.name
+    for got, old in zip(pieces.pieces, row_major_pieces.pieces):
+        assert np.array_equal(got, old, equal_nan=True)
+    for got, old in zip(pieces[1:], row_major_pieces[1:]):  # axis, residual_sq, score
+        assert np.array_equal(got, old, equal_nan=True)
     mu, axes = stacked_pca(X, starts)
     assert np.array_equal(mu, expect.mu) and np.array_equal(axes[:, :, : d + 1], expect.frame)
-    scatter = spca._scatter_sums(X, starts)
+    scatter = spca._scatter_sums(X.T.copy(), starts)
     assert np.array_equal(scatter, outer_sums(X, X, starts))
     assert np.array_equal(scatter, np.swapaxes(scatter, 1, 2))
 

@@ -22,8 +22,13 @@ points, and prints the median and quartiles of the wall time
   the fitted model, what ``fit`` prints (a loaded model has no training
   members);
 - ``save_csv``: ``datasets.save_csv`` of their projections;
+- ``fit_level``: ``spca.fit_pieces`` of one growth level over all the
+  train rows, the 2^6 cells at depth 6 of the fitted tree (d = 2);
 
-followed by the size of the model file in bytes.
+followed by the size of the model file in bytes, and then ``fit_D<D>``:
+``spca.fit_pieces`` (d = 2, so frames 3 wide) of 1000 sets of 20 normal
+rows in R^D, for D = 3, 8, 16 and 64, the kernel layer at widths no
+benchmark workload has.
 """
 
 from __future__ import annotations
@@ -42,9 +47,25 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spherelets import datasets, model, partition  # noqa: E402
+import numpy as np  # noqa: E402
+
+from spherelets import datasets, model, partition, spca  # noqa: E402
 
 N = 20_000
+LEVEL = 6
+SWEEP = (3, 8, 16, 64)
+
+
+def level_cells(tree, depth: int) -> list:
+    """The training rows of each node at this depth, or of a leaf above it."""
+    cells, nodes = [], [(tree, 0)]
+    while nodes:
+        node, t = nodes.pop()
+        if isinstance(node, partition.Leaf) or t == depth:
+            cells.append(np.concatenate([leaf.member_indices for leaf in partition.iter_leaves(node)]))
+        else:
+            nodes += [(node.right, t + 1), (node.left, t + 1)]
+    return cells
 
 
 def timed(fn, reps: int) -> tuple[float, float, float]:
@@ -72,6 +93,9 @@ def main() -> None:
         fitted.save(path)
         loaded = model.load(path)
         P = loaded.project_many(T)
+        cells = level_cells(fitted.tree, LEVEL)
+        sizes = np.array([rows.size for rows in cells])
+        level = (X.take(np.concatenate(cells), axis=0), np.cumsum(sizes) - sizes)
         steps = {
             "fit": lambda: model.fit(X, 2, 1e-5),
             "load_csv": lambda: datasets.load_csv(test),
@@ -82,12 +106,19 @@ def main() -> None:
             "project_mse": lambda: loaded.project_mse(T),
             "train_mse": lambda: fitted.train_mse(X),
             "save_csv": lambda: datasets.save_csv(P, out),
+            "fit_level": lambda: spca.fit_pieces(*level, 2, "spca"),
         }
         print(f"n={N} pieces={fitted.n_pieces}")
         for name, fn in steps.items():
             q1, med, q3 = timed(fn, args.reps)
             print(f"{name:12s} median {med:7.1f} ms [{q1:.1f}, {q3:.1f}]")
         print(f"model file {os.path.getsize(path)} bytes")
+    rng = np.random.default_rng(0)
+    for D in SWEEP:
+        rows = rng.normal(size=(1000 * 20, D))
+        q1, med, q3 = timed(lambda: spca.fit_pieces(rows, np.arange(0, rows.shape[0], 20), 2, "spca"),
+                            args.reps)
+        print(f"{'fit_D' + str(D):12s} median {med:7.1f} ms [{q1:.1f}, {q3:.1f}]")
 
 
 if __name__ == "__main__":
