@@ -404,9 +404,10 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
     xi = np.add.reduceat(Zc * lc, starts, axis=1).T[:, :, None]
 
     lam = np.abs(np.linalg.eigvalsh(Hs))  # |.|: a rounded scatter can be indefinite
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         h_cond = lam.max(axis=1) / lam.min(axis=1)
-    # as np.linalg.cond: 0/0 of a singular scatter and an inf entry's NaN read inf
+    # as np.linalg.cond: 0/0 of a singular scatter and an inf entry's NaN read
+    # inf, as does a ratio that overflows over a subnormal smallest eigenvalue
     h_cond[np.isnan(h_cond) & ~np.isnan(Hs).any(axis=(1, 2))] = math.inf
     # sqrt is monotone: the root of the largest square is the largest norm
     xx = _sq_norms(XcT)

@@ -750,6 +750,15 @@ def test_singular_scatter_reports_infinite_condition():
             assert diag.h_condition == np.inf and s.degenerate
 
 
+def test_subnormal_scatter_eigenvalue_reports_infinite_condition():
+    # five equal rows and one off them by a 1e-156 sliver: the smallest
+    # eigenvalue of the reduced scatter is subnormal, so max / min overflows;
+    # it reads inf without a warning, and the set degenerates
+    X = np.array([[0.0, 0.0, 0.0]] * 5 + [[0.0, 1.0, 3.0795619843072637e-156]])
+    fits = fit_spheres(X, np.array([0]), 1)
+    assert np.all(fits.h_condition == np.inf) and fits.degenerate.all()
+
+
 @pytest.mark.parametrize("factor", [0.99, 1.01])
 def test_condition_limit_cut_matches_svd_condition(factor):
     # a rhombus of semi-axes 1 and b has the reduced scatter diag(2, 2 b^2)
