@@ -188,8 +188,8 @@ def load_csv(path: str) -> np.ndarray:
     result is kept only when it is as wide as the first line and finite;
     otherwise ``_parse_lines`` parses the rows one cell at a time with
     ``float``, which also accepts ``1_000`` and non-ASCII digits, and names
-    the offending cell."""
-    with open(path, "r", encoding="utf-8") as fh:
+    the offending cell. A UTF-8 byte-order mark at the start is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     head, lines = _COMMENT_BLOCK.match(text).end(), text.split("\n")
     if text.find("#", head) < 0:

@@ -25,9 +25,14 @@ fitted to that strand's points. The support never shrinks below d + 3
 members, the least a local model needs; a point with fewer neighbors
 within reach is fitted to its d + 3 nearest.
 
-A pass fits all n supports in one ragged ``spca.fit_pieces`` call, their
-rows concatenated and cut at each support's start offset: the ``spca``
-fitter for the sphere methods, ``pca`` for the tangent-plane methods. It
+A pass finds the kNN of all n points at once, then works on blocks of
+consecutive points whose neighborhoods hold about ``PASS_BLOCK_ROWS``
+rows, so that its temporaries stay a few hundred KiB. It blurs each block
+into one (n, D) array, then fits each block's supports in one ragged
+``spca.fit_pieces`` call, their rows concatenated and cut at each
+support's start offset: the ``spca`` fitter for the sphere methods,
+``pca`` for the tangent-plane methods. A set's fit does not depend on the
+other sets in the call, so the blocks change no bit of the result. It
 projects each point onto its own piece by ``spca.project_pieces``. The
 fallback is per row: a point whose local sphere is degenerate, or which
 projects onto its sphere's center, lands on the top-d plane of the same
@@ -52,6 +57,10 @@ _MODEL_METHODS = ("ltp", "mbms", "smbms", "lsp")
 # A local model is fitted only to the neighbors within this many sigmas
 # of the point: the effective support of the blur kernel.
 SUPPORT_SIGMAS = 6.0
+
+# A pass works on blocks of points whose neighborhoods hold about this
+# many rows: its temporaries then stay within the cache.
+PASS_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -79,11 +88,11 @@ class DenoiseConfig:
             )
 
 
-def _hoods(X: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The neighborhoods X[nbr] (n, k, D) and their squared distances to
-    their points (n, k)."""
-    hoods = X.take(nbr, axis=0)
-    diff = hoods - X[:, None, :]
+def _hoods(X: np.ndarray, nbr: np.ndarray, block=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The neighborhoods X[nbr[block]] (b, k, D) of the points X[block]
+    and their squared distances to those points (b, k)."""
+    hoods = X.take(nbr[block], axis=0)
+    diff = hoods - X[block, None, :]
     return hoods, row_dots(diff, diff)
 
 
@@ -117,7 +126,10 @@ def denoise(
     point's neighborhood. The model methods fit their local plane or
     sphere only to the leading members of that neighborhood within
     ``SUPPORT_SIGMAS * cfg.sigma`` of the point, and never to fewer than
-    its ``cfg.d + 3`` nearest; the blur weighs all k.
+    its ``cfg.d + 3`` nearest; the blur weighs all k. After the kNN, a
+    pass blurs, fits and projects blocks of about ``PASS_BLOCK_ROWS``
+    neighborhood rows at a time; the result is the same bit for bit at
+    any block size.
 
     A point whose local sphere fit degenerates (or whose projection is
     singular) falls back to the local tangent plane; with
@@ -152,19 +164,32 @@ def denoise(
 
 
 def _pass(X: np.ndarray, cfg: DenoiseConfig, sigma: float) -> tuple[np.ndarray, int]:
-    nbr = knn_indices(X, cfg.k)
-    hoods, d2 = _hoods(X, nbr)
-    if cfg.method == "gbms":
-        return _blur(hoods, d2, sigma), 0
-
-    Y = _blur(hoods, d2, sigma) if cfg.method in ("mbms", "smbms") else X
-    # rows are ordered by distance, so each support is a leading block
+    n, k = X.shape[0], cfg.k
+    nbr = knn_indices(X, k)
+    step = max(1, PASS_BLOCK_ROWS // k)
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    blurs, fits = cfg.method in ("gbms", "mbms", "smbms"), cfg.method in _MODEL_METHODS
+    Y = np.empty_like(X) if blurs else X
+    sizes = np.empty(n, dtype=np.intp)
     reach = SUPPORT_SIGMAS * sigma
     reach *= reach  # saturates to inf where ``** 2`` raises OverflowError
-    sizes = np.maximum(np.count_nonzero(d2 <= reach, axis=1), cfg.d + 3)
-    support = Y.take(nbr[np.arange(cfg.k) < sizes[:, None]], axis=0)
+    for b in blocks:
+        hoods, d2 = _hoods(X, nbr, b)
+        if blurs:
+            Y[b] = _blur(hoods, d2, sigma)
+        if fits:  # rows are ordered by distance, so each support leads its row
+            sizes[b] = np.maximum(np.count_nonzero(d2 <= reach, axis=1), cfg.d + 3)
+    if not fits:
+        return Y, 0
+
     fitter = "spca" if cfg.method in _SPHERE_METHODS else "pca"
-    pieces = fit_pieces(support, np.cumsum(sizes) - sizes, cfg.d, fitter).pieces
-    out, regular = project_pieces(Y[:, None, :], pieces)
-    fallbacks = np.count_nonzero(~(pieces.sphere & regular[:, 0])) if fitter == "spca" else 0
-    return out[:, 0], int(fallbacks)
+    out, fallbacks = np.empty_like(X), 0
+    for b in blocks:
+        size = sizes[b]
+        support = Y.take(nbr[b][np.arange(k) < size[:, None]], axis=0)
+        pieces = fit_pieces(support, np.cumsum(size) - size, cfg.d, fitter).pieces
+        images, regular = project_pieces(Y[b, None, :], pieces)
+        out[b] = images[:, 0]
+        if fitter == "spca":
+            fallbacks += np.count_nonzero(~(pieces.sphere & regular[:, 0]))
+    return out, int(fallbacks)

@@ -201,6 +201,16 @@ def test_csv_header_detected(tmp_path):
     assert X.shape == (2, 2)
 
 
+def test_csv_byte_order_mark_is_not_a_header(tmp_path):
+    # a mark read as text makes the first cell "\ufeff1", no float, and
+    # the first data row would be taken for a header
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeff1,2\n3,4\n".encode("utf-8"))
+    assert load_csv(str(path)).tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+    path.write_bytes("\ufeffa,b\n1,2\n3,4\n".encode("utf-8"))
+    assert load_csv(str(path)).tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+
+
 def test_csv_comments_skipped(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("# provenance\n1,2\n3,4\n")

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,62 @@ def test_pass_fits_every_support_in_one_call(monkeypatch, method, fitter):
     monkeypatch.setattr(denoise_mod, "fit_pieces", counting)
     denoise(X, cfg)
     assert calls == [(len(X), cfg.d, fitter)] * cfg.iters
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_pass_blocks_change_no_bit(monkeypatch, method):
+    X = _mixed_cloud()
+    cfg = DenoiseConfig(method=method, k=9, sigma=1.0, iters=2, d=1)
+    results = []
+    for rows in (1, 9 * 10, 1 << 30):  # k = 9: blocks of 1 point, of 10 (not dividing n), of all
+        monkeypatch.setattr(denoise_mod, "PASS_BLOCK_ROWS", rows)
+        results.append(denoise(X, cfg, return_info=True))
+    (out, fallbacks), *others = results
+    assert fallbacks == (20 if method in ("smbms", "lsp") else 0)  # guard: fallbacks are exercised
+    for other, other_fallbacks in others:
+        assert other_fallbacks == fallbacks
+        assert np.array_equal(other, out)
+
+
+@pytest.mark.parametrize("method", ["ltp", "smbms"])
+def test_pass_fits_each_block_in_one_call(monkeypatch, method):
+    X = _mixed_cloud()
+    cfg = DenoiseConfig(method=method, k=9, sigma=1.0, iters=2, d=1)
+    calls, real = [], denoise_mod.fit_pieces
+
+    def recording(rows, starts, d, f):
+        calls.append((rows, starts))
+        return real(rows, starts, d, f)
+
+    monkeypatch.setattr(denoise_mod, "fit_pieces", recording)
+    denoise(X, cfg)
+    whole, calls[:] = calls[:], []  # the default block holds all the points
+    assert len(whole) == cfg.iters
+    monkeypatch.setattr(denoise_mod, "PASS_BLOCK_ROWS", 9 * 10)  # 10 points a block
+    denoise(X, cfg)
+    m = -(-len(X) // 10)
+    assert len(calls) == m * cfg.iters
+    for p, (rows, starts) in enumerate(whole):
+        blocks = calls[p * m : (p + 1) * m]
+        assert [len(s) for _, s in blocks] == [10] * (m - 1) + [len(X) - 10 * (m - 1)]
+        # the blocks' supports, in order, are the one call's supports
+        assert np.array_equal(np.vstack([r for r, _ in blocks]), rows)
+        offsets = np.cumsum([0] + [len(r) for r, _ in blocks[:-1]])
+        assert np.array_equal(np.concatenate([s + o for (_, s), o in zip(blocks, offsets)]), starts)
+
+
+def test_one_smbms_pass_peaks_below_8_mb():
+    # the pass's temporaries are block-sized: about 4 MB at its peak;
+    # all n * k neighborhood rows gathered at once peak at about 25 MB
+    X = noisy_spiral(4000, 0.2, seed=0).points
+    cfg = DenoiseConfig(method="smbms", k=36, sigma=1.0, d=1)
+    tracemalloc.start()
+    try:
+        denoise(X, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_local_fits_use_only_neighbors_within_support():
