@@ -188,6 +188,11 @@ def euclidean_knn_distances(X: np.ndarray, k: int) -> Pairs:
 
 
 def knn_distances(X: np.ndarray, d: int, k: int, mode: str = "spherical") -> Pairs:
+    """The pairs of ``spherical_knn_distances`` or ``euclidean_knn_distances``
+    by `mode`. The intrinsic dimension d must be >= 0 in both modes, though
+    only the spherical one fits d-spheres."""
+    if d < 0:
+        raise ParameterError(f"d must be >= 0, got {d}")
     if mode == "spherical":
         return spherical_knn_distances(X, d, k)
     if mode == "euclidean":

@@ -6,13 +6,15 @@ Everything here is a pure function of its arguments; results never alias
 their inputs, so values can be shared freely across threads.
 
 ``knn_indices`` is exact without computing all n^2 distances: it cuts the
-rows into k-d leaves, bounds each row's k-th distance by its k-th
-distance within its leaf, or within the leaf's parent cell when the leaf
-has fewer than k rows, plus a rounding slack, and computes each leaf's
-distances only to the rows inside the box those bounds span (~0.066 n^2
-of them on the 4000-point spiral of the ``denoise`` benchmark). It writes
-them a block of about ``KNN_BLOCK`` at a time into one workspace of two
-blocks, allocated per call and never held between calls.
+rows into k-d leaves, grown a level at a time, bounds each row's k-th
+distance by its k-th distance within its leaf, or within the leaf's
+parent cell (one block for both children) when the leaf has fewer than
+k rows, plus a rounding slack, and computes each leaf's distances only
+to the rows inside the box those bounds span (~0.066 n^2 of them on the
+4000-point spiral of the ``denoise`` benchmark). It writes them a block
+of about ``KNN_BLOCK`` at a time into one workspace of two blocks,
+allocated per call and never held between calls, and orders each row's
+k nearest with one sort.
 """
 
 from __future__ import annotations
@@ -166,27 +168,35 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     the row's distances, the row itself included.
 
     The rows are cut into k-d leaves of at most ``KNN_LEAF`` rows; a cell
-    splits only while each half keeps ceil(k/2) rows, so a leaf's parent
-    cell holds at least k. A row's k-th distance within its leaf (within
-    the parent cell when the leaf has fewer than k rows), plus a rounding
-    slack, bounds its k-th distance over all rows, as the k-th distance
-    within any k rows does. So a leaf's rows need only the candidates
-    inside its box: on each of the (at most ``NARROW_ROW`` - 1) axes along
-    which the rows spread widest, the extent of all its rows' bound balls.
-    Candidate distances are computed by the same expression as in a full
-    scan, so the result is the full scan's wherever BLAS gives a distance
-    the same value in every block shape (not guaranteed where rounding
-    decides the order). Leaves whose box holds every row, and input that
-    is not all finite, are scanned against every row; finite input is
-    scaled exactly by a power of two.
+    splits at the median of its widest axis, and only while each half
+    keeps ceil(k/2) rows, so a leaf's parent cell holds at least k. The
+    tree grows a level at a time: a level's cells differ in size by at
+    most one, so one row-wise argpartition splits them all. A row's k-th
+    distance within its leaf (within the parent cell when the leaf has
+    fewer than k rows; one block of the parent's rows serves both its
+    children), plus a rounding slack, bounds its k-th distance over all
+    rows, as the k-th distance within any k rows does. So a leaf's rows
+    need only the candidates inside its box: on each of the (at most
+    ``NARROW_ROW`` - 1) axes along which the rows spread widest, the
+    extent of all its rows' bound balls. Candidate distances are computed
+    by the same expression as in a full scan, so the result is the full
+    scan's wherever BLAS gives a distance the same value in every block
+    shape (not guaranteed where rounding decides the order). Leaves whose
+    box holds every row, and input that is not all finite, are scanned
+    against every row; finite input is scaled exactly by a power of two.
 
     Rows are processed in blocks of about ``KNN_BLOCK`` distances, each
     written in place into one workspace of two blocks, allocated per call
     at the size of the largest block so far, and the boxes of about
     ``KNN_BLOCK`` / n leaves are tested at once, so memory beyond the
-    (n, k) result is about that, never n x n. Each block selects with
-    argpartition; a row whose k-th distance is tied with an unselected
-    entry takes a stable argsort instead.
+    (n, k) result is about that, never n x n. Each block partitions a
+    copy of its squared distances for each row's k-th smallest, takes the
+    entries up to it, in index order, and orders them with one sort. That
+    sort need not be stable unless two selected distances are equal: a
+    block where some row has such a pair orders its rows by a stable sort
+    instead, so equal distances keep index order. A row whose k-th
+    distance ties an unselected one takes a stable argsort of all its
+    candidates.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -210,81 +220,150 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     m2 = np.max(pts.sq, initial=0.0)
     delta = np.sqrt(8.0 * (X.shape[1] + 2) * np.finfo(float).eps * m2)
     out = np.empty((n, k), dtype=np.intp)
-    everyone, scan = np.arange(n), []
-    leaves = _kd_leaves(X, k) if prune else []
-    if len(leaves) < 2:  # one leaf, or not all finite: every row is a candidate
-        leaves, scan = [], [everyone]
-    step = max(1, KNN_BLOCK // n)  # a box test of (leaves, n) holds about KNN_BLOCK
-    for lo in range(0, len(leaves), step):
-        group = leaves[lo : lo + step]
-        for (leaf, _), cand in zip(group, _box_rows(pts, group, k, 4.0 * delta)):
+    leaves, edges, bounds = _kd_leaves(X, k) if prune else (None, [0, n], [])
+    if len(edges) < 3:  # one leaf, or not all finite: every row is a candidate
+        _select(pts, np.arange(n), np.arange(n), k, out)
+        return out
+    radius = np.empty(n)
+    for rows, cell in bounds:
+        for sub, dist, _ in pts.blocks(rows, cell):
+            dist.partition(k - 1, axis=1)  # the block is scratch
+            radius[sub] = np.sqrt(dist[:, k - 1])
+    radius += 4.0 * delta
+    scan, step = [], max(1, KNN_BLOCK // n)  # a box test of (leaves, n) holds about KNN_BLOCK
+    for lo in range(0, len(edges) - 1, step):
+        hi = min(lo + step, len(edges) - 1)
+        rows, cut = leaves[edges[lo] : edges[hi]], edges[lo + 1 : hi] - edges[lo]
+        group = list(zip(np.split(rows, cut), _box_rows(pts.columns, rows, cut, radius)))
+        pts.reserve((leaf.size, cand.size) for leaf, cand in group if cand.size < n)
+        for leaf, cand in group:
             if cand.size < n:
                 _select(pts, leaf, cand, k, out)
             else:
                 scan.append(leaf)
     if scan:  # in full-width blocks, as without pruning
-        _select(pts, np.sort(np.concatenate(scan)), everyone, k, out)
+        _select(pts, np.sort(np.concatenate(scan)), np.arange(n), k, out)
     return out
 
 
-def _kd_leaves(X: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sorted row indices of X's k-d leaves, each with the cell that
-    bounds its rows' k-th distances: the leaf itself when it holds k rows,
-    else its parent. A cell of more than ``KNN_LEAF`` rows splits at the
-    median of its widest axis, unless a half would get fewer than
-    ceil(k/2) rows."""
-    leaves, cells = [], [(np.arange(X.shape[0]), None)]
-    while cells:
-        cell, parent = cells.pop()
-        half = cell.size // 2
-        if cell.size <= KNN_LEAF or 2 * half < k:
-            leaf = np.sort(cell)
-            leaves.append((leaf, leaf if leaf.size >= k else np.sort(parent)))
-            continue
-        P = X.take(cell, axis=0)
-        part = np.argpartition(P[:, np.argmax(np.ptp(P, axis=0))], half)
-        cells += [(cell[part[:half]], cell), (cell[part[half:]], cell)]
-    return leaves
+def _kd_leaves(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """X's k-d leaves and the cells that bound their rows' k-th distances.
+
+    Returns the rows of all leaves, leaf after leaf, each leaf's rows
+    sorted, with the leaves' edges in that array (0 first, n last), and
+    pairs (rows, cell) of row indices that hold every row once among
+    their rows: a leaf of at least k rows bounds its own rows, and a
+    parent cell bounds the rows of its children that are leaves of fewer
+    (both children, on the spiral). A cell of more than ``KNN_LEAF`` rows
+    splits at the median of its widest axis, unless a half would get
+    fewer than ceil(k/2) rows.
+
+    The tree grows a level at a time, each cell a run of one row order
+    (``_median_split``)."""
+    n = X.shape[0]
+    XT = np.ascontiguousarray(X.T) if X.shape[1] < NARROW_ROW else None
+    rows, size, parent = np.arange(n), np.array([n]), np.zeros(1, dtype=np.intp)
+    leaf_rows, leaf_size, bounds = [], [], []
+    while True:
+        end = np.cumsum(size)
+        start = end - size
+        stop = (size <= KNN_LEAF) | (2 * (size // 2) < k)
+        leaf_rows.append(rows[np.repeat(stop, size)])
+        leaf_size.append(size[stop])
+        for i in np.flatnonzero(stop & (size >= k)):
+            bounds.append((rows[start[i] : end[i]],) * 2)
+        short = np.flatnonzero(stop & (size < k))  # never at the root, which holds n >= k
+        ups, first, count = np.unique(parent[short], return_index=True, return_counts=True)
+        for p, i, c in zip(ups, short[first], count):
+            cell = up_rows[up_start[p] : up_end[p]]
+            bounds.append((cell if c == 2 else rows[start[i] : end[i]], cell))
+        go = np.flatnonzero(~stop)
+        if not go.size:
+            break
+        up_rows, up_start, up_end = rows, start, end
+        rows, size = _median_split(X, XT, rows, start[go], size[go])
+        parent = np.concatenate([go, go])
+    sizes = np.concatenate(leaf_size)
+    order = np.concatenate(leaf_rows)
+    shift = np.repeat(np.arange(sizes.size) * n, sizes)  # sorts every leaf in one sort
+    order += shift
+    order.sort()
+    order -= shift
+    return order, np.concatenate([[0], np.cumsum(sizes)]), bounds
 
 
-def _box_rows(pts: _Points, leaves: list[tuple[np.ndarray, np.ndarray]], k: int,
-              slack: float) -> list[np.ndarray]:
-    """Rows inside each leaf's box: on each box axis, the extent of the
-    balls around the leaf's rows whose radius is the row's k-th distance
-    within the leaf's cell plus `slack`. The leaves' boxes are tested in
-    one pass over the box columns."""
-    radii = []
-    for leaf, cell in leaves:
-        for _, dist in pts.blocks(leaf, cell):
-            dist.partition(k - 1, axis=1)  # the block is scratch
-            radii.append(dist[:, k - 1] + slack)
-    C, r = pts.columns, np.concatenate(radii)
-    P = C.take(np.concatenate([leaf for leaf, _ in leaves]), axis=1)
-    first = np.cumsum([0] + [leaf.size for leaf, _ in leaves[:-1]])
+def _median_split(X: np.ndarray, XT: np.ndarray | None, rows: np.ndarray, start: np.ndarray,
+                  size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The halves of the cells rows[start:start + size], whose sizes differ
+    by at most one: each cell's floor(size/2) rows of least coordinate on
+    its widest axis, then the rest, as (rows, sizes) of all lower halves
+    followed by all upper halves. One row-wise argpartition of the cells'
+    coordinates splits them all; a cell one row short is padded by an
+    +inf key, which partitions to the end. Narrow rows are gathered from
+    XT, the columns of X, a column at a time."""
+    w = int(size.max())
+    # a pad repeats its cell's last row, so spreads are the cells' own
+    idx = rows[np.minimum(start[:, None] + np.arange(w), (start + size - 1)[:, None])]
+    if XT is None:
+        P = X.take(idx, axis=0)
+        spread = P.max(axis=1) - P.min(axis=1)
+    else:
+        P = XT.take(idx, axis=1)
+        spread = (P.max(axis=2) - P.min(axis=2)).T
+    key = X[idx, np.argmax(spread, axis=1)[:, None]]
+    half, kth = size // 2, np.unique(size // 2)
+    if size.min() < w:
+        key[size < w, -1] = np.inf
+        kth = np.append(kth, w - 1)
+    part = np.take_along_axis(idx, np.argpartition(key, kth, axis=1), axis=1)
+    lower = np.arange(w) < half[:, None]
+    upper = ~lower & (np.arange(w) < size[:, None])
+    return np.concatenate([part[lower], part[upper]]), np.concatenate([half, size - half])
+
+
+def _box_rows(C: np.ndarray, rows: np.ndarray, cut: np.ndarray,
+              radius: np.ndarray) -> list[np.ndarray]:
+    """Rows inside the box of each leaf, the leaves the runs of `rows`
+    between the positions `cut`: on each box axis (a row of the box
+    columns C), the extent of the balls of the given radii around the
+    leaf's rows. The leaves' boxes are tested in one pass over C."""
+    P, r, first = C.take(rows, axis=1), radius.take(rows), np.concatenate([[0], cut])
     lo, hi = np.minimum.reduceat(P - r, first, axis=1), np.maximum.reduceat(P + r, first, axis=1)
-    inside = np.ones((len(leaves), C.shape[1]), dtype=bool)
+    inside = np.ones((first.size, C.shape[1]), dtype=bool)
     for c, a, b in zip(C, lo, hi):
         inside &= c >= a[:, None]
         inside &= c <= b[:, None]
-    which, rows = np.nonzero(inside)
-    return np.split(rows, np.cumsum(np.bincount(which, minlength=len(leaves)))[:-1])
+    which, found = np.nonzero(inside)
+    return np.split(found, np.cumsum(np.bincount(which, minlength=first.size))[:-1])
 
 
 def _select(pts: _Points, rows: np.ndarray, cand: np.ndarray, k: int, out: np.ndarray) -> None:
     """Write into out[rows] the k nearest of the candidate rows `cand`
     (sorted, holding each of `rows` and its k nearest)."""
-    for sub, dist in pts.blocks(rows, cand):
+    m = cand.size
+    for sub, sq, part in pts.blocks(rows, cand):
         at = np.arange(sub.size)[:, None]
-        sel = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        sel.sort(axis=1)  # so the stable sort below breaks ties by index
-        sel_d = dist[at, sel]
-        kth = sel_d.max(axis=1)
-        out[sub] = cand[sel[at, np.argsort(sel_d, axis=1, kind="stable")]]
-        # the selection is unique unless more than k entries reach the
-        # k-th distance (or NaN spoils the comparison)
-        tied = np.count_nonzero(dist <= kth[:, None], axis=1) != k
-        for r in np.nonzero(tied)[0]:
-            out[sub[r]] = cand[np.argsort(dist[r], kind="stable")[:k]]
+        np.copyto(part, sq)
+        part.partition(min(k, m - 1), axis=1)
+        # a row's first k partitioned squares are its k smallest, and
+        # sqrt is monotone: they hold its k nearest unless the nearest
+        # other candidate ties the k-th distance (or NaN spoils the test)
+        kth = part[:, :k].max(axis=1)
+        tied = np.flatnonzero(~(np.sqrt(part[:, k]) > np.sqrt(kth)) if k < m else np.isnan(kth))
+        take = sq <= kth[:, None]  # k per untied row; tied rows are redone below
+        if tied.size:
+            take[tied] = np.arange(m) < k
+        flat = np.flatnonzero(take)
+        sel = flat.reshape(-1, k) - at * m  # in index order
+        dist = np.sqrt(sq.ravel()[flat]).reshape(-1, k)
+        by = np.argsort(dist, axis=1)
+        ordered = dist[at, by]
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            # equal selected distances: a stable sort keeps them in index order
+            by = np.argsort(dist, axis=1, kind="stable")
+        out[sub] = cand[sel[at, by]]
+        if tied.size:
+            out[sub[tied]] = cand[np.argsort(np.sqrt(sq[tied]), axis=1, kind="stable")[:, :k]]
 
 
 class _Points:
@@ -292,7 +371,9 @@ class _Points:
     (computed once) and the workspace of its distance blocks: two blocks
     the size of the largest block so far, allocated per call (so calls
     from several threads share nothing), rewritten by every block and
-    replaced only when a block outgrows them."""
+    replaced only when a block outgrows them. ``knn_indices`` reserves a
+    group of leaves' largest block before the first, since each
+    replacement maps fresh pages."""
 
     def __init__(self, X: np.ndarray) -> None:
         self.X, self.sq = X, row_dots(X, X)
@@ -307,20 +388,25 @@ class _Points:
         axes = np.argsort(-np.ptp(self.X, axis=0), kind="stable")[: NARROW_ROW - 1]
         return np.ascontiguousarray(self.X.T[axes])
 
+    def reserve(self, shapes) -> None:
+        """Grow the workspace to the largest block of the distances from
+        each of the given (rows, cols) counts."""
+        size = max((min(r, max(1, KNN_BLOCK // c)) * c for r, c in shapes), default=0)
+        if self.work.shape[1] < size:
+            self.work = np.empty((2, size))
+
     def blocks(self, rows: np.ndarray, cols: np.ndarray):
-        """Distances from X[rows] to X[cols] in blocks of about
-        ``KNN_BLOCK``: yields (row indices, block), each block valid until
-        the next."""
+        """Squared distances from X[rows] to X[cols] in blocks of about
+        ``KNN_BLOCK``: yields (row indices, block, scratch of its shape),
+        both valid until the next."""
         Xc, sc = self.X.take(cols, axis=0), self.sq.take(cols)
         step = max(1, KNN_BLOCK // cols.size)
+        self.reserve([(rows.size, cols.size)])
         for lo in range(0, rows.size, step):
             sub = rows[lo : lo + step]
             size = sub.size * cols.size
-            if self.work.shape[1] < size:
-                self.work = np.empty((2, size))
             out, tmp = (w[:size].reshape(sub.size, cols.size) for w in self.work)
-            dist = _sq_dists(self.X.take(sub, axis=0), Xc, self.sq.take(sub), sc, out, tmp)
-            yield sub, np.sqrt(dist, out=dist)
+            yield sub, _sq_dists(self.X.take(sub, axis=0), Xc, self.sq.take(sub), sc, out, tmp), tmp
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

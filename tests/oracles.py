@@ -6,8 +6,9 @@ symmetry, principal angles between subspaces, the stacked sphere fit by
 its earlier formulas and kernels, the ragged fits on row-major (N, D)
 arrays as they were before the kernels took one (D, N) copy of the
 centred rows, a row of a piece table as a
-``Spherelet`` or ``Hyperplane`` record, and the projection and squared
-residual of one such piece by the module function of its kind.
+``Spherelet`` or ``Hyperplane`` record, the projection and squared
+residual of one such piece by the module function of its kind, and the
+kNN's k-d leaves grown one cell at a time.
 No library path calls them, so they live with the tests.
 """
 
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from spherelets import spca
+from spherelets import numeric, spca
 from spherelets.exceptions import DimensionError
 from spherelets.numeric import SymEigResult, eig_desc, row_dots
 from spherelets.partition import iter_leaves
@@ -252,3 +253,24 @@ def piece_residual_sq(piece, X: np.ndarray) -> np.ndarray:
         return sphere_residual_sq(X, piece)
     R = X - project_plane(X, piece)
     return row_dots(R, R)
+
+
+def recursive_kd_leaves(X: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sorted row indices of X's k-d leaves, each with the cell that
+    bounds its rows' k-th distances: the leaf itself when it holds k rows,
+    else its parent. A cell of more than ``numeric.KNN_LEAF`` rows splits
+    at the median of its widest axis, unless a half would get fewer than
+    ceil(k/2) rows. One cell at a time, as ``knn_indices`` grew its
+    leaves before it grew them a level at a time."""
+    leaves, cells = [], [(np.arange(X.shape[0]), None)]
+    while cells:
+        cell, parent = cells.pop()
+        half = cell.size // 2
+        if cell.size <= numeric.KNN_LEAF or 2 * half < k:
+            leaf = np.sort(cell)
+            leaves.append((leaf, leaf if leaf.size >= k else np.sort(parent)))
+            continue
+        P = X.take(cell, axis=0)
+        part = np.argpartition(P[:, np.argmax(np.ptp(P, axis=0))], half)
+        cells += [(cell[part[:half]], cell), (cell[part[half:]], cell)]
+    return leaves

@@ -481,9 +481,11 @@ def test_fit_prints_the_routed_train_mse(tmp_path, monkeypatch, capsys):
     ["fit", "--method", "pca", "--d", "-1", "--eps", "1e-3"],
     ["denoise", "--method", "ltp", "--k", "10", "--d", "-1"],
     ["denoise", "--method", "mbms", "--k", "10", "--d", "-1"],
+    ["embed", "--mode", "euclidean", "--d", "-1", "--sigma", "1", "--iters", "5"],
 ], ids=["fit-eps-nan", "fit-eps-inf", "embed-lr-nan", "smbms-sigma-nan", "ltp-sigma-nan",
         "enneper-noise-nan", "enneper-param-max-nan", "spiral-noise-inf", "euler-noise-nan",
-        "n-negative", "n-zero", "pca-d-negative", "ltp-d-negative", "mbms-d-negative"])
+        "n-negative", "n-zero", "pca-d-negative", "ltp-d-negative", "mbms-d-negative",
+        "euclidean-embed-d-negative"])
 def test_exit_usage_on_non_finite_or_empty_parameter(tmp_path, capsys, argv):
     # each used to exit 0 with NaN, inf or unchanged output, exit 4, or end
     # in a traceback: NaN passed checks written as x <= 0, and a negative

@@ -111,6 +111,13 @@ def test_spherical_distances_validation():
         knn_distances(X, 1, 4, "hyperbolic")
 
 
+@pytest.mark.parametrize("mode", ["spherical", "euclidean"])
+def test_knn_distances_rejects_negative_d_in_both_modes(mode):
+    # the Euclidean mode fits nothing, and used to accept d = -1
+    with pytest.raises(ParameterError, match="d must be >= 0"):
+        knn_distances(np.random.default_rng(0).normal(size=(20, 3)), -1, 6, mode)
+
+
 # -- affinities ---------------------------------------------------------------
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import sym_eig
+from oracles import recursive_kd_leaves, sym_eig
 from spherelets.exceptions import DimensionError, ParameterError
 from spherelets.numeric import (
     eig_desc,
@@ -368,6 +368,64 @@ def test_knn_indices_parent_cell_bounds_match_oracle(data):
         mp.setattr(num, "KNN_BLOCK", data.draw(st.integers(1, 3 * n), label="block"))
         got = num.knn_indices(X, k)
     assert np.array_equal(got, _knn_oracle(X, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_knn_indices_orders_interior_ties_by_index(data):
+    # points of an integer lattice, drawn without repeats and shuffled:
+    # many rows have equal distances inside their k nearest, below the
+    # k-th, which the one sort must still leave in index order. Every
+    # distance is exact, so the oracle's order is the contract's
+    import spherelets.numeric as num
+
+    D = data.draw(st.integers(1, 3), label="D")
+    grid = np.stack(np.meshgrid(*[np.arange(-3, 4)] * D, indexing="ij"), axis=-1).reshape(-1, D)
+    pick = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=2, max_size=60,
+                              unique=True), label="pick")
+    X = grid[pick].astype(float)
+    n = len(X)
+    k = data.draw(st.integers(2, n), label="k")
+    dist = np.sort(np.sqrt(((X[:, None] - X[None]) ** 2).sum(axis=2)), axis=1)
+    inner = np.any(dist[:, 1:k] == dist[:, : k - 1], axis=1)
+    assume(np.any(inner & (dist[:, k - 1] < (dist[:, k] if k < n else np.inf))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(num, "KNN_LEAF", data.draw(st.integers(1, 16), label="leaf"))
+        mp.setattr(num, "KNN_BLOCK", data.draw(st.integers(1, 3 * n), label="block"))
+        got = num.knn_indices(X, k)
+    assert np.array_equal(got, _knn_oracle(X, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kd_leaves_match_the_recursive_build(data):
+    # tie-free clouds, so every median split is unique: the level-at-a-time
+    # build gives the leaves and bounding cells of the recursive one. n is
+    # 2^j leaf + r, so with 0 < r < 2^j level j holds cells of leaf and
+    # leaf + 1 rows, on both sides of KNN_LEAF
+    import spherelets.numeric as num
+
+    D = data.draw(st.integers(1, 10), label="D")
+    leaf = data.draw(st.integers(1, 12), label="leaf")
+    j = data.draw(st.integers(0, 5), label="j")
+    n = (leaf << j) + data.draw(st.integers(0, (1 << j) - 1), label="r")
+    k = data.draw(st.integers(1, n), label="k")
+    X = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).normal(size=(n, D))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(num, "KNN_LEAF", leaf)
+        order, edges, bounds = num._kd_leaves(X, k)
+        expect = recursive_kd_leaves(X, k)
+    leaves = np.split(order, edges[1:-1])
+    assert edges[0] == 0 and edges[-1] == n
+    assert all(np.all(np.diff(rows) > 0) for rows in leaves)
+    home = np.empty(n, dtype=int)  # the bounding pair of each row
+    for i, (rows, _) in enumerate(bounds):
+        home[rows] = i
+    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in bounds])), np.arange(n))
+    got = {(tuple(rows), tuple(np.sort(bounds[home[rows[0]]][1]))) for rows in leaves}
+    assert all(np.all(home[rows] == home[rows[0]]) for rows in leaves)
+    assert got == {(tuple(rows), tuple(cell)) for rows, cell in expect}
+    assert len(leaves) == len(expect)
 
 
 def test_knn_indices_results_share_no_memory():

@@ -16,7 +16,12 @@ inputs:
   the leaf boxes prune almost nothing;
 - rot64: 5000 Enneper points (uniform on the parameter disk, a
   2-manifold) rotated into 64 dimensions by a seeded orthonormal frame,
-  k = 20, the high-dimensional guard: its boxes span 7 of the 64 axes.
+  k = 20, the high-dimensional guard: its boxes span 7 of the 64 axes;
+- quantized: the spiral rounded to multiples of 1/32, k = 36, the tie
+  guard: almost every row has equal distances among its k nearest;
+- pass2: the spiral after one smbms pass (k = 36, sigma = 1, d = 1),
+  k = 36, the input of the second kNN call of each ``denoise`` command
+  of the benchmark.
 """
 
 from __future__ import annotations
@@ -37,15 +42,19 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from spherelets import datasets, numeric  # noqa: E402
+from spherelets.denoise import DenoiseConfig, denoise  # noqa: E402
 
 
 def inputs() -> dict[str, tuple[np.ndarray, int]]:
     enneper = datasets.enneper(20_000, seed=0) + numeric.seeded_gaussian(20_000, 3, 0.01, 1)
+    spiral = datasets.noisy_spiral(4000, 0.2, seed=0).points
     return {
-        "spiral": (datasets.noisy_spiral(4000, 0.2, seed=0).points, 36),
+        "spiral": (spiral, 36),
         "enneper": (enneper, 20),
         "gauss10": (np.random.default_rng(0).normal(size=(4000, 10)), 36),
         "rot64": (rotated(datasets.enneper(5000, seed=0), 64), 20),
+        "quantized": (np.round(spiral * 32) / 32, 36),
+        "pass2": (denoise(spiral, DenoiseConfig("smbms", 36, sigma=1.0, iters=1, d=1)), 36),
     }
 
 
@@ -86,7 +95,7 @@ def main() -> None:
             numeric.knn_indices(X, k)
             ms.append(1e3 * (time.perf_counter() - t0))
         q1, med, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else (ms[0],) * 3
-        print(f"{name:8s} n={X.shape[0]:6d} D={X.shape[1]:2d} k={k:2d}  "
+        print(f"{name:9s} n={X.shape[0]:6d} D={X.shape[1]:2d} k={k:2d}  "
               f"median {med:8.1f} ms [{q1:.1f}, {q3:.1f}]  "
               f"evaluated {evaluated_fraction(X, k):.3f} n^2")
 
