@@ -32,22 +32,11 @@ from .exceptions import (
 from .model import SphereletModel, fit, load, save
 from .numeric import knn, seeded_gaussian
 from .partition import build_tree, route
-from .spca import (
-    Hyperplane,
-    Spherelet,
-    SphereFitDiagnostics,
-    fit_hyperplane,
-    fit_sphere,
-    project_plane,
-    project_sphere,
-    sphere_distance,
-)
+from .spca import Spherelet, fit_sphere, project_sphere
 
 __all__ = [
     "DenoiseConfig",
     "EmbedConfig",
-    "Hyperplane",
-    "SphereFitDiagnostics",
     "Spherelet",
     "SphereletModel",
     "affinities",
@@ -56,17 +45,14 @@ __all__ = [
     "denoise",
     "embed",
     "fit",
-    "fit_hyperplane",
     "fit_sphere",
     "knn",
     "knn_distances",
     "load",
-    "project_plane",
     "project_sphere",
     "route",
     "save",
     "seeded_gaussian",
-    "sphere_distance",
     "spherical_knn_distances",
     "stsne",
     "__version__",

@@ -20,7 +20,7 @@ from . import model as model_mod
 from .datasets import _euler_curve, euler_spiral, noisy_spiral, sphere_sample
 from .exceptions import ParameterError
 from .numeric import row_dots, seeded_rng
-from .spca import fit_hyperplane, fit_sphere, project_plane
+from .spca import fit_pieces, project_pieces
 
 BENCH_METHODS = ("spca", "pca")
 # each benchmark dataset's one option besides its counts ntrain and ntest
@@ -95,6 +95,18 @@ def _bench_data(ds: dict, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return train, test
 
 
+def _check_methods(methods: tuple[str, ...]) -> None:
+    """Raise ParameterError unless ``methods`` names one or more of
+    ``BENCH_METHODS``, each once."""
+    if not methods:
+        raise ParameterError(f"no method given; expected some of {', '.join(BENCH_METHODS)}")
+    for m in methods:
+        if m not in BENCH_METHODS:
+            raise ParameterError(f"unknown method {m!r}")
+    if len(set(methods)) < len(methods):
+        raise ParameterError(f"each method may be given once, got {', '.join(methods)}")
+
+
 def bench_curve(
     dataset: str,
     d: int,
@@ -110,9 +122,7 @@ def bench_curve(
         raise ParameterError("eps grid is empty")
     if not all(b < a for a, b in zip(eps_grid, eps_grid[1:])):  # NaN fails too
         raise ParameterError(f"eps grid must be strictly decreasing, got {eps_grid}")
-    for m in methods:
-        if m not in BENCH_METHODS:
-            raise ParameterError(f"unknown method {m!r}")
+    _check_methods(methods)
     train, test = _bench_data(parse_dataset_spec(dataset), seed)
 
     records = []
@@ -146,13 +156,13 @@ def rate_study(
     The Euler spiral's arc-length range is carved into contiguous arcs of
     length alpha; each arc is sampled at ``POINTS_PER_SEGMENT`` points,
     fitted with one sphere or one line, and its mean squared residual
-    recorded. Returns the least-squares slope of log(mean MSE) versus
-    log(alpha) per method, plus all per-segment records. Degenerate fits
-    are dropped from the regression.
+    recorded; each method fits and projects all arcs of one alpha with one
+    ``fit_pieces`` and one ``project_pieces`` call. Returns the
+    least-squares slope of log(mean MSE) versus log(alpha) per method,
+    plus all per-segment records. Degenerate fits are dropped from the
+    regression.
     """
-    for m in methods:
-        if m not in BENCH_METHODS:
-            raise ParameterError(f"unknown method {m!r}")
+    _check_methods(methods)
     if alpha_grid is None:
         alpha_grid = list(np.geomspace(0.05, 0.5, 6))
     alpha_grid = sorted(float(a) for a in alpha_grid)
@@ -169,25 +179,18 @@ def rate_study(
     mean_mse: dict[str, dict[float, float]] = {m: {} for m in methods}
     for alpha in alpha_grid:
         n_seg = int(s_max / alpha)
-        seg_pts = []
-        for j in range(n_seg):
-            s = rng.uniform(j * alpha, (j + 1) * alpha, size=POINTS_PER_SEGMENT)
-            seg_pts.append(_euler_curve(np.sort(s)))
+        arcs = [rng.uniform(j * alpha, (j + 1) * alpha, size=POINTS_PER_SEGMENT) for j in range(n_seg)]
+        P = np.stack([_euler_curve(np.sort(t)) for t in arcs])
+        starts = np.arange(n_seg) * POINTS_PER_SEGMENT
         for method in methods:
-            mses = []
-            for j, pts in enumerate(seg_pts):
-                if method == "spca":
-                    s_fit, diag = fit_sphere(pts, 1)
-                    if s_fit.degenerate:
-                        continue
-                    mse = diag.geometric_mse
-                else:
-                    R = pts - project_plane(pts, fit_hyperplane(pts, 0))
-                    mse = float(np.mean(row_dots(R, R)))
-                mses.append(mse)
-                records.append(RateRecord(method=method, alpha=alpha, segment=j, mse=mse))
-            if mses:
-                mean_mse[method][alpha] = float(np.mean(mses))
+            pieces = fit_pieces(P.reshape(-1, P.shape[2]), starts, 1, method).pieces
+            R = P - project_pieces(P, pieces)[0]
+            mses = row_dots(R, R).mean(axis=1)
+            kept = pieces.sphere | (method == "pca")  # a degenerate sphere fit is dropped
+            records += [RateRecord(method=method, alpha=alpha, segment=int(j), mse=float(mses[j]))
+                        for j in np.flatnonzero(kept)]
+            if kept.any():
+                mean_mse[method][alpha] = float(np.mean(mses[kept]))
 
     slopes = {}
     for method in methods:

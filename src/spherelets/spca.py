@@ -27,7 +27,6 @@ set's rows, and condition numbers come from the scatters' eigenvalues:
 no per-row matrix product and no SVD. Row norms are ``numeric.row_dots``'
 sums bit for bit: a coordinate at a time below ``NARROW_ROW``, NumPy's
 pairwise row sum of a row-major copy from there on.
-``fit_sphere`` is the one-set case, and
 ``fit_pieces`` holds the model's sphere-or-plane policy. Both ragged fits
 also give each row's squared residual to its set's piece, in closed form
 from the reduced coordinates the fit already holds, so a caller never
@@ -37,11 +36,12 @@ the set, which tree growth reads instead of scoring the rows again.
 
 ``fit_pieces`` gives its pieces as one ``PieceTable``, a row per set,
 and ``project_pieces`` is the one projection onto a table's pieces: the
-model, denoising and embedding all project through it, a point at its
-sphere's center onto the piece's d-plane. ``Spherelet`` and
-``Hyperplane`` are plain records: each formula's one home is a module
-function (``project_sphere``, ``project_plane``, ``sphere_residual_sq``)
-over the stacked kernels.
+model, denoising, embedding and the rate study all project through it, a
+point at its sphere's center onto the piece's d-plane; ``sphere_arcs``
+measures distances on a sphere. The one-set SPCA is ``fit_sphere``, which
+reads a ``Spherelet`` record off a one-set ``fit_spheres``, and
+``project_sphere``, the table's sphere images for one record, which
+raises at the sphere's center instead.
 """
 
 from __future__ import annotations
@@ -67,14 +67,6 @@ RADIUS_DIAMETER_RATIO = 1e6
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    """Affine subspace mu + span(frame); frame columns are orthonormal."""
-
-    mu: np.ndarray
-    frame: np.ndarray
-
-
-@dataclass(frozen=True)
 class Spherelet:
     """A d-sphere in R^D: frame V (D x (d+1)), center c, radius r, data mean mu.
 
@@ -92,17 +84,10 @@ class Spherelet:
 
 
 @dataclass(frozen=True)
-class SphereFitDiagnostics:
-    h_condition: float
-    algebraic_loss: float
-    geometric_mse: float
-
-
-@dataclass(frozen=True)
 class SphereFits:
     """Sphere fits of m point sets, row i fitted to the i-th set.
 
-    Fields are those of ``fit_sphere`` with a leading row axis: ``mu``
+    Fields are those of a ``Spherelet`` with a leading row axis: ``mu``
     (m, D) and ``frame`` (m, D, d+1) give each reduction hyperplane,
     whose top-w columns also span the best w-dimensional affine subspace
     for w <= d+1. A degenerate row has center ``mu`` and radius inf.
@@ -118,7 +103,9 @@ class SphereFits:
     sphere, with z = V'(x - x_bar) and c_z the reduced center, and the
     out-of-plane part max(|x - x_bar|^2 - |z_d|^2, 0) for a degenerate set,
     z_d the first d coordinates of z, whose piece is the d-plane of its
-    fit. It equals ``sphere_residual_sq`` of the set's ``fit_sphere`` up
+    fit. The sphere's out-of-plane term is exactly 0 where the frame spans
+    all D axes (d + 1 = D): there it would be rounding alone. The
+    residual is the ambient (|V'(x - c)| - r)^2 + |(I - VV')(x - c)|^2 up
     to rounding. Row norms are ``row_dots``' sums: a column at a time
     below ``numeric.NARROW_ROW`` coordinates, NumPy's pairwise row sum
     from there on.
@@ -286,7 +273,8 @@ def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
         first[~sphere], frame[~sphere, :, :w] = axes[:, :, 0], axes[:, :, :w]
         Z = _reduced(XcT, axes[:, :, : max(w, 1)], sub_sizes)  # a 0-wide plane's rows still need a score
         score[rows] = Z[0]
-        residual_sq[rows] = np.maximum(_sq_norms(XcT) - _sq_norms(Z[:w]), 0.0)  # out of plane
+        # out of plane; a plane of all D axes leaves nothing out
+        residual_sq[rows] = np.maximum(_sq_norms(XcT) - _sq_norms(Z[:w]), 0.0) if w < D else 0.0
     if sphere.any():
         rows, sub_X, sub_starts, _ = _subsets(X, starts, sizes, sphere)
         fits = fit_spheres(sub_X, sub_starts, d)
@@ -310,57 +298,9 @@ def _subsets(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
     return rows, X[rows], np.cumsum(sizes[keep]) - sizes[keep], sizes[keep]
 
 
-def fit_hyperplane(X: np.ndarray, d: int) -> Hyperplane:
-    """Fit the (d+1)-dimensional affine subspace through the data that a
-    d-sphere would live in: sample mean plus top d+1 scatter eigenvectors.
-    """
-    if d < 0:
-        raise ParameterError(f"d must be >= 0, got {d}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, D = X.shape
-    if d + 1 > D:
-        raise DimensionError(f"frame width {d + 1} exceeds ambient dimension {D}")
-    if n < d + 1:
-        raise InsufficientDataError(f"need at least {d + 1} points, got {n}")
-    mu, axes = stacked_pca(X, [0])
-    return Hyperplane(mu=mu[0], frame=axes[0, :, : d + 1].copy())
-
-
-def project_plane(x: np.ndarray, p: Hyperplane) -> np.ndarray:
-    """Orthogonal projection mu + VV'(x - mu); idempotent."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != p.mu.shape[0]:
-        raise DimensionError(f"point dimension {x.shape[-1]} != plane dimension {p.mu.shape[0]}")
-    return _plane_images(x, p.mu, p.frame)
-
-
 def _plane_images(x: np.ndarray, mu: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """mu + VV'(x - mu), broadcasting over leading axes of a stack."""
     return mu + ((x - mu) @ frame) @ np.swapaxes(frame, -1, -2)
-
-
-def sphere_fit_loss(Y: np.ndarray, f: np.ndarray, b: float | None = None) -> float:
-    """Algebraic loss sum_i (y_i'y_i + f'y_i + b)^2 over rows of Y.
-
-    When b is omitted it is set to its optimal value
-    b_hat(f) = -mean_i (y_i'y_i + f'y_i), which is how the sphere fit
-    eliminates b before solving for f.
-    """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    f = np.asarray(f, dtype=float).ravel()
-    if f.shape[0] != Y.shape[1]:
-        raise DimensionError(f"f has dimension {f.shape[0]}, points have {Y.shape[1]}")
-    t = row_dots(Y, Y) + Y @ f
-    if b is None:
-        b = -float(np.mean(t))
-    return float(np.sum((t + b) ** 2))
-
-
-def optimal_offset(Y: np.ndarray, f: np.ndarray) -> float:
-    """The b minimizing the algebraic loss at fixed f."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    f = np.asarray(f, dtype=float).ravel()
-    return -float(np.mean(row_dots(Y, Y) + Y @ f))
 
 
 def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
@@ -428,10 +368,10 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
     dist = np.sqrt(_sq_norms(_less(Z.copy(), c_z.T, sizes)))
     radius = np.add.reduceat(dist, starts) / sizes
     ok &= np.isfinite(radius) & (radius <= RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
-    perp = np.maximum(xx - l, 0.0)  # |x - x_bar|^2 - |z|^2: out of the reduction plane
     residual_sq = dist - np.repeat(np.where(ok, radius, 0.0), sizes)
     residual_sq *= residual_sq
-    residual_sq += perp
+    if d + 1 < X.shape[1]:  # out of the reduction plane; a full frame leaves nothing out
+        residual_sq += np.maximum(xx - l, 0.0)
     if not ok.all():  # a degenerate set's piece is the d-plane of its fit
         plane = np.repeat(~ok, sizes)
         residual_sq[plane] = np.maximum(xx[plane] - _sq_norms(Z[:d, plane]), 0.0)
@@ -440,34 +380,21 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
                       residual_sq=residual_sq, score=Z[0])
 
 
-def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFitDiagnostics]:
+def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFits]:
     """Best-fit d-sphere through the rows of X: ``fit_spheres`` on one set.
 
-    Returns
-    -------
-    (Spherelet, SphereFitDiagnostics). The spherelet is degenerate
-    (hyperplane fallback) when the reduced scatter is numerically
-    singular or the fitted radius exceeds ``RADIUS_DIAMETER_RATIO``
-    times the data diameter.
+    Returns the set's record, degenerate where the fit falls back to its
+    d-plane, and the one-row ``SphereFits`` it was read from, which holds
+    the condition number and each row's squared residual.
 
     Raises
     ------
     InsufficientDataError if n < d + 2.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    fits = fit_spheres(X, [0], d)
-    V, mu = fits.frame[0].copy(), fits.mu[0]
-    degenerate = bool(fits.degenerate[0])
-    s = Spherelet(frame=V, center=fits.center[0], radius=float(fits.radius[0]),
-                  mu=mu, degenerate=degenerate)
-    if degenerate:
-        loss = math.inf
-    else:
-        loss = sphere_fit_loss((X - mu) @ V, -2.0 * ((s.center - mu) @ V))
-    mse = float(np.mean(sphere_residual_sq(X, s)))
-    return s, SphereFitDiagnostics(
-        h_condition=float(fits.h_condition[0]), algebraic_loss=loss, geometric_mse=mse
-    )
+    fits = fit_spheres(np.atleast_2d(np.asarray(X, dtype=float)), [0], d)
+    s = Spherelet(frame=fits.frame[0].copy(), center=fits.center[0], radius=float(fits.radius[0]),
+                  mu=fits.mu[0], degenerate=bool(fits.degenerate[0]))
+    return s, fits
 
 
 def _sphere_images(
@@ -504,25 +431,6 @@ def project_sphere(x: np.ndarray, s: Spherelet) -> np.ndarray:
     return images
 
 
-def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
-    """Squared distance of each row to the sphere, via the closed form
-    (|VV'(x-c)| - r)^2 + |(I-VV')(x-c)|^2; defined even at the center.
-    For a degenerate spherelet, the squared distance to its d-plane."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if s.degenerate:
-        R = X - _plane_images(X, s.mu, s.frame[:, :-1])
-        return row_dots(R, R)
-    diff = X - s.center
-    inner = diff @ s.frame
-    in_norm = np.sqrt(row_dots(inner, inner))
-    if s.frame.shape[1] == s.frame.shape[0]:
-        perp_sq = 0.0  # full frame: no out-of-subspace component
-    else:
-        total = row_dots(diff, diff)
-        perp_sq = np.maximum(total - in_norm**2, 0.0)
-    return (in_norm - s.radius) ** 2 + perp_sq
-
-
 def project_pieces(P: np.ndarray, pieces: PieceTable) -> tuple[np.ndarray, np.ndarray]:
     """The images (m, q, D) of the points P[i] (m, q, D) on piece i of the
     table, a plane anchored at its ``center``, and a mask (m, q) that is
@@ -552,15 +460,3 @@ def sphere_arcs(U: np.ndarray, W: np.ndarray, radius: float | np.ndarray) -> np.
     cosang = row_dots(U, W) / (radius * radius)
     return radius * np.arccos(np.clip(cosang, -1.0, 1.0))
 
-
-def sphere_distance(x: np.ndarray, y: np.ndarray, s: Spherelet) -> float:
-    """Intrinsic (great-circle) distance between two points of the sphere:
-    r * arccos((x-c)'(y-c) / r^2), clamped against round-off.
-
-    Falls back to the Euclidean distance for a degenerate spherelet.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if s.degenerate:
-        return float(np.linalg.norm(x - y))
-    return float(sphere_arcs(x - s.center, y - s.center, s.radius))

@@ -7,14 +7,16 @@ its earlier formulas and kernels, the ragged fits on row-major (N, D)
 arrays as they were before the kernels took one (D, N) copy of the
 centred rows, a row of a piece table as a
 ``Spherelet`` or ``Hyperplane`` record, the projection and squared
-residual of one such piece by the module function of its kind, and the
-kNN's k-d leaves grown one cell at a time.
+residual of one such piece in ambient coordinates, the paper's algebraic
+sphere loss g(f, b) and its optimal offset, the great-circle distance on
+one record, and the kNN's k-d leaves grown one cell at a time.
 No library path calls them, so they live with the tests.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +24,73 @@ from spherelets import numeric, spca
 from spherelets.exceptions import DimensionError
 from spherelets.numeric import SymEigResult, eig_desc, row_dots
 from spherelets.partition import iter_leaves
-from spherelets.spca import Hyperplane, Spherelet, project_plane, project_sphere, sphere_residual_sq
+from spherelets.spca import Spherelet, fit_pieces, project_sphere, sphere_arcs
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    """Affine subspace mu + span(frame); frame columns are orthonormal."""
+
+    mu: np.ndarray
+    frame: np.ndarray
+
+
+def fit_plane(X: np.ndarray, w: int) -> Hyperplane:
+    """The w-wide PCA plane of the rows of X: row 0 of the ``pca`` table."""
+    return piece_record(fit_pieces(X, [0], w, "pca").pieces, 0)
+
+
+def project_plane(x: np.ndarray, p: Hyperplane) -> np.ndarray:
+    """Orthogonal projection mu + VV'(x - mu); idempotent."""
+    return p.mu + ((np.asarray(x, dtype=float) - p.mu) @ p.frame) @ p.frame.T
+
+
+def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
+    """Squared distance of each row to the sphere, in ambient coordinates:
+    (|V'(x-c)| - r)^2 + |(I-VV')(x-c)|^2, defined even at the center. For
+    a degenerate spherelet, the squared distance to its d-plane."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if s.degenerate:
+        R = X - project_plane(X, Hyperplane(mu=s.mu, frame=s.frame[:, :-1]))
+        return row_dots(R, R)
+    diff = X - s.center
+    inner = diff @ s.frame
+    in_norm = np.sqrt(row_dots(inner, inner))
+    if s.frame.shape[1] == s.frame.shape[0]:
+        perp_sq = 0.0  # full frame: no out-of-subspace component
+    else:
+        perp_sq = np.maximum(row_dots(diff, diff) - in_norm**2, 0.0)
+    return (in_norm - s.radius) ** 2 + perp_sq
+
+
+def sphere_fit_loss(Y: np.ndarray, f: np.ndarray, b: float | None = None) -> float:
+    """Algebraic loss sum_i (y_i'y_i + f'y_i + b)^2 over rows of Y.
+
+    When b is omitted it is set to its optimal value ``optimal_offset``,
+    which is how the sphere fit eliminates b before solving for f.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    t = row_dots(Y, Y) + Y @ np.asarray(f, dtype=float).ravel()
+    if b is None:
+        b = -float(np.mean(t))
+    return float(np.sum((t + b) ** 2))
+
+
+def optimal_offset(Y: np.ndarray, f: np.ndarray) -> float:
+    """The b minimizing the algebraic loss at fixed f:
+    b_hat(f) = -mean_i (y_i'y_i + f'y_i)."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    return -float(np.mean(row_dots(Y, Y) + Y @ np.asarray(f, dtype=float).ravel()))
+
+
+def sphere_distance(x: np.ndarray, y: np.ndarray, s: Spherelet) -> float:
+    """Great-circle distance r * arccos((x-c)'(y-c) / r^2) between two
+    points of a spherelet, by ``spca.sphere_arcs``; the Euclidean distance
+    for a degenerate one."""
+    x, y = np.ravel(x).astype(float), np.ravel(y).astype(float)
+    if s.degenerate:
+        return float(np.linalg.norm(x - y))
+    return float(sphere_arcs(x - s.center, y - s.center, s.radius))
 
 
 def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
@@ -164,7 +232,8 @@ def _row_major_pca(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
 def row_major_fit_spheres(X: np.ndarray, starts, d: int) -> spca.SphereFits:
     """``spca.fit_spheres`` on row-major arrays: every per-set sum a 2-D
     segment sum over strided columns, every broadcast a 2-D repeat, and
-    row norms by ``row_dots`` of the (N, p) rows."""
+    row norms by ``row_dots`` of the (N, p) rows; a full frame's residual
+    has no out-of-plane term, as in the library."""
     X, starts, sizes = spca._segments(X, starts)
     mu, Xc, axes = _row_major_pca(X, starts, sizes)
     V = axes[:, :, : d + 1]
@@ -188,7 +257,9 @@ def row_major_fit_spheres(X: np.ndarray, starts, d: int) -> spca.SphereFits:
     dist = np.sqrt(row_dots(Zr, Zr))
     radius = np.add.reduceat(dist, starts) / sizes
     ok &= np.isfinite(radius) & (radius <= spca.RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
-    residual_sq = (dist - np.repeat(np.where(ok, radius, 0.0), sizes)) ** 2 + np.maximum(xx - l, 0.0)
+    residual_sq = (dist - np.repeat(np.where(ok, radius, 0.0), sizes)) ** 2
+    if d + 1 < X.shape[1]:  # a full frame leaves nothing out of its plane
+        residual_sq += np.maximum(xx - l, 0.0)
     plane = np.repeat(~ok, sizes)
     Zd = Z[plane, :d]
     residual_sq[plane] = np.maximum(xx[plane] - row_dots(Zd, Zd), 0.0)
@@ -212,7 +283,7 @@ def row_major_fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> spca.Pie
         first[~sphere], frame[~sphere, :, :w] = axes[:, :, 0], axes[:, :, :w]
         Z = column_sums(Xc, axes[:, :, : max(w, 1)], sub_sizes)
         score[rows], Zw = Z[:, 0], Z[:, :w].copy()
-        residual_sq[rows] = np.maximum(row_dots(Xc, Xc) - row_dots(Zw, Zw), 0.0)
+        residual_sq[rows] = np.maximum(row_dots(Xc, Xc) - row_dots(Zw, Zw), 0.0) if w < D else 0.0
     if sphere.any():
         rows, sub_X, sub_starts, _ = spca._subsets(X, starts, sizes, sphere)
         fits = row_major_fit_spheres(sub_X, sub_starts, d)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from oracles import principal_angles
+from oracles import Hyperplane, optimal_offset, principal_angles, project_plane, sphere_fit_loss
 from spherelets.bench import rate_study
 from spherelets.cli import EXIT_OK, main as cli_main
 from spherelets.datasets import (
@@ -33,14 +33,7 @@ from spherelets.embed import (
 from spherelets.model import fit, load
 from spherelets.numeric import knn
 from spherelets.partition import route
-from spherelets.spca import (
-    Hyperplane,
-    fit_sphere,
-    optimal_offset,
-    project_plane,
-    project_sphere,
-    sphere_fit_loss,
-)
+from spherelets.spca import fit_sphere, project_sphere
 
 SEED = 0
 

@@ -107,6 +107,20 @@ def test_rate_subcommand(tmp_path):
     assert "method,alpha,segment,mse" in text
 
 
+@pytest.mark.parametrize("command", ["bench", "rate"])
+@pytest.mark.parametrize("methods", ["", " , ", "spca,spca", "pca,spca,pca"])
+def test_bench_and_rate_exit_usage_on_empty_or_repeated_methods(tmp_path, capsys, command, methods):
+    # they used to write a header-only CSV, or fit a method twice and write
+    # each of its rows and slopes twice
+    out = tmp_path / "o.csv"
+    argv = (["bench", "--dataset", "circle:ntrain=50,ntest=50", "--d", "1", "--eps-grid", "1e-4"]
+            if command == "bench" else ["rate", "--alpha-grid", "0.05,0.5"])
+    assert run(*argv, "--methods", methods, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "method" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "--dataset", "euler:ntrain=abc"],
     ["bench", "--dataset", "euler:ntrain=inf"],

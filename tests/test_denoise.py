@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import fit_plane, project_plane
 from spherelets.datasets import distance_to_curve, noisy_spiral, sphere_sample
 from spherelets.denoise import METHODS, SUPPORT_SIGMAS, DenoiseConfig, blur_step, denoise
 from spherelets.exceptions import ParameterError, SingularProjectionError
 from spherelets.numeric import knn_indices
-from spherelets.spca import fit_hyperplane, fit_sphere, project_plane, project_sphere
+from spherelets.spca import fit_sphere, project_sphere
 
 denoise_mod = importlib.import_module("spherelets.denoise")
 
@@ -220,7 +221,7 @@ def _looped_pass(X, cfg):
                 except SingularProjectionError:
                     pass
             fallbacks += 1
-        out[i] = project_plane(Y[i], fit_hyperplane(hood, cfg.d - 1))
+        out[i] = project_plane(Y[i], fit_plane(hood, cfg.d))
     return out, fallbacks
 
 
@@ -333,9 +334,9 @@ def test_local_fits_use_only_neighbors_within_support():
     cfg = DenoiseConfig(method="ltp", k=8, sigma=1.0, d=1)
     out = denoise(far, cfg)
     nbr = knn_indices(far, cfg.k)
-    expect = project_plane(far[-1], fit_hyperplane(far[nbr[-1, : cfg.d + 3]], cfg.d - 1))
+    expect = project_plane(far[-1], fit_plane(far[nbr[-1, : cfg.d + 3]], cfg.d))
     assert np.allclose(out[-1], expect, atol=1e-12)
-    wide = project_plane(far[-1], fit_hyperplane(far[nbr[-1]], cfg.d - 1))
+    wide = project_plane(far[-1], fit_plane(far[nbr[-1]], cfg.d))
     assert not np.allclose(out[-1], wide, atol=1e-6)  # the floor is what decided
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import kl_divergence
+from oracles import kl_divergence, sphere_distance
 from spherelets.datasets import enneper, noisy_spiral, sphere_sample
 from spherelets.embed import (
     DISTANCE_MODES,
@@ -37,7 +37,6 @@ from spherelets.spca import (
     project_pieces,
     project_sphere,
     sphere_arcs,
-    sphere_distance,
 )
 
 embed_mod = importlib.import_module("spherelets.embed")

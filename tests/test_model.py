@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import leaf_pieces, project_piece
+from oracles import Hyperplane, leaf_pieces, project_piece, project_plane
 from spherelets import model as model_mod
 from spherelets import partition, spca
 from spherelets.datasets import enneper, euler_spiral, sphere_sample
@@ -20,7 +20,7 @@ from spherelets.exceptions import (
 )
 from spherelets.model import fit, load, save
 from spherelets.partition import iter_leaves, route
-from spherelets.spca import Spherelet, project_plane, project_sphere
+from spherelets.spca import Spherelet, project_sphere
 
 
 def _circle_model(n=120, r=1.0, seed=0):
@@ -252,8 +252,7 @@ def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
     X = euler_spiral(1500, 2.0, seed=13).points
     with monkeypatch.context() as mp:
         # every cell's MSE comes from the level fit's own per-row residuals
-        for name in ("sphere_residual_sq", "project_sphere", "project_plane", "_plane_images",
-                     "_sphere_images"):
+        for name in ("project_sphere", "_plane_images", "_sphere_images"):
             mp.setattr(spca, name, refuse)
         model = fit(X, 1, 1e-8, fitter=fitter)
     depth = _depth(model.tree)
@@ -716,9 +715,9 @@ def test_legacy_file_with_members_and_wide_plane_projects_as_hand_built_pieces(t
     assert [leaf.cell_id for leaf in iter_leaves(model.tree)] == [4, 1, 2]
     sphere = Spherelet(frame=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
                        center=np.array([2.0, 0.0, 0.0]), radius=1.0, mu=np.array([2.0, 0.5, 0.0]))
-    wide = spca.Hyperplane(mu=np.array([-1.0, 1.0, 0.0]),
+    wide = Hyperplane(mu=np.array([-1.0, 1.0, 0.0]),
                            frame=np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0]]))
-    narrow = spca.Hyperplane(mu=np.array([-1.0, -1.0, 0.0]), frame=np.array([[0.0], [0.6], [0.8]]))
+    narrow = Hyperplane(mu=np.array([-1.0, -1.0, 0.0]), frame=np.array([[0.0], [0.6], [0.8]]))
 
     def reference(x):  # the file's two splits, by hand
         return (4, sphere) if x[0] > 0.0 else (1, wide) if x[1] > 0.0 else (2, narrow)

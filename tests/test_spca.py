@@ -7,15 +7,22 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Hyperplane,
     column_sums,
+    fit_plane,
+    optimal_offset,
     outer_sums,
     piece_record,
     piece_residual_sq,
     principal_angles,
     project_piece,
+    project_plane,
     reference_fit_spheres,
     row_major_fit_pieces,
     row_major_fit_spheres,
+    sphere_distance,
+    sphere_fit_loss,
+    sphere_residual_sq,
     sym_eig,
 )
 from spherelets import spca
@@ -28,32 +35,25 @@ from spherelets.exceptions import (
 )
 from spherelets.model import load
 from spherelets.spca import (
-    Hyperplane,
     Spherelet,
-    fit_hyperplane,
     fit_pieces,
     fit_sphere,
     fit_spheres,
-    optimal_offset,
     project_pieces,
-    project_plane,
     project_sphere,
-    sphere_distance,
-    sphere_fit_loss,
-    sphere_residual_sq,
     stacked_pca,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
 
 
-# -- hyperplane fit ----------------------------------------------------------
+# -- hyperplane fit: a row of the pca table ---------------------------------
 
 
 def test_fit_hyperplane_line():
     t = np.linspace(-1, 1, 9)
     X = np.column_stack([t, t])  # y = x
-    plane = fit_hyperplane(X, 0)
+    plane = fit_plane(X, 1)
     v = plane.frame[:, 0]
     assert np.allclose(np.abs(v), [1 / np.sqrt(2)] * 2, atol=1e-12)
 
@@ -61,7 +61,7 @@ def test_fit_hyperplane_line():
 def test_fit_hyperplane_full_dimension_is_identity():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(20, 3))
-    plane = fit_hyperplane(X, 2)  # d+1 = D
+    plane = fit_plane(X, 3)  # w = D
     x = rng.normal(size=3)
     assert np.allclose(project_plane(x, plane), x, atol=1e-10)
 
@@ -69,7 +69,7 @@ def test_fit_hyperplane_full_dimension_is_identity():
 def test_fit_hyperplane_matches_eig_oracle():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(200, 4)) * np.array([5.0, 2.0, 1.0, 0.3])
-    plane = fit_hyperplane(X, 1)
+    plane = fit_plane(X, 2)
     Xc = X - X.mean(axis=0)
     oracle = sym_eig(Xc.T @ Xc).eigenvectors[:, :2]
     assert principal_angles(plane.frame, oracle).max() < 1e-10
@@ -77,9 +77,9 @@ def test_fit_hyperplane_matches_eig_oracle():
 
 def test_fit_hyperplane_errors():
     with pytest.raises(InsufficientDataError):
-        fit_hyperplane(np.zeros((1, 3)), 1)
+        fit_pieces(np.zeros((0, 3)), [0], 1, "pca")
     with pytest.raises(DimensionError):
-        fit_hyperplane(np.zeros((5, 2)), 2)  # d+1 = 3 > D = 2
+        fit_pieces(np.zeros((5, 2, 1)), [0], 1, "pca")  # not (N, D) rows
 
 
 # -- reduction ---------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_fit_hyperplane_errors():
 def test_reduce_fixes_points_in_subspace():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 4))
-    plane = fit_hyperplane(X, 1)
+    plane = fit_plane(X, 2)
     Y = project_plane(X, plane)
     assert np.allclose(project_plane(Y, plane), Y, atol=1e-10)
 
@@ -96,7 +96,7 @@ def test_reduce_fixes_points_in_subspace():
 def test_reduce_orthogonal_complement_maps_to_mean():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 4))
-    plane = fit_hyperplane(X, 1)
+    plane = fit_plane(X, 2)
     w = rng.normal(size=4)
     w -= plane.frame @ (plane.frame.T @ w)  # orthogonal to the frame
     x = plane.mu + w
@@ -106,7 +106,7 @@ def test_reduce_orthogonal_complement_maps_to_mean():
 def test_reduce_residual_orthogonal_to_frame():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(25, 5))
-    plane = fit_hyperplane(X, 1)
+    plane = fit_plane(X, 2)
     resid = X - project_plane(X, plane)
     assert np.max(np.abs(resid @ plane.frame)) < 1e-10
 
@@ -124,10 +124,10 @@ def test_fit_sphere_symmetric_four_points():
 def test_fit_sphere_circumcircle():
     # circumcircle through three points, from perpendicular bisectors
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    s, diag = fit_sphere(X, 1)
+    s, fits = fit_sphere(X, 1)
     assert np.allclose(s.center, [0.5, 0.5], atol=1e-10)
     assert np.isclose(s.radius, np.sqrt(0.5), atol=1e-10)
-    assert diag.geometric_mse < 1e-20
+    assert np.mean(fits.residual_sq) < 1e-20
 
 
 def test_fit_sphere_exact_recovery_r5():
@@ -157,9 +157,9 @@ def test_fit_sphere_insufficient_data():
 def test_fit_sphere_degenerates_on_collinear_points():
     t = np.linspace(0, 1, 30)
     X = np.column_stack([t, 2 * t])
-    s, diag = fit_sphere(X, 1)
+    s, fits = fit_sphere(X, 1)
     assert s.degenerate
-    assert diag.h_condition > 1e12
+    assert fits.h_condition[0] > 1e12
     # degenerate projection goes onto the fit's d-plane, the line itself
     # (the 2-wide reduction plane is all of R^2 and would map x to itself)
     x = np.array([0.5, 1.3])
@@ -286,7 +286,7 @@ def test_project_sphere_dimension_mismatch():
 
 
 def test_project_plane_trivial_and_idempotent():
-    plane = fit_hyperplane(np.column_stack([np.linspace(0, 1, 10), np.zeros(10)]), 0)
+    plane = fit_plane(np.column_stack([np.linspace(0, 1, 10), np.zeros(10)]), 1)
     p = project_plane(np.array([3.0, 4.0]), plane)
     assert np.allclose(p, [3.0, 0.0], atol=1e-12)
     assert np.allclose(project_plane(p, plane), p, atol=1e-12)
@@ -383,7 +383,7 @@ def _fits_match_looped(H, d):
     """Stacked fits agree with fit_sphere row by row; returns the stack."""
     fits = fit_spheres(*_ragged(H), d)
     for i, hood in enumerate(H):
-        s, diag = fit_sphere(hood, d)
+        s, one = fit_sphere(hood, d)
         assert bool(fits.degenerate[i]) == s.degenerate
         assert _rel_close(fits.frame[i], s.frame)
         assert _rel_close(fits.mu[i], s.mu)
@@ -392,8 +392,8 @@ def _fits_match_looped(H, d):
             assert fits.radius[i] == np.inf
         else:
             assert _rel_close(fits.radius[i], s.radius)
-        assert fits.h_condition[i] == diag.h_condition or _rel_close(
-            fits.h_condition[i], diag.h_condition
+        assert fits.h_condition[i] == one.h_condition[0] or _rel_close(
+            fits.h_condition[i], one.h_condition[0]
         )
     return fits
 
@@ -515,7 +515,7 @@ def test_stacked_pca_matches_hyperplane_fit():
     H = rng.normal(size=(5, 9, 3)) * np.array([3.0, 1.0, 0.2])
     mu, axes = stacked_pca(*_ragged(H))
     for i in range(5):
-        plane = fit_hyperplane(H[i], 1)
+        plane = fit_plane(H[i], 2)
         assert np.array_equal(mu[i], plane.mu)
         assert np.array_equal(axes[i, :, :2], plane.frame)
 
@@ -746,8 +746,8 @@ def test_singular_scatter_reports_infinite_condition():
         fits = fit_spheres(*_ragged(sets), d)
         assert np.all(fits.h_condition == np.inf) and fits.degenerate.all()
         for S in sets:
-            s, diag = fit_sphere(S, d)
-            assert diag.h_condition == np.inf and s.degenerate
+            s, one = fit_sphere(S, d)
+            assert one.h_condition[0] == np.inf and s.degenerate
 
 
 def test_subnormal_scatter_eigenvalue_reports_infinite_condition():
@@ -822,6 +822,24 @@ def test_fit_pieces_residuals_equal_each_piece_property(case, fitter):
         assert np.max(np.abs(got - expect)) <= 1e-12 * scale**2
 
 
+def test_full_frame_residual_has_no_out_of_plane_term():
+    # a frame of all D axes leaves nothing out of its plane: a row's distance
+    # to the sphere is the in-plane term alone, good to a few ulps of the
+    # scale, without the rounding of |x - x_bar|^2 - |z|^2, which on a
+    # circle sampled 1e-6 off its radius put it off by up to 6e-10
+    theta = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+    wobble = 1.0 + 1e-6 * np.random.default_rng(41).uniform(-1.0, 1.0, theta.size)
+    X = np.array([3.0, -2.0]) + wobble[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    fits = fit_spheres(X, [0], 1)
+    c, r = fits.center[0].astype(np.longdouble), np.longdouble(fits.radius[0])
+    exact = np.abs(np.sqrt(np.sum((X - c) ** 2, axis=1)) - r)
+    assert np.all(np.abs(np.sqrt(fits.residual_sq) - exact) <= 8 * np.finfo(float).eps * 2 * r)
+    for fitter in ("spca", "pca"):  # a 2-wide plane in R^2 holds every row
+        plane = fit_pieces(X, [0], 2, fitter)
+        assert not plane.pieces.sphere[0] and plane.pieces.width[0] == 2
+        assert np.all(plane.residual_sq == 0.0)
+
+
 # -- properties ----------------------------------------------------------------
 
 
@@ -864,7 +882,7 @@ def test_projection_idempotent_property(sphere, kind, n, spread):
     if kind == "sphere":
         piece = spca.Spherelet(frame=V, center=c, radius=r, mu=c)
     else:
-        piece = spca.Hyperplane(mu=c, frame=V[:, :d])
+        piece = Hyperplane(mu=c, frame=V[:, :d])
     X = c + spread * rng.normal(size=(n, c.size))
     try:
         P = project_piece(piece, X)
@@ -872,3 +890,29 @@ def test_projection_idempotent_property(sphere, kind, n, spread):
         return
     scale = max(1.0, float(np.max(np.abs(X))), float(np.max(np.abs(c))) + r)
     assert np.max(np.abs(project_piece(piece, P) - P)) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_piece_sets(), n=st.integers(1, 20))
+def test_one_set_api_is_a_view_of_the_table_property(case, n):
+    # fit_sphere's record is row 0 of the one-set spca table, bit for bit,
+    # and project_sphere gives project_pieces' images wherever they are
+    # regular
+    d, sets = case
+    S = sets[0]
+    assume(S.shape[0] >= d + 2 and d + 1 <= S.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
+        s, _ = fit_sphere(S, d)
+        pieces = fit_pieces(S, [0], d, "spca").pieces
+    assert s.degenerate == (not pieces.sphere[0])
+    w = pieces.width[0]
+    assert np.array_equal(s.frame[:, :w], pieces.frame[0, :, :w]) and not pieces.frame[0, :, w:].any()
+    assert np.array_equal(s.mu, pieces.mu[0]) and np.array_equal(s.center, pieces.center[0])
+    assert s.radius == pieces.radius[0]  # inf for a degenerate fit
+    rng = np.random.default_rng(n)
+    P = S[rng.integers(0, S.shape[0], n)] + np.abs(S).max() * rng.normal(size=(n, S.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        images, regular = project_pieces(P[None], pieces)
+    assume(regular.all())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(project_sphere(P, s), images[0], equal_nan=True)
