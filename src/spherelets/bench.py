@@ -131,14 +131,13 @@ def bench_curve(
             t0 = time.perf_counter()
             fitted = model_mod.fit(train, d, eps, fitter=method)
             wall = time.perf_counter() - t0
-            train_mse, _ = fitted.train_mse(train)
             test_mse, _ = fitted.mse(test)
             records.append(
                 BenchRecord(
                     method=method,
                     eps=eps,
                     pieces=fitted.n_pieces,
-                    train_mse=train_mse,
+                    train_mse=fitted.train_mse,
                     test_mse=test_mse,
                     wall_time=wall,
                 )

@@ -163,14 +163,12 @@ def _cmd_generate(args, argv) -> int:
 
 
 def _cmd_fit(args, argv) -> int:
-    X = load_csv(args.input)
     fitted = model_mod.fit(
-        X, args.d, args.eps, args.n_min, fitter=args.method,
+        load_csv(args.input), args.d, args.eps, args.n_min, fitter=args.method,
         provenance={"command": "spherelets " + " ".join(argv)},
     )
     fitted.save(args.out)
-    train_mse, _ = fitted.train_mse(X)
-    print(f"pieces={fitted.n_pieces} train_mse={train_mse:.6e} model={args.out}")
+    print(f"pieces={fitted.n_pieces} train_mse={fitted.train_mse:.6e} model={args.out}")
     return EXIT_OK
 
 

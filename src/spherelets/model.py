@@ -5,7 +5,8 @@ of the pieces fitted to its cells, row j the j-th leaf's depth first: a
 spherelet under the ``spca`` fitter (with hyperplane fallback on
 degeneracy) or a d-dimensional hyperplane under ``pca``. ``fit`` grows
 the tree a level at a time, each level one ragged fit whose per-row
-residuals give every cell's MSE; ``load`` builds the table once. Projection
+residuals give every cell's MSE and, kept for the rows of each leaf,
+the fit's ``train_mse``; ``load`` builds the table once. Projection
 routes a batch down the tree a level at a time to each row's piece index
 (``partition.leaf_index``) and maps the rows onto the pieces they index
 by ``spca.project_pieces``, so held-out data can be projected without
@@ -67,6 +68,7 @@ class SphereletModel:
     D: int
     fitter: str
     provenance: dict = field(default_factory=dict)
+    train_mse: float | None = None  # from tree growth; None for a loaded model
 
     @property
     def n_pieces(self) -> int:
@@ -125,46 +127,21 @@ class SphereletModel:
             raise ParameterError("cannot compute MSE of an empty dataset")
         X = self._rows(X)
         at = leaf_index(X, self.tree)
-        return _with_mse(X, self._project_routed(X, at), at, self._cell_ids())
-
-    def train_mse(self, X: np.ndarray) -> tuple[float, dict[int, float]]:
-        """``mse(X)`` of the rows X the tree was grown on, without routing
-        them: each leaf's rows are its ``member_indices``, which the tree
-        split by the sign tests routing makes. Raises ParameterError when
-        the leaves' members do not number the rows of X, or when the model
-        was loaded from a file without them."""
-        X = self._rows(X)
-        members = [leaf.member_indices for leaf in iter_leaves(self.tree)]
-        rows = np.concatenate(members)
-        if rows.size == 0:
-            raise ParameterError("the model was loaded without its training members, which model "
-                                 "files do not keep; mse(X) routes the rows instead")
-        if not np.array_equal(np.sort(rows), np.arange(X.shape[0])):
-            raise ParameterError(f"the leaves' members are not the {X.shape[0]} training rows")
-        at = np.empty(X.shape[0], dtype=np.intp)
-        at[rows] = np.repeat(np.arange(len(members)), [m.size for m in members])
-        return _with_mse(X, self._project_routed(X, at), at, self._cell_ids())[1:]
+        P, ids = self._project_routed(X, at), self._cell_ids()
+        R = X - P
+        sq = row_dots(R, R)
+        # each cell's rows in turn, in increasing order; NumPy's stable sort
+        # of 8- and 16-bit keys is a radix sort
+        order = np.argsort(at.astype(np.min_scalar_type(len(ids) - 1)), kind="stable")
+        by_cell, at = sq.take(order), at.take(order)
+        bounds = np.flatnonzero(np.diff(at, prepend=-1, append=-1))
+        # np.mean of each cell's slice, the same sum and division without its per-call cost
+        per_cell = sorted((ids[j], float(np.add.reduce(by_cell[lo:hi]) / (hi - lo))) for j, lo, hi
+                          in zip(at[bounds[:-1]].tolist(), bounds.tolist(), bounds[1:].tolist()))
+        return P, float(np.mean(sq)), dict(per_cell)
 
     def save(self, path: str) -> None:
         save(self, path)
-
-
-def _with_mse(X: np.ndarray, P: np.ndarray, at: np.ndarray,
-              ids: list[int]) -> tuple[np.ndarray, float, dict[int, float]]:
-    """The projections P of the rows of X, their mean squared residual,
-    and its mean over the rows of each cell, row i in the cell of piece
-    ``at[i]`` and piece j that of cell ``ids[j]``."""
-    R = X - P
-    sq = row_dots(R, R)
-    # each cell's rows in turn, in increasing order; NumPy's stable sort of
-    # 8- and 16-bit keys is a radix sort
-    order = np.argsort(at.astype(np.min_scalar_type(len(ids) - 1)), kind="stable")
-    by_cell, at = sq.take(order), at.take(order)
-    bounds = np.flatnonzero(np.diff(at, prepend=-1, append=-1))
-    # np.mean of each cell's slice, the same sum and division without its per-call cost
-    per_cell = sorted((ids[j], float(np.add.reduce(by_cell[lo:hi]) / (hi - lo)))
-                      for j, lo, hi in zip(at[bounds[:-1]].tolist(), bounds.tolist(), bounds[1:].tolist()))
-    return P, float(np.mean(sq)), dict(per_cell)
 
 
 def fit(
@@ -176,15 +153,17 @@ def fit(
     provenance: dict | None = None,
 ) -> SphereletModel:
     """Fit a piecewise model: grow the partition tree, which fits one piece
-    per cell. ``n_min`` defaults to max(10, d+3)."""
+    per cell. ``n_min`` defaults to max(10, d+3). ``train_mse`` is the mean
+    of the growth fits' residuals of the rows X: ``mse(X)[0]`` up to rounding."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if n_min is None:
         n_min = max(10, d + 3)
-    tree, pieces = build_tree(X, d, eps, n_min, fitter)
+    tree, pieces, residual_sq = build_tree(X, d, eps, n_min, fitter)
     prov = dict(provenance or {})
     prov.setdefault("eps", eps)
     prov.setdefault("n_min", n_min)
-    return SphereletModel(tree=tree, pieces=pieces, d=d, D=X.shape[1], fitter=fitter, provenance=prov)
+    return SphereletModel(tree=tree, pieces=pieces, d=d, D=X.shape[1], fitter=fitter, provenance=prov,
+                          train_mse=float(np.mean(residual_sq)))
 
 
 # -- serialization ----------------------------------------------------------
@@ -309,7 +288,7 @@ def _width(frame) -> int:
 def _check_pieces(objs: list, d: int, D: int) -> tuple[list[int], PieceTable]:
     """The id of each piece object and the table of their pieces in that
     order, checked together for all pieces of one kind and frame width."""
-    ids = [int(o["id"]) for o in objs]
+    ids = [_integer(o["id"], "piece id") for o in objs]
     for o in objs:
         if o["kind"] not in ("plane", "sphere"):
             raise ValueError(f"unknown piece kind {o['kind']!r}")
@@ -344,12 +323,17 @@ def _check_pieces(objs: list, d: int, D: int) -> tuple[list[int], PieceTable]:
     return ids, pieces
 
 
+def _integer(value, name: str) -> int:
+    """A model file's integer field; a float or a bool is not a JSON integer."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _piece_name(i: int, obj) -> str:
     """``leaves[i] (leaf <id>)``, without the id when it is not an integer."""
-    try:
-        return f"leaves[{i}] (leaf {int(obj['id'])})"
-    except _MALFORMED:
-        return f"leaves[{i}]"
+    cid = obj.get("id") if isinstance(obj, dict) else None
+    return f"leaves[{i}] (leaf {cid})" if type(cid) is int else f"leaves[{i}]"
 
 
 def _tree_nodes(tree) -> tuple[list, list[str]]:
@@ -378,16 +362,16 @@ def _check_nodes(nodes: list, D: int) -> tuple[list[SplitRule], list[tuple[int, 
     for o in splits:
         if "left" not in o or "right" not in o:
             raise KeyError("left" if "left" not in o else "right")
-    leaves = [(int(o["leaf"]), np.asarray(o.get("members", []), dtype=int))
+    leaves = [(_integer(o["leaf"], "leaf id"), np.asarray(o.get("members", []), dtype=int))
               for o in nodes if "leaf" in o]
     return [SplitRule(mu=m, direction=v) for m, v in zip(mu, direction)], leaves
 
 
 def load(path: str) -> SphereletModel:
     """Load a model file; raises ParseError / VersionError on bad input,
-    including a d or D that is not an integer (d >= 0, D >= 1), a fitter
-    other than spca or pca, a provenance that is not an object, a piece
-    or split whose shapes do not fit d and D, a
+    including a version, d, D, leaf id or piece id that is not an integer
+    (d >= 0, D >= 1), a fitter other than spca or pca, a provenance that
+    is not an object, a piece or split whose shapes do not fit d and D, a
     non-finite number or one out of float range, a frame whose columns are
     not orthonormal within ``FRAME_TOL``, a sphere radius that is not
     finite and positive, leaf ids that do not pair each tree leaf with
@@ -404,7 +388,7 @@ def load(path: str) -> SphereletModel:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be an object")
     version = obj.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise VersionError(f"{path}: unsupported model version {version!r}")
     for key in ("d", "D", "fitter", "tree", "leaves"):
         if key not in obj:

@@ -17,7 +17,8 @@ leaving either side below ``n_min`` is rejected. The next level's cells
 are the split cells' rows in one stable sort by (cell, side), so no row
 is scored twice. Leaves are numbered depth-first once the tree's shape
 is known, and their pieces gathered into one ``spca.PieceTable`` whose
-row j is the piece of leaf j.
+row j is the piece of leaf j; each row keeps its residual from the level
+at which its cell became a leaf.
 
 Routing (``leaf_index``) moves a whole batch down the tree a level at a
 time, every row one step per level, over arrays of the split means,
@@ -70,10 +71,11 @@ def build_tree(
     eps: float,
     n_min: int,
     fitter: str = "spca",
-) -> tuple[PartitionNode, PieceTable]:
+) -> tuple[PartitionNode, PieceTable, np.ndarray]:
     """Grow the PC1-sign tree level by level until every cell meets the MSE
     target or runs out of points. Returns the tree, its leaves numbered in
-    depth-first order, and the piece table, row j the piece of leaf j."""
+    depth-first order; the piece table, row j the piece of leaf j; and
+    each row's squared residual (n,) to its leaf's piece."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not 0.0 < eps < math.inf:
         raise ParameterError(f"eps must be finite and > 0, got {eps}")
@@ -87,6 +89,7 @@ def build_tree(
     # and for each cell the index j of its left child in level t + 1 (its
     # right child is j + 1), or -1 for a leaf
     levels, index, sizes = [], np.arange(X.shape[0]), np.array([X.shape[0]])
+    residual_sq = np.empty(X.shape[0])
     while sizes.size:
         starts = np.cumsum(sizes) - sizes
         fits = fit_pieces(X.take(index, axis=0), starts, d, fitter)
@@ -96,7 +99,9 @@ def build_tree(
         split = (sizes > n_min) & (mse > eps) & (n_min <= n_left) & (n_left <= sizes - n_min)
         parted = np.repeat(split, sizes)  # the rows of the split cells
         bounds = np.concatenate(([0], np.cumsum(np.where(split, 0, sizes))))
-        levels.append((index[~parted], bounds.tolist(), fits.pieces, fits.axis,  # only leaves keep rows
+        kept = index[~parted]  # only leaves keep rows, and their residuals
+        residual_sq[kept] = fits.residual_sq[~parted]
+        levels.append((kept, bounds.tolist(), fits.pieces, fits.axis,
                        np.where(split, 2 * np.cumsum(split) - 2, -1).tolist()))
         # the next level's cells: each split cell's left rows, then its
         # right rows, each in their order
@@ -125,7 +130,7 @@ def build_tree(
         else:
             left, right = built.pop(), built.pop()
             built.append(Internal(rule=SplitRule(mu=table.mu[i], direction=axis[i]), left=left, right=right))
-    return built.pop(), pieces
+    return built.pop(), pieces, residual_sq
 
 
 def _goes_left(X: np.ndarray, mu: np.ndarray, direction: np.ndarray) -> np.ndarray:

@@ -99,16 +99,14 @@ class SphereFits:
     has a NaN entry. A set above ``H_CONDITION_LIMIT`` is degenerate.
 
     ``residual_sq`` (N,) is each input row's squared distance to its
-    set's piece: (|z - c_z| - r)^2 + max(|x - x_bar|^2 - |z|^2, 0) for a
-    sphere, with z = V'(x - x_bar) and c_z the reduced center, and the
-    out-of-plane part max(|x - x_bar|^2 - |z_d|^2, 0) for a degenerate set,
-    z_d the first d coordinates of z, whose piece is the d-plane of its
-    fit. The sphere's out-of-plane term is exactly 0 where the frame spans
-    all D axes (d + 1 = D): there it would be rounding alone. The
-    residual is the ambient (|V'(x - c)| - r)^2 + |(I - VV')(x - c)|^2 up
-    to rounding. Row norms are ``row_dots``' sums: a column at a time
-    below ``numeric.NARROW_ROW`` coordinates, NumPy's pairwise row sum
-    from there on.
+    set's piece: (|z - c_z| - r)^2 + |(I - VV')(x - x_bar)|^2 for a
+    sphere, with z = V'(x - x_bar) and c_z the reduced center, and
+    z_d^2 + |(I - VV')(x - x_bar)|^2 for a degenerate set, whose piece is
+    the d-plane of its fit, z_d the last coordinate of z. The out-of-plane
+    term is a sum of squares (``_out_of_plane``), exactly 0 where the
+    frame spans all D axes (d + 1 = D). The residual is the ambient
+    (|V'(x - c)| - r)^2 + |(I - VV')(x - c)|^2 up to rounding; row norms
+    are ``row_dots``' sums.
 
     ``score`` (N,) is each input row's first reduced coordinate
     V[:, 0]'(x - x_bar), summed over the D axes in column order at every
@@ -247,6 +245,22 @@ def _reduced(XcT: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return Z
 
 
+def _out_of_plane(XcT: np.ndarray, V: np.ndarray, Z: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Squared norms (N,) of (I - V_i V_i')(x - x_bar) for the centred rows
+    XcT (D, N), their sets' frames V_i (m, D, w) and reduced coordinates
+    Z (w, N): each coordinate less its lift V_i[c, 0] z_0 + V_i[c, 1] z_1
+    + ..., squared, summed axis by axis; unlike |x - x_bar|^2 - |z|^2, it
+    resolves residuals far below the data's scale times the rounding unit."""
+    out = np.zeros(XcT.shape[1])
+    for c, x in enumerate(XcT):
+        lift = np.zeros_like(x)
+        for j, z in enumerate(Z):
+            lift += np.repeat(V[:, c, j], sizes) * z
+        lift -= x
+        out += lift * lift
+    return out
+
+
 def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
     """The model piece of each point set (rows X cut at ``starts``), its
     first principal axis, and each row's squared residual to its set's
@@ -274,7 +288,7 @@ def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
         Z = _reduced(XcT, axes[:, :, : max(w, 1)], sub_sizes)  # a 0-wide plane's rows still need a score
         score[rows] = Z[0]
         # out of plane; a plane of all D axes leaves nothing out
-        residual_sq[rows] = np.maximum(_sq_norms(XcT) - _sq_norms(Z[:w]), 0.0) if w < D else 0.0
+        residual_sq[rows] = _out_of_plane(XcT, axes[:, :, :w], Z[:w], sub_sizes) if w < D else 0.0
     if sphere.any():
         rows, sub_X, sub_starts, _ = _subsets(X, starts, sizes, sphere)
         fits = fit_spheres(sub_X, sub_starts, d)
@@ -368,13 +382,11 @@ def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
     dist = np.sqrt(_sq_norms(_less(Z.copy(), c_z.T, sizes)))
     radius = np.add.reduceat(dist, starts) / sizes
     ok &= np.isfinite(radius) & (radius <= RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
-    residual_sq = dist - np.repeat(np.where(ok, radius, 0.0), sizes)
+    # a degenerate set's piece is the d-plane of its fit, which leaves z_d out
+    residual_sq = np.where(np.repeat(ok, sizes), dist - np.repeat(np.where(ok, radius, 0.0), sizes), Z[d])
     residual_sq *= residual_sq
     if d + 1 < X.shape[1]:  # out of the reduction plane; a full frame leaves nothing out
-        residual_sq += np.maximum(xx - l, 0.0)
-    if not ok.all():  # a degenerate set's piece is the d-plane of its fit
-        plane = np.repeat(~ok, sizes)
-        residual_sq[plane] = np.maximum(xx[plane] - _sq_norms(Z[:d, plane]), 0.0)
+        residual_sq += _out_of_plane(XcT, V, Z, sizes)
     return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
                       radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond,
                       residual_sq=residual_sq, score=Z[0])

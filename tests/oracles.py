@@ -59,7 +59,8 @@ def sphere_residual_sq(X: np.ndarray, s: Spherelet) -> np.ndarray:
     if s.frame.shape[1] == s.frame.shape[0]:
         perp_sq = 0.0  # full frame: no out-of-subspace component
     else:
-        perp_sq = np.maximum(row_dots(diff, diff) - in_norm**2, 0.0)
+        perp = diff - inner @ s.frame.T
+        perp_sq = row_dots(perp, perp)
     return (in_norm - s.radius) ** 2 + perp_sq
 
 
@@ -169,6 +170,19 @@ def column_sums(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return Z
 
 
+def out_of_plane_sq(Xc: np.ndarray, V: np.ndarray, Z: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Squared norms (N,) of (I - VV')(x - x_bar) of centred rows Xc (N, D)
+    with reduced coordinates Z (N, w) by their sets' frames V (m, D, w):
+    each coordinate less its lift, column c of ``column_sums`` of Z by V'
+    (none at w = 0), squared and added a coordinate at a time, as ``spca``
+    sums them."""
+    R = Xc - column_sums(Z, np.swapaxes(V, 1, 2), sizes) if Z.shape[1] else Xc
+    out = R[:, 0] * R[:, 0]
+    for c in range(1, R.shape[1]):
+        out += R[:, c] * R[:, c]
+    return out
+
+
 def frame_products(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Reduced coordinates of centred rows Xc (N, D) by one 1 x D by D x w
     matrix product per row, with each set's frame V (m, D, w) repeated to
@@ -232,8 +246,9 @@ def _row_major_pca(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
 def row_major_fit_spheres(X: np.ndarray, starts, d: int) -> spca.SphereFits:
     """``spca.fit_spheres`` on row-major arrays: every per-set sum a 2-D
     segment sum over strided columns, every broadcast a 2-D repeat, and
-    row norms by ``row_dots`` of the (N, p) rows; a full frame's residual
-    has no out-of-plane term, as in the library."""
+    row norms by ``row_dots`` of the (N, p) rows and the out-of-plane term
+    by ``out_of_plane_sq``; a full frame's residual has none, as in the
+    library."""
     X, starts, sizes = spca._segments(X, starts)
     mu, Xc, axes = _row_major_pca(X, starts, sizes)
     V = axes[:, :, : d + 1]
@@ -258,11 +273,10 @@ def row_major_fit_spheres(X: np.ndarray, starts, d: int) -> spca.SphereFits:
     radius = np.add.reduceat(dist, starts) / sizes
     ok &= np.isfinite(radius) & (radius <= spca.RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
     residual_sq = (dist - np.repeat(np.where(ok, radius, 0.0), sizes)) ** 2
-    if d + 1 < X.shape[1]:  # a full frame leaves nothing out of its plane
-        residual_sq += np.maximum(xx - l, 0.0)
     plane = np.repeat(~ok, sizes)
-    Zd = Z[plane, :d]
-    residual_sq[plane] = np.maximum(xx[plane] - row_dots(Zd, Zd), 0.0)
+    residual_sq[plane] = Z[plane, d] * Z[plane, d]
+    if d + 1 < X.shape[1]:  # a full frame leaves nothing out of its plane
+        residual_sq += out_of_plane_sq(Xc, V, Z, sizes)
     return spca.SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
                            radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond,
                            residual_sq=residual_sq, score=Z[:, 0])
@@ -282,8 +296,8 @@ def row_major_fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> spca.Pie
         mu[~sphere], Xc, axes = _row_major_pca(sub_X, sub_starts, sub_sizes)
         first[~sphere], frame[~sphere, :, :w] = axes[:, :, 0], axes[:, :, :w]
         Z = column_sums(Xc, axes[:, :, : max(w, 1)], sub_sizes)
-        score[rows], Zw = Z[:, 0], Z[:, :w].copy()
-        residual_sq[rows] = np.maximum(row_dots(Xc, Xc) - row_dots(Zw, Zw), 0.0) if w < D else 0.0
+        score[rows] = Z[:, 0]
+        residual_sq[rows] = out_of_plane_sq(Xc, axes[:, :, :w], Z[:, :w], sub_sizes) if w < D else 0.0
     if sphere.any():
         rows, sub_X, sub_starts, _ = spca._subsets(X, starts, sizes, sphere)
         fits = row_major_fit_spheres(sub_X, sub_starts, d)

@@ -358,9 +358,22 @@ HUGE = 10**400  # written as 401 digits, out of float range
     (lambda: _edited_model(lambda o: o["leaves"][1].update(mu=[0.0, HUGE])),
      r"^leaves\[1\] \(leaf 1\): int too large to convert to float$"),
     (lambda: _edited_model(lambda o: o["tree"]["right"].update(leaf=float("inf"))),
-     r"^tree\.right: cannot convert float infinity to integer$"),
+     r"^tree\.right: leaf id must be an integer, got inf$"),
     (lambda: _edited_model(lambda o: o["leaves"][1].update(id=float("inf"))),
-     r"^leaves\[1\]: cannot convert float infinity to integer$"),
+     r"^leaves\[1\]: piece id must be an integer, got inf$"),
+    # a float or a bool equal to an integer used to be truncated or read as one
+    (lambda: _edited_model(lambda o: o["tree"]["right"].update(leaf=0.7)),
+     r"^tree\.right: leaf id must be an integer, got 0\.7$"),
+    (lambda: _edited_model(lambda o: o["tree"]["left"].update(leaf=False)),
+     r"^tree\.left: leaf id must be an integer, got False$"),
+    (lambda: _edited_model(lambda o: o["leaves"][0].update(id=False)),
+     r"^leaves\[0\]: piece id must be an integer, got False$"),
+    (lambda: _edited_model(lambda o: o["leaves"][1].update(id=1.0)),
+     r"^leaves\[1\]: piece id must be an integer, got 1\.0$"),
+    (lambda: _edited_model(lambda o: o.update(version=True)),
+     r"m\.json: unsupported model version True$"),
+    (lambda: _edited_model(lambda o: o.update(version=1.0)),
+     r"m\.json: unsupported model version 1\.0$"),
     (lambda: _edited_model(lambda o: o["tree"]["left"].update(members=[0, HUGE])),
      r"^tree\.left: .*too large"),
     (lambda: _edited_model(lambda o: o.update(D=float("inf"))),
@@ -370,8 +383,9 @@ HUGE = 10**400  # written as 401 digits, out of float range
         '"@"', "1" * 5000), r"m\.json: Exceeds the limit|^tree: int too large"),
     (lambda: _edited_model(lambda o: o.update(leaves=5)), r"m\.json: leaves must be a list$"),
     (_deeply_nested_model, r"m\.json: maximum recursion depth exceeded"),
-], ids=["split-mu", "piece-mu", "leaf-id", "piece-id", "members", "dimension", "digits",
-        "leaves-not-list", "deep-nesting"])
+], ids=["split-mu", "piece-mu", "leaf-id", "piece-id", "leaf-id-float", "leaf-id-bool",
+        "piece-id-bool", "piece-id-float", "version-bool", "version-float", "members",
+        "dimension", "digits", "leaves-not-list", "deep-nesting"])
 def test_exit_data_on_out_of_range_or_malformed_model(tmp_path, capsys, text, message):
     # each used to escape load as OverflowError, ValueError, TypeError or
     # RecursionError: exit 1 with a traceback
@@ -458,8 +472,8 @@ def test_report_mse_projects_each_leaf_once(tmp_path, monkeypatch, capsys):
 
 
 def test_fit_prints_the_routed_train_mse(tmp_path, monkeypatch, capsys):
-    # fit projects each leaf's members instead of routing the training rows
-    # again; the printed train_mse is the one routing gives
+    # fit reads its train MSE off tree growth instead of routing the
+    # training rows again; the printed train_mse is the one routing gives
     from spherelets import model as model_mod
     from spherelets.model import load
 

@@ -231,6 +231,32 @@ def _depth(node):
     return 1 + max(_depth(node.left), _depth(node.right))
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fit_train_mse_is_the_routed_mse_property(data):
+    # fit reads its train MSE off the growth fits' closed-form residuals;
+    # routing the training rows and projecting them gives the same mean,
+    # up to the rounding of each image, about (D + 2) units of max|x| in
+    # each coordinate of x - P
+    D = data.draw(st.integers(2, 5), label="D")
+    d = data.draw(st.integers(0, D - 1), label="d")
+    fitter = data.draw(st.sampled_from(["spca", "pca"]), label="fitter")
+    eps = 10.0 ** data.draw(st.floats(-12, -2), label="log_eps")
+    n = data.draw(st.integers(max(10, d + 3), 300), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="curved"):  # near a (D-1)-sphere, so spheres fit closely
+        noise = 10.0 ** data.draw(st.floats(-8, -1), label="log_noise")
+        X = sphere_sample(n, D - 1, D, rng.uniform(-10, 10, D), rng.uniform(0.1, 10), seed=seed % 2**31)
+        X += noise * rng.normal(size=X.shape)
+    else:
+        X = rng.uniform(-10, 10, D) + rng.uniform(0.01, 10) * rng.normal(size=(n, D))
+    model = fit(X, d, eps, fitter=fitter)
+    routed = model.mse(X)[0]
+    slack = (D + 2) * np.finfo(float).eps * np.abs(X).max() * np.sqrt(routed)
+    assert abs(model.train_mse - routed) <= 1e-12 * routed + slack
+
+
 @pytest.mark.parametrize("fitter", ["spca", "pca"])
 def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
     calls = {"fit_pieces": 0, "fit_spheres": 0}
@@ -523,18 +549,18 @@ def test_model_file_with_members_loads_and_projects_identically(tmp_path):
     for clone in (with_members, without):
         Q, clone_overall, clone_per_cell = clone.project_mse(probes)
         assert Q.tobytes() == P.tobytes() and (clone_overall, clone_per_cell) == (overall, per_cell)
-    assert with_members.train_mse(X) == model.train_mse(X)
     save(with_members, str(old))
     assert old.read_bytes() == new.read_bytes()
 
 
-def test_train_mse_of_a_model_loaded_without_members_names_mse(tmp_path):
+def test_a_loaded_model_has_no_train_mse_and_mse_routes_the_rows(tmp_path):
+    # model files do not keep the training residuals; mse(X) routes the rows
     X = enneper(800, 1.0, seed=23)
     path = tmp_path / "m.json"
-    save(fit(X, 2, 1e-5), str(path))
+    model = fit(X, 2, 1e-5)
+    save(model, str(path))
     loaded = load(str(path))
-    with pytest.raises(ParameterError, match=r"loaded without its training members.*mse\(X\)"):
-        loaded.train_mse(X)
+    assert loaded.train_mse is None and model.train_mse > 0.0
     assert loaded.mse(X)[0] > 0.0
 
 
@@ -586,18 +612,14 @@ def test_load_checks_valid_pieces_together(tmp_path):
         load(str(path))
 
 
-def test_train_mse_projects_leaf_members_as_routing_would():
+def test_leaf_members_are_the_rows_routing_gives():
     X = enneper(3000, 1.0, seed=6)
     model = fit(X, 2, 1e-5)
     at = partition.leaf_index(X, model.tree)
-    # the members are the rows routing gives
     for j, leaf in enumerate(iter_leaves(model.tree)):
         assert np.flatnonzero(at == j).tolist() == leaf.member_indices.tolist()
-    overall, per_cell = model.train_mse(X)
-    assert (overall, per_cell) == model.mse(X)
+    _, per_cell = model.mse(X)
     assert len(per_cell) == model.n_pieces > 3
-    with pytest.raises(ParameterError, match="training rows"):
-        model.train_mse(X[:-1])
 
 
 def test_load_checks_valid_splits_together(tmp_path):
@@ -735,7 +757,9 @@ def test_legacy_file_with_members_and_wide_plane_projects_as_hand_built_pieces(t
     for cid, mse in per_cell.items():
         assert np.isclose(mse, sq[cells == cid].mean(), rtol=1e-15)
     # the members number the first five rows, which route as they say
-    assert model.train_mse(X[:5]) == model.mse(X[:5])
+    at = partition.leaf_index(X[:5], model.tree)
+    for j, leaf in enumerate(iter_leaves(model.tree)):
+        assert np.flatnonzero(at == j).tolist() == sorted(leaf.member_indices.tolist())
     # the writer drops the members; the rewritten file projects the same
     path = tmp_path / "m.json"
     save(model, str(path))

@@ -27,7 +27,7 @@ from spherelets.partition import (
 def _root_split(X, n_min=3):
     """The root rule of a tree forced to split (eps below any MSE) and the
     member sets of its two children."""
-    tree, pieces = build_tree(X, 0, 1e-300, n_min, "pca")
+    tree, pieces, _ = build_tree(X, 0, 1e-300, n_min, "pca")
     assert isinstance(tree, Internal) and pieces.radius.size == len(list(iter_leaves(tree)))
     return tree.rule, _members(tree.left), _members(tree.right)
 
@@ -78,7 +78,7 @@ def test_split_cell_direction_matches_eig_oracle():
 def test_split_cell_degenerate():
     """Identical points have MSE 0, so they stay one leaf at any eps."""
     for fitter in ("spca", "pca"):
-        tree, pieces = build_tree(np.ones((5, 2)), 0, 1e-300, 3, fitter)
+        tree, pieces, _ = build_tree(np.ones((5, 2)), 0, 1e-300, 3, fitter)
         assert isinstance(tree, Leaf) and pieces.radius.size == 1
         assert np.array_equal(pieces.mu[0], [1.0, 1.0])
         assert tree.member_indices.tolist() == list(range(5))
@@ -86,7 +86,7 @@ def test_split_cell_degenerate():
 
 def test_build_tree_circle_single_leaf():
     X = sphere_sample(100, 1, 2, 0.0, 1.0, seed=0)
-    tree, pieces = build_tree(X, 1, 1e-6, 10, "spca")
+    tree, pieces, _ = build_tree(X, 1, 1e-6, 10, "spca")
     assert isinstance(tree, Leaf)
     assert pieces.sphere.tolist() == [True] and np.isclose(pieces.radius[0], 1.0)
 
@@ -109,7 +109,7 @@ def _leaf_list(tree):
 
 def test_leaves_partition_training_set():
     X = euler_spiral(600, 2.0, seed=2).points
-    tree, _ = build_tree(X, 1, 1e-7, 10, "spca")
+    tree, _, _ = build_tree(X, 1, 1e-7, 10, "spca")
     leaves = _leaf_list(tree)
     all_idx = np.concatenate([l.member_indices for l in leaves])
     assert sorted(all_idx.tolist()) == list(range(600))
@@ -121,7 +121,7 @@ def test_leaves_partition_training_set():
 
 def test_route_replays_training_membership():
     X = euler_spiral(500, 2.0, seed=3).points
-    tree, _ = build_tree(X, 1, 1e-7, 10, "spca")
+    tree, _, _ = build_tree(X, 1, 1e-7, 10, "spca")
     for leaf in _leaf_list(tree):
         for i in leaf.member_indices:
             assert route(X[i], tree) == leaf.cell_id
@@ -129,7 +129,7 @@ def test_route_replays_training_membership():
 
 def test_route_boundary_point_goes_right():
     X = euler_spiral(500, 2.0, seed=4).points
-    tree, _ = build_tree(X, 1, 1e-7, 10, "spca")
+    tree, _, _ = build_tree(X, 1, 1e-7, 10, "spca")
     assert isinstance(tree, Internal)
     rng = np.random.default_rng(1)
     w = rng.normal(size=2)
@@ -144,7 +144,7 @@ def test_route_boundary_point_goes_right():
 
 def test_route_matches_independent_replay():
     X = euler_spiral(800, 2.0, seed=5).points
-    tree, _ = build_tree(X, 1, 1e-8, 10, "spca")
+    tree, _, _ = build_tree(X, 1, 1e-8, 10, "spca")
 
     def replay(x, node):
         while isinstance(node, Internal):
@@ -162,7 +162,7 @@ def test_leaf_guard_mse_or_small():
     # every leaf meets the MSE target or was blocked from splitting
     X = euler_spiral(2000, 2.0, seed=6).points
     eps, n_min = 1e-8, 10
-    tree, pieces = build_tree(X, 1, eps, n_min, "spca")
+    tree, pieces, _ = build_tree(X, 1, eps, n_min, "spca")
     for leaf in _leaf_list(tree):
         cell = X[leaf.member_indices]
         mse = float(np.mean(piece_residual_sq(piece_record(pieces, leaf.cell_id), cell)))
@@ -171,8 +171,8 @@ def test_leaf_guard_mse_or_small():
 
 def test_build_tree_pca_fitter_splits():
     X = euler_spiral(600, 2.0, seed=7).points
-    tree_s, _ = build_tree(X, 1, 1e-8, 10, "spca")
-    tree_p, _ = build_tree(X, 1, 1e-8, 10, "pca")
+    tree_s, _, _ = build_tree(X, 1, 1e-8, 10, "spca")
+    tree_p, _, _ = build_tree(X, 1, 1e-8, 10, "pca")
     # line pieces need more cells than sphere pieces at equal target
     assert len(_leaf_list(tree_p)) > len(_leaf_list(tree_s))
 
@@ -234,7 +234,7 @@ def test_training_rows_route_to_their_leaf_property(data):
     rows = st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=D, max_size=D)
     X = np.array(data.draw(st.lists(rows, min_size=n, max_size=n), label="X"))
     fitter = data.draw(st.sampled_from(["spca", "pca"]), label="fitter")
-    tree, _ = build_tree(X, 1, data.draw(st.sampled_from([1e-6, 1e-2, 1.0])), 10, fitter)
+    tree, _, _ = build_tree(X, 1, data.draw(st.sampled_from([1e-6, 1e-2, 1.0])), 10, fitter)
     cells = route_many(X, tree)
     for leaf in _leaf_list(tree):
         assert np.all(cells[leaf.member_indices] == leaf.cell_id)
@@ -266,7 +266,7 @@ def test_grown_tree_routes_each_training_row_to_its_leaf_property(X, d, fitter, 
     # growth splits a cell by the signs of its fit's own scores; leaf_index
     # and the one-point route score those rows by the same sums at every
     # D, so each training row reaches the leaf whose members hold it
-    tree, _ = build_tree(X, d, 1e-12, d + 3, fitter)
+    tree, _, _ = build_tree(X, d, 1e-12, d + 3, fitter)
     leaves = _leaf_list(tree)
     owner = np.full(X.shape[0], -1)
     for j, leaf in enumerate(leaves):
@@ -278,7 +278,7 @@ def test_grown_tree_routes_each_training_row_to_its_leaf_property(X, d, fitter, 
 
 def test_route_many_matches_route_on_fitted_tree():
     X = euler_spiral(800, 2.0, seed=5).points
-    tree, _ = build_tree(X, 1, 1e-8, 10, "spca")
+    tree, _, _ = build_tree(X, 1, 1e-8, 10, "spca")
     pts = np.vstack([X, np.random.default_rng(9).uniform(-0.2, 1.2, size=(1000, 2))])
     assert route_many(pts, tree).tolist() == [route(x, tree) for x in pts]
 
@@ -338,7 +338,7 @@ def test_build_tree_equals_the_per_cell_loop_it_replaced(name, d, eps, fitter):
          "enneper": lambda: enneper(3000, 1.0, seed=42),
          "enneper10": lambda: enneper(3000, 1.0, seed=43) @ np.linalg.qr(
              np.random.default_rng(43).normal(size=(10, 3)))[0].T}[name]()
-    tree, pieces = build_tree(X, d, eps, 10, fitter)
+    tree, pieces, _ = build_tree(X, d, eps, 10, fitter)
     assert isinstance(tree, Internal)
     assert _same_tree(tree, _per_cell_tree(X, d, eps, 10, fitter), pieces)
 

@@ -840,6 +840,31 @@ def test_full_frame_residual_has_no_out_of_plane_term():
         assert np.all(plane.residual_sq == 0.0)
 
 
+def test_out_of_plane_residual_resolves_an_exact_circle():
+    # |x - x_bar|^2 - |z|^2, a difference of two sums of the data's scale,
+    # put the residuals of an exact circle in R^5 at ~6e-16. Each centred
+    # coordinate less its lift V z is off by about (D + 2) units of
+    # M = max|x - x_bar|, so a sum of their squares stays within
+    # D ((D + 2) eps M)^2; so does the in-plane (|z - c_z| - r)^2
+    center, D = np.array([2.0, -1.0, 0.5, 3.0, 0.0]), 5
+    circle = sphere_sample(60, 1, D, center, 2.0, seed=1)
+    v = np.random.default_rng(42).normal(size=D)
+    line = center + np.linspace(-2.0, 2.0, 40)[:, None] * v / np.linalg.norm(v)
+
+    def bound(X):
+        Xc = X - X.mean(axis=0)
+        return D * ((D + 2) * np.finfo(float).eps * np.sqrt(np.max(np.sum(Xc * Xc, axis=1)))) ** 2
+
+    sphere, flat = fit_spheres(circle, [0], 1), fit_spheres(line, [0], 1)
+    assert not sphere.degenerate[0] and flat.degenerate[0]  # the line's piece is the d-plane of its fit
+    assert sphere.residual_sq.max() <= bound(circle)
+    assert flat.residual_sq.max() <= bound(line)
+    for X, d in ((circle, 2), (line, 1), (line, 0)):  # planes narrower than D, a point at w = 0
+        plane = fit_pieces(X, [0], d, "pca")
+        ref = np.sum((X - X.mean(axis=0)) ** 2, axis=1) if d == 0 else 0.0
+        assert np.all(np.abs(plane.residual_sq - ref) <= bound(X) + 1e-15 * np.max(ref)), d
+
+
 # -- properties ----------------------------------------------------------------
 
 

@@ -8,7 +8,8 @@ the ``model-enneper`` benchmark model (d = 2, eps = 1e-5) on the train
 points, and prints the median and quartiles of the wall time
 (``time.perf_counter``, after one warm-up call) of each of:
 
-- ``fit``: ``model.fit`` of the train points, which is ``build_tree``;
+- ``fit``: ``model.fit`` of the train points, which is ``build_tree``
+  and the train MSE ``fit`` prints, read off the growth residuals;
 - ``load_csv``: ``datasets.load_csv`` of the test CSV;
 - ``save``: ``model.save`` of the fitted model;
 - ``load``: ``model.load`` of that file;
@@ -18,9 +19,6 @@ points, and prints the median and quartiles of the wall time
 - ``project_many``: ``SphereletModel.project_many`` of the test points;
 - ``project_mse``: ``SphereletModel.project_mse`` of the test points,
   what ``project --report-mse`` computes;
-- ``train_mse``: ``SphereletModel.train_mse`` of the train points through
-  the fitted model, what ``fit`` prints (a loaded model has no training
-  members);
 - ``save_csv``: ``datasets.save_csv`` of their projections;
 - ``fit_level``: ``spca.fit_pieces`` of one growth level over all the
   train rows, the 2^6 cells at depth 6 of the fitted tree (d = 2);
@@ -104,7 +102,6 @@ def main() -> None:
             "leaf_index": lambda: partition.leaf_index(T, loaded.tree),
             "project_many": lambda: loaded.project_many(T),
             "project_mse": lambda: loaded.project_mse(T),
-            "train_mse": lambda: fitted.train_mse(X),
             "save_csv": lambda: datasets.save_csv(P, out),
             "fit_level": lambda: spca.fit_pieces(*level, 2, "spca"),
         }
