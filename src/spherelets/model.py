@@ -263,10 +263,25 @@ def _reason(exc: Exception) -> str:
     return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
+def _numbers(values: list, name: str) -> np.ndarray:
+    """Nested lists of JSON numbers as one float array. NumPy reads the
+    string "0.5" and true as numbers too, so each entry's type is read
+    where one can hide: where the lists are not all numbers (a string
+    turns them all into text) or where an entry is 0 or 1."""
+    a = np.array(values)
+    if a.dtype.kind in "fiu" and not ((a == 0) | (a == 1)).any():
+        return a.astype(float, copy=False)
+    a = np.array(values, dtype=float)  # NumPy's error for a word or a ragged list
+    for v in np.array(values, dtype=object).flat:
+        if type(v) is not float and type(v) is not int:  # a bool is an int
+            raise ValueError(f"{name}: {v!r} is not a JSON number")
+    return a
+
+
 def _finite(values: list, shape: tuple[int, int], name: str) -> np.ndarray:
     """The vectors ``values`` stacked into a finite array of this shape;
     the error shows the first vector, the one a one-entry check holds."""
-    a = np.array(values, dtype=float) if values else np.empty(shape)
+    a = _numbers(values, name) if values else np.empty(shape)
     if a.shape != shape or not np.isfinite(a).all():
         raise ValueError(f"{name}: expected {shape[1]} finite numbers, got {values[0]!r}")
     return a
@@ -300,7 +315,7 @@ def _check_pieces(objs: list, d: int, D: int) -> tuple[list[int], PieceTable]:
     for sphere, width, members in pieces.groups():
         group = [objs[i] for i in members]
         mu = _finite([o["mu"] for o in group], (members.size, D), "mu")
-        F = np.array([o["frame"] for o in group], dtype=float)
+        F = _numbers([o["frame"] for o in group], "frame")
         # what fit writes: a sphere's frame or a d-wide plane; files of
         # earlier versions also hold (d+1)-wide planes of degenerate spheres
         widths = [d + 1] if sphere else sorted({min(d, D), min(d + 1, D)})
@@ -314,10 +329,12 @@ def _check_pieces(objs: list, d: int, D: int) -> tuple[list[int], PieceTable]:
         pieces.mu[members], pieces.frame[members, :, :width] = mu, F
         pieces.center[members] = mu
         if sphere:
-            radius = [float(o["radius"]) for o in group]
-            for r in radius:
-                if not (math.isfinite(r) and r > 0.0):
-                    raise ValueError(f"sphere radius {r!r} is not finite and positive")
+            radius = _numbers([o["radius"] for o in group], "radius")
+            if radius.shape != (members.size,):
+                raise ValueError(f"sphere radius must be a number, got {group[0]['radius']!r}")
+            bad = ~(np.isfinite(radius) & (radius > 0.0))
+            if bad.any():
+                raise ValueError(f"sphere radius {float(radius[bad][0])!r} is not finite and positive")
             pieces.center[members] = _finite([o["center"] for o in group], (members.size, D), "center")
             pieces.radius[members] = radius
     return ids, pieces
@@ -328,6 +345,16 @@ def _integer(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _members(values) -> np.ndarray:
+    """The training rows a leaf of an earlier file lists: JSON integers >= 0."""
+    if not isinstance(values, list):
+        raise ValueError(f"members must be a list, got {values!r}")
+    for v in values:
+        if type(v) is not int or v < 0:
+            raise ValueError(f"members must be integers >= 0, got {v!r}")
+    return np.array(values, dtype=np.intp)
 
 
 def _piece_name(i: int, obj) -> str:
@@ -362,8 +389,7 @@ def _check_nodes(nodes: list, D: int) -> tuple[list[SplitRule], list[tuple[int, 
     for o in splits:
         if "left" not in o or "right" not in o:
             raise KeyError("left" if "left" not in o else "right")
-    leaves = [(_integer(o["leaf"], "leaf id"), np.asarray(o.get("members", []), dtype=int))
-              for o in nodes if "leaf" in o]
+    leaves = [(_integer(o["leaf"], "leaf id"), _members(o.get("members", []))) for o in nodes if "leaf" in o]
     return [SplitRule(mu=m, direction=v) for m, v in zip(mu, direction)], leaves
 
 
@@ -372,7 +398,9 @@ def load(path: str) -> SphereletModel:
     including a version, d, D, leaf id or piece id that is not an integer
     (d >= 0, D >= 1), a fitter other than spca or pca, a provenance that
     is not an object, a piece or split whose shapes do not fit d and D, a
-    non-finite number or one out of float range, a frame whose columns are
+    string or a bool where a number belongs, a non-finite number or one
+    out of float range, leaf members that are not integers >= 0 (files of
+    earlier versions list them), a frame whose columns are
     not orthonormal within ``FRAME_TOL``, a sphere radius that is not
     finite and positive, leaf ids that do not pair each tree leaf with
     exactly one piece, and nesting too deep to parse. A bad piece is named

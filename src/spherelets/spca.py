@@ -14,32 +14,33 @@ over the reduced coordinates, whose minimizer has the closed form
 f_hat = -H^{-1} xi with H the centered scatter and xi the correlation of
 squared norms with centered positions. The center is c = -f_hat / 2.
 
-``fit_spheres`` and ``stacked_pca`` fit many point sets at once, each on
-its own: rows (N, D) cut at segment starts, the small eigenproblems and
-solves stacked. The rows are centred once for both, into one contiguous
-(D, N) copy, and the reduced coordinates are (w, N) too: every per-set
-sum is a segment reduction (``np.add.reduceat``) along one contiguous
-coordinate row, the same sums, bit for bit, as over a strided column of
-(N, D) rows, and every per-set value broadcast to its rows is a 1-D
-``np.repeat``. A scatter sums only its upper triangle. Reduced
+``fit_pieces`` fits many point sets at once, each on its own: rows
+(N, D) cut at segment starts, the small eigenproblems and solves
+stacked, and every set by one path: one PCA, one reduction and, under
+``spca``, one sphere solve. The rows are centred once, into one
+contiguous (D, N) copy, and the reduced coordinates are (w, N) too:
+every per-set sum is a segment reduction (``np.add.reduceat``) along one
+contiguous coordinate row, the same sums, bit for bit, as over a strided
+column of (N, D) rows, and every per-set value broadcast to its rows is
+a 1-D ``np.repeat``. A scatter sums only its upper triangle. Reduced
 coordinates are column-order sums, each frame entry repeated to its
 set's rows, and condition numbers come from the scatters' eigenvalues:
 no per-row matrix product and no SVD. Row norms are ``numeric.row_dots``'
 sums bit for bit: a coordinate at a time below ``NARROW_ROW``, NumPy's
-pairwise row sum of a row-major copy from there on.
-``fit_pieces`` holds the model's sphere-or-plane policy. Both ragged fits
-also give each row's squared residual to its set's piece, in closed form
-from the reduced coordinates the fit already holds, so a caller never
-projects the rows again to learn a piece's MSE, and each row's
-``score``, its first reduced coordinate: the sign test of a PC1 split of
-the set, which tree growth reads instead of scoring the rows again.
+pairwise row sum of a row-major copy from there on. ``fit_pieces``
+holds the model's sphere-or-plane policy, and gives each row's squared
+residual to its set's piece, in closed form from the reduced coordinates
+the fit already holds, so a caller never projects the rows again to
+learn a piece's MSE, and each row's ``score``, its first reduced
+coordinate: the sign test of a PC1 split of the set, which tree growth
+reads instead of scoring the rows again.
 
 ``fit_pieces`` gives its pieces as one ``PieceTable``, a row per set,
 and ``project_pieces`` is the one projection onto a table's pieces: the
 model, denoising, embedding and the rate study all project through it, a
 point at its sphere's center onto the piece's d-plane; ``sphere_arcs``
 measures distances on a sphere. The one-set SPCA is ``fit_sphere``, which
-reads a ``Spherelet`` record off a one-set ``fit_spheres``, and
+reads a ``Spherelet`` record off a one-set ``fit_pieces``, and
 ``project_sphere``, the table's sphere images for one record, which
 raises at the sphere's center instead.
 """
@@ -83,46 +84,6 @@ class Spherelet:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class SphereFits:
-    """Sphere fits of m point sets, row i fitted to the i-th set.
-
-    Fields are those of a ``Spherelet`` with a leading row axis: ``mu``
-    (m, D) and ``frame`` (m, D, d+1) give each reduction hyperplane,
-    whose top-w columns also span the best w-dimensional affine subspace
-    for w <= d+1. A degenerate row has center ``mu`` and radius inf.
-
-    ``h_condition`` (m,) is each reduced scatter's 2-norm condition
-    number max|lambda| / min|lambda|, the value of ``np.linalg.cond`` up
-    to rounding: inf for an exactly singular scatter (a set of identical
-    rows, or one exactly inside a d-plane), never NaN unless the scatter
-    has a NaN entry. A set above ``H_CONDITION_LIMIT`` is degenerate.
-
-    ``residual_sq`` (N,) is each input row's squared distance to its
-    set's piece: (|z - c_z| - r)^2 + |(I - VV')(x - x_bar)|^2 for a
-    sphere, with z = V'(x - x_bar) and c_z the reduced center, and
-    z_d^2 + |(I - VV')(x - x_bar)|^2 for a degenerate set, whose piece is
-    the d-plane of its fit, z_d the last coordinate of z. The out-of-plane
-    term is a sum of squares (``_out_of_plane``), exactly 0 where the
-    frame spans all D axes (d + 1 = D). The residual is the ambient
-    (|V'(x - c)| - r)^2 + |(I - VV')(x - c)|^2 up to rounding; row norms
-    are ``row_dots``' sums.
-
-    ``score`` (N,) is each input row's first reduced coordinate
-    V[:, 0]'(x - x_bar), summed over the D axes in column order at every
-    D: the centred score along the set's first principal axis.
-    """
-
-    mu: np.ndarray
-    frame: np.ndarray
-    center: np.ndarray
-    radius: np.ndarray
-    degenerate: np.ndarray
-    h_condition: np.ndarray
-    residual_sq: np.ndarray
-    score: np.ndarray
-
-
 class PieceTable(NamedTuple):
     """m model pieces stacked, one row each: the d-sphere of its frame,
     ``center`` and ``radius`` where ``sphere`` is set, else the affine
@@ -153,16 +114,35 @@ class PieceTable(NamedTuple):
 
 class PieceFits(NamedTuple):
     """The model pieces of m point sets (rows (N, D) cut at segment
-    starts), each set's first principal axis (m, D), each row's squared
-    residual (N,) to its set's piece, and each row's ``score`` (N,) along
-    its set's first axis: ``axis[i] @ (x - pieces.mu[i])`` summed
-    a0 x0 + a1 x1 + ... in column order, the sign test of the set's
-    PC1 split (``SphereFits.score``)."""
+    starts) and what their fit learned on the way.
+
+    ``axis`` (m, D) is each set's first principal axis.
+
+    ``residual_sq`` (N,) is each row's squared distance to its set's
+    piece: (|z - c_z| - r)^2 + |(I - VV')(x - x_bar)|^2 for a sphere, with
+    z = V'(x - x_bar) and c_z the reduced center, and
+    |(I - VV')(x - x_bar)|^2 for a plane of frame V, which under ``spca``
+    is z_d^2 plus the out-of-plane part of the sphere fit's (d+1)-wide
+    frame, z_d the last coordinate of z. The out-of-plane term is a sum of
+    squares (``_out_of_plane``), exactly 0 where the frame spans all D
+    axes. The residual is the ambient (|V'(x - c)| - r)^2 +
+    |(I - VV')(x - c)|^2 up to rounding; row norms are ``row_dots``' sums.
+
+    ``score`` (N,) is each row's first reduced coordinate
+    ``axis[i] @ (x - pieces.mu[i])``, summed a0 x0 + a1 x1 + ... in
+    column order at every D: the sign test of the set's PC1 split.
+
+    ``h_condition`` (m,) is each reduced scatter's 2-norm condition number
+    max|lambda| / min|lambda|, the value of ``np.linalg.cond`` up to
+    rounding: inf for an exactly singular scatter (a set of identical
+    rows, or one exactly inside a d-plane), NaN only for a scatter with a
+    NaN entry or where no sphere was solved (``pca``, or d >= D)."""
 
     pieces: PieceTable
     axis: np.ndarray
     residual_sq: np.ndarray
     score: np.ndarray
+    h_condition: np.ndarray
 
 
 def _segments(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,24 +191,17 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
 
 def _centred_pca(X: np.ndarray, starts: np.ndarray,
                  sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``stacked_pca`` of validated segments, and the centred rows as one
-    contiguous (D, N) array, row c every row's centred coordinate c."""
+    """Means (m, D) and scatter eigenvectors (m, D, D) of validated
+    segments, columns by decreasing eigenvalue, signed as by
+    ``numeric.eig_desc``, and the centred rows as one contiguous (D, N)
+    array, row c every row's centred coordinate c. Raises
+    InsufficientDataError for an empty set."""
     if np.any(sizes == 0):
         raise InsufficientDataError("a point set has no rows")
     XcT = X.T.copy()
     mu = np.add.reduceat(XcT, starts, axis=1) / sizes
     _less(XcT, mu, sizes)
     return mu.T.copy(), XcT, eig_desc(_scatter_sums(XcT, starts)).eigenvectors
-
-
-def stacked_pca(X: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
-    """Means (m, D) and scatter eigenvectors (m, D, D) of the m point sets
-    whose rows X (N, D) are cut at ``starts``: columns by decreasing
-    eigenvalue, signed as by ``numeric.eig_desc``. ``axes[i][:, :w]``
-    frames set i's best w-dim subspace. Raises InsufficientDataError for
-    an empty set."""
-    mu, _, axes = _centred_pca(*_segments(X, starts))
-    return mu, axes
 
 
 def _reduced(XcT: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -262,151 +235,108 @@ def _out_of_plane(XcT: np.ndarray, V: np.ndarray, Z: np.ndarray, sizes: np.ndarr
 
 
 def fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> PieceFits:
-    """The model piece of each point set (rows X cut at ``starts``), its
-    first principal axis, and each row's squared residual to its set's
-    piece. Under ``spca`` a piece is the set's d-sphere; under ``pca``,
-    for a set that cannot carry a d-sphere, or for one whose sphere fit
-    degenerates, it is the min(d, D)-wide PCA plane, and a row's residual
-    is its out-of-plane part. The table's frames are min(d+1, D) wide.
-    Each row's ``score`` is its first reduced coordinate, by its set's
-    first axis, which the PC1-sign split of the set tests."""
+    """The model piece of each point set, the rows X (N, D) cut at
+    ``starts``; sets of a fixed size k have ``starts = arange(0, m*k, k)``.
+
+    Each set is reduced to its top PCA axes, z = V'(x - x_bar), column
+    sums over the D axes in order. Under ``spca`` (d < D) a piece is the
+    set's d-sphere: the linear system for its center is solved in the
+    top-(d+1) reduced coordinates, where the scatter is generically
+    invertible, and the center maps back as c = x_bar + V c_z, inside the
+    affine subspace of the frame, which the ambient-coordinate
+    pseudo-inverse form only guarantees for centered data. The piece falls
+    back to the d-plane of the fit, the set's min(d, D)-wide PCA plane,
+    for a set of fewer than d + 2 rows (the count of free parameters,
+    center coordinates plus radius), a numerically singular reduced
+    scatter (condition number above ``H_CONDITION_LIMIT`` or a failed
+    solve) or a radius above ``RADIUS_DIAMETER_RATIO`` times the set's
+    diameter. Each set is judged on its own; one never affects another.
+    Under ``pca``, or where d >= D, every piece is that plane. The
+    table's frames are min(d+1, D) wide."""
     if fitter not in ("spca", "pca"):
         raise ParameterError(f"fitter must be 'spca' or 'pca', got {fitter!r}")
     if d < 0:
         raise ParameterError(f"d must be >= 0, got {d}")
     X, starts, sizes = _segments(X, starts)
     m, D, w = sizes.size, X.shape[1], min(d, X.shape[1])
-    sphere = (sizes >= d + 2) & (fitter == "spca" and d < D)
-    # not views: split rules must not pin the fits' D x D axes
-    mu, first = np.empty((m, D)), np.empty((m, D))
-    residual_sq, score = np.empty(X.shape[0]), np.empty(X.shape[0])
-    frame, center, radius = np.zeros((m, D, min(d + 1, D))), np.empty((m, D)), np.full(m, math.inf)
-    if not sphere.all():  # each set is fitted only by the kernel its piece needs
-        rows, sub_X, sub_starts, sub_sizes = _subsets(X, starts, sizes, ~sphere)
-        mu[~sphere], XcT, axes = _centred_pca(sub_X, sub_starts, sub_sizes)
-        first[~sphere], frame[~sphere, :, :w] = axes[:, :, 0], axes[:, :, :w]
-        Z = _reduced(XcT, axes[:, :, : max(w, 1)], sub_sizes)  # a 0-wide plane's rows still need a score
-        score[rows] = Z[0]
-        # out of plane; a plane of all D axes leaves nothing out
-        residual_sq[rows] = _out_of_plane(XcT, axes[:, :, :w], Z[:w], sub_sizes) if w < D else 0.0
-    if sphere.any():
-        rows, sub_X, sub_starts, _ = _subsets(X, starts, sizes, sphere)
-        fits = fit_spheres(sub_X, sub_starts, d)
-        mu[sphere], first[sphere], residual_sq[rows] = fits.mu, fits.frame[:, :, 0], fits.residual_sq
-        frame[sphere], center[sphere], radius[sphere] = fits.frame, fits.center, fits.radius
-        score[rows] = fits.score
-        sphere[sphere] = ~fits.degenerate  # a degenerate set's piece is the d-plane of its fit
-        frame[~sphere, :, w:] = 0.0
-    pieces = PieceTable(sphere=sphere, width=np.where(sphere, d + 1, w), mu=mu, frame=frame,
-                        center=np.where(sphere[:, None], center, mu), radius=radius)
-    return PieceFits(pieces, first, residual_sq, score)
+    mu, XcT, axes = _centred_pca(X, starts, sizes)
+    spheres = fitter == "spca" and d < D
+    V = axes[:, :, : d + 1 if spheres else max(w, 1)]  # a 0-wide plane's rows still need a score
+    Z = _reduced(XcT, V, sizes)
+    ok, h_cond, center, radius = np.zeros(m, dtype=bool), np.full(m, math.nan), mu, math.inf
+    if spheres:
+        Zc = _less(Z.copy(), np.add.reduceat(Z, starts, axis=1) / sizes, sizes)
+        l = _sq_norms(Z)
+        lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
+        Hs = _scatter_sums(Zc, starts)
+        xi = np.add.reduceat(Zc * lc, starts, axis=1).T[:, :, None]
+        lam = np.abs(np.linalg.eigvalsh(Hs))  # |.|: a rounded scatter can be indefinite
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            h_cond = lam.max(axis=1) / lam.min(axis=1)
+        # as np.linalg.cond: 0/0 of a singular scatter and an inf entry's NaN read
+        # inf, as does a ratio that overflows over a subnormal smallest eigenvalue
+        h_cond[np.isnan(h_cond) & ~np.isnan(Hs).any(axis=(1, 2))] = math.inf
+        # sqrt is monotone: the root of the largest square is the largest norm
+        diameter = 2.0 * np.sqrt(np.maximum.reduceat(_sq_norms(XcT), starts))
+        ok = (sizes >= d + 2) & np.isfinite(h_cond) & (h_cond <= H_CONDITION_LIMIT)
+        Hs[~ok] = np.eye(d + 1)  # sets that get no sphere solve a dummy system
+        try:
+            f_z = -np.linalg.solve(Hs, xi)
+        except np.linalg.LinAlgError:
+            f_z = np.zeros_like(xi)
+            for i in range(m):
+                try:
+                    f_z[i] = -np.linalg.solve(Hs[i : i + 1], xi[i : i + 1])[0]
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+        c_z = -0.5 * f_z[:, :, 0]
+        center = mu + (V @ c_z[:, :, None])[:, :, 0]
+        dist = np.sqrt(_sq_norms(_less(Z.copy(), c_z.T, sizes)))
+        radius = np.add.reduceat(dist, starts) / sizes
+        ok &= np.isfinite(radius) & (radius <= RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
+        # a plane piece is the d-plane of its fit, which leaves z_d out too
+        residual_sq = np.where(np.repeat(ok, sizes), dist - np.repeat(np.where(ok, radius, 0.0), sizes), Z[d])
+        residual_sq *= residual_sq
+        if d + 1 < D:  # out of the reduction plane; a full frame leaves nothing out
+            residual_sq += _out_of_plane(XcT, V, Z, sizes)
+    else:  # out of plane; a plane of all D axes leaves nothing out
+        residual_sq = _out_of_plane(XcT, V[:, :, :w], Z[:w], sizes) if w < D else np.zeros(X.shape[0])
+    frame = axes[:, :, : min(d + 1, D)].copy()
+    frame[~ok, :, w:] = 0.0
+    pieces = PieceTable(sphere=ok, width=np.where(ok, d + 1, w), mu=mu, frame=frame,
+                        center=np.where(ok[:, None], center, mu), radius=np.where(ok, radius, math.inf))
+    # not a view: split rules must not pin the fits' D x D axes
+    return PieceFits(pieces, axes[:, :, 0].copy(), residual_sq, Z[0], h_cond)
 
 
-def _subsets(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
-             keep: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray, np.ndarray]:
-    """Which rows the kept sets hold, and their rows, segment starts and
-    sizes; when every set is kept, all rows, uncopied."""
-    if keep.all():
-        return slice(None), X, starts, sizes
-    rows = np.repeat(keep, sizes)
-    return rows, X[rows], np.cumsum(sizes[keep]) - sizes[keep], sizes[keep]
+def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, PieceFits]:
+    """Best-fit d-sphere through the rows of X: ``fit_pieces`` of one set
+    under ``spca``.
+
+    Returns the set's record, degenerate where the fit falls back to its
+    d-plane, whose frame's last column is then zero, as in the table; and
+    the one-set ``PieceFits`` it was read from, which holds the condition
+    number and each row's squared residual.
+
+    Raises
+    ------
+    InsufficientDataError if n < d + 2; DimensionError if d + 1 > D.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    fits = fit_pieces(X, [0], d, "spca")
+    if X.shape[0] < d + 2:
+        raise InsufficientDataError(f"need at least {d + 2} points for a {d}-sphere, got {X.shape[0]}")
+    if d + 1 > X.shape[1]:
+        raise DimensionError(f"frame width {d + 1} exceeds ambient dimension {X.shape[1]}")
+    p = fits.pieces
+    s = Spherelet(frame=p.frame[0], center=p.center[0], radius=float(p.radius[0]), mu=p.mu[0],
+                  degenerate=not p.sphere[0])
+    return s, fits
 
 
 def _plane_images(x: np.ndarray, mu: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """mu + VV'(x - mu), broadcasting over leading axes of a stack."""
     return mu + ((x - mu) @ frame) @ np.swapaxes(frame, -1, -2)
-
-
-def fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
-    """Best-fit d-sphere through each point set, the rows X (N, D) cut at
-    ``starts``; sets of a fixed size k have ``starts = arange(0, m*k, k)``.
-
-    Each set is reduced to its top-(d+1) PCA subspace, and the linear
-    system for the center is solved in the reduced coordinates
-    z_i = V'(x_i - x_bar), column sums over the D axes in order, where
-    the scatter is generically invertible; the center maps back as
-    c = x_bar + V c_z. This keeps the center inside the affine subspace of
-    the frame, which the ambient-coordinate pseudo-inverse form only
-    guarantees for centered data.
-
-    A set is degenerate (hyperplane fallback) when its reduced scatter is
-    numerically singular (condition number, from the scatter's
-    eigenvalues, above ``H_CONDITION_LIMIT`` or a failed solve) or its
-    radius exceeds ``RADIUS_DIAMETER_RATIO`` times the data diameter. Each
-    set is judged on its own; one degenerate set never affects another.
-
-    Raises
-    ------
-    InsufficientDataError if a set has fewer than d + 2 rows, the count of
-    free parameters (center coordinates plus radius) in the reduced subspace.
-    """
-    X, starts, sizes = _segments(X, starts)
-    if d < 0:
-        raise ParameterError(f"d must be >= 0, got {d}")
-    if np.any(sizes < d + 2):
-        raise InsufficientDataError(f"need at least {d + 2} points for a {d}-sphere, got {sizes.min()}")
-    if d + 1 > X.shape[1]:
-        raise DimensionError(f"frame width {d + 1} exceeds ambient dimension {X.shape[1]}")
-    mu, XcT, axes = _centred_pca(X, starts, sizes)
-    V = axes[:, :, : d + 1]
-
-    Z = _reduced(XcT, V, sizes)
-    Zc = _less(Z.copy(), np.add.reduceat(Z, starts, axis=1) / sizes, sizes)
-    l = _sq_norms(Z)
-    lc = l - np.repeat(np.add.reduceat(l, starts) / sizes, sizes)
-    Hs = _scatter_sums(Zc, starts)
-    xi = np.add.reduceat(Zc * lc, starts, axis=1).T[:, :, None]
-
-    lam = np.abs(np.linalg.eigvalsh(Hs))  # |.|: a rounded scatter can be indefinite
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h_cond = lam.max(axis=1) / lam.min(axis=1)
-    # as np.linalg.cond: 0/0 of a singular scatter and an inf entry's NaN read
-    # inf, as does a ratio that overflows over a subnormal smallest eigenvalue
-    h_cond[np.isnan(h_cond) & ~np.isnan(Hs).any(axis=(1, 2))] = math.inf
-    # sqrt is monotone: the root of the largest square is the largest norm
-    xx = _sq_norms(XcT)
-    diameter = 2.0 * np.sqrt(np.maximum.reduceat(xx, starts))
-    ok = np.isfinite(h_cond) & (h_cond <= H_CONDITION_LIMIT)
-    Hs[~ok] = np.eye(d + 1)  # sets judged singular solve a dummy system
-    try:
-        f_z = -np.linalg.solve(Hs, xi)
-    except np.linalg.LinAlgError:
-        f_z = np.zeros_like(xi)
-        for i in range(starts.size):
-            try:
-                f_z[i] = -np.linalg.solve(Hs[i : i + 1], xi[i : i + 1])[0]
-            except np.linalg.LinAlgError:
-                ok[i] = False
-    c_z = -0.5 * f_z[:, :, 0]
-    center = mu + (V @ c_z[:, :, None])[:, :, 0]
-    dist = np.sqrt(_sq_norms(_less(Z.copy(), c_z.T, sizes)))
-    radius = np.add.reduceat(dist, starts) / sizes
-    ok &= np.isfinite(radius) & (radius <= RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
-    # a degenerate set's piece is the d-plane of its fit, which leaves z_d out
-    residual_sq = np.where(np.repeat(ok, sizes), dist - np.repeat(np.where(ok, radius, 0.0), sizes), Z[d])
-    residual_sq *= residual_sq
-    if d + 1 < X.shape[1]:  # out of the reduction plane; a full frame leaves nothing out
-        residual_sq += _out_of_plane(XcT, V, Z, sizes)
-    return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
-                      radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond,
-                      residual_sq=residual_sq, score=Z[0])
-
-
-def fit_sphere(X: np.ndarray, d: int) -> tuple[Spherelet, SphereFits]:
-    """Best-fit d-sphere through the rows of X: ``fit_spheres`` on one set.
-
-    Returns the set's record, degenerate where the fit falls back to its
-    d-plane, and the one-row ``SphereFits`` it was read from, which holds
-    the condition number and each row's squared residual.
-
-    Raises
-    ------
-    InsufficientDataError if n < d + 2.
-    """
-    fits = fit_spheres(np.atleast_2d(np.asarray(X, dtype=float)), [0], d)
-    s = Spherelet(frame=fits.frame[0].copy(), center=fits.center[0], radius=float(fits.radius[0]),
-                  mu=fits.mu[0], degenerate=bool(fits.degenerate[0]))
-    return s, fits
 
 
 def _sphere_images(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,23 @@ class Hyperplane:
 
     mu: np.ndarray
     frame: np.ndarray
+
+
+class SphereFits(NamedTuple):
+    """Sphere fits of m point sets by a reference kernel: a ``Spherelet``'s
+    fields with a leading row axis, ``frame`` (m, D, d+1) the full
+    reduction frame even where ``degenerate``; each reduced scatter's
+    condition number, each row's squared residual to its set's piece and
+    its first reduced coordinate, as ``spca.PieceFits`` defines them."""
+
+    mu: np.ndarray
+    frame: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
+    degenerate: np.ndarray
+    h_condition: np.ndarray
+    residual_sq: np.ndarray | None
+    score: np.ndarray
 
 
 def fit_plane(X: np.ndarray, w: int) -> Hyperplane:
@@ -191,8 +209,8 @@ def frame_products(Xc: np.ndarray, V: np.ndarray, sizes: np.ndarray) -> np.ndarr
 
 
 def reference_fit_spheres(X: np.ndarray, starts, d: int, reduced=frame_products,
-                          condition=np.linalg.cond) -> spca.SphereFits:
-    """``spca.fit_spheres`` by its earlier formulas: np.linalg.norm / np.sum
+                          condition=np.linalg.cond) -> SphereFits:
+    """The ``spca`` sphere fit by its earlier formulas: np.linalg.norm / np.sum
     rows, full outer sums, the checked ``sym_eig`` and a second centring.
     ``reduced(Xc, V, sizes)`` gives the reduced coordinates and
     ``condition(Hs)`` the reduced scatters' condition numbers; by default
@@ -220,9 +238,9 @@ def reference_fit_spheres(X: np.ndarray, starts, d: int, reduced=frame_products,
     radius = np.add.reduceat(np.linalg.norm(Z - np.repeat(c_z, sizes, axis=0), axis=1),
                              starts) / sizes
     ok &= np.isfinite(radius) & (radius <= spca.RADIUS_DIAMETER_RATIO * np.maximum(diameter, 1e-300))
-    return spca.SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
-                           radius=np.where(ok, radius, np.inf), degenerate=~ok, h_condition=h_cond,
-                           residual_sq=None, score=Z[:, 0])
+    return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
+                      radius=np.where(ok, radius, np.inf), degenerate=~ok, h_condition=h_cond,
+                      residual_sq=None, score=Z[:, 0])
 
 
 def _row_major_scatter_sums(A: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -243,12 +261,12 @@ def _row_major_pca(X: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
     return mu, Xc, eig_desc(_row_major_scatter_sums(Xc, starts)).eigenvectors
 
 
-def row_major_fit_spheres(X: np.ndarray, starts, d: int) -> spca.SphereFits:
-    """``spca.fit_spheres`` on row-major arrays: every per-set sum a 2-D
+def row_major_fit_spheres(X: np.ndarray, starts, d: int) -> SphereFits:
+    """The ``spca`` sphere fit on row-major arrays: every per-set sum a 2-D
     segment sum over strided columns, every broadcast a 2-D repeat, and
     row norms by ``row_dots`` of the (N, p) rows and the out-of-plane term
     by ``out_of_plane_sq``; a full frame's residual has none, as in the
-    library."""
+    library. A set of fewer than d + 2 rows is degenerate."""
     X, starts, sizes = spca._segments(X, starts)
     mu, Xc, axes = _row_major_pca(X, starts, sizes)
     V = axes[:, :, : d + 1]
@@ -264,7 +282,7 @@ def row_major_fit_spheres(X: np.ndarray, starts, d: int) -> spca.SphereFits:
     h_cond[np.isnan(h_cond) & ~np.isnan(Hs).any(axis=(1, 2))] = math.inf
     xx = row_dots(Xc, Xc)
     diameter = 2.0 * np.sqrt(np.maximum.reduceat(xx, starts))
-    ok = np.isfinite(h_cond) & (h_cond <= spca.H_CONDITION_LIMIT)
+    ok = (sizes >= d + 2) & np.isfinite(h_cond) & (h_cond <= spca.H_CONDITION_LIMIT)
     Hs[~ok] = np.eye(d + 1)
     c_z = 0.5 * np.linalg.solve(Hs, xi)[:, :, 0]
     center = mu + (V @ c_z[:, :, None])[:, :, 0]
@@ -277,9 +295,9 @@ def row_major_fit_spheres(X: np.ndarray, starts, d: int) -> spca.SphereFits:
     residual_sq[plane] = Z[plane, d] * Z[plane, d]
     if d + 1 < X.shape[1]:  # a full frame leaves nothing out of its plane
         residual_sq += out_of_plane_sq(Xc, V, Z, sizes)
-    return spca.SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
-                           radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond,
-                           residual_sq=residual_sq, score=Z[:, 0])
+    return SphereFits(mu=mu, frame=V, center=np.where(ok[:, None], center, mu),
+                      radius=np.where(ok, radius, math.inf), degenerate=~ok, h_condition=h_cond,
+                      residual_sq=residual_sq, score=Z[:, 0])
 
 
 def row_major_fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> spca.PieceFits:
@@ -287,28 +305,21 @@ def row_major_fit_pieces(X: np.ndarray, starts, d: int, fitter: str) -> spca.Pie
     and the plane residuals' ``row_dots`` of (N, p) rows."""
     X, starts, sizes = spca._segments(X, starts)
     m, D, w = sizes.size, X.shape[1], min(d, X.shape[1])
-    sphere = (sizes >= d + 2) & (fitter == "spca" and d < D)
-    mu, first = np.empty((m, D)), np.empty((m, D))
-    residual_sq, score = np.empty(X.shape[0]), np.empty(X.shape[0])
-    frame, center, radius = np.zeros((m, D, min(d + 1, D))), np.empty((m, D)), np.full(m, math.inf)
-    if not sphere.all():
-        rows, sub_X, sub_starts, sub_sizes = spca._subsets(X, starts, sizes, ~sphere)
-        mu[~sphere], Xc, axes = _row_major_pca(sub_X, sub_starts, sub_sizes)
-        first[~sphere], frame[~sphere, :, :w] = axes[:, :, 0], axes[:, :, :w]
-        Z = column_sums(Xc, axes[:, :, : max(w, 1)], sub_sizes)
-        score[rows] = Z[:, 0]
-        residual_sq[rows] = out_of_plane_sq(Xc, axes[:, :, :w], Z[:, :w], sub_sizes) if w < D else 0.0
-    if sphere.any():
-        rows, sub_X, sub_starts, _ = spca._subsets(X, starts, sizes, sphere)
-        fits = row_major_fit_spheres(sub_X, sub_starts, d)
-        mu[sphere], first[sphere], residual_sq[rows] = fits.mu, fits.frame[:, :, 0], fits.residual_sq
-        frame[sphere], center[sphere], radius[sphere] = fits.frame, fits.center, fits.radius
-        score[rows] = fits.score
-        sphere[sphere] = ~fits.degenerate
-        frame[~sphere, :, w:] = 0.0
-    pieces = spca.PieceTable(sphere=sphere, width=np.where(sphere, d + 1, w), mu=mu, frame=frame,
-                             center=np.where(sphere[:, None], center, mu), radius=radius)
-    return spca.PieceFits(pieces, first, residual_sq, score)
+    if fitter == "spca" and d < D:
+        fits = row_major_fit_spheres(X, starts, d)
+        sphere, frame = ~fits.degenerate, fits.frame.copy()
+        frame[fits.degenerate, :, w:] = 0.0
+        pieces = spca.PieceTable(sphere=sphere, width=np.where(sphere, d + 1, w), mu=fits.mu,
+                                 frame=frame, center=fits.center, radius=fits.radius)
+        return spca.PieceFits(pieces, fits.frame[:, :, 0], fits.residual_sq, fits.score, fits.h_condition)
+    mu, Xc, axes = _row_major_pca(X, starts, sizes)
+    Z = column_sums(Xc, axes[:, :, : max(w, 1)], sizes)
+    residual_sq = out_of_plane_sq(Xc, axes[:, :, :w], Z[:, :w], sizes) if w < D else np.zeros(X.shape[0])
+    frame = axes[:, :, : min(d + 1, D)].copy()
+    frame[:, :, w:] = 0.0
+    pieces = spca.PieceTable(sphere=np.zeros(m, dtype=bool), width=np.full(m, w), mu=mu, frame=frame,
+                             center=mu, radius=np.full(m, math.inf))
+    return spca.PieceFits(pieces, axes[:, :, 0], residual_sq, Z[:, 0], np.full(m, math.nan))
 
 
 def piece_record(pieces, j: int):

@@ -33,7 +33,6 @@ from spherelets.numeric import knn_indices, seeded_gaussian, unit_scale
 from spherelets.spca import (
     fit_pieces,
     fit_sphere,
-    fit_spheres,
     project_pieces,
     project_sphere,
     sphere_arcs,
@@ -441,12 +440,12 @@ def _reference_spherical_distances(X, d, k):
     X, e = unit_scale(X)
     nbr = knn_indices(X, k)
     hoods = X[nbr]
-    fits = fit_spheres(hoods.reshape(n * k, D), np.arange(0, n * k, k), d)
+    fits = fit_pieces(hoods.reshape(n * k, D), np.arange(0, n * k, k), d, "spca").pieces
     c, r = fits.center[:, None, :], fits.radius[:, None]
     P = np.concatenate([X[:, None, :], hoods], axis=1)
     W = ((P - c) @ fits.frame) @ np.swapaxes(fits.frame, 1, 2)
     norms = np.linalg.norm(W, axis=-1)
-    ok = ~fits.degenerate & (norms >= 1e-12 * r).all(axis=1)
+    ok = fits.sphere & (norms >= 1e-12 * r).all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         U = c + (r / norms)[..., None] * W - c  # the projections, relative to the center
     cosang = np.sum(U[:, :1] * U[:, 1:], axis=-1) / (r * r)

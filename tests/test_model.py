@@ -259,22 +259,22 @@ def test_fit_train_mse_is_the_routed_mse_property(data):
 
 @pytest.mark.parametrize("fitter", ["spca", "pca"])
 def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
-    calls = {"fit_pieces": 0, "fit_spheres": 0}
-    fit_pieces, fit_spheres = partition.fit_pieces, spca.fit_spheres
+    calls = {"fit_pieces": 0, "_centred_pca": 0}
+    fit_pieces, centred_pca = partition.fit_pieces, spca._centred_pca
 
     def counting_fit_pieces(X, starts, d, f):
         calls["fit_pieces"] += 1
         return fit_pieces(X, starts, d, f)
 
-    def counting_fit_spheres(X, starts, d):
-        calls["fit_spheres"] += 1
-        return fit_spheres(X, starts, d)
+    def counting_centred_pca(X, starts, sizes):
+        calls["_centred_pca"] += 1
+        return centred_pca(X, starts, sizes)
 
     def refuse(*args):
         raise AssertionError("fit projected a cell onto its piece for its MSE")
 
     monkeypatch.setattr(partition, "fit_pieces", counting_fit_pieces)
-    monkeypatch.setattr(spca, "fit_spheres", counting_fit_spheres)
+    monkeypatch.setattr(spca, "_centred_pca", counting_centred_pca)
     X = euler_spiral(1500, 2.0, seed=13).points
     with monkeypatch.context() as mp:
         # every cell's MSE comes from the level fit's own per-row residuals
@@ -285,7 +285,7 @@ def test_fit_calls_fit_pieces_once_per_level(monkeypatch, fitter):
     assert model.n_pieces > 5
     assert depth > 3
     assert calls["fit_pieces"] == depth
-    assert calls["fit_spheres"] == (depth if fitter == "spca" else 0)
+    assert calls["_centred_pca"] == depth  # one PCA of all a level's cells, whatever their pieces
     # each leaf's row of the table is the piece of its own cell, fitted on
     # its members
     for j, leaf in enumerate(iter_leaves(model.tree)):
@@ -377,6 +377,49 @@ def test_load_rejects_bad_split(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(ParseError, match=r"^tree: split\.direction: expected 2 finite numbers"):
+        load(str(path))
+
+
+def _set_entry(obj, where, field, index, value):
+    """Set one number of a two-sphere model, in its split or in leaves[1]
+    (a frame's in its second row), and return the number it replaced."""
+    entry = obj["tree"]["split"] if where == "split" else obj["leaves"][1]
+    if index is None:
+        holder, key = entry, field
+    else:
+        holder, key = (entry[field][index], 1) if field == "frame" else (entry[field], index)
+    old, holder[key] = holder[key], value
+    return old
+
+
+@pytest.mark.parametrize("where,field,index", [
+    ("piece", "mu", 0), ("piece", "frame", 1), ("piece", "center", 1), ("piece", "radius", None),
+    ("split", "mu", 1), ("split", "direction", 0),
+])
+@pytest.mark.parametrize("value", ["0.47", "1", True, False])
+def test_load_rejects_strings_and_bools_for_numbers(tmp_path, where, field, index, value):
+    # NumPy read "0.47" as 0.47 and true as 1.0, so such files used to load
+    obj = _two_sphere_model()
+    number = _set_entry(obj, where, field, index, value)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    name = r"tree: split\." if where == "split" else r"leaves\[1\] \(leaf 1\): "
+    with pytest.raises(ParseError, match=f"^{name}{field}: {value!r} is not a JSON number$"):
+        load(str(path))
+    _set_entry(obj, where, field, index, int(number))  # a JSON integer is a number
+    path.write_text(json.dumps(obj))
+    assert load(str(path)).pieces.radius.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("members", [[0.7, True, -3], [0, -3], [2.0], [True], [[0]], "0 1", None])
+def test_load_rejects_leaf_members_that_are_not_row_indices(tmp_path, members):
+    # files of earlier versions list each leaf's training rows; they were
+    # cast to int, so [0.7, true, -3] loaded as [0, 1, -3]
+    obj = _two_sphere_model()
+    obj["tree"]["right"]["members"] = members
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=r"^tree\.right: members must be"):
         load(str(path))
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from oracles import (
     project_plane,
     reference_fit_spheres,
     row_major_fit_pieces,
-    row_major_fit_spheres,
     sphere_distance,
     sphere_fit_loss,
     sphere_residual_sq,
@@ -38,10 +36,8 @@ from spherelets.spca import (
     Spherelet,
     fit_pieces,
     fit_sphere,
-    fit_spheres,
     project_pieces,
     project_sphere,
-    stacked_pca,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -380,18 +376,20 @@ def _ragged(sets):
 
 
 def _fits_match_looped(H, d):
-    """Stacked fits agree with fit_sphere row by row; returns the stack."""
-    fits = fit_spheres(*_ragged(H), d)
+    """Stacked spca fits agree with fit_sphere row by row; returns the
+    stack's ``PieceFits``."""
+    fits = fit_pieces(*_ragged(H), d, "spca")
+    pieces = fits.pieces
     for i, hood in enumerate(H):
         s, one = fit_sphere(hood, d)
-        assert bool(fits.degenerate[i]) == s.degenerate
-        assert _rel_close(fits.frame[i], s.frame)
-        assert _rel_close(fits.mu[i], s.mu)
-        assert _rel_close(fits.center[i], s.center)
+        assert bool(pieces.sphere[i]) != s.degenerate
+        assert _rel_close(pieces.frame[i], s.frame)
+        assert _rel_close(pieces.mu[i], s.mu)
+        assert _rel_close(pieces.center[i], s.center)
         if s.degenerate:
-            assert fits.radius[i] == np.inf
+            assert pieces.radius[i] == np.inf
         else:
-            assert _rel_close(fits.radius[i], s.radius)
+            assert _rel_close(pieces.radius[i], s.radius)
         assert fits.h_condition[i] == one.h_condition[0] or _rel_close(
             fits.h_condition[i], one.h_condition[0]
         )
@@ -406,15 +404,15 @@ def _circle(n, c, r, phase=0.0):
 def test_fit_spheres_exact_spheres_match_looped():
     H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [3.0, -1.0], 2.5, 0.3),
                   _circle(12, [-7.0, 4.0], 0.1, 1.1)])
-    fits = _fits_match_looped(H, 1)
-    assert not fits.degenerate.any()
-    assert np.allclose(fits.center, [[0, 0], [3, -1], [-7, 4]], atol=1e-10)
-    assert np.allclose(fits.radius, [1.0, 2.5, 0.1], atol=1e-10)
+    pieces = _fits_match_looped(H, 1).pieces
+    assert pieces.sphere.all()
+    assert np.allclose(pieces.center, [[0, 0], [3, -1], [-7, 4]], atol=1e-10)
+    assert np.allclose(pieces.radius, [1.0, 2.5, 0.1], atol=1e-10)
     S = np.stack([sphere_sample(30, 2, 4, c, r, seed=s)
                   for s, (c, r) in enumerate([(0.0, 1.0), (2.0, 3.0), (-1.0, 0.5)])])
-    fits = _fits_match_looped(S, 2)
-    assert not fits.degenerate.any()
-    assert np.allclose(fits.radius, [1.0, 3.0, 0.5], atol=1e-8)
+    pieces = _fits_match_looped(S, 2).pieces
+    assert pieces.sphere.all()
+    assert np.allclose(pieces.radius, [1.0, 3.0, 0.5], atol=1e-8)
 
 
 def test_fit_spheres_collinear_row_falls_back_alone():
@@ -422,9 +420,9 @@ def test_fit_spheres_collinear_row_falls_back_alone():
     line = np.column_stack([t, 2 * t])
     H = np.stack([_circle(12, [0.0, 0.0], 1.0), line, _circle(12, [5.0, 5.0], 2.0)])
     fits = _fits_match_looped(H, 1)
-    assert fits.degenerate.tolist() == [False, True, False]
+    assert fits.pieces.sphere.tolist() == [True, False, True]
     assert not fits.h_condition[1] <= spca.H_CONDITION_LIMIT
-    assert np.array_equal(fits.center[1], fits.mu[1])
+    assert np.array_equal(fits.pieces.center[1], fits.pieces.mu[1])
 
 
 def test_fit_spheres_near_flat_row_hits_radius_limit(monkeypatch):
@@ -435,14 +433,14 @@ def test_fit_spheres_near_flat_row_hits_radius_limit(monkeypatch):
     flat = np.column_stack([x, 1e-5 * x**2])
     H = np.stack([_circle(12, [0.0, 0.0], 1.0), flat])
     fits = _fits_match_looped(H, 1)
-    assert fits.degenerate.tolist() == [False, True]
+    assert fits.pieces.sphere.tolist() == [True, False]
     assert fits.h_condition[1] <= spca.H_CONDITION_LIMIT
 
 
 def test_fit_spheres_failed_solve_marks_only_its_row(monkeypatch):
     H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [0.0, 0.0], 7.0),
                   _circle(12, [2.0, 0.0], 1.5)])
-    clean = fit_spheres(*_ragged(H), 1)
+    clean = fit_pieces(*_ragged(H), 1, "spca").pieces
     real_solve = np.linalg.solve
 
     def solve(a, b):
@@ -452,8 +450,8 @@ def test_fit_spheres_failed_solve_marks_only_its_row(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    fits = fit_spheres(*_ragged(H), 1)
-    assert fits.degenerate.tolist() == [False, True, False]
+    fits = fit_pieces(*_ragged(H), 1, "spca").pieces
+    assert fits.sphere.tolist() == [True, False, True]
     assert fits.radius[1] == np.inf
     for i in (0, 2):
         assert np.array_equal(fits.center[i], clean.center[i])
@@ -511,58 +509,69 @@ def test_project_pieces_degenerate_fit_projects_onto_its_plane():
 
 
 def test_stacked_pca_matches_hyperplane_fit():
+    # one PCA per call: both fitters give the sets the same means and axes
     rng = np.random.default_rng(12)
     H = rng.normal(size=(5, 9, 3)) * np.array([3.0, 1.0, 0.2])
-    mu, axes = stacked_pca(*_ragged(H))
+    planes, spheres = fit_pieces(*_ragged(H), 2, "pca"), fit_pieces(*_ragged(H), 2, "spca")
+    assert np.array_equal(planes.axis, spheres.axis)
     for i in range(5):
         plane = fit_plane(H[i], 2)
-        assert np.array_equal(mu[i], plane.mu)
-        assert np.array_equal(axes[i, :, :2], plane.frame)
+        assert np.array_equal(planes.pieces.mu[i], plane.mu)
+        assert np.array_equal(spheres.pieces.mu[i], plane.mu)
+        assert np.array_equal(planes.pieces.frame[i, :, :2], plane.frame)
+        assert np.array_equal(spheres.pieces.frame[i, :, :2], plane.frame)
 
 
 def test_fit_spheres_validation():
     with pytest.raises(InsufficientDataError):
-        fit_spheres(np.zeros((8, 3)), [0, 2, 4, 6], 1)
+        fit_sphere(np.zeros((2, 3)), 1)
     with pytest.raises(DimensionError):
-        fit_spheres(np.zeros((20, 2)), [0, 5, 10, 15], 2)
+        fit_sphere(np.zeros((5, 2)), 2)  # a 3-wide frame in R^2
     with pytest.raises(DimensionError):
-        fit_spheres(np.zeros((4, 5, 2)), [0], 1)
+        fit_sphere(np.zeros((4, 5, 2)), 1)
     with pytest.raises(ParameterError):
-        fit_spheres(np.zeros((20, 2)), [0, 5, 10, 15], -1)
+        fit_sphere(np.zeros((5, 2)), -1)
+    with pytest.raises(DimensionError):
+        fit_pieces(np.zeros((4, 5, 2)), [0], 1, "spca")
+    # the ragged fit gives such sets planes: a d-plane for 2 < d + 2 rows,
+    # the whole R^2 for d + 1 > D
+    short, wide = fit_pieces(np.zeros((8, 3)), [0, 2, 4, 6], 1, "spca"), fit_pieces(
+        np.zeros((20, 2)), [0, 5, 10, 15], 2, "spca")
+    assert not short.pieces.sphere.any() and short.pieces.width.tolist() == [1] * 4
+    assert not wide.pieces.sphere.any() and wide.pieces.width.tolist() == [2] * 4
 
 
 def test_segments_shorter_than_a_sphere_raise():
     X = np.random.default_rng(13).normal(size=(12, 3))
     with pytest.raises(InsufficientDataError):
-        fit_spheres(X, [0, 4, 6], 1)  # the middle set has 2 < d + 2 rows
+        fit_sphere(X[4:6], 1)  # 2 < d + 2 rows
+    # in a ragged fit that set's piece is its PCA line
+    assert fit_pieces(X, [0, 4, 6], 1, "spca").pieces.sphere.tolist() == [True, False, True]
     with pytest.raises(InsufficientDataError):
-        fit_spheres(X, [0, 4, 4], 1)  # an empty middle set
+        fit_pieces(X, [0, 4, 4], 1, "spca")  # an empty middle set
     with pytest.raises(InsufficientDataError):
-        fit_spheres(X, [0, 6, 12], 1)  # an empty last set
+        fit_pieces(X, [0, 6, 12], 1, "spca")  # an empty last set
     with pytest.raises(InsufficientDataError):
-        fit_spheres(X[:0], [0], 1)
+        fit_pieces(X[:0], [0], 1, "spca")
 
 
 def test_empty_segment_fails_pca():
     X = np.random.default_rng(14).normal(size=(6, 2))
     with pytest.raises(InsufficientDataError):
-        stacked_pca(X, [0, 3, 3])
+        fit_pieces(X, [0, 3, 3], 1, "pca")
     with pytest.raises(InsufficientDataError):
-        stacked_pca(X, [0, 6])
-    mu, axes = stacked_pca(X, [0, 1, 5])  # one-row sets are fine
-    assert np.array_equal(mu[0], X[0])
+        fit_pieces(X, [0, 6], 1, "pca")
+    fits = fit_pieces(X, [0, 1, 5], 1, "pca")  # one-row sets are fine
+    assert np.array_equal(fits.pieces.mu[0], X[0])
 
 
 @pytest.mark.parametrize("starts", [[1, 4], [0, 5, 3], np.array([0, 5, 3], dtype=np.uint64),
                                     [0, 13], [], [[0, 4]], [0.0, 4.0]])
 def test_segment_starts_must_begin_at_zero_and_increase(starts):
     X = np.random.default_rng(15).normal(size=(12, 3))
-    with pytest.raises(ParameterError):
-        fit_spheres(X, starts, 1)
-    with pytest.raises(ParameterError):
-        stacked_pca(X, starts)
-    with pytest.raises(ParameterError):
-        fit_pieces(X, starts, 1, "spca")
+    for fitter in ("spca", "pca"):
+        with pytest.raises(ParameterError):
+            fit_pieces(X, starts, 1, fitter)
 
 
 def test_fit_pieces_policy_per_set():
@@ -570,7 +579,7 @@ def test_fit_pieces_policy_per_set():
     circle, line = _circle(12, [0.0, 0.0], 1.0), np.column_stack([t, 2 * t])
     short = np.array([[0.0, 1.0], [1.0, 1.0]])
     X, starts = _ragged([circle, short, line])
-    pieces, axes, _, score = fit_pieces(X, starts, 1, "spca")
+    pieces, axes, _, score, h_condition = fit_pieces(X, starts, 1, "spca")
     assert pieces.sphere.tolist() == [True, False, False] and pieces.width.tolist() == [2, 1, 1]
     assert isinstance(piece_record(pieces, 0), Spherelet)
     assert np.allclose(pieces.center[0], 0.0, atol=1e-12) and np.isclose(pieces.radius[0], 1.0)
@@ -585,12 +594,17 @@ def test_fit_pieces_policy_per_set():
         assert np.array_equal(pieces.center[i], pieces.mu[i]) and pieces.radius[i] == np.inf
     assert np.allclose(np.abs(axes[1]), [1.0, 0.0]) and np.allclose(axes[2], [1, 2] / np.sqrt(5))
     for i, S in enumerate([circle, short, line]):
-        alone, axis, _, one = fit_pieces(S, [0], 1, "spca")
+        alone, axis, _, one, kappa = fit_pieces(S, [0], 1, "spca")
         for a, b in zip(alone, pieces.take([i])):
             assert np.array_equal(a, b)
         assert np.array_equal(axis[0], axes[i])
         assert np.array_equal(one, score[starts[i] : starts[i] + len(S)])
-    planes = fit_pieces(*_ragged([circle, line]), 1, "pca").pieces
+        assert np.array_equal(kappa[0], h_condition[i])
+    # the short and the collinear set's scatters are singular
+    assert h_condition[0] < spca.H_CONDITION_LIMIT and np.all(h_condition[1:] == np.inf)
+    fits = fit_pieces(*_ragged([circle, line]), 1, "pca")
+    planes = fits.pieces
+    assert np.isnan(fits.h_condition).all()  # no sphere solved
     assert not planes.sphere.any() and planes.width.tolist() == [1, 1]
     assert planes.frame.shape == (2, 2, 2) and not planes.frame[:, :, 1].any()
     with pytest.raises(ParameterError):
@@ -603,12 +617,15 @@ def test_fit_pieces_policy_per_set():
 @st.composite
 def _ragged_sets(draw):
     """Point sets of random sizes >= d + 2, optionally with a set of
-    exactly d + 2 rows and a collinear (degenerate) set between them."""
+    exactly d + 2 rows, sets of 1 to d + 1 rows, too few for a d-sphere,
+    and a collinear (degenerate) set between them."""
     d = draw(st.integers(1, 3), label="d")
     D = draw(st.integers(d + 1, d + 3), label="D")
     sizes = draw(st.lists(st.integers(d + 2, d + 15), min_size=1, max_size=6), label="sizes")
     if draw(st.booleans(), label="exact"):
         sizes.insert(draw(st.integers(0, len(sizes)), label="at"), d + 2)
+    for k in draw(st.lists(st.integers(1, d + 1), max_size=3), label="small"):
+        sizes.insert(draw(st.integers(0, len(sizes)), label="at"), k)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     sets = [rng.uniform(-10, 10, D) + rng.uniform(1e-2, 1e2) * rng.normal(size=(k, D))
             for k in sizes]
@@ -620,19 +637,30 @@ def _ragged_sets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_ragged_sets())
-def test_ragged_rows_equal_single_set_calls_property(case):
+@given(case=_ragged_sets(), fitter=st.sampled_from(["spca", "pca"]))
+def test_ragged_rows_equal_single_set_calls_property(case, fitter):
+    # every field of a set's fit, its rows' too, is that of the set's call
+    # alone, bit for bit; a set too small for a sphere gets the pca
+    # fitter's mean, frame and scores
     d, sets, collinear = case
-    fits = fit_spheres(*_ragged(sets), d)
-    mu, axes = stacked_pca(*_ragged(sets))
+    X, starts = _ragged(sets)
+    fits = fit_pieces(X, starts, d, fitter)
+    planes = fits if fitter == "pca" else fit_pieces(X, starts, d, "pca")
     if collinear is not None:
-        assert fits.degenerate[collinear]
-    for i, S in enumerate(sets):
-        one = fit_spheres(S, [0], d)
-        for field in ("mu", "frame", "center", "radius", "degenerate", "h_condition"):
-            assert np.array_equal(getattr(fits, field)[i], getattr(one, field)[0], equal_nan=True)
-        mu1, axes1 = stacked_pca(S, [0])
-        assert np.array_equal(mu[i], mu1[0]) and np.array_equal(axes[i], axes1[0])
+        assert not fits.pieces.sphere[collinear]
+    for i, (S, lo) in enumerate(zip(sets, starts)):
+        one, rows = fit_pieces(S, [0], d, fitter), slice(lo, lo + len(S))
+        for got, alone in zip(fits.pieces, one.pieces):
+            assert np.array_equal(got[i], alone[0], equal_nan=True)
+        assert np.array_equal(fits.axis[i], one.axis[0])
+        assert np.array_equal(fits.h_condition[i], one.h_condition[0], equal_nan=True)
+        assert np.array_equal(fits.residual_sq[rows], one.residual_sq)
+        assert np.array_equal(fits.score[rows], one.score)
+        if len(S) < d + 2:
+            assert not fits.pieces.sphere[i]
+            assert np.array_equal(fits.pieces.mu[i], planes.pieces.mu[i])
+            assert np.array_equal(fits.pieces.frame[i], planes.pieces.frame[i])
+            assert np.array_equal(fits.score[rows], planes.score[rows])
 
 
 # -- the kernels against the formulas they replaced -------------------------
@@ -685,22 +713,24 @@ def test_fit_kernels_equal_the_formulas_they_replaced_property(case, fitter):
     d, sets = case
     X, starts = _ragged(sets)
     with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
-        fits = fit_spheres(X, starts, d)
+        spheres = fit_pieces(X, starts, d, "spca")
         expect = reference_fit_spheres(X, starts, d, column_sums, _eigvalsh_condition)
-        row_major = row_major_fit_spheres(X, starts, d)
         pieces = fit_pieces(X, starts, d, fitter)
         row_major_pieces = row_major_fit_pieces(X, starts, d, fitter)
-    for field in ("mu", "frame", "center", "radius", "degenerate", "h_condition", "score"):
-        assert np.array_equal(getattr(fits, field), getattr(expect, field), equal_nan=True), field
-    for field in dataclasses.fields(fits):
-        got, old = getattr(fits, field.name), getattr(row_major, field.name)
-        assert np.array_equal(got, old, equal_nan=True), field.name
+    table, flat = spheres.pieces, expect.degenerate
+    assert np.array_equal(table.sphere, ~flat)
+    for got, old in ((table.mu, expect.mu), (table.center, expect.center), (table.radius, expect.radius),
+                     (spheres.axis, expect.frame[:, :, 0]), (spheres.h_condition, expect.h_condition),
+                     (spheres.score, expect.score)):
+        assert np.array_equal(got, old, equal_nan=True)
+    # a degenerate set's piece is the d-plane of its fit
+    assert np.array_equal(table.frame[~flat], expect.frame[~flat])
+    assert np.array_equal(table.frame[flat, :, :d], expect.frame[flat, :, :d])
+    assert not table.frame[flat, :, d].any()
     for got, old in zip(pieces.pieces, row_major_pieces.pieces):
         assert np.array_equal(got, old, equal_nan=True)
-    for got, old in zip(pieces[1:], row_major_pieces[1:]):  # axis, residual_sq, score
+    for got, old in zip(pieces[1:], row_major_pieces[1:]):  # axis, residual_sq, score, h_condition
         assert np.array_equal(got, old, equal_nan=True)
-    mu, axes = stacked_pca(X, starts)
-    assert np.array_equal(mu, expect.mu) and np.array_equal(axes[:, :, : d + 1], expect.frame)
     scatter = spca._scatter_sums(X.T.copy(), starts)
     assert np.array_equal(scatter, outer_sums(X, X, starts))
     assert np.array_equal(scatter, np.swapaxes(scatter, 1, 2))
@@ -709,8 +739,9 @@ def test_fit_kernels_equal_the_formulas_they_replaced_property(case, fitter):
 @settings(max_examples=200, deadline=None)
 @given(case=_wide_ragged_sets())
 def test_fit_spheres_match_the_blas_kernel_within_rounding_property(case):
-    # against the reduced coordinates of one BLAS product per row and the
-    # condition numbers of np.linalg.cond's SVD, which round differently
+    # the spca pieces against the reduced coordinates of one BLAS product
+    # per row and the condition numbers of np.linalg.cond's SVD, which
+    # round differently
     d, sets = case
     X, starts = _ragged(sets)
     # the cubic sums xi overflow once |x|^3 * N nears 1e308, and rounding
@@ -718,13 +749,14 @@ def test_fit_spheres_match_the_blas_kernel_within_rounding_property(case):
     # scales of 1e106 and up): such draws are left out
     assume(3 * np.log(np.abs(X).max()) + np.log(X.shape[0]) < np.log(np.finfo(float).max))
     with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
-        fits, old = fit_spheres(X, starts, d), reference_fit_spheres(X, starts, d)
-    assert np.array_equal(fits.mu, old.mu) and np.array_equal(fits.frame, old.frame)
-    assert np.array_equal(fits.degenerate, old.degenerate)
+        fits, old = fit_pieces(X, starts, d, "spca"), reference_fit_spheres(X, starts, d)
+    pieces, finite = fits.pieces, ~old.degenerate  # the degenerate radius is inf
+    assert np.array_equal(pieces.mu, old.mu) and np.array_equal(pieces.sphere, finite)
+    assert np.array_equal(pieces.frame[:, :, :d], old.frame[:, :, :d])
+    assert np.array_equal(pieces.frame[finite], old.frame[finite])
     scale = np.abs(old.center).max(axis=1)
-    assert np.all(np.abs(fits.center - old.center).max(axis=1) <= 1e-12 * scale)
-    finite = ~old.degenerate  # the degenerate radius is inf
-    assert np.all(np.abs(fits.radius[finite] - old.radius[finite]) <= 1e-12 * old.radius[finite])
+    assert np.all(np.abs(pieces.center - old.center).max(axis=1) <= 1e-12 * scale)
+    assert np.all(np.abs(pieces.radius[finite] - old.radius[finite]) <= 1e-12 * old.radius[finite])
     # a scatter's smallest eigenvalue rounds by ~eps * its largest, so a
     # condition number kappa rounds by ~eps * kappa relative; past the
     # limit (a numerically singular scatter) it is rounding noise, and
@@ -743,8 +775,8 @@ def test_singular_scatter_reports_infinite_condition():
     on_axis = np.column_stack([t, 0 * t, 0 * t]) + [1.0, 2.0, 3.0]
     diagonal = np.column_stack([t, t, np.full_like(t, 5.0)])
     for d, sets in ((0, [same]), (1, [same, on_axis, diagonal])):
-        fits = fit_spheres(*_ragged(sets), d)
-        assert np.all(fits.h_condition == np.inf) and fits.degenerate.all()
+        fits = fit_pieces(*_ragged(sets), d, "spca")
+        assert np.all(fits.h_condition == np.inf) and not fits.pieces.sphere.any()
         for S in sets:
             s, one = fit_sphere(S, d)
             assert one.h_condition[0] == np.inf and s.degenerate
@@ -755,8 +787,8 @@ def test_subnormal_scatter_eigenvalue_reports_infinite_condition():
     # eigenvalue of the reduced scatter is subnormal, so max / min overflows;
     # it reads inf without a warning, and the set degenerates
     X = np.array([[0.0, 0.0, 0.0]] * 5 + [[0.0, 1.0, 3.0795619843072637e-156]])
-    fits = fit_spheres(X, np.array([0]), 1)
-    assert np.all(fits.h_condition == np.inf) and fits.degenerate.all()
+    fits = fit_pieces(X, np.array([0]), 1, "spca")
+    assert np.all(fits.h_condition == np.inf) and not fits.pieces.sphere.any()
 
 
 @pytest.mark.parametrize("factor", [0.99, 1.01])
@@ -767,11 +799,11 @@ def test_condition_limit_cut_matches_svd_condition(factor):
     b = 1.0 / np.sqrt(factor * spca.H_CONDITION_LIMIT)
     c, s = np.cos(0.3), np.sin(0.3)
     S = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, b], [0.0, -b]]) @ [[c, s], [-s, c]] + [2.0, -1.0]
-    fits, old = fit_spheres(S, [0], 1), reference_fit_spheres(S, [0], 1)
+    fits, old = fit_pieces(S, [0], 1, "spca"), reference_fit_spheres(S, [0], 1)
     assert old.h_condition[0] == pytest.approx(factor * spca.H_CONDITION_LIMIT, rel=1e-6)
     svd_flag = not old.h_condition[0] <= spca.H_CONDITION_LIMIT
     assert svd_flag == (factor > 1)
-    assert fits.degenerate[0] == svd_flag and fit_sphere(S, 1)[0].degenerate == svd_flag
+    assert fits.pieces.sphere[0] != svd_flag and fit_sphere(S, 1)[0].degenerate == svd_flag
 
 
 @st.composite
@@ -830,8 +862,8 @@ def test_full_frame_residual_has_no_out_of_plane_term():
     theta = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
     wobble = 1.0 + 1e-6 * np.random.default_rng(41).uniform(-1.0, 1.0, theta.size)
     X = np.array([3.0, -2.0]) + wobble[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
-    fits = fit_spheres(X, [0], 1)
-    c, r = fits.center[0].astype(np.longdouble), np.longdouble(fits.radius[0])
+    fits = fit_pieces(X, [0], 1, "spca")
+    c, r = fits.pieces.center[0].astype(np.longdouble), np.longdouble(fits.pieces.radius[0])
     exact = np.abs(np.sqrt(np.sum((X - c) ** 2, axis=1)) - r)
     assert np.all(np.abs(np.sqrt(fits.residual_sq) - exact) <= 8 * np.finfo(float).eps * 2 * r)
     for fitter in ("spca", "pca"):  # a 2-wide plane in R^2 holds every row
@@ -855,8 +887,8 @@ def test_out_of_plane_residual_resolves_an_exact_circle():
         Xc = X - X.mean(axis=0)
         return D * ((D + 2) * np.finfo(float).eps * np.sqrt(np.max(np.sum(Xc * Xc, axis=1)))) ** 2
 
-    sphere, flat = fit_spheres(circle, [0], 1), fit_spheres(line, [0], 1)
-    assert not sphere.degenerate[0] and flat.degenerate[0]  # the line's piece is the d-plane of its fit
+    sphere, flat = fit_pieces(circle, [0], 1, "spca"), fit_pieces(line, [0], 1, "spca")
+    assert sphere.pieces.sphere[0] and not flat.pieces.sphere[0]  # the line's piece is the d-plane of its fit
     assert sphere.residual_sq.max() <= bound(circle)
     assert flat.residual_sq.max() <= bound(line)
     for X, d in ((circle, 2), (line, 1), (line, 0)):  # planes narrower than D, a point at w = 0

@@ -26,7 +26,9 @@ points, and prints the median and quartiles of the wall time
 followed by the size of the model file in bytes, and then ``fit_D<D>``:
 ``spca.fit_pieces`` (d = 2, so frames 3 wide) of 1000 sets of 20 normal
 rows in R^D, for D = 3, 8, 16 and 64, the kernel layer at widths no
-benchmark workload has.
+benchmark workload has, and ``fit_D<D>_pca``: the same call under the
+``pca`` fitter, the plane path that ``bench``, ``rate`` and the ``ltp``
+and ``mbms`` denoisers take and no benchmark workload times.
 """
 
 from __future__ import annotations
@@ -113,9 +115,10 @@ def main() -> None:
     rng = np.random.default_rng(0)
     for D in SWEEP:
         rows = rng.normal(size=(1000 * 20, D))
-        q1, med, q3 = timed(lambda: spca.fit_pieces(rows, np.arange(0, rows.shape[0], 20), 2, "spca"),
-                            args.reps)
-        print(f"{'fit_D' + str(D):12s} median {med:7.1f} ms [{q1:.1f}, {q3:.1f}]")
+        for fitter, suffix in (("spca", ""), ("pca", "_pca")):
+            q1, med, q3 = timed(lambda: spca.fit_pieces(rows, np.arange(0, rows.shape[0], 20), 2, fitter),
+                                args.reps)
+            print(f"{'fit_D' + str(D) + suffix:12s} median {med:7.1f} ms [{q1:.1f}, {q3:.1f}]")
 
 
 if __name__ == "__main__":
