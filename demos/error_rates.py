@@ -13,7 +13,7 @@ import numpy as np
 from spherelets.bench import rate_study
 
 alpha_grid = list(np.geomspace(0.05, 0.5, 6))
-slopes, records = rate_study(alpha_grid, seed=0)
+slopes, records = rate_study(alpha_grid)
 
 print(f"{'alpha':>8} | {'line mse':>10} | {'circle mse':>10}")
 for alpha in alpha_grid:

@@ -30,7 +30,7 @@ from .exceptions import (
     VersionError,
 )
 from .model import SphereletModel, fit, load, save
-from .numeric import knn, seeded_gaussian
+from .numeric import seeded_gaussian
 from .partition import build_tree, route
 from .spca import Spherelet, fit_sphere, project_sphere
 
@@ -46,7 +46,6 @@ __all__ = [
     "embed",
     "fit",
     "fit_sphere",
-    "knn",
     "knn_distances",
     "load",
     "project_sphere",

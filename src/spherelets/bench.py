@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .datasets import _euler_curve, euler_spiral, noisy_spiral, sphere_sample
+from .datasets import EULER_S_MAX, _euler_curve, euler_spiral, noisy_spiral, sphere_sample
 from .exceptions import ParameterError
 from .numeric import row_dots, seeded_rng
 from .spca import fit_pieces, project_pieces
@@ -148,12 +148,12 @@ def bench_curve(
 def rate_study(
     alpha_grid: list[float] | None = None,
     methods: tuple[str, ...] = BENCH_METHODS,
-    seed: int = 0,
 ) -> tuple[dict[str, float], list[RateRecord]]:
     """Per-segment single-piece fits at several segment diameters.
 
-    The Euler spiral's arc-length range is carved into contiguous arcs of
-    length alpha; each arc is sampled at ``POINTS_PER_SEGMENT`` points,
+    The Euler spiral's arc-length range [0, ``EULER_S_MAX``] is carved into
+    contiguous arcs of length alpha (at most ``EULER_S_MAX``); each arc is
+    sampled at ``POINTS_PER_SEGMENT`` points, drawn with seed 0,
     fitted with one sphere or one line, and its mean squared residual
     recorded; each method fits and projects all arcs of one alpha with one
     ``fit_pieces`` and one ``project_pieces`` call. Returns the
@@ -167,17 +167,19 @@ def rate_study(
     alpha_grid = sorted(float(a) for a in alpha_grid)
     if not alpha_grid or not all(0.0 < a < math.inf for a in alpha_grid):
         raise ParameterError(f"alpha grid must hold finite positive diameters, got {alpha_grid}")
+    if alpha_grid[-1] > EULER_S_MAX:
+        raise ParameterError(f"segment diameters must be at most the curve length {EULER_S_MAX}, "
+                             f"got {', '.join(str(a) for a in alpha_grid if a > EULER_S_MAX)}")
     if alpha_grid[-1] / alpha_grid[0] < 10.0 * (1.0 - 1e-09):
         raise ParameterError(
             f"alpha grid must span at least one decade, got [{alpha_grid[0]}, {alpha_grid[-1]}]"
         )
 
-    s_max = 2.0
-    rng = seeded_rng(seed)
+    rng = seeded_rng(0)
     records: list[RateRecord] = []
     mean_mse: dict[str, dict[float, float]] = {m: {} for m in methods}
     for alpha in alpha_grid:
-        n_seg = int(s_max / alpha)
+        n_seg = int(EULER_S_MAX / alpha)
         arcs = [rng.uniform(j * alpha, (j + 1) * alpha, size=POINTS_PER_SEGMENT) for j in range(n_seg)]
         P = np.stack([_euler_curve(np.sort(t)) for t in arcs])
         starts = np.arange(n_seg) * POINTS_PER_SEGMENT

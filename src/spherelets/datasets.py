@@ -1,9 +1,8 @@
 """Synthetic benchmark data, CSV I/O, and distance-to-curve oracles.
 
 All generators are pure functions of their arguments, including the
-seed. Parameter sampling is uniform at random by default, matching an
-i.i.d. sampling model; pass ``equispaced=True`` for deterministic
-fixtures.
+seed. Curve parameters are drawn uniformly at random, matching an
+i.i.d. sampling model.
 """
 
 from __future__ import annotations
@@ -81,12 +80,10 @@ def euler_spiral(
     s_max: float = EULER_S_MAX,
     seed: int = 0,
     noise_sd: float = 0.0,
-    equispaced: bool = False,
 ) -> CurveSample:
     """Unit-speed clothoid samples: curvature grows linearly with arc length.
 
-    Arc-length parameters are drawn uniformly from [0, s_max] (seeded), or
-    equispaced on request.
+    Arc-length parameters are drawn uniformly from [0, s_max] (seeded).
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
@@ -94,8 +91,7 @@ def euler_spiral(
         raise ParameterError(f"s_max must be in (0, {EULER_S_MAX}], got {s_max}")
     if not 0.0 <= noise_sd < math.inf:
         raise ParameterError(f"noise_sd must be finite and >= 0, got {noise_sd}")
-    rng = seeded_rng(seed)
-    s = np.linspace(0.0, s_max, n) if equispaced else rng.uniform(0.0, s_max, size=n)
+    s = seeded_rng(seed).uniform(0.0, s_max, size=n)
     clean = _euler_curve(s)
     points = clean + seeded_gaussian(n, 2, noise_sd, seed + 1) if noise_sd > 0 else clean.copy()
     return CurveSample(points=points, params=s, clean=clean)
@@ -105,7 +101,6 @@ def noisy_spiral(
     n: int,
     noise_sd: float = 0.2,
     seed: int = 0,
-    equispaced: bool = False,
 ) -> CurveSample:
     """Archimedean-type spiral (2t cos t, 2t sin t), t in [pi, 4pi], plus
     white Gaussian noise of the given standard deviation per coordinate."""
@@ -114,8 +109,7 @@ def noisy_spiral(
     if not 0.0 <= noise_sd < math.inf:
         raise ParameterError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     lo, hi = SPIRAL_T_RANGE
-    rng = seeded_rng(seed)
-    t = np.linspace(lo, hi, n) if equispaced else rng.uniform(lo, hi, size=n)
+    t = seeded_rng(seed).uniform(lo, hi, size=n)
     clean = np.column_stack([2.0 * t * np.cos(t), 2.0 * t * np.sin(t)])
     points = clean + seeded_gaussian(n, 2, noise_sd, seed + 1) if noise_sd > 0 else clean.copy()
     return CurveSample(points=points, params=t, clean=clean)
@@ -285,13 +279,12 @@ def load_iris():
 # -- distance oracle ---------------------------------------------------------
 
 
-def curve_grid(curve: str, grid_n: int, param_max: float | None = None) -> np.ndarray:
+def curve_grid(curve: str, grid_n: int) -> np.ndarray:
     """(grid_n + 1) points sampled along the named curve. Doubling grid_n
     refines the grid in place: every old parameter stays on the new grid."""
     u = np.arange(grid_n + 1) / grid_n
     if curve == "euler":
-        s_max = EULER_S_MAX if param_max is None else param_max
-        return _euler_curve(s_max * u)
+        return _euler_curve(EULER_S_MAX * u)
     if curve == "spiral":
         lo, hi = SPIRAL_T_RANGE
         t = lo + (hi - lo) * u
@@ -303,7 +296,6 @@ def distance_to_curve(
     points: np.ndarray,
     curve: str,
     grid_n: int = 100_000,
-    param_max: float | None = None,
 ) -> np.ndarray:
     """Per-point Euclidean distance to the nearest of grid_n+1 densely
     sampled curve points; overestimates the true distance by at most the
@@ -312,7 +304,7 @@ def distance_to_curve(
         raise ParameterError(f"grid_n must be >= 1000, got {grid_n}")
     from scipy.spatial import cKDTree
 
-    grid = curve_grid(curve, grid_n, param_max)
+    grid = curve_grid(curve, grid_n)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != grid.shape[1]:
         raise DimensionError(

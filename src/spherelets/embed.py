@@ -252,6 +252,8 @@ def check_affinity_matrix(P: Pairs | np.ndarray) -> Pairs:
     """P (pairs or a dense square array) as validated pairs; sorted by
     (col, row), the transposes equal P only if it is sorted and symmetric."""
     P = _pairs(P)
+    if np.any((P.rows < 0) | (P.rows >= P.n) | (P.cols < 0) | (P.cols >= P.n)):
+        raise ParameterError(f"pair rows and cols must lie in [0, {P.n})")
     if not np.all((P.vals >= 0.0) & (P.vals < np.inf)):
         raise ParameterError("affinities must be finite and nonnegative")
     if np.any(P.rows == P.cols):

@@ -1,6 +1,6 @@
 """Shared numeric kernels: symmetric eigendecomposition, row dot products
-and squared norms, exact scaling to unit scale, k-nearest neighbors,
-pairwise distances, seeded Gaussian noise.
+and squared norms, exact scaling to unit scale, the k nearest neighbors
+of every row, seeded Gaussian noise.
 
 Everything here is a pure function of its arguments; results never alias
 their inputs, so values can be shared freely across threads.
@@ -49,14 +49,6 @@ class SymEigResult:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class NeighborList:
-    """Indices and ascending Euclidean distances of the k nearest rows."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-
 def eig_desc(S: np.ndarray) -> SymEigResult:
     """Eigenpairs of float matrices (..., n, n) that are exactly symmetric
     by construction, as scatter sums are: eigh reads only their lower
@@ -68,15 +60,6 @@ def eig_desc(S: np.ndarray) -> SymEigResult:
     top = np.argmax(np.abs(Q), axis=-2)[..., None, :]
     Q = np.where(np.take_along_axis(Q, top, axis=-2) < 0, -Q, Q)
     return SymEigResult(eigenvalues=w.copy(), eigenvectors=Q)
-
-
-def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of A and rows of B."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] != B.shape[1]:
-        raise DimensionError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    return _sq_dists(A, B, row_dots(A, A), row_dots(B, B))
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray, a2: np.ndarray, b2: np.ndarray,
@@ -106,43 +89,6 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for j in range(1, D):
         s += A[..., j] * B[..., j]
     return s
-
-
-def knn(
-    X: np.ndarray,
-    query: np.ndarray,
-    k: int,
-    exclude_self: bool = False,
-) -> NeighborList:
-    """k nearest rows of X to a query point, ties broken by lower row index.
-
-    With ``exclude_self=True`` the single zero-distance row of lowest index
-    (the query itself, when it is a row of X) is removed before selection.
-    """
-    X = np.asarray(X, dtype=float)
-    query = np.asarray(query, dtype=float).ravel()
-    if X.ndim != 2:
-        raise DimensionError(f"X must be 2-D, got shape {X.shape}")
-    n = X.shape[0]
-    if query.shape[0] != X.shape[1]:
-        raise DimensionError(
-            f"query has dimension {query.shape[0]}, data has {X.shape[1]}"
-        )
-    limit = n - 1 if exclude_self else n
-    if not 1 <= k <= limit:
-        raise ParameterError(f"k={k} out of range [1, {limit}]")
-
-    # direct differences: the norm expansion would leave cancellation
-    # residue on the self distance and break exact self-exclusion
-    diff = X - query[None, :]
-    dist = np.sqrt(row_dots(diff, diff))
-    order = np.argsort(dist, kind="stable")
-    if exclude_self:
-        zero = np.nonzero(dist[order] == 0.0)[0]
-        if zero.size:
-            order = np.delete(order, zero[0])
-    sel = order[:k]
-    return NeighborList(indices=sel.astype(int), distances=dist[sel])
 
 
 def unit_scale(X: np.ndarray) -> tuple[np.ndarray, int]:
@@ -199,6 +145,8 @@ def knn_indices(X: np.ndarray, k: int) -> np.ndarray:
     candidates.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionError(f"X must be 2-D (n, D), got shape {X.shape}")
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} out of range [1, {n}]")

@@ -129,6 +129,7 @@ def test_bench_and_rate_exit_usage_on_empty_or_repeated_methods(tmp_path, capsys
     ["rate", "--alpha-grid", "0.05,0.5", "--methods", "spca,bogus"],
     ["bench", "--dataset", "circle:ntrain=-5"],
     ["bench", "--dataset", "circle:ntest=-5"],
+    ["rate", "--alpha-grid", "0.5,5,0.2,3"],  # diameters past the curve's length 2
 ])
 def test_bench_and_rate_exit_usage_on_bad_input(tmp_path, capsys, argv):
     # a ValueError or OverflowError traceback, a count silently truncated,

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from spherelets.bench import rate_study
 from spherelets.datasets import (
     CurveSample,
     _euler_curve,
@@ -71,20 +70,15 @@ def test_euler_spiral_seeded_and_validated():
         euler_spiral(1, 2.0)
     with pytest.raises(ParameterError):
         euler_spiral(10, 3.0)
-    eq = euler_spiral(10, 2.0, equispaced=True)
-    assert np.allclose(eq.params, np.linspace(0, 2, 10))
 
 
 @pytest.mark.parametrize("draw", [
     lambda: euler_spiral(10, 2.0, seed=-1),
-    lambda: euler_spiral(10, 2.0, seed=-1, equispaced=True),
-    lambda: noisy_spiral(10, 0.0, seed=-1, equispaced=True),
+    lambda: noisy_spiral(10, 0.0, seed=-1),
     lambda: enneper(10, seed=-1),
     lambda: sphere_sample(10, 1, 2, seed=-1),
     lambda: seeded_gaussian(10, 2, 1.0, -1),
-    lambda: rate_study(seed=-1),
-], ids=["euler", "euler-equispaced", "spiral-equispaced", "enneper", "sphere",
-        "gaussian", "rate-study"])
+], ids=["euler", "spiral", "enneper", "sphere", "gaussian"])
 def test_negative_seed_is_a_parameter_error(draw):
     # NumPy's generator raises ValueError; an unused seed passed silently
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):

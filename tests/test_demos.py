@@ -1,6 +1,8 @@
 """Every script under demos/ and tools/ runs to completion, the
-package exports every name it lists, and no removed name comes back."""
+package exports every name it lists, and no removed name or parameter
+comes back."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spherelets
-from spherelets import spca
+from spherelets import bench, datasets, numeric, spca
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +51,25 @@ REMOVED_SPCA_NAMES = ("Hyperplane", "SphereFitDiagnostics", "fit_hyperplane", "p
 def test_removed_spca_name_stays_removed(name):
     assert not hasattr(spherelets, name) and name not in spherelets.__all__
     assert not hasattr(spca, name)
+
+
+# the one-query neighbor search and its record, and the checked distance
+# wrapper: knn_indices is the one neighbor search (README, "Removed names")
+REMOVED_NUMERIC_NAMES = ("knn", "NeighborList", "pairwise_sq_dists")
+
+
+@pytest.mark.parametrize("name", REMOVED_NUMERIC_NAMES)
+def test_removed_numeric_name_stays_removed(name):
+    assert not hasattr(spherelets, name) and name not in spherelets.__all__
+    assert not hasattr(numeric, name)
+
+
+@pytest.mark.parametrize("func, removed", [
+    (datasets.euler_spiral, "equispaced"),
+    (datasets.noisy_spiral, "equispaced"),
+    (datasets.curve_grid, "param_max"),
+    (datasets.distance_to_curve, "param_max"),
+    (bench.rate_study, "seed"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_removed_parameter_stays_removed(func, removed):
+    assert removed not in inspect.signature(func).parameters

@@ -342,6 +342,8 @@ def test_embed_rejects_bad_affinities():
     ([0, 0, 1], [1, 1, 0], [0.5, 0.5, 1.0]),  # repeated pair, one transpose
     ([0, 1], [1, 0], [-1.0, -1.0]),
     ([0, 1], [1, 0], [np.nan, np.nan]),
+    ([0, 5], [5, 0], [0.5, 0.5]),  # an index past n = 3
+    ([-1, 0], [0, -1], [0.5, 0.5]),  # a negative index
 ])
 def test_embed_rejects_bad_pairs(rows, cols, vals):
     P = Pairs(3, np.array(rows), np.array(cols), np.array(vals))

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from oracles import recursive_kd_leaves, sym_eig
 from spherelets.exceptions import DimensionError, ParameterError
 from spherelets.numeric import (
+    _sq_dists,
     eig_desc,
-    knn,
     knn_indices,
-    pairwise_sq_dists,
     row_dots,
     seeded_gaussian,
     unit_scale,
@@ -96,56 +95,27 @@ def test_eig_desc_equals_sym_eig_on_symmetric_matrices(n, stack, seed):
     assert np.array_equal(got.eigenvectors, expect.eigenvectors)
 
 
-def test_knn_simple_1d():
-    X = np.array([[0.0], [1.0], [10.0]])
-    res = knn(X, np.array([0.4]), 1)
-    assert res.indices.tolist() == [0]
-    assert np.isclose(res.distances[0], 0.4)
-
-
-def test_knn_exclude_self():
-    X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    res = knn(X, X[1], 2, exclude_self=True)
-    assert 1 not in res.indices.tolist()
-    assert sorted(res.indices.tolist()) == [0, 2]
-
-
-def test_knn_matches_exhaustive_oracle():
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(100, 3))
-    q = rng.normal(size=3)
-    res = knn(X, q, 5)
-    # independent brute-force scan
-    dist = np.array([np.sqrt(((row - q) ** 2).sum()) for row in X])
-    expect = np.argsort(dist, kind="stable")[:5]
-    assert res.indices.tolist() == expect.tolist()
-    assert np.allclose(res.distances, dist[expect])
-    assert np.all(np.diff(res.distances) >= 0)
-
-
 def test_knn_integer_ties_exact():
-    # distances must equal the exhaustive scan exactly on integer input
+    # the centre's four neighbors lie at exactly 1, ties broken by lower
+    # row index; a leaf's neighbors at exactly 1 and sqrt(2) likewise
     X = np.array([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
-    res = knn(X, np.array([0.0, 0.0]), 4, exclude_self=True)
-    assert res.distances.tolist() == [1.0, 1.0, 1.0, 1.0]
-    # ties broken by lower row index
-    assert res.indices.tolist() == [1, 2, 3, 4]
+    nbr = knn_indices(X, 5)
+    assert nbr[0].tolist() == [0, 1, 2, 3, 4]
+    assert nbr[3].tolist() == [3, 0, 2, 4, 1]
 
 
 def test_knn_k_out_of_range():
     X = np.zeros((4, 2))
     with pytest.raises(ParameterError):
-        knn(X, np.zeros(2), 0)
+        knn_indices(X, 0)
     with pytest.raises(ParameterError):
-        knn(X, np.zeros(2), 5)
-    with pytest.raises(ParameterError):
-        knn(X, np.zeros(2), 4, exclude_self=True)
+        knn_indices(X, 5)
 
 
 def test_pairwise_sq_dists_nonnegative_and_exact():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(10, 4))
-    D2 = pairwise_sq_dists(A, A)
+    D2 = _sq_dists(A, A, row_dots(A, A), row_dots(A, A))
     assert np.all(D2 >= 0)
     assert np.allclose(np.diag(D2), 0.0, atol=1e-12)
     i, j = 3, 7
@@ -177,30 +147,15 @@ def test_seeded_gaussian_negative_sigma():
 
 def test_knn_large_n_ties_match_exhaustive():
     # n > 10 000 on an integer grid: exact ties at the k-th distance must
-    # still go to the lower row index, and exclude_self must drop the query
+    # still go to the lower row index, in the leaves of the grid's interior
+    # and at its edges, and next to the extra point off the grid
     X = np.array([(i // 100, i % 100) for i in range(10_000)] + [(100, 0)], dtype=float)
-    q = np.array([49.5, 49.5])
-    dist = np.sqrt(((X - q) ** 2).sum(axis=1))
-    dist_self = np.sqrt(((X - X[17]) ** 2).sum(axis=1))
-    dist_self[17] = np.inf
-    exhaustive = np.argsort(dist, kind="stable")[:6]
-    exhaustive_self = np.argsort(dist_self, kind="stable")[:4]
-    via_scan = knn(X, q, 6)
-    via_scan_self = knn(X, X[17], 4, exclude_self=True)
-    assert np.array_equal(exhaustive, via_scan.indices)
-    assert np.allclose(dist[exhaustive], via_scan.distances)
-    assert np.array_equal(exhaustive_self, via_scan_self.indices)
-    assert 17 not in via_scan_self.indices
-    assert via_scan.indices.tolist() == [4949, 4950, 5049, 5050, 4849, 4850]
-    assert via_scan_self.indices.tolist() == [16, 18, 117, 116]
-
-
-def test_knn_duplicates_drop_lowest_zero_row():
-    X = np.zeros((10_001, 2))
-    X[1::2] = 1.0
-    res = knn(X, X[0], 4, exclude_self=True)
-    assert res.indices.tolist() == [2, 4, 6, 8]
-    assert np.array_equal(res.distances, np.zeros(4))
+    nbr = knn_indices(X, 6)
+    for i in (0, 17, 4949, 5050, 9900, 10_000):
+        dist = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+        assert np.array_equal(nbr[i], np.argsort(dist, kind="stable")[:6])
+    assert nbr[17].tolist() == [17, 16, 18, 117, 116, 118]
+    assert nbr[10_000].tolist() == [10_000, 9900, 9901, 9800, 9801, 9902]
 
 
 def _knn_oracle(X, k):
@@ -237,7 +192,7 @@ def test_knn_indices_matches_dense_stable_sort():
     from spherelets.datasets import noisy_spiral
 
     X = noisy_spiral(2000, 0.2, seed=0).points
-    dense = np.sqrt(pairwise_sq_dists(X, X))
+    dense = np.sqrt(_sq_dists(X, X, row_dots(X, X), row_dots(X, X)))
     expect = np.argsort(dense, axis=1, kind="stable")[:, :36]
     assert np.array_equal(knn_indices(X, 36), expect)
 
@@ -251,22 +206,15 @@ def test_knn_indices_k_equals_n_and_single_point(monkeypatch):
     assert np.array_equal(num.knn_indices(X, 5), _knn_oracle(X, 5))
     with pytest.raises(ParameterError):
         num.knn_indices(X, 6)
+    # rows of any other shape than (n, D)
+    for bad in (X.ravel(), X[None], np.float64(1.0)):
+        with pytest.raises(DimensionError):
+            num.knn_indices(bad, 1)
 
 
 def test_knn_indices_nan_rows_fall_back_to_stable_order():
     X = np.array([[0.0], [np.nan], [1.0], [2.0]])
     assert np.array_equal(knn_indices(X, 3), _knn_oracle(X, 3))
-
-
-def test_knn_self_distance_exactly_zero():
-    # self exclusion keys off an exact zero distance; the norm expansion
-    # trick would leave cancellation residue here
-    rng = np.random.default_rng(22)
-    X = rng.normal(size=(50, 3)) * 10
-    for i in (0, 13, 49):
-        res = knn(X, X[i], 3, exclude_self=True)
-        assert i not in res.indices
-        assert np.all(res.distances > 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -298,12 +246,13 @@ def test_knn_indices_clustered_matches_oracle(data):
 
 def _full_scan(X, k):
     # the blocked full scan the leaf boxes replaced: every distance, as
-    # pairwise_sq_dists computes it, then a stable sort of each row
+    # _sq_dists computes it from the rows' squared norms, then a stable
+    # sort of each row
     n, out = len(X), []
     step = max(1, (1 << 20) // n)
     for lo in range(0, n, step):
         rows = np.arange(lo, min(lo + step, n))
-        dist = np.sqrt(pairwise_sq_dists(X[rows], X))
+        dist = np.sqrt(_sq_dists(X[rows], X, row_dots(X[rows], X[rows]), row_dots(X, X)))
         out.append(np.argsort(dist, axis=1, kind="stable")[:, :k])
     return np.vstack(out)
 

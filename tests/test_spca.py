@@ -401,7 +401,7 @@ def _circle(n, c, r, phase=0.0):
     return np.asarray(c) + r * np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-def test_fit_spheres_exact_spheres_match_looped():
+def test_fit_pieces_exact_spheres_match_looped():
     H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [3.0, -1.0], 2.5, 0.3),
                   _circle(12, [-7.0, 4.0], 0.1, 1.1)])
     pieces = _fits_match_looped(H, 1).pieces
@@ -415,7 +415,7 @@ def test_fit_spheres_exact_spheres_match_looped():
     assert np.allclose(pieces.radius, [1.0, 3.0, 0.5], atol=1e-8)
 
 
-def test_fit_spheres_collinear_row_falls_back_alone():
+def test_fit_pieces_collinear_row_falls_back_alone():
     t = np.linspace(0, 1, 12)
     line = np.column_stack([t, 2 * t])
     H = np.stack([_circle(12, [0.0, 0.0], 1.0), line, _circle(12, [5.0, 5.0], 2.0)])
@@ -425,7 +425,7 @@ def test_fit_spheres_collinear_row_falls_back_alone():
     assert np.array_equal(fits.pieces.center[1], fits.pieces.mu[1])
 
 
-def test_fit_spheres_near_flat_row_hits_radius_limit(monkeypatch):
+def test_fit_pieces_near_flat_row_hits_radius_limit(monkeypatch):
     # a clean arc trips the condition limit before the radius limit; a
     # lower radius limit exercises that branch on a well-conditioned arc
     monkeypatch.setattr(spca, "RADIUS_DIAMETER_RATIO", 1e3)
@@ -437,7 +437,7 @@ def test_fit_spheres_near_flat_row_hits_radius_limit(monkeypatch):
     assert fits.h_condition[1] <= spca.H_CONDITION_LIMIT
 
 
-def test_fit_spheres_failed_solve_marks_only_its_row(monkeypatch):
+def test_fit_pieces_failed_solve_marks_only_its_row(monkeypatch):
     H = np.stack([_circle(12, [0.0, 0.0], 1.0), _circle(12, [0.0, 0.0], 7.0),
                   _circle(12, [2.0, 0.0], 1.5)])
     clean = fit_pieces(*_ragged(H), 1, "spca").pieces
@@ -522,7 +522,7 @@ def test_stacked_pca_matches_hyperplane_fit():
         assert np.array_equal(spheres.pieces.frame[i, :, :2], plane.frame)
 
 
-def test_fit_spheres_validation():
+def test_fit_pieces_validation():
     with pytest.raises(InsufficientDataError):
         fit_sphere(np.zeros((2, 3)), 1)
     with pytest.raises(DimensionError):
@@ -738,7 +738,7 @@ def test_fit_kernels_equal_the_formulas_they_replaced_property(case, fitter):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_wide_ragged_sets())
-def test_fit_spheres_match_the_blas_kernel_within_rounding_property(case):
+def test_fit_pieces_match_the_blas_kernel_within_rounding_property(case):
     # the spca pieces against the reduced coordinates of one BLAS product
     # per row and the condition numbers of np.linalg.cond's SVD, which
     # round differently
