@@ -77,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--param-max", type=float, default=None,
-                   help="euler: max arc length (default 2); enneper: disk radius; sphere: radius")
+                   help="euler: max arc length (default 2); enneper: disk radius; sphere: radius;"
+                        " spiral takes none")
     p.add_argument("--clean-out", default=None, help="also write the noise-free points")
 
     p = sub.add_parser("fit", help="fit a piecewise model to a CSV point set")
@@ -137,6 +138,8 @@ def _cmd_generate(args, argv) -> int:
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
     pmax = args.param_max
+    if args.dataset == "spiral" and pmax is not None:
+        raise ParameterError("--param-max does not apply to --dataset spiral")
     # huge --noise or --param-max overflows; _check_finite names the row
     with np.errstate(over="ignore", invalid="ignore"):
         if args.dataset == "euler":

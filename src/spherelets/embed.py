@@ -289,12 +289,17 @@ def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
     ever held. A chunk's 1 + |y_i - y_j|^2 is one product
     [-2 y_i, |y_i|^2 + 1, 1] . [y_j, 1, |y_j|^2], squared and inverted in
     place to w_ij^2; a product that rounding puts just below 1 still
-    squares to a finite, positive value. The panel's square [lo, hi)^2,
-    in its first chunk, is summed from the row side only, its diagonal
-    zeroed; for the columns beyond it the weighted sums
-    S_i = sum_j w_ij^2 [y_j, 1, |y_j|^2] go to both ends of the pair, so a
-    chunk writes only its own rows of S. As
-    w_ij = w_ij^2 (1 + |y_i - y_j|^2), Z is the sum over i of the left
+    squares to a finite, positive value. The column factors are built
+    once per call as one contiguous (m + 2, n) array, so the product
+    reads a chunk's columns as they lie, with no transposed copy; the
+    weighted sums read its transpose, a view, so memory is unchanged.
+    The panel's square [lo, hi)^2, in its first chunk, is summed from the
+    row side only, its diagonal zeroed by one strided write (the chunk
+    is at least as wide as the panel is tall, so entry (i, i) of the
+    flat chunk lies i times its width plus one in); for the columns
+    beyond it the weighted sums S_i = sum_j w_ij^2 [y_j, 1, |y_j|^2] go
+    to both ends of the pair, so a chunk writes only its own rows of S.
+    As w_ij = w_ij^2 (1 + |y_i - y_j|^2), Z is the sum over i of the left
     factor times S_i. Every chunk is a view of one buffer, overwritten by
     the next (a fresh one would fault in its pages).
 
@@ -314,13 +319,14 @@ def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
     """
     n, m = Y.shape
     sq = np.einsum("ij,ij->i", Y, Y)
-    left, right = np.empty((n, m + 2)), np.empty((n, m + 2))
+    left, cols = np.empty((n, m + 2)), np.empty((m + 2, n))
     np.multiply(Y, -2.0, out=left[:, :m])
     np.add(sq, 1.0, out=left[:, m])
     left[:, m + 1] = 1.0
-    right[:, :m] = Y
-    right[:, m] = 1.0
-    right[:, m + 1] = sq
+    cols[:m] = Y.T
+    cols[m] = 1.0
+    cols[m + 1] = sq
+    right = cols.T
     S = np.zeros((n, m + 2))
     # taller panels are faster at large n; a square chunk stays in the block
     panel = max(PANEL_ROWS, min(n // 16, math.isqrt(REPULSION_BLOCK)))
@@ -332,12 +338,13 @@ def _repulsion(Y: np.ndarray) -> tuple[float, np.ndarray]:
         width = max(rows, REPULSION_BLOCK // rows)
         for c0 in range(lo, n, width):
             c1 = min(n, c0 + width)
-            W = buf[: rows * (c1 - c0)].reshape(rows, c1 - c0)
-            np.matmul(left[lo:hi], right[c0:c1].T, out=W)
+            size = rows * (c1 - c0)
+            W = buf[:size].reshape(rows, c1 - c0)
+            np.matmul(left[lo:hi], cols[:, c0:c1], out=W)
             W *= W
             np.reciprocal(W, out=W)
             if c0 == lo:
-                np.fill_diagonal(W, 0.0)
+                buf[: size : (c1 - c0) + 1] = 0.0
                 S[hi:c1] += W[:, rows:].T @ right[lo:hi]
             else:
                 S[c0:c1] += W.T @ right[lo:hi]

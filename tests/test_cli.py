@@ -6,6 +6,7 @@ import pytest
 
 from spherelets.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from spherelets.datasets import load_csv, save_csv
+from spherelets.embed import EmbedConfig, stsne
 from spherelets.exceptions import ParseError
 
 
@@ -44,6 +45,15 @@ def test_generate_enneper_and_sphere(tmp_path):
         out = tmp_path / f"{name}.csv"
         assert run("generate", "--dataset", name, "--n", "50", "--out", str(out)) == EXIT_OK
         assert load_csv(str(out)).shape == (50, cols)
+
+
+def test_generate_spiral_rejects_param_max(tmp_path, capsys):
+    # the spiral has a fixed parameter range; the option used to be ignored
+    out = tmp_path / "spiral.csv"
+    assert run("generate", "--dataset", "spiral", "--n", "5", "--param-max", "5",
+               "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --param-max does not apply to --dataset spiral\n"
+    assert not out.exists()
 
 
 def test_provenance_header_written(tmp_path):
@@ -86,6 +96,23 @@ def test_embed_subcommand(tmp_path):
     assert trace.shape[1] == 2
     kls = trace[:, 1]
     assert np.all(np.diff(kls) <= 1e-15)
+
+
+def test_embed_subcommand_many_panels_matches_stsne(tmp_path):
+    # 1000 points, as in the benchmark: the repulsion pass cuts them into
+    # nine row panels, each one chunk wider than it is tall but the last
+    data, out, log = tmp_path / "pts.csv", tmp_path / "emb.csv", tmp_path / "kl.csv"
+    assert run("generate", "--dataset", "enneper", "--n", "1000", "--noise", "0.01",
+               "--seed", "0", "--out", str(data)) == EXIT_OK
+    assert run("embed", "--input", str(data), "--d", "2", "--k", "20", "--sigma", "0.3",
+               "--iters", "60", "--out", str(out), "--log", str(log)) == EXIT_OK
+    trace = load_csv(str(log))
+    assert trace[:, 0].tolist() == [0, 50, 60]
+    assert np.all(np.diff(trace[:, 1]) <= 0.0)
+    Y, expect = stsne(load_csv(str(data)), 2, EmbedConfig(k=20, sigma=0.3, iters=60),
+                      return_log=True)
+    assert np.array_equal(load_csv(str(out)), Y)
+    assert np.array_equal(trace, np.array(expect))
 
 
 def test_bench_subcommand(tmp_path):

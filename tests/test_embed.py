@@ -677,6 +677,12 @@ def _repulsion_rows_within_bound(Y, rep):
 @example(n=300, m=2, block=6000, log_scale=0.0, seed=2, twins=False)
 # a block below PANEL_ROWS^2: panels of 64 rows in 64 x 64 chunks, then 44 x 44
 @example(n=300, m=3, block=1000, log_scale=0.0, seed=3, twins=False)
+# the default block at the optimizer's sizes: each panel is one chunk wider
+# than it is tall (93 x 700, 107 x 607, 131 x 500, 177 x 369), then 192 x 192
+@example(n=700, m=2, block=1 << 16, log_scale=0.0, seed=5, twins=False)
+# panels of 64 rows whose first chunks are 64 x 312, then 81 x 244 and
+# 122 x 163, and a ragged last panel of 41 rows in one 41 x 41 chunk
+@example(n=500, m=3, block=20000, log_scale=0.0, seed=6, twins=False)
 # 150 pairs of rows at |y| ~ 10, 1e-9 of their size apart: rounding puts the
 # Gram form of some of their 1 + |y_i - y_j|^2 below 1
 @example(n=300, m=2, block=None, log_scale=1.0, seed=4, twins=True)

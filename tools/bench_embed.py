@@ -10,7 +10,9 @@ after one warm-up call), the peak memory ``tracemalloc`` traces in a
 separate, untimed call, and the bytes of the resulting affinity pairs.
 A second line gives the median and quartiles of one ``kl_gradient``
 call on those affinities, normalized to sum 1 as ``embed`` does, at a
-fixed N(0, 1) embedding Y (m = 2, seed 2), timed the same way.
+fixed N(0, 1) embedding Y (m = 2, seed 2), timed the same way, beside
+one call of its exact repulsion pass ``_repulsion`` at that Y, so the
+kernel's share of the gradient shows without a profiler.
 The inputs are n Enneper points plus N(0, 0.01^2) noise, seed 0, at
 n = 1000 (the benchmark's ``embed-enneper`` size), 6000 and 20 000,
 with the ``embed-enneper`` parameters: spherical distances, d = 2,
@@ -34,7 +36,7 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from spherelets import datasets, numeric  # noqa: E402
-from spherelets.embed import Pairs, affinities, kl_gradient, knn_distances  # noqa: E402
+from spherelets.embed import Pairs, _repulsion, affinities, kl_gradient, knn_distances  # noqa: E402
 
 SIZES = (1000, 6000, 20_000)
 D, K, SIGMA = 2, 20, 0.3
@@ -75,7 +77,9 @@ def main() -> None:
         P = Pairs(n, P.rows, P.cols, P.vals / P.vals.sum())
         Y = numeric.seeded_gaussian(n, 2, 1.0, 2)
         med, q1, q3 = timed_ms(lambda: kl_gradient(P, Y), args.reps)
-        print(f"          kl_gradient {med:8.1f} ms [{q1:.1f}, {q3:.1f}]")
+        rmed, r1, r3 = timed_ms(lambda: _repulsion(Y), args.reps)
+        print(f"          kl_gradient {med:8.1f} ms [{q1:.1f}, {q3:.1f}]  "
+              f"_repulsion {rmed:8.1f} ms [{r1:.1f}, {r3:.1f}]")
 
 
 if __name__ == "__main__":
