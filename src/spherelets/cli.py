@@ -5,11 +5,15 @@ Every output file begins with a provenance header (command line, seed,
 library version) so a re-run with identical flags reproduces it.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+An argument holding a line break is a usage error for every subcommand
+but ``fit``: the '# command:' line of a CSV output cannot hold it, while
+the JSON model file escapes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -63,7 +67,10 @@ def _check_finite(*outputs: tuple[str, np.ndarray]) -> None:
             raise NonFiniteError(f"{path}: row {int(bad.argmax())} is not finite; nothing written")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spherelets",
         description="Piecewise-spherical manifold fitting, denoising, and embedding.",
@@ -269,9 +276,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        # the '# command:' line of a CSV output must stay one line; fit
+        # writes JSON, which escapes a line break
+        broken = [a for a in argv if "\n" in a or "\r" in a]
+        if broken and args.cmd != "fit":
+            raise ParameterError(f"argument {broken[0]!r} holds a line break; nothing written")
         return _COMMANDS[args.cmd](args, argv)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,11 @@
 All generators are pure functions of their arguments, including the
 seed. Curve parameters are drawn uniformly at random, matching an
 i.i.d. sampling model.
+
+``save_csv`` writes each value as exactly the bytes of ``'%.17g' % v``.
+For 1e-4 <= |v| < 1e16 it computes them by exact integer arithmetic in
+NumPy array passes, ``CSV_CHUNK_ROWS`` rows at a time; every other value
+(zero, tiny, huge, subnormal, infinite or NaN) is formatted on its own.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from .numeric import seeded_gaussian, seeded_rng
 
 SPIRAL_T_RANGE = (math.pi, 4.0 * math.pi)
 EULER_S_MAX = 2.0
-# save_csv formats at most this many rows at once, which bounds its memory
-CSV_CHUNK_ROWS = 4096
+# save_csv formats at most this many rows at once; at D <= 3 columns each
+# block array then stays under glibc's 128 KiB mmap threshold
+CSV_CHUNK_ROWS = 1024
 # np.loadtxt skips these around a number, float() rejects them
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # the leading lines that are blank or '#' comments, each up to its newline
@@ -255,17 +261,143 @@ def save_csv(
     header: list[str] | None = None,
     comments: list[str] | None = None,
 ) -> None:
-    """Write a numeric matrix as CSV; floats keep full round-trip precision."""
+    """Write a numeric matrix as CSV: '# ' comment lines, an optional header
+    row, then one line per row of X, its values joined by ','.
+
+    Each value is written as exactly ``'%.17g' % v``, which ``float`` reads
+    back to the same double. Values with 1e-4 <= |v| < 1e16 take an exact
+    integer fast path (``_format_rows``); every other value is formatted on
+    its own. Rows go out in blocks of ``CSV_CHUNK_ROWS``; no array a block
+    makes holds more than 25 bytes per value, so at D <= 3 each stays under
+    glibc's 128 KiB mmap threshold and the memory does not grow with X.
+
+    Raises ParameterError, before the file is opened, for a comment line
+    holding a line break, or a header that is not one cell per column or
+    whose cells hold ',' or a line break: ``load_csv`` could not read such
+    a file back."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        if header is not None:
-            fh.write(",".join(header) + "\n")
-        row = ",".join(["%.17g"] * X.shape[1]) + "\n"
-        for lo in range(0, X.shape[0], CSV_CHUNK_ROWS):  # one %-format per chunk
-            chunk = X[lo : lo + CSV_CHUNK_ROWS]
-            fh.write(row * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+    rows, D = X.shape
+    lines = [f"# {line}" for line in comments or []]
+    broken = [line for line in lines if "\n" in line or "\r" in line]
+    if broken:
+        raise ParameterError(f"{path}: comment {broken[0]!r} holds a line break")
+    if header is not None:
+        if len(header) != D or any(c in cell for cell in header for c in ",\n\r"):
+            raise ParameterError(
+                f"{path}: header {header!r} must be {D} cells without ',' or line breaks"
+            )
+        lines.append(",".join(header))
+    head = "".join(line + "\n" for line in lines).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        if D == 0:
+            fh.write(b"\n" * rows)
+            return
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            fh.write(_format_rows(X[lo : lo + CSV_CHUNK_ROWS]))
+
+
+# _format_rows lays each value out in 25 byte slots: its sign, then '0.'
+# and up to three zeros in front of a value below 1, then 18 digit slots
+# that hold its 17 significant digits with a '.' among them, then ',' or
+# '\n'. A row of _KEEP says which slots a value keeps; the slots kept run
+# on, so one boolean pass compacts them.
+_SLOTS = np.frombuffer(b"-0.000" + b"0" * 18 + b",", dtype=np.uint8)
+
+
+def _keep_table() -> np.ndarray:
+    """Slots kept, by (decimal exponent e in -4..16, index of the last
+    nonzero digit slot, sign bit): C's %g fixed notation with trailing
+    zeros and a bare '.' dropped. The '.' sits in digit slot e + 1 (below
+    1, in slot 17, which is never kept). A digit slot is kept in front of
+    the '.' or up to the last nonzero digit."""
+    e = np.arange(-4, 17)[:, None, None, None]
+    last = np.arange(18)[None, :, None, None]
+    keep = np.zeros((21, 18, 2, 25), dtype=bool)
+    keep[..., 0] = np.arange(2)[None, None, :]
+    keep[..., 1:3] = e < 0
+    keep[..., 3:6] = e < -1 - np.arange(3)
+    slot = np.arange(18)
+    keep[..., 6:24] = (slot <= e) | (slot <= last)
+    keep[..., 24] = True
+    return keep.reshape(-1, 25)
+
+
+_KEEP = _keep_table()
+_POW5 = 5 ** np.arange(22, dtype=np.uint64)
+_POW10 = 10 ** np.arange(17, dtype=np.uint64)
+# ceil(2^57 / 10^8): a 9-digit integer times this is its value over 10^8 as
+# a 57-bit fixed-point number, too high by less than one step of its last
+# digit, so each x10 step below lifts out one exact digit
+_FIX8 = -(-(2**57) // 10**8)
+
+
+def _significand(M: np.ndarray, E: np.ndarray, e10: np.ndarray) -> np.ndarray:
+    """round-half-even(M * 2^E * 10^(16 - e10)), exactly, for uint64
+    M in [2^62, 2^63) and 0 <= 16 - e10 <= 21 whose shift s = -E - (16 - e10)
+    lies in [8, 56], as they do for 1e-4 <= M * 2^E < 1e16.
+
+    M * 5^q < 2^112 is held in two uint64 words (hi, lo) built from 32-bit
+    partial products, and the result is (hi, lo) >> s, rounded by the bits
+    shifted out."""
+    q = 16 - e10
+    s = (-E - q).astype(np.uint64)
+    F = _POW5[q]
+    f0, f1 = F & 0xFFFFFFFF, F >> 32
+    m0, m1 = M & 0xFFFFFFFF, M >> 32
+    low = m0 * f0
+    mid = m0 * f1 + m1 * f0
+    lo = low + (mid << 32)
+    hi = m1 * f1 + (mid >> 32) + (lo < low)
+    up = 64 - s
+    N = (hi << up) | (lo >> s)
+    # the bits shifted out, moved to the top of a word, against one half
+    return N + ((lo << up) + (N & 1) > 2**63)
+
+
+def _format_rows(X: np.ndarray) -> np.ndarray:
+    """The CSV bytes of the rows of X (D >= 1 columns), as a uint8 array:
+    each value is exactly ``'%.17g' % v``."""
+    rows, D = X.shape
+    x = X.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    m, E = np.frexp(a)
+    M, E = (m * 2.0**63).astype(np.uint64), E - 63
+    # floor(log10) may be one off next to a power of ten: redo those rows
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    N = _significand(M, E, e10)
+    fix = (N < 10**16) | (N >= 10**17)
+    if fix.any():
+        e10[fix] += np.where(N[fix] < 10**16, -1, 1)
+        N[fix] = _significand(M[fix], E[fix], e10[fix])
+    # a 0 goes in behind the integer digits, where the '.' will be: behind
+    # all 17 of them below 1, where the '0.' in front holds the point
+    point = _POW10[np.where(e10 < 0, 0, 16 - e10)]
+    N += 9 * (N // point) * point
+    chars = np.empty((rows, D, 25), dtype=np.uint8)
+    chars[:] = _SLOTS
+    chars[:, -1, 24] = ord("\n")
+    chars = chars.reshape(-1, 25)
+    digits = chars[:, 6:24]
+    hi = N // 10**9
+    for t, first in ((hi * _FIX8, 0), ((N - hi * 10**9) * _FIX8, 9)):
+        for k in range(first, first + 9):
+            digits[:, k] = t >> 57
+            t &= 2**57 - 1
+            t *= 10
+    last = 17 - np.argmax(digits[:, ::-1] != 0, axis=1)
+    digits += ord("0")
+    digits[np.arange(len(x)), np.where(e10 < 0, 17, e10 + 1)] = ord(".")
+    keep = _KEEP[((e10 + 4) * 18 + last) * 2 + np.signbit(x)]
+    if not fast.all():
+        idx = np.flatnonzero(~fast)
+        text = np.array(["%.17g" % v for v in x[idx].tolist()], dtype="S24")
+        raw = text.view(np.uint8).reshape(-1, 24)
+        chars[idx, :24] = raw
+        keep[idx, :24] = raw != 0
+    return chars.ravel()[keep.ravel()]
 
 
 def load_iris():

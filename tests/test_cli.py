@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -70,6 +71,83 @@ def test_generate_rerun_identical_bytes(tmp_path):
     run("generate", "--dataset", "euler", "--n", "50", "--seed", "3", "--out", str(a))
     run("generate", "--dataset", "euler", "--n", "50", "--seed", "3", "--out", str(b))
     assert a.read_text().replace(str(a), "X") == b.read_text().replace(str(b), "X")
+
+
+@pytest.mark.parametrize("command,broken", [
+    ("generate", "--out"), ("generate", "--clean-out"), ("project", "--out"),
+    ("denoise", "--input"), ("embed", "--log"), ("bench", "--out"), ("rate", "--out"),
+])
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+def test_argument_with_line_break_exits_usage_and_writes_nothing(tmp_path, capsys, command, broken, brk):
+    # the '# command:' line used to span two lines: generate exited 0 and
+    # load_csv of its output then failed ("row 5 has 2 fields, expected 1")
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    assert run("generate", "--dataset", "euler", "--n", "40", "--out", str(data)) == EXIT_OK
+    assert run("fit", "--input", str(data), "--d", "1", "--eps", "1e-4", "--out", str(model)) == EXIT_OK
+    paths = {"--out": tmp_path / "o.csv", "--clean-out": tmp_path / "c.csv",
+             "--log": tmp_path / "l.csv", "--input": data}
+    paths[broken] = tmp_path / f"a{brk}b.csv"
+    argv = {
+        "generate": ["--dataset", "spiral", "--n", "50", "--out", paths["--out"],
+                     "--clean-out", paths["--clean-out"]],
+        "project": ["--model", model, "--input", data, "--out", paths["--out"]],
+        "denoise": ["--input", paths["--input"], "--method", "gbms", "--k", "5", "--out", paths["--out"]],
+        "embed": ["--input", data, "--sigma", "1.0", "--iters", "5", "--out", paths["--out"],
+                  "--log", paths["--log"]],
+        "bench": ["--dataset", "circle:ntrain=20,ntest=20", "--d", "1", "--eps-grid", "1e-4",
+                  "--out", paths["--out"]],
+        "rate": ["--alpha-grid", "0.5", "--out", paths["--out"]],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *map(str, argv)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
+
+
+def test_fit_keeps_a_line_break_in_its_json_provenance(tmp_path):
+    # JSON escapes a line break, so fit takes such an argument as it is
+    data, model = tmp_path / "d.csv", tmp_path / "m\nx.json"
+    run("generate", "--dataset", "euler", "--n", "40", "--out", str(data))
+    argv = ["fit", "--input", str(data), "--d", "1", "--eps", "1e-4", "--out", str(model)]
+    assert run(*argv) == EXIT_OK
+    assert json.loads(model.read_text())["provenance"]["command"] == "spherelets " + " ".join(argv)
+
+
+def test_main_calls_in_a_row_match_separate_calls(tmp_path, capsys):
+    # main builds its parser once per process: commands run in a row, a
+    # usage error between them, exit and write as each run on its own does
+    from spherelets import cli
+
+    data, model, proj = (str(tmp_path / name) for name in ("d.csv", "m.json", "p.csv"))
+    calls = [
+        ["generate", "--dataset", "euler", "--n", "60", "--seed", "3", "--out", data],
+        ["generate", "--dataset", "mobius", "--n", "10", "--out", data],
+        ["fit", "--input", data, "--d", "1", "--eps", "1e-6", "--out", model],
+        ["denoise", "--input", data, "--method", "gbms", "--k", "0", "--out", proj],
+        ["fit", "--input", data, "--d", "1", "--out", model],
+        ["project", "--model", model, "--input", data, "--out", proj, "--report-mse"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        files = {p: open(p, "rb").read() for p in (data, model, proj) if os.path.exists(p)}
+        return code, out, err, files
+
+    in_a_row = [call(argv) for argv in calls]
+    assert cli._build_parser.cache_info().currsize == 1
+    for path in (data, model, proj):
+        os.remove(path)
+    separate = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        separate.append(call(argv))
+    assert [r[0] for r in in_a_row] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK]
+    assert in_a_row == separate
 
 
 def test_denoise_subcommand(tmp_path):

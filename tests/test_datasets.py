@@ -1,3 +1,5 @@
+import math
+import struct
 import tempfile
 import warnings
 
@@ -167,8 +169,8 @@ def test_csv_round_trip_exact(tmp_path):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_save_csv_bytes_match_per_value_format(data):
-    # the chunked %-format writes exactly the bytes of formatting each
-    # value on its own: -0.0, inf, nan, subnormals and extremes included
+    # the writer writes exactly the bytes of formatting each value on its
+    # own: -0.0, inf, nan, subnormals and extremes included
     import tempfile
 
     import spherelets.datasets as ds
@@ -179,13 +181,95 @@ def test_save_csv_bytes_match_per_value_format(data):
     extremes = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, np.inf, -np.inf, np.nan]
     X = np.vstack([np.array(rows, dtype=float).reshape(-1, D), np.resize(extremes, (7, D))])
     chunk = data.draw(st.integers(1, 5), label="chunk")
-    expect = "# a\nx\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in X)
+    header = [f"x{j}" for j in range(D)]
+    expect = "# a\n" + ",".join(header) + "\n"
+    expect += "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in X)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(ds, "CSV_CHUNK_ROWS", chunk)
         path = f"{tmp}/x.csv"
-        ds.save_csv(X, path, header=["x"], comments=["a"])
+        ds.save_csv(X, path, header=header, comments=["a"])
         with open(path, "rb") as fh:
             assert fh.read() == expect.encode()
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _nudged(v: float, ulps: int) -> float:
+    """The double `ulps` steps above the positive double v."""
+    return _double(struct.unpack("<Q", struct.pack("<d", v))[0] + ulps)
+
+
+def _tie(j: int) -> st.SearchStrategy[float]:
+    """Odd k times 2^-j where k * 5^j has 18 digits: 17 significant digits
+    sit exactly halfway between two neighbours, so round-half-even decides."""
+    lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+    return st.integers(lo, hi - 1).map(lambda k: math.ldexp(k | 1, -j))
+
+
+_EDGE_VALUES = st.one_of(
+    st.builds(_nudged, st.sampled_from([1e-4, 1e16] + [10.0**e for e in range(-5, 18)]),
+              st.integers(-3, 3)),
+    st.integers(2, 22).flatmap(_tie),
+    st.integers(-(2**60), 2**60).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(0, 2**64 - 1).map(_double),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_save_csv_fast_path_edges_match_per_value_format(data):
+    # the exact integer path covers 1e-4 <= |v| < 1e16: its edges, powers of
+    # ten where floor(log10) may be one off, ties at the 18th digit, and
+    # rows that end on a block boundary
+    import spherelets.datasets as ds
+
+    D = data.draw(st.integers(1, 8), label="D")
+    chunk = data.draw(st.integers(1, 4), label="chunk")
+    n = chunk * data.draw(st.integers(1, 3), label="blocks")
+    signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n * D, max_size=n * D))
+    values = data.draw(st.lists(_EDGE_VALUES, min_size=n * D, max_size=n * D), label="values")
+    X = (np.array(values) * np.array(signs)).reshape(n, D)
+    expect = "".join(",".join("%.17g" % v for v in row) + "\n" for row in X.tolist())
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds, "CSV_CHUNK_ROWS", chunk)
+        path = f"{tmp}/x.csv"
+        ds.save_csv(X, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == expect.encode()
+
+
+def test_save_csv_no_rows_or_no_columns(tmp_path):
+    # n = 0 rows: the header alone; D = 0 columns: one empty line per row
+    path = tmp_path / "e.csv"
+    save_csv(np.empty((0, 3)), str(path), header=["a", "b", "c"], comments=["c"])
+    assert path.read_bytes() == b"# c\na,b,c\n"
+    save_csv(np.empty((4, 0)), str(path), header=[])
+    assert path.read_bytes() == b"\n" * 5
+    save_csv(np.empty((4, 0)), str(path))
+    assert path.read_bytes() == b"\n" * 4
+    save_csv(np.empty((0, 0)), str(path))
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"comments": ["a\nb"]},
+    {"comments": ["ok", "a\rb"]},
+    {"header": ["a"]},
+    {"header": ["a", "b", "c", "d"]},
+    {"header": ["a,b", "c", "d"]},
+    {"header": ["a", "b\n", "c"]},
+    {"header": ["a", "b", "c\r"]},
+], ids=["comment-lf", "comment-cr", "header-short", "header-long", "header-comma",
+        "header-lf", "header-cr"])
+def test_save_csv_rejects_header_or_comment_it_could_not_read_back(tmp_path, kwargs):
+    # each used to write a file that load_csv rejects or misreads
+    path = tmp_path / "x.csv"
+    with pytest.raises(ParameterError):
+        save_csv(np.ones((2, 3)), str(path), **kwargs)
+    assert not path.exists()
 
 
 def test_csv_header_detected(tmp_path):

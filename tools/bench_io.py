@@ -1,4 +1,4 @@
-"""Time the layers of ``fit -> project``: tree growth, I/O, routing and projection.
+"""Time the layers of ``fit -> project``: set-up, tree growth, I/O, routing and projection.
 
     python3 tools/bench_io.py [--reps 9]
 
@@ -8,6 +8,9 @@ the ``model-enneper`` benchmark model (d = 2, eps = 1e-5) on the train
 points, and prints the median and quartiles of the wall time
 (``time.perf_counter``, after one warm-up call) of each of:
 
+- ``generate``: ``spherelets generate`` (``cli.main``) of the train set,
+  the set-up unit that the benchmark's ``setup_s`` times, most of which
+  is ``save_csv``;
 - ``fit``: ``model.fit`` of the train points, which is ``build_tree``
   and the train MSE ``fit`` prints, read off the growth residuals;
 - ``load_csv``: ``datasets.load_csv`` of the test CSV;
@@ -20,6 +23,10 @@ points, and prints the median and quartiles of the wall time
 - ``project_mse``: ``SphereletModel.project_mse`` of the test points,
   what ``project --report-mse`` computes;
 - ``save_csv``: ``datasets.save_csv`` of their projections;
+- ``format_ref``: the ``'%.17g'`` %-format of the projections, one
+  format string for all rows and no file: the byte oracle that
+  ``save_csv``'s body must match (checked once before timing), and the
+  cost of formatting through Python's float formatter;
 - ``fit_level``: ``spca.fit_pieces`` of one growth level over all the
   train rows, the 2^6 cells at depth 6 of the fitted tree (d = 2);
 
@@ -39,6 +46,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -49,7 +58,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from spherelets import datasets, model, partition, spca  # noqa: E402
+from spherelets import cli, datasets, model, partition, spca  # noqa: E402
 
 N = 20_000
 LEVEL = 6
@@ -93,10 +102,22 @@ def main() -> None:
         fitted.save(path)
         loaded = model.load(path)
         P = loaded.project_many(T)
+        row = ",".join(["%.17g"] * P.shape[1]) + "\n"
+
+        def format_ref() -> str:
+            return row * P.shape[0] % tuple(P.ravel().tolist())
+
+        datasets.save_csv(P, out)
+        with open(out, "rb") as fh:
+            if fh.read() != format_ref().encode():
+                sys.exit("error: save_csv bytes differ from the '%.17g' format")
+        argv = ["generate", "--dataset", "enneper", "--n", str(N), "--seed", "0",
+                "--out", os.path.join(tmp, "generated.csv")]
         cells = level_cells(fitted.tree, LEVEL)
         sizes = np.array([rows.size for rows in cells])
         level = (X.take(np.concatenate(cells), axis=0), np.cumsum(sizes) - sizes)
         steps = {
+            "generate": lambda: cli.main(argv),
             "fit": lambda: model.fit(X, 2, 1e-5),
             "load_csv": lambda: datasets.load_csv(test),
             "save": lambda: fitted.save(path),
@@ -105,11 +126,13 @@ def main() -> None:
             "project_many": lambda: loaded.project_many(T),
             "project_mse": lambda: loaded.project_mse(T),
             "save_csv": lambda: datasets.save_csv(P, out),
+            "format_ref": format_ref,
             "fit_level": lambda: spca.fit_pieces(*level, 2, "spca"),
         }
         print(f"n={N} pieces={fitted.n_pieces}")
         for name, fn in steps.items():
-            q1, med, q3 = timed(fn, args.reps)
+            with contextlib.redirect_stdout(io.StringIO()):
+                q1, med, q3 = timed(fn, args.reps)
             print(f"{name:12s} median {med:7.1f} ms [{q1:.1f}, {q3:.1f}]")
         print(f"model file {os.path.getsize(path)} bytes")
     rng = np.random.default_rng(0)
