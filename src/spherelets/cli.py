@@ -5,9 +5,9 @@ Every output file begins with a provenance header (command line, seed,
 library version) so a re-run with identical flags reproduces it.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
-An argument holding a line break is a usage error for every subcommand
-but ``fit``: the '# command:' line of a CSV output cannot hold it, while
-the JSON model file escapes it.
+An argument holding a line break or bytes that are not UTF-8 is a usage
+error for every subcommand but ``fit``: the '# command:' line of a CSV
+output cannot hold it, while the JSON model file escapes it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .exceptions import (
     NonFiniteError,
     ParameterError,
     ParseError,
-    SingularProjectionError,
 )
 from .numeric import seeded_gaussian
 
@@ -55,6 +54,16 @@ def _provenance(args: argparse.Namespace, argv: list[str]) -> list[str]:
         lines.append(f"seed: {args.seed}")
     lines.append(f"version: {__version__}")
     return lines
+
+
+def _utf8(text: str) -> bool:
+    """Whether text encodes to UTF-8: False where it holds a lone
+    surrogate, as an argument of bytes that are not UTF-8 does."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _check_finite(*outputs: tuple[str, np.ndarray]) -> None:
@@ -184,16 +193,17 @@ def _cmd_fit(args, argv) -> int:
 
 def _cmd_project(args, argv) -> int:
     fitted = model_mod.load(args.model)
-    X = load_csv(args.input)
-    if args.report_mse:
-        Y, overall, per_cell = fitted.project_mse(X)
-    else:
-        Y = fitted.project_many(X)
+    Y, overall, per_cell, centre_rows = fitted.project_mse(load_csv(args.input))
     _check_finite((args.out, Y))
     save_csv(Y, args.out, comments=_provenance(args, argv))
+    lines = []
     if args.report_mse:
-        print("\n".join([f"overall_mse={overall:.17g}",
-                         *(f"cell {cid}: mse={mse:.17g}" for cid, mse in sorted(per_cell.items()))]))
+        lines = [f"overall_mse={overall:.17g}",
+                 *(f"cell {cid}: mse={mse:.17g}" for cid, mse in sorted(per_cell.items()))]
+    if centre_rows:  # rows at their sphere's center, projected onto its d-plane
+        lines.append(f"centre_rows={centre_rows}")
+    if lines:
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -278,11 +288,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
     try:
-        # the '# command:' line of a CSV output must stay one line; fit
-        # writes JSON, which escapes a line break
-        broken = [a for a in argv if "\n" in a or "\r" in a]
-        if broken and args.cmd != "fit":
-            raise ParameterError(f"argument {broken[0]!r} holds a line break; nothing written")
+        # the '# command:' line of a CSV output must stay one line of
+        # UTF-8; fit writes JSON, which escapes a line break and a byte
+        # that is not UTF-8 (the lone surrogate Python decodes it to)
+        if args.cmd != "fit":
+            for a in argv:
+                if "\n" in a or "\r" in a:
+                    raise ParameterError(f"argument {a!r} holds a line break; nothing written")
+                if not _utf8(a):
+                    raise ParameterError(f"argument {a!r} is not valid UTF-8; nothing written")
         return _COMMANDS[args.cmd](args, argv)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -290,8 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, DimensionError, InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SingularProjectionError, DivergenceError, NonFiniteError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (DivergenceError, NonFiniteError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -10,7 +10,8 @@ the fit's ``train_mse``; ``load`` builds the table once. Projection
 routes a batch down the tree a level at a time to each row's piece index
 (``partition.leaf_index``) and maps the rows onto the pieces they index
 by ``spca.project_pieces``, so held-out data can be projected without
-refitting; the per-cell MSEs group the rows by the same index.
+refitting; a row at its sphere's center goes onto the piece's d-plane
+and is counted. The per-cell MSEs group the rows by the same index.
 Routing and projection treat each row on its own, so a row's leaf and
 image do not depend on the batch it is in: ``project(x)`` is row i of
 ``project_many(X)`` bit for bit.
@@ -34,7 +35,6 @@ from .exceptions import (
     NonFiniteError,
     ParameterError,
     ParseError,
-    SingularProjectionError,
     VersionError,
 )
 from .numeric import row_dots
@@ -79,8 +79,10 @@ class SphereletModel:
         return self.project_many(np.asarray(x, dtype=float).ravel())[0]
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
+        """The rows of X projected onto their leaves' pieces; a row at its
+        sphere's center goes onto the piece's d-plane."""
         X = self._rows(X)
-        return self._project_routed(X, leaf_index(X, self.tree))
+        return self._project_routed(X, leaf_index(X, self.tree))[0]
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -88,25 +90,19 @@ class SphereletModel:
             raise DimensionError(f"point dimension {X.shape[1]} != model dimension {self.D}")
         return X
 
-    def _project_routed(self, X: np.ndarray, at: np.ndarray) -> np.ndarray:
+    def _project_routed(self, X: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, int]:
         """Projections of the rows of X, row i onto piece ``at[i]`` of the
         table as a 1 x D stack, so its image does not depend on the batch
-        it is in. A row that projects onto a sphere center raises
-        SingularProjectionError naming the first such row of the first
-        leaf in depth-first order."""
-        P, regular = np.empty_like(X), np.ones(X.shape[0], dtype=bool)
+        it is in, and the number of rows that lie at their sphere's center,
+        whose images ``project_pieces`` puts on the piece's d-plane."""
+        P, centre_rows = np.empty_like(X), 0
         step = max(1, PROJECT_BLOCK // (self.D * (self.pieces.frame.shape[2] + 1)))
         for lo in range(0, X.shape[0], step):
             sub = slice(lo, lo + step)
-            images, ok = project_pieces(X[sub, None], self.pieces.take(at[sub]))
-            P[sub], regular[sub] = images[:, 0], ok[:, 0]
-        if not regular.all():
-            bad = np.flatnonzero(~regular)
-            row = int(bad[np.argmin(at[bad])])
-            cell = self._cell_ids()[at[row]]
-            raise SingularProjectionError(f"row {row} projects onto the sphere center of cell {cell}",
-                                          row=row)
-        return P
+            images, regular = project_pieces(X[sub, None], self.pieces.take(at[sub]))
+            P[sub] = images[:, 0]
+            centre_rows += int(regular.size - np.count_nonzero(regular))
+        return P, centre_rows
 
     def _cell_ids(self) -> list[int]:
         """The cell id of each piece of the table, the leaves depth-first."""
@@ -118,16 +114,17 @@ class SphereletModel:
         Works identically for training and held-out data; cells that
         receive no rows are omitted from the per-cell map.
         """
-        return self.project_mse(X)[1:]
+        return self.project_mse(X)[1:3]
 
-    def project_mse(self, X: np.ndarray) -> tuple[np.ndarray, float, dict[int, float]]:
-        """``project_many(X)`` and ``mse(X)`` from one route-and-project pass."""
+    def project_mse(self, X: np.ndarray) -> tuple[np.ndarray, float, dict[int, float], int]:
+        """``project_many(X)`` and ``mse(X)`` from one route-and-project
+        pass, and the number of rows at their sphere's center."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
             raise ParameterError("cannot compute MSE of an empty dataset")
         X = self._rows(X)
         at = leaf_index(X, self.tree)
-        P, ids = self._project_routed(X, at), self._cell_ids()
+        (P, centre_rows), ids = self._project_routed(X, at), self._cell_ids()
         R = X - P
         sq = row_dots(R, R)
         # each cell's rows in turn, in increasing order; NumPy's stable sort
@@ -138,7 +135,7 @@ class SphereletModel:
         # np.mean of each cell's slice, the same sum and division without its per-call cost
         per_cell = sorted((ids[j], float(np.add.reduce(by_cell[lo:hi]) / (hi - lo))) for j, lo, hi
                           in zip(at[bounds[:-1]].tolist(), bounds.tolist(), bounds[1:].tolist()))
-        return P, float(np.mean(sq)), dict(per_cell)
+        return P, float(np.mean(sq)), dict(per_cell), centre_rows
 
     def save(self, path: str) -> None:
         save(self, path)
@@ -154,8 +151,11 @@ def fit(
 ) -> SphereletModel:
     """Fit a piecewise model: grow the partition tree, which fits one piece
     per cell. ``n_min`` defaults to max(10, d+3). ``train_mse`` is the mean
-    of the growth fits' residuals of the rows X: ``mse(X)[0]`` up to rounding."""
+    of the growth fits' residuals of the rows X: ``mse(X)[0]`` up to rounding.
+    Raises DimensionError for d above the rows' dimension D."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if d > X.shape[1]:
+        raise DimensionError(f"d={d} exceeds ambient dimension {X.shape[1]}")
     if n_min is None:
         n_min = max(10, d + 3)
     tree, pieces, residual_sq = build_tree(X, d, eps, n_min, fitter)
@@ -396,7 +396,7 @@ def _check_nodes(nodes: list, D: int) -> tuple[list[SplitRule], list[tuple[int, 
 def load(path: str) -> SphereletModel:
     """Load a model file; raises ParseError / VersionError on bad input,
     including a version, d, D, leaf id or piece id that is not an integer
-    (d >= 0, D >= 1), a fitter other than spca or pca, a provenance that
+    (0 <= d <= D, D >= 1), a fitter other than spca or pca, a provenance that
     is not an object, a piece or split whose shapes do not fit d and D, a
     string or a bool where a number belongs, a non-finite number or one
     out of float range, leaf members that are not integers >= 0 (files of
@@ -432,6 +432,8 @@ def load(path: str) -> SphereletModel:
     if not isinstance(provenance, dict):
         raise ParseError(f"{path}: provenance must be an object, got {provenance!r}")
     d, D = obj["d"], obj["D"]
+    if d > D:  # fit never writes such a file
+        raise ParseError(f"{path}: d={d} exceeds D={D}")
     objs = obj["leaves"]
     ids, pieces = _named(lambda entries: _check_pieces(entries, d, D), objs,
                          lambda i: _piece_name(i, objs[i]))

@@ -73,20 +73,19 @@ def test_generate_rerun_identical_bytes(tmp_path):
     assert a.read_text().replace(str(a), "X") == b.read_text().replace(str(b), "X")
 
 
-@pytest.mark.parametrize("command,broken", [
-    ("generate", "--out"), ("generate", "--clean-out"), ("project", "--out"),
-    ("denoise", "--input"), ("embed", "--log"), ("bench", "--out"), ("rate", "--out"),
-])
-@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
-def test_argument_with_line_break_exits_usage_and_writes_nothing(tmp_path, capsys, command, broken, brk):
-    # the '# command:' line used to span two lines: generate exited 0 and
-    # load_csv of its output then failed ("row 5 has 2 fields, expected 1")
+_BROKEN = [("generate", "--out"), ("generate", "--clean-out"), ("project", "--out"),
+           ("denoise", "--input"), ("embed", "--log"), ("bench", "--out"), ("rate", "--out")]
+
+
+def _rejects_argument(tmp_path, capsys, command, broken, name):
+    """Whether the command, its option ``broken`` naming a file ``name``,
+    exits 2 with one error line and writes nothing."""
     data, model = tmp_path / "d.csv", tmp_path / "m.json"
     assert run("generate", "--dataset", "euler", "--n", "40", "--out", str(data)) == EXIT_OK
     assert run("fit", "--input", str(data), "--d", "1", "--eps", "1e-4", "--out", str(model)) == EXIT_OK
     paths = {"--out": tmp_path / "o.csv", "--clean-out": tmp_path / "c.csv",
              "--log": tmp_path / "l.csv", "--input": data}
-    paths[broken] = tmp_path / f"a{brk}b.csv"
+    paths[broken] = tmp_path / name
     argv = {
         "generate": ["--dataset", "spiral", "--n", "50", "--out", paths["--out"],
                      "--clean-out", paths["--clean-out"]],
@@ -99,10 +98,26 @@ def test_argument_with_line_break_exits_usage_and_writes_nothing(tmp_path, capsy
         "rate": ["--alpha-grid", "0.5", "--out", paths["--out"]],
     }[command]
     capsys.readouterr()
-    assert run(command, *map(str, argv)) == EXIT_USAGE
+    code = run(command, *map(str, argv))
     err = capsys.readouterr().err
-    assert err.startswith("error: argument ") and err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"]
+    return (code == EXIT_USAGE and err.startswith("error: argument ") and err.count("\n") == 1
+            and sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json"])
+
+
+@pytest.mark.parametrize("command,broken", _BROKEN)
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+def test_argument_with_line_break_exits_usage_and_writes_nothing(tmp_path, capsys, command, broken, brk):
+    # the '# command:' line used to span two lines: generate exited 0 and
+    # load_csv of its output then failed ("row 5 has 2 fields, expected 1")
+    assert _rejects_argument(tmp_path, capsys, command, broken, f"a{brk}b.csv")
+
+
+@pytest.mark.parametrize("command,broken", _BROKEN)
+def test_argument_not_utf8_exits_usage_and_writes_nothing(tmp_path, capsys, command, broken):
+    # a byte that is not UTF-8 reaches Python as a lone surrogate, which
+    # the '# command:' line cannot encode: generate used to exit 1 with a
+    # UnicodeEncodeError traceback
+    assert _rejects_argument(tmp_path, capsys, command, broken, os.fsdecode(b"\xff.csv"))
 
 
 def test_fit_keeps_a_line_break_in_its_json_provenance(tmp_path):
@@ -112,6 +127,17 @@ def test_fit_keeps_a_line_break_in_its_json_provenance(tmp_path):
     argv = ["fit", "--input", str(data), "--d", "1", "--eps", "1e-4", "--out", str(model)]
     assert run(*argv) == EXIT_OK
     assert json.loads(model.read_text())["provenance"]["command"] == "spherelets " + " ".join(argv)
+
+
+def test_fit_exits_data_on_d_above_the_dimension(tmp_path, capsys):
+    # fit --d 5 on 3 columns used to exit 0 with a one-piece identity model
+    data, model = tmp_path / "e.csv", tmp_path / "m.json"
+    assert run("generate", "--dataset", "enneper", "--n", "100", "--out", str(data)) == EXIT_OK
+    capsys.readouterr()
+    assert run("fit", "--input", str(data), "--d", "5", "--eps", "1e-3", "--out", str(model)) == EXIT_DATA
+    assert capsys.readouterr().err == "error: d=5 exceeds ambient dimension 3\n"
+    assert not model.exists()
+    assert run("fit", "--input", str(data), "--d", "3", "--eps", "1e-3", "--out", str(model)) == EXIT_OK
 
 
 def test_main_calls_in_a_row_match_separate_calls(tmp_path, capsys):
@@ -394,20 +420,26 @@ def test_embed_sigma_whose_kernel_underflows_takes_the_nearest_neighbours(tmp_pa
     assert Y.shape == (1000, 2) and np.isfinite(Y).all()
 
 
-def test_exit_numeric_on_singular_projection(tmp_path):
-    model = {
-        "version": 1, "d": 1, "D": 2, "fitter": "spca",
-        "tree": {"leaf": 0, "members": []},
-        "leaves": [{"id": 0, "kind": "sphere", "mu": [0.0, 0.0],
-                    "frame": [[1.0, 0.0], [0.0, 1.0]],
-                    "center": [0.0, 0.0], "radius": 1.0}],
-    }
-    mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps(model))
-    data = tmp_path / "center.csv"
-    data.write_text("0,0\n")  # projects onto the sphere center
-    assert run("project", "--model", str(mpath), "--input", str(data),
-               "--out", str(tmp_path / "p.csv")) == EXIT_NUMERIC
+def test_project_counts_a_row_at_the_sphere_centre_of_a_fitted_leaf(tmp_path, capsys):
+    # such a row used to abort the batch with exit 4; it goes onto the
+    # leaf's d-plane, and project prints the count only when it is not 0
+    from spherelets.model import load
+
+    mpath = os.path.join(os.path.dirname(__file__), "data", "arc_and_segment.json")
+    fitted, data, out = load(mpath), tmp_path / "x.csv", tmp_path / "p.csv"
+    X = np.vstack([fitted.pieces.center[1], [2.0, 0.5], [0.5, 1.5]])
+    save_csv(X, str(data))
+    capsys.readouterr()
+    assert run("project", "--model", mpath, "--input", str(data), "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().out == "centre_rows=1\n"
+    P = load_csv(str(out))
+    assert np.array_equal(P, fitted.project_many(X))
+    assert np.allclose(P[0], fitted.pieces.mu[1], rtol=0, atol=1e-15)  # the foot of the center on the line
+    assert run("project", "--model", mpath, "--input", str(data), "--out", str(out), "--report-mse") == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "centre_rows=1"
+    save_csv(X[1:], str(data))
+    assert run("project", "--model", mpath, "--input", str(data), "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().out == ""
 
 
 def _two_sphere_model(radius=1.0):
@@ -424,13 +456,15 @@ def _two_sphere_model(radius=1.0):
 
 
 def test_singular_projection_names_row_of_input(tmp_path, capsys):
+    # row 5 lies at a sphere center: project exits 0, counts it, and writes
+    # its image on the piece's d-plane
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(_two_sphere_model()))
-    data = tmp_path / "batch.csv"
-    data.write_text("4,0\n3,2\n5,1\n2,0.5\n3.5,-1\n-3,0\n-1,0\n")  # row 5: a center
-    assert run("project", "--model", str(mpath), "--input", str(data),
-               "--out", str(tmp_path / "p.csv")) == EXIT_NUMERIC
-    assert "row 5 projects onto the sphere center" in capsys.readouterr().err
+    data, out = tmp_path / "batch.csv", tmp_path / "p.csv"
+    data.write_text("4,0\n3,2\n5,1\n2,0.5\n3.5,-1\n-3,0\n-1,0\n")
+    assert run("project", "--model", str(mpath), "--input", str(data), "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().out == "centre_rows=1\n"
+    assert load_csv(str(out))[5].tolist() == [-3.0, 0.0]
 
 
 def test_exit_data_on_negative_radius_model(tmp_path, capsys):
@@ -661,7 +695,9 @@ def test_exit_usage_on_negative_seed(tmp_path, capsys, argv):
      r"fitter must be 'spca' or 'pca', got 42$"),
     (lambda: _edited_model(lambda o: o.update(provenance=[1, 2])),
      r"provenance must be an object, got \[1, 2\]$"),
-], ids=["d-string", "d-float", "d-bool", "d-negative", "D-zero", "fitter", "provenance"])
+    # fit writes no such file: a d-sphere or d-plane does not fit in R^D
+    (lambda: _edited_model(lambda o: o.update(d=3)), r"d=3 exceeds D=2$"),
+], ids=["d-string", "d-float", "d-bool", "d-negative", "D-zero", "fitter", "provenance", "d-above-D"])
 def test_exit_data_on_malformed_model_header(tmp_path, capsys, text, message):
     # each used to load, and to project with exit 0
     from spherelets.model import load

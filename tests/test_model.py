@@ -15,7 +15,6 @@ from spherelets.exceptions import (
     NonFiniteError,
     ParameterError,
     ParseError,
-    SingularProjectionError,
     VersionError,
 )
 from spherelets.model import fit, load, save
@@ -209,12 +208,7 @@ def test_project_many_rows_equal_project_property(data):
     n = data.draw(st.integers(1, 25), label="n")
     rows = st.lists(st.floats(-3, 3, allow_subnormal=False), min_size=model.D, max_size=model.D)
     X = np.array(data.draw(st.lists(rows, min_size=n, max_size=n), label="X"))
-    try:
-        P = model.project_many(X)
-    except SingularProjectionError as exc:
-        with pytest.raises(SingularProjectionError):
-            model.project(X[exc.row])
-        return
+    P = model.project_many(X)
     assert P.shape == X.shape
     pieces = leaf_pieces(model)
     for i, x in enumerate(X):
@@ -310,15 +304,20 @@ def _two_sphere_model():
 
 
 def test_singular_projection_names_row_of_batch(tmp_path):
+    # row 5 lies at the center of leaf 1: it used to abort the batch, and
+    # now goes onto the piece's d-plane, the line through the center along
+    # the frame's first axis, and is counted; the other rows keep the
+    # images they have without it
     path = tmp_path / "two.json"
     path.write_text(json.dumps(_two_sphere_model()))
     model = load(str(path))
     X = np.array([[4.0, 0.0], [3.0, 2.0], [5.0, 1.0], [2.0, 0.5], [3.5, -1.0],
                   [-3.0, 0.0], [-1.0, 0.0]])
-    assert model.project_many(np.delete(X, 5, axis=0)).shape == (6, 2)
-    with pytest.raises(SingularProjectionError, match=r"^row 5 projects onto the sphere center") as exc:
-        model.project_many(X)
-    assert exc.value.row == 5
+    P, _, per_cell, centre_rows = model.project_mse(X)
+    assert centre_rows == 1 and np.array_equal(P, model.project_many(X))
+    assert P[5].tolist() == [-3.0, 0.0] and per_cell[1] == 0.5  # (0 + 1) / 2
+    rest, _, _, none = model.project_mse(np.delete(X, 5, axis=0))
+    assert none == 0 and np.array_equal(np.delete(P, 5, axis=0), rest)
 
 
 def _hand_model(**piece):
@@ -462,13 +461,7 @@ def test_save_load_round_trip_exact_property(data, tmp_path_factory):
     save(clone, str(second))
     assert first.read_bytes() == second.read_bytes()
     probes = np.vstack([X, np.random.default_rng(seed + 1).uniform(-3, 3, size=(50, X.shape[1]))])
-    try:
-        expect = model.project_many(probes)
-    except SingularProjectionError:
-        with pytest.raises(SingularProjectionError):
-            clone.project_many(probes)
-        return
-    assert np.array_equal(clone.project_many(probes), expect)
+    assert np.array_equal(clone.project_many(probes), model.project_many(probes))
 
 
 def _per_leaf_projection(model, X):
@@ -517,17 +510,17 @@ def test_project_many_matches_each_leaf_projected_alone(monkeypatch, block):
 
 
 def test_singular_projection_names_first_row_in_routing_order(tmp_path):
-    # rows 1 and 4 hit the center of leaf 1, row 3 that of leaf 0, which
-    # routing visits first
+    # rows 1 and 4 lie at the center of leaf 1, row 3 at that of leaf 0,
+    # and row 5 within 1e-12 of the radius of it: each goes onto its
+    # piece's d-plane, the line y = 0, and each is counted
     path = tmp_path / "two.json"
     path.write_text(json.dumps(_two_sphere_model()))
     model = load(str(path))
-    X = np.array([[4.0, 0.0], [-3.0, 0.0], [-4.0, 1.0], [3.0, 0.0], [-3.0, 0.0]])
-    with pytest.raises(SingularProjectionError, match=r"^row 3 .* cell 0$") as exc:
-        model.project_many(X)
-    assert exc.value.row == 3
-    with pytest.raises(SingularProjectionError, match=r"^row 1 .* cell 1$"):
-        model.project_many(np.delete(X, 3, axis=0))
+    X = np.array([[4.0, 0.0], [-3.0, 0.0], [-4.0, 1.0], [3.0, 0.0], [-3.0, 0.0], [3.0 + 2.0**-45, 0.0]])
+    P, _, _, centre_rows = model.project_mse(X)
+    assert centre_rows == 4
+    assert P[[1, 3, 4, 5]].tolist() == [[-3.0, 0.0], [3.0, 0.0], [-3.0, 0.0], [3.0 + 2.0**-45, 0.0]]
+    assert np.allclose(P[[0, 2]], [[4.0, 0.0], [-3.0 - np.sqrt(0.5), np.sqrt(0.5)]], rtol=0, atol=1e-15)
 
 
 def test_save_load_save_writes_identical_bytes(tmp_path):
@@ -588,9 +581,9 @@ def test_model_file_with_members_loads_and_projects_identically(tmp_path):
     assert "members" in _keys(old.read_text())
     with_members, without = load(str(old)), load(str(new))
     probes = enneper(2000, 1.2, seed=27) + 0.01
-    P, overall, per_cell = model.project_mse(probes)
+    P, overall, per_cell, _ = model.project_mse(probes)
     for clone in (with_members, without):
-        Q, clone_overall, clone_per_cell = clone.project_mse(probes)
+        Q, clone_overall, clone_per_cell, _ = clone.project_mse(probes)
         assert Q.tobytes() == P.tobytes() and (clone_overall, clone_per_cell) == (overall, per_cell)
     save(with_members, str(old))
     assert old.read_bytes() == new.read_bytes()
@@ -790,7 +783,8 @@ def test_legacy_file_with_members_and_wide_plane_projects_as_hand_built_pieces(t
     X = np.vstack([[[3.0, 1.0, 2.0], [-1.0, 2.0, 5.0], [2.5, -0.5, -1.0], [-2.0, -1.0, 1.0],
                     [-0.5, -3.0, 0.0]],
                    np.random.default_rng(28).uniform(-3, 3, size=(200, 3))])
-    P, overall, per_cell = model.project_mse(X)
+    P, overall, per_cell, centre_rows = model.project_mse(X)
+    assert centre_rows == 0
     cells = np.array([reference(x)[0] for x in X])
     for x, p in zip(X, P):
         assert np.array_equal(p, project_piece(reference(x)[1], x))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import recursive_kd_leaves, sym_eig
+from oracles import sym_eig
 from spherelets.exceptions import DimensionError, ParameterError
 from spherelets.numeric import (
     _sq_dists,
@@ -316,7 +316,15 @@ def test_knn_indices_parent_cell_bounds_match_oracle(data):
         mp.setattr(num, "KNN_LEAF", leaf)
         mp.setattr(num, "KNN_BLOCK", data.draw(st.integers(1, 3 * n), label="block"))
         got = num.knn_indices(X, k)
+        order, edges, bounds = num._kd_leaves(X, k)
     assert np.array_equal(got, _knn_oracle(X, k))
+    # the leaves hold every row once, each leaf's rows sorted; so do the
+    # bounded rows, each within a cell of k rows or more that bounds its
+    # k-th distance
+    assert edges[0] == 0 and edges[-1] == n and np.array_equal(np.sort(order), np.arange(n))
+    assert all(np.all(np.diff(rows) > 0) for rows in np.split(order, edges[1:-1]))
+    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in bounds])), np.arange(n))
+    assert all(cell.size >= k and np.isin(rows, cell).all() for rows, cell in bounds)
 
 
 @settings(max_examples=150, deadline=None)
@@ -343,38 +351,6 @@ def test_knn_indices_orders_interior_ties_by_index(data):
         mp.setattr(num, "KNN_BLOCK", data.draw(st.integers(1, 3 * n), label="block"))
         got = num.knn_indices(X, k)
     assert np.array_equal(got, _knn_oracle(X, k))
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_kd_leaves_match_the_recursive_build(data):
-    # tie-free clouds, so every median split is unique: the level-at-a-time
-    # build gives the leaves and bounding cells of the recursive one. n is
-    # 2^j leaf + r, so with 0 < r < 2^j level j holds cells of leaf and
-    # leaf + 1 rows, on both sides of KNN_LEAF
-    import spherelets.numeric as num
-
-    D = data.draw(st.integers(1, 10), label="D")
-    leaf = data.draw(st.integers(1, 12), label="leaf")
-    j = data.draw(st.integers(0, 5), label="j")
-    n = (leaf << j) + data.draw(st.integers(0, (1 << j) - 1), label="r")
-    k = data.draw(st.integers(1, n), label="k")
-    X = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).normal(size=(n, D))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(num, "KNN_LEAF", leaf)
-        order, edges, bounds = num._kd_leaves(X, k)
-        expect = recursive_kd_leaves(X, k)
-    leaves = np.split(order, edges[1:-1])
-    assert edges[0] == 0 and edges[-1] == n
-    assert all(np.all(np.diff(rows) > 0) for rows in leaves)
-    home = np.empty(n, dtype=int)  # the bounding pair of each row
-    for i, (rows, _) in enumerate(bounds):
-        home[rows] = i
-    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in bounds])), np.arange(n))
-    got = {(tuple(rows), tuple(np.sort(bounds[home[rows[0]]][1]))) for rows in leaves}
-    assert all(np.all(home[rows] == home[rows[0]]) for rows in leaves)
-    assert got == {(tuple(rows), tuple(cell)) for rows, cell in expect}
-    assert len(leaves) == len(expect)
 
 
 def test_knn_indices_results_share_no_memory():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import (
     Hyperplane,
-    column_sums,
     fit_plane,
     optimal_offset,
     outer_sums,
@@ -17,7 +16,6 @@ from oracles import (
     project_piece,
     project_plane,
     reference_fit_spheres,
-    row_major_fit_pieces,
     sphere_distance,
     sphere_fit_loss,
     sphere_residual_sq,
@@ -663,15 +661,7 @@ def test_ragged_rows_equal_single_set_calls_property(case, fitter):
             assert np.array_equal(fits.score[rows], planes.score[rows])
 
 
-# -- the kernels against the formulas they replaced -------------------------
-
-
-def _eigvalsh_condition(Hs):
-    """max|lambda| / min|lambda|, inf where a NaN-free scatter gives NaN."""
-    lam = np.abs(np.linalg.eigvalsh(Hs))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = lam.max(axis=1) / lam.min(axis=1)
-    return np.where(np.isnan(cond) & ~np.isnan(Hs).any(axis=(1, 2)), np.inf, cond)
+# -- the fit against its direct formulas, within rounding ------------------
 
 
 @st.composite
@@ -697,51 +687,51 @@ def _generic_sets(D, d, seed, sizes=(20, 9, 33)):
     return d, [rng.uniform(-10, 10, D) + rng.uniform(1e-2, 1e2) * rng.normal(size=(k, D)) for k in sizes]
 
 
+def _gamma(k):
+    """k u / (1 - k u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _fit_rounding_bounds(S, mu, V, center, radius):
+    """The bounds ``spca.fit_pieces`` states on how far its scores (n,),
+    its ambient centre (D,) and its radius may lie from those of a fit
+    that sums the reduced coordinates in another order: for the rows S,
+    their mean mu and frame V (D, w), and the centre and radius of a
+    sphere fit (None for a plane). Evaluated on the centred rows scaled
+    by a power of two, exactly, so that no square underflows."""
+    n, (D, w) = S.shape[0], V.shape
+    k = int(np.frexp(np.abs(S - mu).max())[1])
+    Y = np.ldexp(S - mu, -k)
+    E = 2 * _gamma(D) * (np.abs(Y) @ np.abs(V))
+    if radius is None:
+        return np.ldexp(E[:, 0], k), None, None
+    Z, c = Y @ V, V.T @ np.ldexp(center - mu, -k)
+    s = np.linalg.norm(Z - Z.mean(axis=0), axis=1)
+    q2 = np.sum((Z - c) ** 2, axis=1)
+    l, e, m = np.sum(Z * Z, axis=1), np.linalg.norm(E, axis=1), n + w + 3 + 3 * w**3 * 2 ** (w - 1)
+    H = (Z - Z.mean(axis=0)).T @ (Z - Z.mean(axis=0))
+    b_c = (e @ (np.abs(q2 - q2.mean()) / 2 + s * np.sqrt(q2))
+           + 2 * _gamma(m) * s @ (l + l.mean() + 2 * s * np.linalg.norm(c))) / np.abs(np.linalg.eigvalsh(H)).min()
+    b_c += e.mean() + 2 * _gamma(n + 1) * np.sqrt(l).mean()
+    b_center = b_c + 2 * _gamma(w + 1) * (np.ldexp(np.abs(mu), -k) + np.linalg.norm(c))
+    b_radius = b_c + e.mean() + 2 * _gamma(n + w + 1) * np.ldexp(radius, -k)
+    return np.ldexp(E[:, 0], k), np.ldexp(b_center, k), np.ldexp(b_radius, k)
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=_wide_ragged_sets(), fitter=st.sampled_from(["spca", "pca"]))
 @example(case=_generic_sets(8, 2, 8), fitter="spca")
 @example(case=_generic_sets(16, 3, 16), fitter="spca")
 @example(case=_generic_sets(64, 1, 64), fitter="spca")
 @example(case=_generic_sets(8, 0, 0), fitter="pca")  # a 0-wide plane, each row still scored
-def test_fit_kernels_equal_the_formulas_they_replaced_property(case, fitter):
-    # rows narrower than numeric.NARROW_ROW add one column at a time, the
-    # sums NumPy's reduction makes for them; wider rows take that
-    # reduction, so every output is bit-equal at every D; the reduced
-    # coordinates and condition numbers are those of the current kernels.
-    # Against the row-major kernels the (D, N) layout replaced, every
-    # field is bit-equal, the per-row residuals and scores too
-    d, sets = case
-    X, starts = _ragged(sets)
-    with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
-        spheres = fit_pieces(X, starts, d, "spca")
-        expect = reference_fit_spheres(X, starts, d, column_sums, _eigvalsh_condition)
-        pieces = fit_pieces(X, starts, d, fitter)
-        row_major_pieces = row_major_fit_pieces(X, starts, d, fitter)
-    table, flat = spheres.pieces, expect.degenerate
-    assert np.array_equal(table.sphere, ~flat)
-    for got, old in ((table.mu, expect.mu), (table.center, expect.center), (table.radius, expect.radius),
-                     (spheres.axis, expect.frame[:, :, 0]), (spheres.h_condition, expect.h_condition),
-                     (spheres.score, expect.score)):
-        assert np.array_equal(got, old, equal_nan=True)
-    # a degenerate set's piece is the d-plane of its fit
-    assert np.array_equal(table.frame[~flat], expect.frame[~flat])
-    assert np.array_equal(table.frame[flat, :, :d], expect.frame[flat, :, :d])
-    assert not table.frame[flat, :, d].any()
-    for got, old in zip(pieces.pieces, row_major_pieces.pieces):
-        assert np.array_equal(got, old, equal_nan=True)
-    for got, old in zip(pieces[1:], row_major_pieces[1:]):  # axis, residual_sq, score, h_condition
-        assert np.array_equal(got, old, equal_nan=True)
-    scatter = spca._scatter_sums(X.T.copy(), starts)
-    assert np.array_equal(scatter, outer_sums(X, X, starts))
-    assert np.array_equal(scatter, np.swapaxes(scatter, 1, 2))
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=_wide_ragged_sets())
-def test_fit_pieces_match_the_blas_kernel_within_rounding_property(case):
-    # the spca pieces against the reduced coordinates of one BLAS product
-    # per row and the condition numbers of np.linalg.cond's SVD, which
-    # round differently
+def test_fit_pieces_match_the_blas_kernel_within_rounding_property(case, fitter):
+    # the pieces against the direct formulas: the reduced coordinates of
+    # one BLAS product per row and the condition numbers of
+    # np.linalg.cond's SVD, which round differently. Means, frames and axes
+    # are the same sums, bit for bit; scores, centres and radii lie within
+    # the bounds fit_pieces states, and within the 1e-12 relative the
+    # library holds refactors to
     d, sets = case
     X, starts = _ragged(sets)
     # the cubic sums xi overflow once |x|^3 * N nears 1e308, and rounding
@@ -749,14 +739,32 @@ def test_fit_pieces_match_the_blas_kernel_within_rounding_property(case):
     # scales of 1e106 and up): such draws are left out
     assume(3 * np.log(np.abs(X).max()) + np.log(X.shape[0]) < np.log(np.finfo(float).max))
     with np.errstate(over="ignore", invalid="ignore"):  # far centers of near-flat sets
-        fits, old = fit_pieces(X, starts, d, "spca"), reference_fit_spheres(X, starts, d)
-    pieces, finite = fits.pieces, ~old.degenerate  # the degenerate radius is inf
+        fits, old = fit_pieces(X, starts, d, fitter), reference_fit_spheres(X, starts, d)
+    pieces = fits.pieces
+    finite = ~old.degenerate if fitter == "spca" else np.zeros(len(sets), dtype=bool)
     assert np.array_equal(pieces.mu, old.mu) and np.array_equal(pieces.sphere, finite)
+    assert np.array_equal(fits.axis, old.frame[:, :, 0])
+    assert np.array_equal(pieces.width, np.where(finite, d + 1, d))
+    # a plane piece is the d-plane of the fit, its last frame column zero
     assert np.array_equal(pieces.frame[:, :, :d], old.frame[:, :, :d])
     assert np.array_equal(pieces.frame[finite], old.frame[finite])
-    scale = np.abs(old.center).max(axis=1)
-    assert np.all(np.abs(pieces.center - old.center).max(axis=1) <= 1e-12 * scale)
+    assert not pieces.frame[~finite, :, d].any()
+    assert np.array_equal(pieces.center[~finite], pieces.mu[~finite])
+    assert np.all(pieces.radius[~finite] == np.inf)
+    for i, (S, lo) in enumerate(zip(sets, starts)):
+        sphere = (old.center[i], old.radius[i]) if finite[i] else (None, None)
+        b_score, b_center, b_radius = _fit_rounding_bounds(S, old.mu[i], old.frame[i], *sphere)
+        rows = slice(lo, lo + len(S))
+        assert np.all(np.abs(fits.score[rows] - old.score[rows]) <= b_score)
+        if finite[i]:
+            assert np.all(np.abs(pieces.center[i] - old.center[i]) <= b_center)
+            assert abs(pieces.radius[i] - old.radius[i]) <= b_radius
+    scale = np.abs(old.center[finite]).max(axis=1)
+    assert np.all(np.abs(pieces.center[finite] - old.center[finite]).max(axis=1) <= 1e-12 * scale)
     assert np.all(np.abs(pieces.radius[finite] - old.radius[finite]) <= 1e-12 * old.radius[finite])
+    if fitter == "pca":
+        assert np.isnan(fits.h_condition).all()  # no sphere solved
+        return
     # a scatter's smallest eigenvalue rounds by ~eps * its largest, so a
     # condition number kappa rounds by ~eps * kappa relative; past the
     # limit (a numerically singular scatter) it is rounding noise, and
